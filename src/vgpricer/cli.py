@@ -157,7 +157,7 @@ _DEFAULTS = {
     "tail_tol": 1e-10,
     "alpha_policy": "error",
     "u_max": 1e4,
-    "panels": 2000,
+    "panels": 1,
     "damping_a": 1.0,
     "abs_tol": 1e-9,
     "gl_order": 15,
@@ -277,12 +277,25 @@ def _price_fourier(payoff: str, params, market, cfg) -> series.PriceResult:
         trigger_market = replace(market, strike=market.trigger_strike, trigger_strike=None)
         an = fourier.lewis_asset_or_nothing(params, trigger_market, cfg)
         cn = fourier.lewis_cash_or_nothing(params, trigger_market, cfg)
+        diagnostics = {
+            "tolerance_met": an.diagnostics["tolerance_met"] and cn.diagnostics["tolerance_met"],
+            "u_max": cfg.u_max,
+        }
+        warnings = [
+            f"{leg} leg: {result.diagnostics['warning']}"
+            for leg, result in (("asset", an), ("cash", cn))
+            if "warning" in result.diagnostics
+        ]
+        if warnings:
+            diagnostics["warning"] = "; ".join(warnings)
         return series.PriceResult(
             value=an.value - market.strike * cn.value,
             method="fourier",
             terms_evaluated=an.terms_evaluated + cn.terms_evaluated,
+            truncation_estimate=an.truncation_estimate
+            + market.strike * cn.truncation_estimate,
             branch=an.branch,
-            diagnostics=an.diagnostics,
+            diagnostics=diagnostics,
         )
     raise _UsageError(f"fourier engine does not support payoff {payoff!r}")
 

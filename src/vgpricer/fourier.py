@@ -12,9 +12,17 @@ integrable, priced through the characteristic function of log S_T, and the
 damping removed afterwards.  The damping factor must stay below the
 square-integrability bound (a_max for the symmetric model).
 
-Quadrature is composite 32-point Gauss-Legendre on panels narrow enough to
-resolve the e^{iuk} oscillation (panel width <= pi/(2|k| + 1)), refined by
-panel doubling until the change is below abs_tol.
+Quadrature is composite 32-point Gauss-Legendre on graded panels.  The first
+panel resolves the e^{iuk} oscillation near the origin (width
+min(pi/(2|k| + 1), cap)); each next panel is 1.5x wider, up to four periods
+of e^{iuk}, since the integrands decay like a power of u.  Every pass splits
+all panels in two until the change is below abs_tol, and evaluates its nodes
+in bounded chunks.  The panels change only the quadrature: each price is the
+same integral truncated at u_max.
+
+Each result reports the dropped tail past u_max as its truncation_estimate,
+and a price outside its no-arbitrage bounds is returned unchanged but with
+tolerance_met False and a warning in its diagnostics.
 """
 
 from __future__ import annotations
@@ -40,14 +48,21 @@ __all__ = [
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 _MAX_REFINEMENTS = 5
+_GROWTH = 1.5  # width ratio of consecutive panels
+_CAP_PERIODS = 4  # widest panel, in periods of e^{iuk}
+_CHUNK_PANELS = 2**16 // len(_GL_NODES)  # panels evaluated at once: at most 2^16 nodes
 
 
 @dataclass(frozen=True)
 class FourierConfig:
-    """Integration controls: truncation point, panel budget, damping, tolerance."""
+    """Integration controls: truncation point, panel floor, damping, tolerance.
+
+    panels is a floor on the number of panels in the first pass; the graded
+    layout alone needs from a few tens to a few hundred at u_max = 1e4.
+    """
 
     u_max: float = 1e4
-    panels: int = 2000
+    panels: int = 1
     damping_a: float = 1.0
     abs_tol: float = 1e-9
 
@@ -60,25 +75,58 @@ class FourierConfig:
             raise InvalidParameters(f"abs_tol must be positive, got {self.abs_tol!r}")
 
 
-def _panel_integral(f, lo: float, hi: float, n_panels: int) -> float:
-    edges = np.linspace(lo, hi, n_panels + 1)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    x = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    w = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-    return float(np.sum(f(x) * w))
+def _graded_edges(lo: float, hi: float, osc_scale: float, width_cap: float) -> np.ndarray:
+    """Panel edges on [lo, hi], each panel 1.5x wider than the one before.
 
-
-def _integrate(f, lo: float, hi: float, osc_scale: float, width_cap: float, cfg: FourierConfig):
-    """Oscillation-aware panel integration with doubling refinement."""
+    The first panel resolves the oscillation near the origin; widths stop
+    growing at _CAP_PERIODS periods of e^{iuk}, and the rest of the range is
+    split evenly at that width.  Without oscillation (k = 0) they never stop.
+    """
     width = min(math.pi / (2.0 * abs(osc_scale) + 1.0), width_cap)
-    n_panels = max(cfg.panels, int(math.ceil((hi - lo) / width)))
-    value = _panel_integral(f, lo, hi, n_panels)
+    cap = 2.0 * math.pi * _CAP_PERIODS / abs(osc_scale) if osc_scale else math.inf
+    edges = [lo]
+    while edges[-1] + width < hi and width < cap:
+        edges.append(edges[-1] + width)
+        width = min(_GROWTH * width, cap)
+    n_tail = max(1, math.ceil((hi - edges[-1]) / width))
+    return np.concatenate([edges[:-1], np.linspace(edges[-1], hi, n_tail + 1)])
+
+
+def _panel_integral(f, edges: np.ndarray, splits: int, n_panels: int) -> float:
+    """32-point Gauss-Legendre sum over n_panels panels.
+
+    Each interval between consecutive edges is split into `splits` equal
+    panels, n_panels = splits * (len(edges) - 1).  Nodes are built and
+    evaluated _CHUNK_PANELS panels at a time, so memory stays bounded for
+    any u_max.  (vgbench/trace.py reads n_panels as positional argument 3.)
+    """
+    total = 0.0
+    for first in range(0, n_panels, _CHUNK_PANELS):
+        base, part = np.divmod(np.arange(first, min(first + _CHUNK_PANELS, n_panels)), splits)
+        half = 0.5 * (edges[base + 1] - edges[base]) / splits
+        mid = edges[base] + (2 * part + 1) * half
+        x = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
+        w = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
+        total += float(np.sum(f(x) * w))
+    return total
+
+
+def _integrate(g, k: float, lo: float, hi: float, width_cap: float, cfg: FourierConfig):
+    """int_lo^hi Re[e^{iuk} g(u)] du on graded panels, refined by splitting every panel in two."""
+
+    def f(u):
+        return np.real(np.exp(1j * u * k) * g(u))
+
+    edges = _graded_edges(lo, hi, k, width_cap)
+    splits = -(-cfg.panels // (len(edges) - 1))
+    n_panels = splits * (len(edges) - 1)
+    value = _panel_integral(f, edges, splits, n_panels)
     evals = n_panels * len(_GL_NODES)
     tolerance_met = False
     for _ in range(_MAX_REFINEMENTS):
+        splits *= 2
         n_panels *= 2
-        refined = _panel_integral(f, lo, hi, n_panels)
+        refined = _panel_integral(f, edges, splits, n_panels)
         evals += n_panels * len(_GL_NODES)
         if abs(refined - value) <= cfg.abs_tol:
             value = refined
@@ -88,23 +136,54 @@ def _integrate(f, lo: float, hi: float, osc_scale: float, width_cap: float, cfg:
     return value, evals, tolerance_met
 
 
+def _tail_estimate(g, u_max: float, k_rn: float, decay: float) -> float:
+    """Size of the dropped tail int_{u_max}^inf Re[e^{iuk} g(u)] du, |g| ~ u^-decay.
+
+    Past u_max the integrand oscillates like e^{iu k_rn}; one integration by
+    parts gives |g(u_max)| / |k_rn|.  Near the money, where that diverges,
+    the power decay alone gives |g(u_max)| u_max / (decay - 1); the smaller
+    of the two is returned.
+    """
+    return float(abs(g(u_max))) / max(abs(k_rn), (decay - 1.0) / u_max)
+
+
 def _branch_label(derived) -> str:
     if abs(derived.rn_moneyness) < 1e-12:
         return "atm"
     return "otm" if derived.rn_moneyness < 0.0 else "itm"
 
 
-def _digital_result(value, derived, evals, tolerance_met, cfg) -> PriceResult:
-    diagnostics = {"tolerance_met": tolerance_met, "u_max": cfg.u_max}
+def _result(value, truncation, bounds, evals, tolerance_met, derived, **extra) -> PriceResult:
+    """A Fourier PriceResult; a value outside its no-arbitrage bounds is flagged, not changed."""
+    lower, upper = bounds
+    warnings = []
     if not tolerance_met:
-        diagnostics["warning"] = "abs_tol not reached within refinement budget"
+        warnings.append("abs_tol not reached within refinement budget")
+    if not lower <= value <= upper:
+        tolerance_met = False
+        warnings.append(
+            f"price {value:.6g} outside its no-arbitrage bounds [{lower:.6g}, {upper:.6g}]"
+        )
+    diagnostics = {"tolerance_met": tolerance_met, **extra}
+    if warnings:
+        diagnostics["warning"] = "; ".join(warnings)
     return PriceResult(
         value=value,
         method="fourier",
         terms_evaluated=evals,
-        truncation_estimate=0.0,
+        truncation_estimate=truncation,
         branch=_branch_label(derived),
         diagnostics=diagnostics,
+    )
+
+
+def _lewis_digital(g, scale: float, params: VgParams, market: MarketInputs, derived, cfg):
+    """scale (1/2 + (1/pi) int_0^umax Re[e^{iuk} g(u)] du), a digital worth between 0 and scale."""
+    integral, evals, ok = _integrate(g, derived.log_fwd_moneyness, 1e-10, cfg.u_max, 2.0, cfg)
+    tail = _tail_estimate(g, cfg.u_max, derived.rn_moneyness, 1.0 + 2.0 * market.tau / params.nu)
+    value = scale * (0.5 + integral / math.pi)
+    return _result(
+        value, scale * tail / math.pi, (0.0, scale), evals, ok, derived, u_max=cfg.u_max
     )
 
 
@@ -114,20 +193,17 @@ def lewis_asset_or_nothing(
     """Asset-or-nothing digital via the shifted characteristic function."""
     cfg = cfg or FourierConfig()
     derived = model.derive(params, market)
-    k = derived.log_fwd_moneyness
     tau = market.tau
     omega = derived.omega
 
-    def integrand(u):
+    def g(u):
         shifted = u - 1j
         phi = np.exp(1j * shifted * tau * omega) * model.characteristic_fn(
             params, shifted, tau
         )
-        return np.real(np.exp(1j * u * k) * phi / (1j * u))
+        return phi / (1j * u)
 
-    integral, evals, ok = _integrate(integrand, 1e-10, cfg.u_max, k, 2.0, cfg)
-    value = market.spot * (0.5 + integral / math.pi)
-    return _digital_result(value, derived, evals, ok, cfg)
+    return _lewis_digital(g, market.spot, params, market, derived, cfg)
 
 
 def lewis_cash_or_nothing(
@@ -136,16 +212,13 @@ def lewis_cash_or_nothing(
     """Cash-or-nothing digital via the risk-neutral characteristic function."""
     cfg = cfg or FourierConfig()
     derived = model.derive(params, market)
-    k = derived.log_fwd_moneyness
     tau = market.tau
 
-    def integrand(u):
-        phi = model.rn_characteristic_fn(params, u, tau)
-        return np.real(np.exp(1j * u * k) * phi / (1j * u))
+    def g(u):
+        return model.rn_characteristic_fn(params, u, tau) / (1j * u)
 
-    integral, evals, ok = _integrate(integrand, 1e-10, cfg.u_max, k, 2.0, cfg)
-    value = math.exp(-derived.rate_effective * tau) * (0.5 + integral / math.pi)
-    return _digital_result(value, derived, evals, ok, cfg)
+    discount = math.exp(-derived.rate_effective * tau)
+    return _lewis_digital(g, discount, params, market, derived, cfg)
 
 
 def a_max(params: VgParams) -> float:
@@ -191,26 +264,26 @@ def carr_madan_european(
             ) from exc
     k_rn = derived.rn_moneyness
 
-    def integrand(u):
+    def g(u):
         z = u - (a + 1.0) * 1j
         denom = a * a + a - u * u + 1j * (2.0 * a + 1.0) * u
-        phi = model.characteristic_fn(params, z, tau)
-        return np.real(np.exp(1j * u * k_rn) * phi / denom)
+        return model.characteristic_fn(params, z, tau) / denom
 
-    integral, evals, ok = _integrate(integrand, 0.0, cfg.u_max, k_rn, 1.0, cfg)
+    integral, evals, ok = _integrate(g, k_rn, 0.0, cfg.u_max, 1.0, cfg)
     log_scale = (
         -a * math.log(market.strike)
         - derived.rate_effective * tau
         + (a + 1.0) * (math.log(market.spot) + (derived.rate_effective + derived.omega) * tau)
     )
-    value = math.exp(log_scale) * integral / math.pi
-    diagnostics = {"tolerance_met": ok, "u_max": cfg.u_max, "damping_a": a}
-    if not ok:
-        diagnostics["warning"] = "abs_tol not reached within refinement budget"
-    return PriceResult(
-        value=value,
-        method="fourier",
-        terms_evaluated=evals,
-        branch=_branch_label(derived),
-        diagnostics=diagnostics,
+    tail = _tail_estimate(g, cfg.u_max, k_rn, 2.0 + 2.0 * tau / params.nu)
+    intrinsic = market.spot - market.strike * math.exp(-derived.rate_effective * tau)
+    return _result(
+        math.exp(log_scale) * integral / math.pi,
+        math.exp(log_scale) * tail / math.pi,
+        (max(0.0, intrinsic), market.spot),
+        evals,
+        ok,
+        derived,
+        u_max=cfg.u_max,
+        damping_a=a,
     )

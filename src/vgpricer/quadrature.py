@@ -74,7 +74,11 @@ def gl_omega(params: VgParams, t: float, n: int) -> float:
     """
     if not t > 0.0:
         raise InvalidParameters(f"gl_omega requires t > 0, got {t!r}")
-    gl = gl_weights(n, t / params.nu)
+    return _gl_omega(params, t, gl_weights(n, t / params.nu))
+
+
+def _gl_omega(params: VgParams, t: float, gl: GlWeights) -> float:
+    """gl_omega on a rule already specialised to the shape t/nu."""
     u = gl.rule.nodes
     exponents = params.theta * params.nu * u + 0.5 * params.sigma**2 * params.nu * u
     if exponents.max() > 700.0:
@@ -97,7 +101,7 @@ def gl_european(params: VgParams, market: MarketInputs, n: int) -> PriceResult:
     shape = tau / params.nu
     gl = gl_weights(n, shape)
     u = gl.rule.nodes
-    omega_bar = gl_omega(params, tau, n)
+    omega_bar = _gl_omega(params, tau, gl)
     vol = params.sigma * np.sqrt(params.nu * u)
     d1 = (
         math.log(market.spot / market.strike)

@@ -7,7 +7,9 @@ import json
 import numpy as np
 import pytest
 
+from vgpricer import cli, fourier
 from vgpricer.cli import main
+from vgpricer.model import MarketInputs
 
 _BASE_FLAGS = [
     "--spot", "4200", "--strike", "4000", "--rate", "0.01", "--tau", "2",
@@ -74,6 +76,30 @@ class TestPriceCommand:
         )
         assert code == 3
         assert json.loads(err)["type"] == "NonConvergenceError"
+
+    def test_out_of_bounds_fourier_price_is_flagged_not_raised(self, capsys):
+        """The u_max truncation drives this Lewis cash digital below zero; the
+        price is still printed, with exit code 0, so `--method all` keeps the
+        other engines' prices."""
+        code, out, _ = run_cli(
+            capsys, "price", "--payoff", "cash-or-nothing", "--method", "all",
+            "--spot", "2000", "--strike", "4000", "--rate", "0.01", "--tau", repr(1 / 52),
+            "--sigma", "0.2", "--nu", "0.85", "--max-order", "60",
+        )
+        assert code == 0
+        records = {r["method"]: r for r in map(json.loads, out.splitlines())}
+        assert records["fourier"]["value"] == pytest.approx(-1.4523e-5, abs=1e-9)
+        assert records["fourier"]["truncation_estimate"] > 3.31e-5
+        assert records["series"]["value"] > 0.0
+
+    def test_fourier_gap_keeps_both_legs_flags(self, bench_params):
+        market = MarketInputs(
+            spot=2000.0, strike=3900.0, trigger_strike=4000.0, rate=0.01, tau=1 / 52
+        )
+        result = cli._price_fourier("gap", bench_params, market, fourier.FourierConfig())
+        assert result.diagnostics["tolerance_met"] is False
+        assert "cash leg" in result.diagnostics["warning"]
+        assert result.truncation_estimate > 3900.0 * 3.31e-5
 
     def test_usage_error_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "price", "--payoff", "straddle")

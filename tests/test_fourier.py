@@ -1,8 +1,10 @@
 """Fourier-engine tests: reference Lewis columns, damping rules, stability."""
 
 import math
+import tracemalloc
 
 import pytest
+from scipy.integrate import quad
 
 from vgpricer.errors import DampingOutOfRangeError, InvalidParameters
 from vgpricer.fourier import (
@@ -14,12 +16,17 @@ from vgpricer.fourier import (
 )
 from vgpricer.model import VgParams
 from vgpricer.reference import load_reference
-from vgpricer.series import SeriesControl, asset_or_nothing, european
+from vgpricer.series import SeriesControl, asset_or_nothing, cash_or_nothing, european
 from vgpricer.tables import atm_spot, base_params
 
 from conftest import make_market
 
 _TAUS = {"2": 2.0, "0.5": 0.5}
+_GRID_TAUS = (2.0, 0.5, 1 / 12, 1 / 52, 1 / 360)
+_GRID_SPOTS = (2000.0, 3000.0, 4000.0, 4200.0, 5000.0, 6000.0)
+# S = 2000, K = 4000, one week: the u_max = 1e4 truncation drives the Lewis
+# cash digital below zero (series 1.858e-5, Lewis -1.4523e-5)
+_NEGATIVE_DIGITAL = dict(spot=2000.0, tau=1 / 52)
 
 
 def _lewis_cells(table: str):
@@ -28,6 +35,105 @@ def _lewis_cells(table: str):
         for c in load_reference().values()
         if c.table == table and c.col_label == "lewis" and not c.suspect
     ]
+
+
+def _lewis_integral(params: VgParams, market, u_max: float, shift: float) -> float:
+    """Lewis digital integral truncated at u_max, evaluated from its definition.
+
+    int_0^u_max Re[e^{iuk} e^{i z omega tau} Phi(z) / (iu)] du with z = u - i shift
+    (shift 0: cash digital, 1: asset digital) and Phi(z) = (1 - i theta nu z +
+    sigma^2 nu z^2/2)^{-tau/nu} the closed-form characteristic function.  The
+    phases combine to e^{iu k_rn}, which QUADPACK's QAWO cos/sin weights
+    handle on [1, u_max]; the 1/u factor is singular at 0, so the head
+    [1e-10, 1] integrates the regular product directly.  Nothing here shares
+    code with the engine's panel quadrature.
+    """
+    sigma, nu, theta, tau = params.sigma, params.nu, params.theta, market.tau
+    omega = math.log(1.0 - theta * nu - 0.5 * sigma**2 * nu) / nu
+    k_rn = math.log(market.spot / market.strike) + (market.rate + omega) * tau
+
+    def psi(u):
+        z = u - shift * 1j
+        phi = (1.0 - 1j * theta * nu * z + 0.5 * sigma**2 * nu * z * z) ** (-tau / nu)
+        return math.exp(shift * omega * tau) * phi / (1j * u)
+
+    def head_integrand(u):
+        return (complex(math.cos(u * k_rn), math.sin(u * k_rn)) * psi(u)).real
+
+    head, _ = quad(head_integrand, 1e-10, 1.0, epsabs=1e-14, limit=200)
+    qawo = dict(wvar=k_rn, epsabs=1e-14, limit=4000)
+    re, _ = quad(lambda u: psi(u).real, 1.0, u_max, weight="cos", **qawo)
+    im, _ = quad(lambda u: psi(u).imag, 1.0, u_max, weight="sin", **qawo)
+    return head + re - im
+
+
+class TestGradedQuadrature:
+    def test_lewis_digitals_match_defining_integral(self, bench_params):
+        """Both Lewis digitals reproduce their truncated integral to 1e-9 on a
+        5-maturity x 6-spot grid, with at most 40,000 evaluations per price
+        (uniform width-2 panels took 480,000 or more at u_max = 1e4)."""
+        for tau in _GRID_TAUS:
+            for spot in _GRID_SPOTS:
+                market = make_market(spot, tau)
+                discount = math.exp(-market.rate * tau)
+                cash = lewis_cash_or_nothing(bench_params, market)
+                asset = lewis_asset_or_nothing(bench_params, market)
+                cash_integral = _lewis_integral(bench_params, market, 1e4, 0.0)
+                asset_integral = _lewis_integral(bench_params, market, 1e4, 1.0)
+                defining_cash = discount * (0.5 + cash_integral / math.pi)
+                defining_asset = spot * (0.5 + asset_integral / math.pi)
+                assert abs(cash.value - defining_cash) <= 1e-9, (tau, spot)
+                assert abs(asset.value - defining_asset) <= 1e-9, (tau, spot)
+                assert cash.terms_evaluated <= 40_000, (tau, spot)
+                assert asset.terms_evaluated <= 40_000, (tau, spot)
+
+    def test_panel_floor(self, bench_params):
+        market = make_market(4200.0, 0.5)
+        default = lewis_cash_or_nothing(bench_params, market)
+        floored = lewis_cash_or_nothing(bench_params, market, FourierConfig(panels=4000))
+        assert floored.terms_evaluated >= 4000 * 32 > default.terms_evaluated
+        assert floored.value == pytest.approx(default.value, abs=1e-9)
+
+    def test_memory_bounded_for_large_truncation(self, bench_params):
+        """Nodes are evaluated in bounded chunks: a 3e5 truncation point
+        (about 5e5 nodes in its last pass) stays under 16 MB."""
+        market = make_market(**_NEGATIVE_DIGITAL)
+        tracemalloc.start()
+        try:
+            result = lewis_cash_or_nothing(bench_params, market, FourierConfig(u_max=3e5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.diagnostics["tolerance_met"]
+        assert peak < 16e6
+
+
+class TestFourierDiagnostics:
+    def test_truncation_estimate_covers_truncation_error(self, bench_params):
+        market = make_market(**_NEGATIVE_DIGITAL)
+        lewis = lewis_cash_or_nothing(bench_params, market)
+        series_value = cash_or_nothing(bench_params, market, SeriesControl(max_order=60)).value
+        error = abs(lewis.value - series_value)
+        assert error == pytest.approx(3.31e-5, abs=5e-8)
+        assert error <= lewis.truncation_estimate < 1.1 * error
+
+    def test_truncation_estimate_reported_by_every_integrand(self, bench_params):
+        market = make_market(3000.0, 1 / 12)
+        for pricer in (lewis_cash_or_nothing, lewis_asset_or_nothing, carr_madan_european):
+            short = pricer(bench_params, market, FourierConfig(u_max=1e3))
+            long = pricer(bench_params, market, FourierConfig(u_max=1e5))
+            assert abs(short.value - long.value) <= short.truncation_estimate, pricer
+            assert 0.0 < long.truncation_estimate < short.truncation_estimate, pricer
+
+    def test_price_outside_bounds_is_flagged_not_changed(self, bench_params):
+        market = make_market(**_NEGATIVE_DIGITAL)
+        result = lewis_cash_or_nothing(bench_params, market)
+        assert result.value == pytest.approx(-1.4523e-5, abs=1e-9)
+        assert result.diagnostics["tolerance_met"] is False
+        assert "no-arbitrage" in result.diagnostics["warning"]
+        inside = lewis_cash_or_nothing(bench_params, make_market(3000.0, 1 / 52))
+        assert inside.diagnostics["tolerance_met"] is True
+        assert "warning" not in inside.diagnostics
 
 
 class TestLewisDigitals:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from vgpricer import quadrature, specfun
 from vgpricer.model import VgParams, density, martingale_adjustment
 from vgpricer.quadrature import gl_density, gl_european, gl_omega, gl_weights
 from vgpricer.reference import load_reference
@@ -115,6 +116,19 @@ class TestEuropeanMixture:
         assert "warning" in result.diagnostics
         long_result = gl_european(bench_params, make_market(4200.0, 2.0), 10)
         assert "warning" not in long_result.diagnostics
+
+    def test_rule_built_once_per_price(self, bench_params, monkeypatch):
+        calls = []
+        rule = specfun.laguerre_rule
+
+        def counted(n):
+            calls.append(n)
+            return rule(n)
+
+        monkeypatch.setattr(specfun, "laguerre_rule", counted)
+        monkeypatch.setattr(quadrature, "laguerre_rule", counted)
+        gl_european(bench_params, make_market(4200.0, 2.0), 15)
+        assert calls == [15]
 
     def test_drifted_model(self):
         params = base_params(-0.1)
