@@ -24,6 +24,7 @@ from .model import (
     DerivedQuantities,
     GammaDecomposition,
     MarketInputs,
+    PriceResult,
     VgParams,
     characteristic_fn,
     density,
@@ -38,7 +39,6 @@ from .model import (
 from .montecarlo import McConfig, McEstimate, mc_price, sample_vg
 from .quadrature import GlWeights, gl_density, gl_european, gl_omega, gl_weights
 from .series import (
-    PriceResult,
     SeriesControl,
     asset_or_nothing,
     asym_cash_or_nothing,

@@ -17,17 +17,19 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
 import time
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from . import fourier, model, montecarlo, quadrature, series, tables
 from .errors import NonConvergenceError, VgError
-from .model import MarketInputs, VgParams
+from .model import MarketInputs, PriceResult, VgParams
 
 __all__ = ["main"]
 
@@ -40,9 +42,6 @@ _PAYOFFS = (
     "log-call",
 )
 _METHODS = ("series", "fourier", "quadrature", "mc", "all")
-
-_FOURIER_PAYOFFS = ("european", "cash-or-nothing", "asset-or-nothing", "gap")
-_QUAD_PAYOFFS = ("european",)
 
 
 class _UsageError(Exception):
@@ -244,97 +243,61 @@ def _fourier_config(resolved: dict) -> fourier.FourierConfig:
     )
 
 
-def _price_series(payoff: str, params, market, ctrl) -> series.PriceResult:
-    if payoff == "european":
-        return series.european(params, market, ctrl)
-    if payoff == "cash-or-nothing":
-        if params.theta == 0.0:
-            return series.cash_or_nothing(params, market, ctrl)
-        return series.asym_cash_or_nothing(params, market, ctrl)
-    if payoff == "asset-or-nothing":
-        return series.asset_or_nothing(params, market, ctrl)
-    if payoff == "gap":
-        return series.gap(params, market, ctrl)
-    if payoff == "power-asset-or-nothing":
-        return series.power_asset_or_nothing(params, market, ctrl)
-    if payoff == "log-call":
-        return series.log_call(params, market, ctrl)
-    raise _UsageError(f"series engine does not support payoff {payoff!r}")
+def _monte_carlo(payoff: str, params, market, cfg) -> PriceResult:
+    """Monte Carlo as a PriceResult: paths as terms, with its standard error and 95% interval."""
+    estimate = montecarlo.mc_price(payoff.replace("-", "_"), params, market, cfg)
+    return PriceResult(
+        value=estimate.value,
+        method="monte_carlo",
+        terms_evaluated=cfg.n_paths,
+        branch=model.derive(params, market).branch,
+        std_error=estimate.std_error,
+        ci=(estimate.ci_low, estimate.ci_high),
+    )
 
 
-def _price_fourier(payoff: str, params, market, cfg) -> series.PriceResult:
-    if payoff == "european":
-        return fourier.carr_madan_european(params, market, cfg)
-    if payoff == "cash-or-nothing":
-        return fourier.lewis_cash_or_nothing(params, market, cfg)
-    if payoff == "asset-or-nothing":
-        return fourier.lewis_asset_or_nothing(params, market, cfg)
-    if payoff == "gap":
-        if market.trigger_strike is None:
-            raise _UsageError("gap pricing requires --trigger-strike")
-        from dataclasses import replace
+_CONFIGS = {
+    "series": _series_control,
+    "fourier": _fourier_config,
+    "quadrature": lambda resolved: resolved["gl_order"],
+    "mc": lambda resolved: montecarlo.McConfig(
+        n_paths=resolved["paths"], seed=resolved["seed"], antithetic=resolved["antithetic"]
+    ),
+}
 
-        trigger_market = replace(market, strike=market.trigger_strike, trigger_strike=None)
-        an = fourier.lewis_asset_or_nothing(params, trigger_market, cfg)
-        cn = fourier.lewis_cash_or_nothing(params, trigger_market, cfg)
-        diagnostics = {
-            "tolerance_met": an.diagnostics["tolerance_met"] and cn.diagnostics["tolerance_met"],
-            "u_max": cfg.u_max,
-        }
-        warnings = [
-            f"{leg} leg: {result.diagnostics['warning']}"
-            for leg, result in (("asset", an), ("cash", cn))
-            if "warning" in result.diagnostics
-        ]
-        if warnings:
-            diagnostics["warning"] = "; ".join(warnings)
-        return series.PriceResult(
-            value=an.value - market.strike * cn.value,
-            method="fourier",
-            terms_evaluated=an.terms_evaluated + cn.terms_evaluated,
-            truncation_estimate=an.truncation_estimate
-            + market.strike * cn.truncation_estimate,
-            branch=an.branch,
-            diagnostics=diagnostics,
-        )
-    raise _UsageError(f"fourier engine does not support payoff {payoff!r}")
+# (method, payoff) -> price(params, market, config); the key order is the row
+# order of --method all.  Every entry looks its pricer up through the module
+# at call time, so attributes patched on the module (a tracer) are seen.
+_ENGINES = {
+    ("series", "european"): lambda p, m, c: series.european(p, m, c),
+    ("series", "cash-or-nothing"): lambda p, m, c: (
+        series.cash_or_nothing if p.theta == 0.0 else series.asym_cash_or_nothing
+    )(p, m, c),
+    ("series", "asset-or-nothing"): lambda p, m, c: series.asset_or_nothing(p, m, c),
+    ("series", "gap"): lambda p, m, c: series.gap(p, m, c),
+    ("series", "power-asset-or-nothing"): lambda p, m, c: series.power_asset_or_nothing(p, m, c),
+    ("series", "log-call"): lambda p, m, c: series.log_call(p, m, c),
+    ("fourier", "european"): lambda p, m, c: fourier.carr_madan_european(p, m, c),
+    ("fourier", "cash-or-nothing"): lambda p, m, c: fourier.lewis_cash_or_nothing(p, m, c),
+    ("fourier", "asset-or-nothing"): lambda p, m, c: fourier.lewis_asset_or_nothing(p, m, c),
+    ("fourier", "gap"): lambda p, m, c: model.gap_from_digitals(
+        m,
+        lambda trigger: fourier.lewis_asset_or_nothing(p, trigger, c),
+        lambda trigger: fourier.lewis_cash_or_nothing(p, trigger, c),
+    ),
+    ("quadrature", "european"): lambda p, m, c: quadrature.gl_european(p, m, c),
+    **{("mc", payoff): partial(_monte_carlo, payoff) for payoff in _PAYOFFS},
+}
 
 
 def _price_record(payoff: str, method: str, resolved: dict) -> dict:
     params = _params(resolved)
     market = _market(resolved)
     start = time.perf_counter()
-    std_error = None
-    ci = None
-    if method == "series":
-        result = _price_series(payoff, params, market, _series_control(resolved))
-    elif method == "fourier":
-        result = _price_fourier(payoff, params, market, _fourier_config(resolved))
-    elif method == "quadrature":
-        if payoff not in _QUAD_PAYOFFS:
-            raise _UsageError(f"quadrature engine only supports {_QUAD_PAYOFFS}")
-        result = quadrature.gl_european(params, market, resolved["gl_order"])
-    elif method == "mc":
-        cfg = montecarlo.McConfig(
-            n_paths=resolved["paths"],
-            seed=resolved["seed"],
-            antithetic=resolved["antithetic"],
-        )
-        estimate = montecarlo.mc_price(payoff.replace("-", "_"), params, market, cfg)
-        derived = model.derive(params, market)
-        branch = "atm" if abs(derived.rn_moneyness) < 1e-12 else (
-            "otm" if derived.rn_moneyness < 0.0 else "itm"
-        )
-        result = series.PriceResult(
-            value=estimate.value,
-            method="monte_carlo",
-            terms_evaluated=cfg.n_paths,
-            branch=branch,
-        )
-        std_error = estimate.std_error
-        ci = [estimate.ci_low, estimate.ci_high]
-    else:
-        raise _UsageError(f"unknown method {method!r}")
+    config = _CONFIGS[method](resolved)
+    if (method, payoff) not in _ENGINES:
+        raise _UsageError(f"{method} engine does not support payoff {payoff!r}")
+    result = _ENGINES[method, payoff](params, market, config)
     runtime_ms = (time.perf_counter() - start) * 1e3
     record = {
         "value": result.value,
@@ -344,9 +307,9 @@ def _price_record(payoff: str, method: str, resolved: dict) -> dict:
         "terms_evaluated": result.terms_evaluated,
         "truncation_estimate": result.truncation_estimate,
     }
-    if std_error is not None:
-        record["std_error"] = std_error
-        record["ci"] = ci
+    if result.std_error is not None:
+        record["std_error"] = result.std_error
+        record["ci"] = list(result.ci)
     record["params"] = {"sigma": params.sigma, "nu": params.nu, "theta": params.theta}
     record["market"] = {
         "spot": market.spot,
@@ -362,13 +325,7 @@ def _price_record(payoff: str, method: str, resolved: dict) -> dict:
 
 
 def _methods_for(payoff: str) -> list[str]:
-    methods = ["series"]
-    if payoff in _FOURIER_PAYOFFS:
-        methods.append("fourier")
-    if payoff in _QUAD_PAYOFFS:
-        methods.append("quadrature")
-    methods.append("mc")
-    return methods
+    return [method for method, supported in _ENGINES if supported == payoff]
 
 
 # ---------------------------------------------------------------------------
@@ -508,12 +465,7 @@ def _cmd_converge(resolved: dict) -> int:
             }
         )
     for u_max in u_maxes:
-        cfg = fourier.FourierConfig(
-            u_max=u_max,
-            panels=resolved["panels"],
-            damping_a=resolved["damping_a"],
-            abs_tol=resolved["abs_tol"],
-        )
+        cfg = dataclasses.replace(_fourier_config(resolved), u_max=u_max)
         value = fourier.carr_madan_european(params, market, cfg).value
         rows.append(
             {

@@ -35,8 +35,7 @@ import numpy as np
 
 from . import model
 from .errors import BranchCutError, DampingOutOfRangeError, InvalidParameters
-from .model import MarketInputs, VgParams
-from .series import PriceResult
+from .model import MarketInputs, PriceResult, VgParams
 
 __all__ = [
     "FourierConfig",
@@ -147,12 +146,6 @@ def _tail_estimate(g, u_max: float, k_rn: float, decay: float) -> float:
     return float(abs(g(u_max))) / max(abs(k_rn), (decay - 1.0) / u_max)
 
 
-def _branch_label(derived) -> str:
-    if abs(derived.rn_moneyness) < 1e-12:
-        return "atm"
-    return "otm" if derived.rn_moneyness < 0.0 else "itm"
-
-
 def _result(value, truncation, bounds, evals, tolerance_met, derived, **extra) -> PriceResult:
     """A Fourier PriceResult; a value outside its no-arbitrage bounds is flagged, not changed."""
     lower, upper = bounds
@@ -172,7 +165,7 @@ def _result(value, truncation, bounds, evals, tolerance_met, derived, **extra) -
         method="fourier",
         terms_evaluated=evals,
         truncation_estimate=truncation,
-        branch=_branch_label(derived),
+        branch=derived.branch,
         diagnostics=diagnostics,
     )
 

@@ -13,8 +13,8 @@ collected once in :class:`DerivedQuantities`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field, replace
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import quad
@@ -27,6 +27,9 @@ __all__ = [
     "MarketInputs",
     "DerivedQuantities",
     "GammaDecomposition",
+    "PriceResult",
+    "moneyness_branch",
+    "gap_from_digitals",
     "martingale_adjustment",
     "derive",
     "density",
@@ -107,7 +110,7 @@ class DerivedQuantities:
     sigma_nu         rescaled volatility sigma sqrt(nu / 2)
     alpha            tau/nu - 1/2 (order of the Bessel density kernel)
     omega            martingale adjustment
-    rn_moneyness     k + omega tau; its sign selects the OTM/ATM/ITM branch
+    rn_moneyness     k + omega tau; its sign selects the branch (property ``branch``)
     theta_sigma      theta / sigma^2
     q_factor         1/(2 sigma^2 nu) + (theta / (2 sigma^2))^2  (> 0)
     power_moneyness  ln(S / K^{1/power}) + (r + omega) tau
@@ -125,6 +128,31 @@ class DerivedQuantities:
     power_moneyness: float
     rate_effective: float
 
+    @property
+    def branch(self) -> str:
+        return moneyness_branch(self.rn_moneyness)
+
+
+@dataclass(frozen=True)
+class PriceResult:
+    """A price plus how it was computed, in the same fields for every engine.
+
+    branch reflects the sign of the moneyness that drove branch selection
+    (the risk-neutral moneyness, or its power-payoff analogue).
+    terms_evaluated counts series terms, integrand evaluations, quadrature
+    nodes or paths; truncation_estimate is the size of what was dropped.
+    std_error and ci (the 95% interval) are set by Monte Carlo only.
+    """
+
+    value: float
+    method: str
+    terms_evaluated: int = 0
+    truncation_estimate: float = 0.0
+    branch: str = "otm"
+    diagnostics: dict = field(default_factory=dict)
+    std_error: Optional[float] = None
+    ci: Optional[tuple[float, float]] = None
+
 
 @dataclass(frozen=True)
 class GammaDecomposition:
@@ -134,6 +162,51 @@ class GammaDecomposition:
     mu_minus: float
     nu_plus: float
     nu_minus: float
+
+
+def moneyness_branch(moneyness: float) -> str:
+    """'atm' within 1e-12 of zero, else 'otm' below zero and 'itm' above."""
+    if abs(moneyness) < 1e-12:
+        return "atm"
+    return "otm" if moneyness < 0.0 else "itm"
+
+
+def gap_from_digitals(
+    market: MarketInputs,
+    asset_or_nothing: Callable[[MarketInputs], PriceResult],
+    cash_or_nothing: Callable[[MarketInputs], PriceResult],
+) -> PriceResult:
+    """Gap call paying S_T - K1 when S_T > K2, as AN(K2) - K1 CN(K2).
+
+    The two digitals come from any one engine and are called with the
+    market struck at the trigger K2.  Boolean diagnostics present in both
+    legs are ANDed, each leg's warning is kept, and terms and truncation
+    estimates add up (the cash leg's scaled by K1).
+    """
+    if market.trigger_strike is None:
+        raise InvalidParameters("gap pricing requires trigger_strike (K2)")
+    trigger_market = replace(market, strike=market.trigger_strike, trigger_strike=None)
+    an = asset_or_nothing(trigger_market)
+    cn = cash_or_nothing(trigger_market)
+    diagnostics = {**cn.diagnostics, **an.diagnostics}
+    for key in an.diagnostics.keys() & cn.diagnostics.keys():
+        if isinstance(an.diagnostics[key], bool) and isinstance(cn.diagnostics[key], bool):
+            diagnostics[key] = an.diagnostics[key] and cn.diagnostics[key]
+    warnings = [
+        f"{leg} leg: {result.diagnostics['warning']}"
+        for leg, result in (("asset", an), ("cash", cn))
+        if "warning" in result.diagnostics
+    ]
+    if warnings:
+        diagnostics["warning"] = "; ".join(warnings)
+    return PriceResult(
+        value=an.value - market.strike * cn.value,
+        method=an.method,
+        terms_evaluated=an.terms_evaluated + cn.terms_evaluated,
+        truncation_estimate=an.truncation_estimate + market.strike * cn.truncation_estimate,
+        branch=an.branch,
+        diagnostics=diagnostics,
+    )
 
 
 def martingale_adjustment(params: VgParams) -> float:

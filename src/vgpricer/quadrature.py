@@ -20,8 +20,7 @@ import numpy as np
 
 from . import model, specfun
 from .errors import GammaOverflowError, InvalidParameters
-from .model import MarketInputs, VgParams
-from .series import PriceResult
+from .model import MarketInputs, PriceResult, VgParams
 from .specfun import QuadratureRule, laguerre_rule, normal_cdf
 
 __all__ = ["GlWeights", "gl_weights", "gl_density", "gl_omega", "gl_european"]
@@ -123,13 +122,10 @@ def gl_european(params: VgParams, market: MarketInputs, n: int) -> PriceResult:
             "tau/nu < 1: the Gamma clock density is singular at zero and the "
             "plain Laguerre rule converges slowly"
         )
-    branch = "atm" if abs(derived.rn_moneyness) < 1e-12 else (
-        "otm" if derived.rn_moneyness < 0.0 else "itm"
-    )
     return PriceResult(
         value=value,
         method="quadrature",
         terms_evaluated=n,
-        branch=branch,
+        branch=derived.branch,
         diagnostics=diagnostics,
     )

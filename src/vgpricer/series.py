@@ -20,7 +20,7 @@ reach 1e3-sized partial sums that settle to O(1) prices).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -32,7 +32,7 @@ from .errors import (
     NonConvergenceError,
     UnsupportedBranchError,
 )
-from .model import DerivedQuantities, MarketInputs, VgParams
+from .model import DerivedQuantities, MarketInputs, PriceResult, VgParams
 
 __all__ = [
     "SeriesControl",
@@ -48,7 +48,6 @@ __all__ = [
     "asym_cash_or_nothing",
 ]
 
-_ATM_THRESHOLD = 1e-12
 _ALPHA_GUARD = 1e-8
 _CONVERGENCE_LIMIT = 1e-6
 _LOG2 = math.log(2.0)
@@ -81,23 +80,6 @@ class SeriesControl:
             raise InvalidParameters(
                 f"alpha_policy must be 'error' or 'nudge', got {self.alpha_policy!r}"
             )
-
-
-@dataclass(frozen=True)
-class PriceResult:
-    """A price plus evaluation diagnostics.
-
-    branch reflects the sign of the moneyness that drove branch selection
-    (the risk-neutral moneyness, or its power-payoff analogue).
-    truncation_estimate is the magnitude of the last anti-diagonal summed.
-    """
-
-    value: float
-    method: str
-    terms_evaluated: int = 0
-    truncation_estimate: float = 0.0
-    branch: str = "otm"
-    diagnostics: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +305,7 @@ def _apply_alpha_policy(
         diagnostics["nudged_nu"] = params.nu
     derived = model.derive(params, market)
     diagnostics["alpha"] = derived.alpha
+    diagnostics["rn_moneyness"] = derived.rn_moneyness
     return params, derived, diagnostics
 
 
@@ -332,12 +315,6 @@ def _require_symmetric(params: VgParams, op_name: str) -> None:
             f"{op_name} requires the symmetric model (theta = 0); "
             "use asym_cash_or_nothing for drifted digitals"
         )
-
-
-def _classify(moneyness: float) -> str:
-    if abs(moneyness) < _ATM_THRESHOLD:
-        return "atm"
-    return "otm" if moneyness < 0.0 else "itm"
 
 
 def _finalize(
@@ -367,6 +344,20 @@ def _finalize(
     return result
 
 
+def _otm_or_parity(branch: str, otm_series, parity):
+    """The OTM series, or on the ITM branch parity() minus the mirrored series.
+
+    otm_series(sign) sums the OTM series with its mirrored argument (the
+    rescaled volatility, or the moneyness and the drift ratio) times sign.
+    parity() is taken first, so its own checks run before the series.
+    """
+    if branch == "otm":
+        return otm_series(1.0)
+    complement = parity()
+    series, terms, tail, conv = otm_series(-1.0)
+    return complement - series, terms, tail, conv
+
+
 def _log_sym_prefactor(derived: DerivedQuantities, amount: float) -> float:
     """log of amount / (2 Gamma(tau/nu)) with tau/nu = alpha + 1/2."""
     lg, _ = specfun._log_gamma_signed(derived.alpha + 0.5)
@@ -385,24 +376,21 @@ def asset_or_nothing(
     ctrl = ctrl or SeriesControl()
     _require_symmetric(params, "asset_or_nothing")
     params, derived, diagnostics = _apply_alpha_policy(params, market, ctrl)
-    k = derived.rn_moneyness
-    branch = _classify(k)
-    diagnostics["rn_moneyness"] = k
     log_pref = _log_sym_prefactor(derived, derived.forward_strike)
-    if branch == "atm":
+    if derived.branch == "atm":
         value, terms, tail, conv = _atm_series(
             log_pref, derived.alpha, derived.sigma_nu, ctrl.max_order, ctrl.tail_tol
         )
-    elif branch == "otm":
-        value, terms, tail, conv = _double_series(
-            log_pref, derived.alpha, k, derived.sigma_nu, ctrl.max_order, ctrl.tail_tol
-        )
     else:
-        series, terms, tail, conv = _double_series(
-            log_pref, derived.alpha, k, -derived.sigma_nu, ctrl.max_order, ctrl.tail_tol
+        value, terms, tail, conv = _otm_or_parity(
+            derived.branch,
+            lambda sign: _double_series(
+                log_pref, derived.alpha, derived.rn_moneyness, sign * derived.sigma_nu,
+                ctrl.max_order, ctrl.tail_tol,
+            ),
+            lambda: market.spot,
         )
-        value = market.spot - series
-    return _finalize(value, terms, tail, conv, branch, diagnostics)
+    return _finalize(value, terms, tail, conv, derived.branch, diagnostics)
 
 
 def european(
@@ -416,11 +404,8 @@ def european(
     ctrl = ctrl or SeriesControl()
     _require_symmetric(params, "european")
     params, derived, diagnostics = _apply_alpha_policy(params, market, ctrl)
-    k = derived.rn_moneyness
-    branch = _classify(k)
-    diagnostics["rn_moneyness"] = k
     log_pref = _log_sym_prefactor(derived, derived.forward_strike)
-    if branch == "atm":
+    if derived.branch == "atm":
         value, terms, tail, conv = _atm_series(
             log_pref,
             derived.alpha,
@@ -429,28 +414,21 @@ def european(
             ctrl.tail_tol,
             n_start=1,
         )
-    elif branch == "otm":
-        value, terms, tail, conv = _double_series(
-            log_pref,
-            derived.alpha,
-            k,
-            derived.sigma_nu,
-            ctrl.max_order,
-            ctrl.tail_tol,
-            n2_start=1,
-        )
     else:
-        series, terms, tail, conv = _double_series(
-            log_pref,
-            derived.alpha,
-            k,
-            -derived.sigma_nu,
-            ctrl.max_order,
-            ctrl.tail_tol,
-            n2_start=1,
+        value, terms, tail, conv = _otm_or_parity(
+            derived.branch,
+            lambda sign: _double_series(
+                log_pref,
+                derived.alpha,
+                derived.rn_moneyness,
+                sign * derived.sigma_nu,
+                ctrl.max_order,
+                ctrl.tail_tol,
+                n2_start=1,
+            ),
+            lambda: market.spot - derived.forward_strike,
         )
-        value = market.spot - derived.forward_strike - series
-    return _finalize(value, terms, tail, conv, branch, diagnostics)
+    return _finalize(value, terms, tail, conv, derived.branch, diagnostics)
 
 
 def european_atmf(
@@ -488,10 +466,7 @@ def european_atmf(
             * params.sigma
             * math.sqrt(params.nu)
         )
-        return PriceResult(
-            value=value, method="series", terms_evaluated=1, branch="atm",
-            diagnostics={"leading_only": True, "converged": True},
-        )
+        return _finalize(value, 1, 0.0, True, "atm", {"leading_only": True})
     params, derived, diagnostics = _apply_alpha_policy(params, market, ctrl)
     k_eff = -0.5 * params.sigma**2 * market.tau  # omega tau under omega ~ -sigma^2/2
     log_pref = _log_sym_prefactor(derived, spot)
@@ -544,30 +519,19 @@ def cash_or_nothing(
     ctrl = ctrl or SeriesControl()
     _require_symmetric(params, "cash_or_nothing")
     params, derived, diagnostics = _apply_alpha_policy(params, market, ctrl)
-    k = derived.rn_moneyness
-    branch = _classify(k)
-    diagnostics["rn_moneyness"] = k
     discount = math.exp(-derived.rate_effective * market.tau)
-    if branch == "atm":
-        return PriceResult(
-            value=0.5 * discount,
-            method="series",
-            terms_evaluated=0,
-            truncation_estimate=0.0,
-            branch="atm",
-            diagnostics={**diagnostics, "converged": True},
-        )
+    if derived.branch == "atm":
+        return _finalize(0.5 * discount, 0, 0.0, True, "atm", diagnostics)
     log_pref = _log_sym_prefactor(derived, discount)
-    if branch == "otm":
-        value, terms, tail, conv = _cn_series(
-            log_pref, derived.alpha, k, derived.sigma_nu, ctrl.max_order, ctrl.tail_tol
-        )
-    else:
-        series, terms, tail, conv = _cn_series(
-            log_pref, derived.alpha, k, -derived.sigma_nu, ctrl.max_order, ctrl.tail_tol
-        )
-        value = discount - series
-    return _finalize(value, terms, tail, conv, branch, diagnostics)
+    value, terms, tail, conv = _otm_or_parity(
+        derived.branch,
+        lambda sign: _cn_series(
+            log_pref, derived.alpha, derived.rn_moneyness, sign * derived.sigma_nu,
+            ctrl.max_order, ctrl.tail_tol,
+        ),
+        lambda: discount,
+    )
+    return _finalize(value, terms, tail, conv, derived.branch, diagnostics)
 
 
 def gap(
@@ -579,21 +543,10 @@ def gap(
     K1 = K2 it degenerates into the European call, with K1 = 0 into the
     asset-or-nothing digital.
     """
-    ctrl = ctrl or SeriesControl()
-    if market.trigger_strike is None:
-        raise InvalidParameters("gap pricing requires trigger_strike (K2)")
-    payout_strike = market.strike
-    trigger_market = replace(market, strike=market.trigger_strike, trigger_strike=None)
-    an = asset_or_nothing(params, trigger_market, ctrl)
-    cn = cash_or_nothing(params, trigger_market, ctrl)
-    return PriceResult(
-        value=an.value - payout_strike * cn.value,
-        method="series",
-        terms_evaluated=an.terms_evaluated + cn.terms_evaluated,
-        truncation_estimate=an.truncation_estimate
-        + payout_strike * cn.truncation_estimate,
-        branch=an.branch,
-        diagnostics={**cn.diagnostics, **an.diagnostics},
+    return model.gap_from_digitals(
+        market,
+        lambda trigger_market: asset_or_nothing(params, trigger_market, ctrl),
+        lambda trigger_market: cash_or_nothing(params, trigger_market, ctrl),
     )
 
 
@@ -612,9 +565,22 @@ def power_asset_or_nothing(
     q_pow = market.power
     params, derived, diagnostics = _apply_alpha_policy(params, market, ctrl)
     k_tilde = derived.power_moneyness
-    branch = _classify(k_tilde)
+    branch = model.moneyness_branch(k_tilde)
     diagnostics["power_moneyness"] = k_tilde
     log_pref = _log_sym_prefactor(derived, derived.forward_strike)
+
+    def moment():
+        """The discounted moment e^{-r tau} E[S_T^q] the ITM parity needs."""
+        if not 1.0 - 0.5 * (q_pow * params.sigma) ** 2 * params.nu > 0.0:
+            raise InvalidParameters(
+                f"the power moment E[S^{q_pow}] does not exist for these parameters"
+            )
+        omega_q = math.log(1.0 - 0.5 * (q_pow * params.sigma) ** 2 * params.nu) / params.nu
+        return market.spot**q_pow * math.exp(
+            (q_pow - 1.0) * derived.rate_effective * market.tau
+            + (q_pow * derived.omega - omega_q) * market.tau
+        )
+
     if branch == "atm":
         value, terms, tail, conv = _atm_series(
             log_pref,
@@ -623,36 +589,20 @@ def power_asset_or_nothing(
             ctrl.max_order,
             ctrl.tail_tol,
         )
-    elif branch == "otm":
-        value, terms, tail, conv = _double_series(
-            log_pref,
-            derived.alpha,
-            k_tilde,
-            derived.sigma_nu,
-            ctrl.max_order,
-            ctrl.tail_tol,
-            power_mult=q_pow,
-        )
     else:
-        if not 1.0 - 0.5 * (q_pow * params.sigma) ** 2 * params.nu > 0.0:
-            raise InvalidParameters(
-                f"the power moment E[S^{q_pow}] does not exist for these parameters"
-            )
-        omega_q = math.log(1.0 - 0.5 * (q_pow * params.sigma) ** 2 * params.nu) / params.nu
-        moment = market.spot**q_pow * math.exp(
-            (q_pow - 1.0) * derived.rate_effective * market.tau
-            + (q_pow * derived.omega - omega_q) * market.tau
+        value, terms, tail, conv = _otm_or_parity(
+            branch,
+            lambda sign: _double_series(
+                log_pref,
+                derived.alpha,
+                k_tilde,
+                sign * derived.sigma_nu,
+                ctrl.max_order,
+                ctrl.tail_tol,
+                power_mult=q_pow,
+            ),
+            moment,
         )
-        series, terms, tail, conv = _double_series(
-            log_pref,
-            derived.alpha,
-            k_tilde,
-            -derived.sigma_nu,
-            ctrl.max_order,
-            ctrl.tail_tol,
-            power_mult=q_pow,
-        )
-        value = moment - series
     return _finalize(value, terms, tail, conv, branch, diagnostics)
 
 
@@ -668,23 +618,18 @@ def log_call(
     _require_symmetric(params, "log_call")
     params, derived, diagnostics = _apply_alpha_policy(params, market, ctrl)
     k = derived.rn_moneyness
-    branch = _classify(k)
-    diagnostics["rn_moneyness"] = k
     discount = math.exp(-derived.rate_effective * market.tau)
     alpha = derived.alpha
     s_nu = derived.sigma_nu
     shape = alpha + 0.5
     lg_shape, _ = specfun._log_gamma_signed(shape)
-    if branch == "atm":
+    if derived.branch == "atm":
         lg_num, _ = specfun._log_gamma_signed(0.5 + shape)
         value = (
             discount / math.sqrt(math.pi) * math.exp(float(lg_num) - float(lg_shape)) * s_nu
         )
-        return PriceResult(
-            value=value, method="series", terms_evaluated=1, branch="atm",
-            diagnostics={**diagnostics, "converged": True},
-        )
-    if branch == "itm":
+        return _finalize(value, 1, 0.0, True, "atm", diagnostics)
+    if derived.branch == "itm":
         raise UnsupportedBranchError(
             "no closed series for the in-the-money log call; use the Monte Carlo engine"
         )
@@ -725,7 +670,7 @@ def log_call(
         )
     terms_arr = _alternating(n) * (part1 + part2)
     series, terms, tail, conv = _kahan_diagonal_sum(terms_arr, np.ones_like(n), ctrl.tail_tol)
-    return _finalize(head + series, terms + 2, tail, conv, branch, diagnostics)
+    return _finalize(head + series, terms + 2, tail, conv, derived.branch, diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -845,31 +790,26 @@ def asym_cash_or_nothing(
             "asym_cash_or_nothing requires theta != 0; use cash_or_nothing instead"
         )
     params, derived, diagnostics = _apply_alpha_policy(params, market, ctrl)
-    k = derived.rn_moneyness
-    branch = _classify(k)
-    diagnostics["rn_moneyness"] = k
     log_pref = _asym_log_prefactor(derived, market.tau)
     discount = math.exp(-derived.rate_effective * market.tau)
 
-    def otm_value(k_val, theta_sigma):
+    def otm_value(sign):
+        theta_sigma = sign * derived.theta_sigma
         v1, t1, tail1, c1 = _asym_single_series(
             log_pref, derived.alpha, derived.q_factor, theta_sigma,
             ctrl.max_order, ctrl.tail_tol,
         )
         v2, t2, tail2, c2 = _asym_double_series(
-            log_pref, derived.alpha, derived.q_factor, k_val, theta_sigma,
-            ctrl.max_order, ctrl.tail_tol,
+            log_pref, derived.alpha, derived.q_factor, sign * derived.rn_moneyness,
+            theta_sigma, ctrl.max_order, ctrl.tail_tol,
         )
         return v1 + v2, t1 + t2, tail1 + tail2, c1 and c2
 
-    if branch == "atm":
+    if derived.branch == "atm":
         value, terms, tail, conv = _asym_single_series(
             log_pref, derived.alpha, derived.q_factor, derived.theta_sigma,
             ctrl.max_order, ctrl.tail_tol,
         )
-    elif branch == "otm":
-        value, terms, tail, conv = otm_value(k, derived.theta_sigma)
     else:
-        series, terms, tail, conv = otm_value(-k, -derived.theta_sigma)
-        value = discount - series
-    return _finalize(value, terms, tail, conv, branch, diagnostics)
+        value, terms, tail, conv = _otm_or_parity(derived.branch, otm_value, lambda: discount)
+    return _finalize(value, terms, tail, conv, derived.branch, diagnostics)

@@ -3,11 +3,16 @@
 import csv
 import io
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from vgpricer import cli, fourier
+from vgpricer import fourier, model
 from vgpricer.cli import main
 from vgpricer.model import MarketInputs
 
@@ -96,10 +101,59 @@ class TestPriceCommand:
         market = MarketInputs(
             spot=2000.0, strike=3900.0, trigger_strike=4000.0, rate=0.01, tau=1 / 52
         )
-        result = cli._price_fourier("gap", bench_params, market, fourier.FourierConfig())
+        result = model.gap_from_digitals(
+            market,
+            lambda trigger: fourier.lewis_asset_or_nothing(bench_params, trigger),
+            lambda trigger: fourier.lewis_cash_or_nothing(bench_params, trigger),
+        )
         assert result.diagnostics["tolerance_met"] is False
         assert "cash leg" in result.diagnostics["warning"]
         assert result.truncation_estimate > 3900.0 * 3.31e-5
+
+    @pytest.mark.parametrize("method", ["series", "fourier", "mc", "all"])
+    def test_gap_without_trigger_is_a_domain_error(self, capsys, method):
+        code, out, err = run_cli(
+            capsys, "price", "--payoff", "gap", "--method", method, *_BASE_FLAGS,
+            "--paths", "1000",
+        )
+        assert code == 2 and out == ""
+        assert json.loads(err)["type"] == "InvalidParameters"
+
+    @pytest.mark.parametrize(
+        "payoff, methods",
+        [
+            ("european", ["series", "fourier", "quadrature", "monte_carlo"]),
+            ("cash-or-nothing", ["series", "fourier", "monte_carlo"]),
+            ("asset-or-nothing", ["series", "fourier", "monte_carlo"]),
+            ("gap", ["series", "fourier", "monte_carlo"]),
+            ("power-asset-or-nothing", ["series", "monte_carlo"]),
+            ("log-call", ["series", "monte_carlo"]),
+        ],
+    )
+    def test_all_lists_every_engine_for_the_payoff(self, capsys, payoff, methods):
+        code, out, _ = run_cli(
+            capsys, "price", "--payoff", payoff, "--method", "all",
+            "--spot", "3800", "--strike", "4000", "--trigger-strike", "4100",
+            "--rate", "0.01", "--tau", "2", "--sigma", "0.2", "--nu", "0.85",
+            "--paths", "1000",
+        )
+        assert code == 0
+        assert [json.loads(line)["method"] for line in out.splitlines()] == methods
+
+    @pytest.mark.parametrize("spot, branch", [(3000.0, "otm"), (None, "atm"), (5000.0, "itm")])
+    def test_engines_report_the_same_branch(self, capsys, bench_params, spot, branch):
+        if spot is None:  # S = K e^{-r tau} e^{-omega tau}: zero risk-neutral moneyness
+            omega = model.martingale_adjustment(bench_params)
+            spot = 4000.0 * math.exp(-0.01 * 2.0 - omega * 2.0)
+        code, out, _ = run_cli(
+            capsys, "price", "--payoff", "european", "--method", "all",
+            "--spot", repr(spot), "--strike", "4000", "--rate", "0.01", "--tau", "2",
+            "--sigma", "0.2", "--nu", "0.85", "--paths", "1000",
+        )
+        assert code == 0
+        records = [json.loads(line) for line in out.splitlines()]
+        assert len(records) == 4
+        assert [r["branch"] for r in records] == [branch] * 4
 
     def test_usage_error_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "price", "--payoff", "straddle")
@@ -283,3 +337,40 @@ class TestOutputPlumbing:
         )
         assert code == 1
         assert "spoot" in json.loads(err)["error"]
+
+_TRACED_PRICE = """
+import collections, contextlib, io, json, sys
+from vgbench.trace import Tracer
+from vgpricer import cli
+
+tracer = Tracer()
+tracer.install()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+spans = collections.Counter(name for _, _, name, _, _ in tracer.spans)
+print(json.dumps({"code": code, "spans": spans, "counts": tracer.counts}))
+"""
+
+
+class TestBenchmarkTracer:
+    def test_tracer_sees_every_engine_layer(self):
+        """The benchmark's tracer patches module attributes; the CLI must
+        look its pricers up through their modules at call time, or the
+        per-layer counts go silently to zero."""
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _TRACED_PRICE, "price", "--payoff", "european",
+             "--method", "all", *_BASE_FLAGS, "--paths", "1000"],
+            cwd=root, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        traced = json.loads(proc.stdout)
+        assert traced["code"] == 0
+        for layer in ("series", "fourier", "quadrature", "montecarlo"):
+            assert traced["spans"].get(layer) == 1, layer
+        counts = traced["counts"]
+        assert counts["series.prices"] == 1
+        assert counts["fourier.prices"] == 1
+        assert counts["quadrature.prices"] == 1
+        assert counts["montecarlo.paths"] == 1000

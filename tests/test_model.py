@@ -21,6 +21,7 @@ from vgpricer.model import (
     mixture_density,
     rn_characteristic_fn,
 )
+from vgpricer.specfun import bessel_k
 
 from conftest import make_market
 
@@ -127,6 +128,16 @@ class TestDensity:
             assert density(bench_params, x, t) == pytest.approx(
                 mixture_density(bench_params, x, t), abs=1e-8
             )
+
+    def test_tiny_argument_meets_the_origin_limit(self, bench_params):
+        """At x = 1e-30 the Bessel factor is about 1e30 (K_1(z) ~ 1/z); the
+        density there must agree with its analytic x = 0 limit (t/nu > 1/2)."""
+        assert bessel_k(1.0, 1e-30) == pytest.approx(1e30, rel=1e-12)
+        for params in (bench_params, VgParams(sigma=0.2, nu=0.85, theta=-0.1)):
+            for t in (1.0, 2.0, 5.0):
+                at_zero = density(params, 0.0, t)
+                for x in (1e-30, -1e-30):
+                    assert density(params, x, t) == pytest.approx(at_zero, rel=1e-10)
 
     def test_domain_errors(self, bench_params):
         with pytest.raises(InvalidParameters):
