@@ -244,13 +244,21 @@ def _fourier_config(resolved: dict) -> fourier.FourierConfig:
 
 
 def _monte_carlo(payoff: str, params, market, cfg) -> PriceResult:
-    """Monte Carlo as a PriceResult: paths as terms, with its standard error and 95% interval."""
+    """Monte Carlo as a PriceResult: paths as terms, with its standard error and 95% interval.
+
+    The branch is labelled as the other engines label it: a gap at its
+    trigger K2, a power digital by its power moneyness.
+    """
     estimate = montecarlo.mc_price(payoff.replace("-", "_"), params, market, cfg)
+    if payoff == "gap":
+        market = dataclasses.replace(market, strike=market.trigger_strike)
+    derived = model.derive(params, market)
+    power = payoff == "power-asset-or-nothing"
     return PriceResult(
         value=estimate.value,
         method="monte_carlo",
         terms_evaluated=cfg.n_paths,
-        branch=model.derive(params, market).branch,
+        branch=model.moneyness_branch(derived.power_moneyness) if power else derived.branch,
         std_error=estimate.std_error,
         ci=(estimate.ci_low, estimate.ci_high),
     )
@@ -416,9 +424,9 @@ def _cmd_density(resolved: dict) -> int:
     lo, hi, points = resolved["x_min"], resolved["x_max"], resolved["points"]
     if points < 2:
         raise _UsageError("--points must be at least 2")
-    if abs(lo + hi) < 1e-15:  # symmetric request: build an exactly symmetric grid
-        half = (points - 1) // 2
-        positive = np.linspace(hi / half, hi, half) if half else np.array([])
+    if lo == -hi:  # symmetric request: build an exactly symmetric grid
+        # the positive half of linspace(lo, hi, points), spaced 2 hi / (points - 1)
+        positive = np.linspace(hi * (1 + points % 2) / (points - 1), hi, points // 2)
         xs = np.concatenate([-positive[::-1], [0.0] if points % 2 else [], positive])
     else:
         xs = np.linspace(lo, hi, points)

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from . import specfun
-from .errors import BranchCutError, InvalidParameters
+from .errors import BranchCutError, GammaOverflowError, InvalidParameters
 
 __all__ = [
     "VgParams",
@@ -292,12 +292,22 @@ def density(params: VgParams, x: float, t: float) -> float:
             + order * math.log(2.0 * sigma**2 / a2)
         )
     z = math.sqrt(a2) * abs(x) / sigma**2
-    bessel = specfun.bessel_k(order, z)
-    if bessel == 0.0:
-        return 0.0
-    return math.exp(
-        log_front + (0.5 * order) * math.log(x * x / a2) + math.log(bessel)
-    )
+    try:
+        bessel = specfun.bessel_k(order, z)
+        if bessel == 0.0:
+            return 0.0
+        log_bessel = math.log(bessel)
+    except GammaOverflowError:
+        # the leading small-z term Gamma(order)/2 (2/z)^order, where the first
+        # term it drops, (z/2)^2/(order - 1), is below 1e-16 relative (at
+        # order <= 1, kv overflows only below z ~ 1e-307)
+        log_half_z = math.log(0.5 * z)
+        if not (order > 1.0 and 2.0 * log_half_z - math.log(order - 1.0) < math.log(1e-16)):
+            raise
+        log_bessel = specfun.log_gamma(order)[0] - math.log(2.0) - order * log_half_z
+    if min(x * x, x * x / a2) < np.finfo(float).tiny:  # x^2 is not a normal double
+        return math.exp(log_front + order * (math.log(abs(x)) - 0.5 * math.log(a2)) + log_bessel)
+    return math.exp(log_front + (0.5 * order) * math.log(x * x / a2) + log_bessel)
 
 
 def mixture_density(params: VgParams, x: float, t: float) -> float:

@@ -11,10 +11,10 @@ three branches selected by the sign of the risk-neutral moneyness:
 * ATM  (moneyness = 0): a single collapsed series (or a closed form).
 
 Numerics: every Gamma ratio is evaluated as exp(sum of signed log-Gammas);
-double series are accumulated along anti-diagonals n1 + n2 = const in
-ascending order with compensated (Kahan) summation, because the terms
-alternate in sign and can grow enormously before they cancel (deep-OTM rows
-reach 1e3-sized partial sums that settle to O(1) prices).
+every series goes through one kernel, _residue_sum, which accumulates the
+anti-diagonals n1 + n2 = const in ascending order with compensated (Kahan)
+summation, because the terms alternate in sign and can grow enormously
+before they cancel (deep-OTM rows reach 1e3-sized partial sums).
 """
 
 from __future__ import annotations
@@ -104,19 +104,17 @@ def _gamma_ratio_log(num, den):
     return log_ratio, sign
 
 
-def _alternating(n):
-    return np.where(n % 2 == 0, 1.0, -1.0)
-
-
 def _signed_power_log(base: float, n):
-    """(n * log|base|, sign(base)^n) for integer exponents, 0^0 = 1."""
+    """(n * log|base|, sign(base)^n) for integer exponents, 0^0 = 1.
+
+    The sign is a plain 1.0 unless the base is negative.
+    """
     n = np.asarray(n)
     if base == 0.0:
         with np.errstate(divide="ignore"):
-            return np.where(n == 0, 0.0, -np.inf), np.ones_like(n, dtype=float)
+            return np.where(n == 0, 0.0, -np.inf), 1.0
     log_part = n * math.log(abs(base))
-    sign = np.where((n % 2 == 1) & (base < 0.0), -1.0, 1.0)
-    return log_part, sign
+    return log_part, (1.0 if base > 0.0 else np.where(n % 2 == 1, -1.0, 1.0))
 
 
 def _kahan_diagonal_sum(diag_values, diag_counts, tail_tol):
@@ -151,13 +149,19 @@ def _kahan_diagonal_sum(diag_values, diag_counts, tail_tol):
     return total, terms, max(last, previous), converged
 
 
-def _reduce_antidiagonal(terms: np.ndarray, diag_index: np.ndarray, tail_tol: float):
-    """Sum a signed term grid along ascending anti-diagonals."""
-    flat_d = diag_index.ravel()
-    offset = flat_d.min()
-    sums = np.bincount(flat_d - offset, weights=terms.ravel())
-    counts = np.bincount(flat_d - offset)
-    return _kahan_diagonal_sum(sums, counts, tail_tol)
+def _residue_sum(parts, index, tail_tol):
+    """The one summation kernel: sum of sign * exp(log) over the (log, sign) parts.
+
+    Terms are added per index (n1 + n2 for a double series, n for a single
+    one), and the per-index sums are accumulated in ascending index by
+    _kahan_diagonal_sum.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        terms = sum(sign * np.exp(log) for log, sign in parts)
+    flat = index.ravel() - index.min()
+    return _kahan_diagonal_sum(
+        np.bincount(flat, weights=terms.ravel()), np.bincount(flat), tail_tol
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +176,7 @@ def _double_series(
     s_val: float,
     n_max: int,
     tail_tol: float,
-    n2_start: int = 0,
+    n2: range,
     power_mult: float = 1.0,
 ):
     """The two-part double series shared by asset-or-nothing style payoffs.
@@ -183,94 +187,34 @@ def _double_series(
       + 2 G(-2n1-n2-1-2a)/G(-n1+1/2-a) (-k/s)^{2n1+1+2a} (-k)^{n2} p^{n2}
 
     evaluated for the moneyness k and rescaled-volatility argument s (the
-    ITM parity passes s < 0), with p the power-payoff multiplier.
-    Requires -k/s > 0, which every branch guarantees.
+    ITM parity passes s < 0), with p the power-payoff multiplier.  n1 runs
+    over 0..n_max and n2 over the given range: from 0 for the asset digital,
+    from 1 for the call, and range(1) for the cash digital, which is the
+    n2 = 0 slice.  Requires -k/s > 0, which every branch guarantees.
     """
     ratio = -k_val / s_val
     if not ratio > 0.0:
         raise InvalidParameters("series requires -moneyness/volatility > 0")
     log_ratio = math.log(ratio)
     n1 = np.arange(n_max + 1)[:, None]
-    n2 = np.arange(n2_start, n_max + 1)[None, :]
+    n2 = np.arange(n2.start, n2.stop)[None, :]
     log_fact = specfun._log_gamma_signed(n1 + 1.0)[0]
     log_pow = 0.0 if power_mult == 1.0 else n2 * math.log(power_mult)
-
+    alternating = (-1.0) ** n1
     lr1, sr1 = _gamma_ratio_log((n2 - n1 + 1) / 2.0 + alpha, (n2 - n1) / 2.0 + 1.0)
     lp_s, sp_s = _signed_power_log(s_val, n2)
-    with np.errstate(invalid="ignore", over="ignore"):
-        part1 = (
-            sr1
-            * sp_s
-            * _alternating(n1)
-            * np.exp(log_prefactor + lr1 + n1 * log_ratio + lp_s + log_pow - log_fact)
-        )
-
     lr2, sr2 = _gamma_ratio_log(-2.0 * n1 - n2 - 1.0 - 2.0 * alpha, -n1 + 0.5 - alpha)
     lp_k, sp_k = _signed_power_log(-k_val, n2)
-    with np.errstate(invalid="ignore", over="ignore"):
-        part2 = (
-            sr2
-            * sp_k
-            * _alternating(n1)
-            * np.exp(
-                log_prefactor
-                + _LOG2
-                + lr2
-                + (2.0 * n1 + 1.0 + 2.0 * alpha) * log_ratio
-                + lp_k
-                + log_pow
-                - log_fact
-            )
-        )
-
-    return _reduce_antidiagonal(part1 + part2, n1 + n2, tail_tol)
-
-
-def _atm_series(
-    log_prefactor: float,
-    alpha: float,
-    s_eff: float,
-    n_max: int,
-    tail_tol: float,
-    n_start: int = 0,
-):
-    """Collapsed ATM series: sum_n G((n+1)/2 + a)/G(n/2 + 1) s_eff^n."""
-    n = np.arange(n_start, n_max + 1)
-    lr, sr = _gamma_ratio_log((n + 1) / 2.0 + alpha, n / 2.0 + 1.0)
-    terms = sr * np.exp(log_prefactor + lr + n * math.log(s_eff))
-    return _kahan_diagonal_sum(terms, np.ones_like(n), tail_tol)
-
-
-def _cn_series(
-    log_prefactor: float,
-    alpha: float,
-    k_val: float,
-    s_val: float,
-    n_max: int,
-    tail_tol: float,
-):
-    """Single-index cash-or-nothing series (the n2 = 0 slice of the digital pair)."""
-    ratio = -k_val / s_val
-    if not ratio > 0.0:
-        raise InvalidParameters("series requires -moneyness/volatility > 0")
-    log_ratio = math.log(ratio)
-    n = np.arange(n_max + 1)
-    log_fact = specfun._log_gamma_signed(n + 1.0)[0]
-    lr1, sr1 = _gamma_ratio_log((-n + 1) / 2.0 + alpha, -n / 2.0 + 1.0)
-    lr2, sr2 = _gamma_ratio_log(-2.0 * n - 1.0 - 2.0 * alpha, -n + 0.5 - alpha)
-    with np.errstate(invalid="ignore", over="ignore"):
-        terms = _alternating(n) * (
-            sr1 * np.exp(log_prefactor + lr1 + n * log_ratio - log_fact)
-            + sr2
-            * np.exp(
-                log_prefactor
-                + _LOG2
-                + lr2
-                + (2.0 * n + 1.0 + 2.0 * alpha) * log_ratio
-                - log_fact
-            )
-        )
-    return _kahan_diagonal_sum(terms, np.ones_like(n), tail_tol)
+    part1 = log_prefactor + lr1 + n1 * log_ratio + lp_s + log_pow - log_fact
+    part2 = (
+        log_prefactor + _LOG2 + lr2 + (2.0 * n1 + 1.0 + 2.0 * alpha) * log_ratio
+        + lp_k + log_pow - log_fact
+    )
+    return _residue_sum(
+        [(part1, sr1 * sp_s * alternating), (part2, sr2 * sp_k * alternating)],
+        n1 + n2,
+        tail_tol,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +308,33 @@ def _log_sym_prefactor(derived: DerivedQuantities, amount: float) -> float:
     return math.log(amount) - _LOG2 - float(lg)
 
 
+def _sym_series_price(derived, diagnostics, ctrl, k_val, n2_start, power_mult, parity):
+    """The asset digital, the call or the power digital, on the branch of k_val.
+
+    ATM sums the collapsed series sum_n G((n+1)/2 + a)/G(n/2 + 1) (p s)^n,
+    OTM the double series, and ITM takes parity() minus the mirrored double
+    series; both index from n2_start.
+    """
+    branch = model.moneyness_branch(k_val)
+    log_pref = _log_sym_prefactor(derived, derived.forward_strike)
+    n2 = range(n2_start, ctrl.max_order + 1)
+    if branch == "atm":
+        n = np.arange(n2.start, n2.stop)
+        lr, sr = _gamma_ratio_log((n + 1) / 2.0 + derived.alpha, n / 2.0 + 1.0)
+        log_terms = log_pref + lr + n * math.log(power_mult * derived.sigma_nu)
+        value, terms, tail, conv = _residue_sum([(log_terms, sr)], n, ctrl.tail_tol)
+    else:
+        value, terms, tail, conv = _otm_or_parity(
+            branch,
+            lambda sign: _double_series(
+                log_pref, derived.alpha, k_val, sign * derived.sigma_nu,
+                ctrl.max_order, ctrl.tail_tol, n2, power_mult,
+            ),
+            parity,
+        )
+    return _finalize(value, terms, tail, conv, branch, diagnostics)
+
+
 # ---------------------------------------------------------------------------
 # public pricers, symmetric model
 # ---------------------------------------------------------------------------
@@ -376,21 +347,9 @@ def asset_or_nothing(
     ctrl = ctrl or SeriesControl()
     _require_symmetric(params, "asset_or_nothing")
     params, derived, diagnostics = _apply_alpha_policy(params, market, ctrl)
-    log_pref = _log_sym_prefactor(derived, derived.forward_strike)
-    if derived.branch == "atm":
-        value, terms, tail, conv = _atm_series(
-            log_pref, derived.alpha, derived.sigma_nu, ctrl.max_order, ctrl.tail_tol
-        )
-    else:
-        value, terms, tail, conv = _otm_or_parity(
-            derived.branch,
-            lambda sign: _double_series(
-                log_pref, derived.alpha, derived.rn_moneyness, sign * derived.sigma_nu,
-                ctrl.max_order, ctrl.tail_tol,
-            ),
-            lambda: market.spot,
-        )
-    return _finalize(value, terms, tail, conv, derived.branch, diagnostics)
+    return _sym_series_price(
+        derived, diagnostics, ctrl, derived.rn_moneyness, 0, 1.0, lambda: market.spot
+    )
 
 
 def european(
@@ -404,31 +363,10 @@ def european(
     ctrl = ctrl or SeriesControl()
     _require_symmetric(params, "european")
     params, derived, diagnostics = _apply_alpha_policy(params, market, ctrl)
-    log_pref = _log_sym_prefactor(derived, derived.forward_strike)
-    if derived.branch == "atm":
-        value, terms, tail, conv = _atm_series(
-            log_pref,
-            derived.alpha,
-            derived.sigma_nu,
-            ctrl.max_order,
-            ctrl.tail_tol,
-            n_start=1,
-        )
-    else:
-        value, terms, tail, conv = _otm_or_parity(
-            derived.branch,
-            lambda sign: _double_series(
-                log_pref,
-                derived.alpha,
-                derived.rn_moneyness,
-                sign * derived.sigma_nu,
-                ctrl.max_order,
-                ctrl.tail_tol,
-                n2_start=1,
-            ),
-            lambda: market.spot - derived.forward_strike,
-        )
-    return _finalize(value, terms, tail, conv, derived.branch, diagnostics)
+    return _sym_series_price(
+        derived, diagnostics, ctrl, derived.rn_moneyness, 1, 1.0,
+        lambda: market.spot - derived.forward_strike,
+    )
 
 
 def european_atmf(
@@ -471,13 +409,8 @@ def european_atmf(
     k_eff = -0.5 * params.sigma**2 * market.tau  # omega tau under omega ~ -sigma^2/2
     log_pref = _log_sym_prefactor(derived, spot)
     value, terms, tail, conv = _double_series(
-        log_pref,
-        derived.alpha,
-        k_eff,
-        derived.sigma_nu,
-        ctrl.max_order,
-        ctrl.tail_tol,
-        n2_start=1,
+        log_pref, derived.alpha, k_eff, derived.sigma_nu,
+        ctrl.max_order, ctrl.tail_tol, range(1, ctrl.max_order + 1),
     )
     return _finalize(value, terms, tail, conv, "atm", diagnostics)
 
@@ -525,9 +458,9 @@ def cash_or_nothing(
     log_pref = _log_sym_prefactor(derived, discount)
     value, terms, tail, conv = _otm_or_parity(
         derived.branch,
-        lambda sign: _cn_series(
+        lambda sign: _double_series(
             log_pref, derived.alpha, derived.rn_moneyness, sign * derived.sigma_nu,
-            ctrl.max_order, ctrl.tail_tol,
+            ctrl.max_order, ctrl.tail_tol, range(1),
         ),
         lambda: discount,
     )
@@ -564,10 +497,7 @@ def power_asset_or_nothing(
     _require_symmetric(params, "power_asset_or_nothing")
     q_pow = market.power
     params, derived, diagnostics = _apply_alpha_policy(params, market, ctrl)
-    k_tilde = derived.power_moneyness
-    branch = model.moneyness_branch(k_tilde)
-    diagnostics["power_moneyness"] = k_tilde
-    log_pref = _log_sym_prefactor(derived, derived.forward_strike)
+    diagnostics["power_moneyness"] = derived.power_moneyness
 
     def moment():
         """The discounted moment e^{-r tau} E[S_T^q] the ITM parity needs."""
@@ -581,29 +511,9 @@ def power_asset_or_nothing(
             + (q_pow * derived.omega - omega_q) * market.tau
         )
 
-    if branch == "atm":
-        value, terms, tail, conv = _atm_series(
-            log_pref,
-            derived.alpha,
-            q_pow * derived.sigma_nu,
-            ctrl.max_order,
-            ctrl.tail_tol,
-        )
-    else:
-        value, terms, tail, conv = _otm_or_parity(
-            branch,
-            lambda sign: _double_series(
-                log_pref,
-                derived.alpha,
-                k_tilde,
-                sign * derived.sigma_nu,
-                ctrl.max_order,
-                ctrl.tail_tol,
-                power_mult=q_pow,
-            ),
-            moment,
-        )
-    return _finalize(value, terms, tail, conv, branch, diagnostics)
+    return _sym_series_price(
+        derived, diagnostics, ctrl, derived.power_moneyness, 0, q_pow, moment
+    )
 
 
 def log_call(
@@ -643,33 +553,31 @@ def log_call(
     log_fact = specfun._log_gamma_signed(n + 1.0)[0]
     log_mk = math.log(-k)
     log_2s = math.log(2.0 * s_nu)
+    alternating = (-1.0) ** n
     l1, s1 = specfun._log_gamma_signed(alpha - n)
-    with np.errstate(invalid="ignore"):
-        part1 = s1 * np.exp(
-            log_pref
-            + l1
-            - np.log((2.0 * n + 2.0) * (2.0 * n + 1.0))
-            + (2.0 * n + 2.0) * log_mk
-            - (2.0 * n + 1.0) * log_2s
-            - log_fact
-        )
+    part1 = (
+        log_pref
+        + l1
+        - np.log((2.0 * n + 2.0) * (2.0 * n + 1.0))
+        + (2.0 * n + 2.0) * log_mk
+        - (2.0 * n + 1.0) * log_2s
+        - log_fact
+    )
     l2, s2 = specfun._log_gamma_signed(-alpha - n)
     div = (2.0 * n + 2.0 * alpha + 2.0) * (2.0 * n + 2.0 * alpha + 1.0)
-    with np.errstate(invalid="ignore"):
-        part2 = (
-            s2
-            * np.sign(div)
-            * np.exp(
-                log_pref
-                + l2
-                - np.log(np.abs(div))
-                + (2.0 * n + 2.0 * alpha + 2.0) * log_mk
-                - (2.0 * alpha + 2.0 * n + 1.0) * log_2s
-                - log_fact
-            )
-        )
-    terms_arr = _alternating(n) * (part1 + part2)
-    series, terms, tail, conv = _kahan_diagonal_sum(terms_arr, np.ones_like(n), ctrl.tail_tol)
+    part2 = (
+        log_pref
+        + l2
+        - np.log(np.abs(div))
+        + (2.0 * n + 2.0 * alpha + 2.0) * log_mk
+        - (2.0 * alpha + 2.0 * n + 1.0) * log_2s
+        - log_fact
+    )
+    series, terms, tail, conv = _residue_sum(
+        [(part1, alternating * s1), (part2, alternating * s2 * np.sign(div))],
+        n,
+        ctrl.tail_tol,
+    )
     return _finalize(head + series, terms + 2, tail, conv, derived.branch, diagnostics)
 
 
@@ -704,20 +612,10 @@ def _asym_single_series(
     lg2, sg2 = specfun._log_gamma_signed((n + 1) / 2.0 + alpha)
     log_fact = specfun._log_gamma_signed(n + 1.0)[0]
     lp_t, sp_t = _signed_power_log(theta_sigma, n)
-    with np.errstate(invalid="ignore"):
-        terms = (
-            sg2
-            * sp_t
-            * np.exp(
-                log_prefactor
-                + lg1
-                + lg2
-                + (-(n + 1) / 2.0 - alpha) * log_q
-                + lp_t
-                - log_fact
-            )
-        )
-    return _kahan_diagonal_sum(terms, np.ones_like(n), tail_tol)
+    log_terms = (
+        log_prefactor + lg1 + lg2 + (-(n + 1) / 2.0 - alpha) * log_q + lp_t - log_fact
+    )
+    return _residue_sum([(log_terms, sg2 * sp_t)], n, tail_tol)
 
 
 def _asym_double_series(
@@ -742,37 +640,33 @@ def _asym_double_series(
     lp_t, sp_t = _signed_power_log(theta_sigma, n2)
     base = log_prefactor + _LOG2 + lp_t - log_fact
 
+    alternating = (-1.0) ** n1
     lgA, sgA = specfun._log_gamma_signed(alpha - n1)
-    with np.errstate(invalid="ignore"):
-        partA = (
-            -sgA  # divisor -(2 n1 + n2 + 1) is always negative
-            * sp_t
-            * _alternating(n1)
-            * np.exp(
-                base
-                + lgA
-                - np.log(2.0 * n1 + n2 + 1.0)
-                + (2.0 * n1 + n2 + 1.0) * log_mk
-                + (n1 - alpha) * log_q
-            )
-        )
+    partA = (
+        base
+        + lgA
+        - np.log(2.0 * n1 + n2 + 1.0)
+        + (2.0 * n1 + n2 + 1.0) * log_mk
+        + (n1 - alpha) * log_q
+    )
     lgB, sgB = specfun._log_gamma_signed(-alpha - n1)
     div = -(2.0 * n1 + n2 + 1.0 + 2.0 * alpha)
-    with np.errstate(invalid="ignore"):
-        partB = (
-            sgB
-            * np.sign(div)
-            * sp_t
-            * _alternating(n1)
-            * np.exp(
-                base
-                + lgB
-                - np.log(np.abs(div))
-                + (2.0 * n1 + n2 + 1.0 + 2.0 * alpha) * log_mk
-                + n1 * log_q
-            )
-        )
-    return _reduce_antidiagonal(partA + partB, n1 + n2, tail_tol)
+    partB = (
+        base
+        + lgB
+        - np.log(np.abs(div))
+        + (2.0 * n1 + n2 + 1.0 + 2.0 * alpha) * log_mk
+        + n1 * log_q
+    )
+    return _residue_sum(
+        [
+            # the divisor -(2 n1 + n2 + 1) of part A is always negative
+            (partA, -sgA * sp_t * alternating),
+            (partB, sgB * np.sign(div) * sp_t * alternating),
+        ],
+        n1 + n2,
+        tail_tol,
+    )
 
 
 def asym_cash_or_nothing(

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vgpricer import fourier, model
+from vgpricer import fourier, model, tables
 from vgpricer.cli import main
 from vgpricer.model import MarketInputs
 
@@ -140,20 +140,38 @@ class TestPriceCommand:
         assert code == 0
         assert [json.loads(line)["method"] for line in out.splitlines()] == methods
 
-    @pytest.mark.parametrize("spot, branch", [(3000.0, "otm"), (None, "atm"), (5000.0, "itm")])
-    def test_engines_report_the_same_branch(self, capsys, bench_params, spot, branch):
+    @pytest.mark.parametrize(
+        "payoff, extra, spot, branch, engines",
+        [
+            pytest.param("european", (), 3000.0, "otm", 4, id="3000.0-otm"),
+            pytest.param("european", (), None, "atm", 4, id="None-atm"),
+            pytest.param("european", (), 5000.0, "itm", 4, id="5000.0-itm"),
+            # a gap is labelled at its trigger K2 = 4100, not at K1 = 4000
+            pytest.param(
+                "gap", ("--trigger-strike", "4100"), 4150.0, "otm", 3, id="gap-4150.0-otm"
+            ),
+            # a power digital is labelled by its power moneyness
+            pytest.param(
+                "power-asset-or-nothing", ("--power", "1.2"), 3000.0, "itm", 2,
+                id="power-3000.0-itm",
+            ),
+        ],
+    )
+    def test_engines_report_the_same_branch(
+        self, capsys, bench_params, payoff, extra, spot, branch, engines
+    ):
         if spot is None:  # S = K e^{-r tau} e^{-omega tau}: zero risk-neutral moneyness
             omega = model.martingale_adjustment(bench_params)
             spot = 4000.0 * math.exp(-0.01 * 2.0 - omega * 2.0)
         code, out, _ = run_cli(
-            capsys, "price", "--payoff", "european", "--method", "all",
+            capsys, "price", "--payoff", payoff, "--method", "all", *extra,
             "--spot", repr(spot), "--strike", "4000", "--rate", "0.01", "--tau", "2",
             "--sigma", "0.2", "--nu", "0.85", "--paths", "1000",
         )
         assert code == 0
         records = [json.loads(line) for line in out.splitlines()]
-        assert len(records) == 4
-        assert [r["branch"] for r in records] == [branch] * 4
+        assert len(records) == engines
+        assert [r["branch"] for r in records] == [branch] * engines
 
     def test_usage_error_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "price", "--payoff", "straddle")
@@ -239,6 +257,36 @@ class TestDensityCommand:
         assert np.max(np.abs(closed - laguerre)) < 1e-3
         integral = np.trapezoid(closed, xs)
         assert integral == pytest.approx(1.0, abs=1e-4)
+
+    @pytest.mark.parametrize("points", [2, 3, 4, 5])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_grid_has_the_requested_points(self, capsys, points, fmt):
+        """Even and odd counts over a symmetric range, and a range that only
+        looks symmetric because both ends are tiny, give --points rows."""
+        for lo, hi in (("-1", "1"), ("0", "1e-300")):
+            code, out, _ = run_cli(
+                capsys, "density", "--sigma", "0.2", "--nu", "0.85",
+                f"--x-min={lo}", f"--x-max={hi}", "--points", str(points), "--format", fmt,
+            )
+            assert code == 0
+            if fmt == "csv":
+                xs = [float(r["x"]) for r in parse_csv(out)]
+            else:
+                xs = [json.loads(line)["x"] for line in out.splitlines()]
+            assert xs == pytest.approx(np.linspace(float(lo), float(hi), points).tolist())
+            assert xs[0] == float(lo) and xs[-1] == float(hi)
+
+
+_GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+class TestTableCommandGolden:
+    @pytest.mark.parametrize("table_id", tables.TABLE_IDS)
+    def test_table_output_is_byte_identical(self, capsys, table_id):
+        """`table --id N` prints exactly the committed tests/golden/table_N.csv."""
+        code, out, _ = run_cli(capsys, "table", "--id", table_id)
+        assert code == 0
+        assert out.encode("utf-8") == (_GOLDEN / f"table_{table_id}.csv").read_bytes()
 
 
 class TestConvergeCommand:
@@ -371,6 +419,9 @@ class TestBenchmarkTracer:
             assert traced["spans"].get(layer) == 1, layer
         counts = traced["counts"]
         assert counts["series.prices"] == 1
+        # the series kernel reaches the reduction and log-Gamma through their modules
+        assert traced["spans"].get("series.reduce") == 1
+        assert counts["specfun.log_gamma.points"] > 0
         assert counts["fourier.prices"] == 1
         assert counts["quadrature.prices"] == 1
         assert counts["montecarlo.paths"] == 1000
