@@ -41,6 +41,8 @@ __all__ = [
     "gamma_decomposition",
 ]
 
+_TINY = np.finfo(float).tiny
+
 
 @dataclass(frozen=True)
 class VgParams:
@@ -253,6 +255,32 @@ def derive(params: VgParams, market: MarketInputs) -> DerivedQuantities:
     )
 
 
+def _log_bessel_k_leading(order: float, log_z: float) -> Optional[float]:
+    """log of the leading small-z term Gamma(v)/2 (2/z)^v of K_order(z), v = |order|.
+
+    None unless the first terms it drops are below 1e-16 relative:
+    (z/2)^2/(v - 1) above v = 1, (z/2)^2 (1 + 2|ln(z/2)|) at v = 1, and
+    (z/2)^{2v} Gamma(1-v)/Gamma(1+v) + (z/2)^2/(1 - v) for 0 < v < 1.  At
+    v = 0, K is logarithmic and has no such term.
+    """
+    v = abs(order)
+    log_half_z = log_z - math.log(2.0)
+    if v > 1.0:
+        log_dropped = 2.0 * log_half_z - math.log(v - 1.0)
+    elif v == 1.0:
+        log_dropped = 2.0 * log_half_z + math.log(1.0 + 2.0 * abs(log_half_z))
+    elif v > 0.0:
+        log_dropped = math.log(2.0) + max(
+            2.0 * v * log_half_z + specfun.log_gamma(1.0 - v)[0] - specfun.log_gamma(1.0 + v)[0],
+            2.0 * log_half_z - math.log(1.0 - v),
+        )
+    else:
+        return None
+    if not log_dropped < math.log(1e-16):
+        return None
+    return specfun.log_gamma(v)[0] - math.log(2.0) - v * log_half_z
+
+
 def density(params: VgParams, x: float, t: float) -> float:
     """Transition density f(x, t) in Bessel form.
 
@@ -292,20 +320,20 @@ def density(params: VgParams, x: float, t: float) -> float:
             + order * math.log(2.0 * sigma**2 / a2)
         )
     z = math.sqrt(a2) * abs(x) / sigma**2
-    try:
-        bessel = specfun.bessel_k(order, z)
-        if bessel == 0.0:
-            return 0.0
-        log_bessel = math.log(bessel)
-    except GammaOverflowError:
-        # the leading small-z term Gamma(order)/2 (2/z)^order, where the first
-        # term it drops, (z/2)^2/(order - 1), is below 1e-16 relative (at
-        # order <= 1, kv overflows only below z ~ 1e-307)
-        log_half_z = math.log(0.5 * z)
-        if not (order > 1.0 and 2.0 * log_half_z - math.log(order - 1.0) < math.log(1e-16)):
-            raise
-        log_bessel = specfun.log_gamma(order)[0] - math.log(2.0) - order * log_half_z
-    if min(x * x, x * x / a2) < np.finfo(float).tiny:  # x^2 is not a normal double
+    # log z without forming z, which loses bits once it is subnormal
+    log_z = 0.5 * math.log(a2) + math.log(abs(x)) - 2.0 * math.log(sigma)
+    log_bessel = _log_bessel_k_leading(order, log_z) if z < _TINY else None
+    if log_bessel is None:
+        try:
+            bessel = specfun.bessel_k(order, z)
+            if bessel == 0.0:
+                return 0.0
+            log_bessel = math.log(bessel)
+        except GammaOverflowError:
+            log_bessel = _log_bessel_k_leading(order, log_z)
+            if log_bessel is None:
+                raise
+    if min(x * x, x * x / a2) < _TINY:  # x^2 is not a normal double
         return math.exp(log_front + order * (math.log(abs(x)) - 0.5 * math.log(a2)) + log_bessel)
     return math.exp(log_front + (0.5 * order) * math.log(x * x / a2) + log_bessel)
 

@@ -10,11 +10,14 @@ three branches selected by the sign of the risk-neutral moneyness:
   rescaled-volatility argument sign-flipped,
 * ATM  (moneyness = 0): a single collapsed series (or a closed form).
 
-Numerics: every Gamma ratio is evaluated as exp(sum of signed log-Gammas);
-every series goes through one kernel, _residue_sum, which accumulates the
-anti-diagonals n1 + n2 = const in ascending order with compensated (Kahan)
-summation, because the terms alternate in sign and can grow enormously
-before they cancel (deep-OTM rows reach 1e3-sized partial sums).
+Numerics: every Gamma ratio is evaluated as exp(sum of signed log-Gammas).
+The log-Gammas are taken on short 1-D index arrays (n, or n2 - n1, 2 n1 + n2
+and n1 for a double series), in one call per series, and gathered onto the
+(n1, n2) grid.  Every series goes through one kernel, _residue_sum, which
+accumulates the anti-diagonals n1 + n2 = const in ascending order with
+compensated (Kahan) summation, because the terms alternate in sign and can
+grow enormously before they cancel (deep-OTM rows reach 1e3-sized partial
+sums).
 """
 
 from __future__ import annotations
@@ -51,6 +54,8 @@ __all__ = [
 _ALPHA_GUARD = 1e-8
 _CONVERGENCE_LIMIT = 1e-6
 _LOG2 = math.log(2.0)
+# log n! for n = 0..200, which covers every index SeriesControl allows
+_LOG_FACT = specfun._log_gamma_signed(np.arange(1.0, 202.0))[0]
 
 
 @dataclass(frozen=True)
@@ -87,14 +92,28 @@ class SeriesControl:
 # ---------------------------------------------------------------------------
 
 
-def _gamma_ratio_log(num, den):
-    """(log |Gamma(num)/Gamma(den)|, sign), with denominator poles -> ratio 0.
+def _log_gammas(*args):
+    """(log|Gamma|, sign) pairs of each argument array, from one log-Gamma call
+    on their concatenation along the first axis."""
+    log_abs, sign = specfun._log_gamma_signed(np.concatenate(args))
+    cuts = np.cumsum([len(arg) for arg in args[:-1]])
+    return list(zip(np.split(log_abs, cuts), np.split(sign, cuts)))
 
-    A pole in the numerator means the series itself is degenerate; that is
-    excluded upstream by the alpha guard, so it raises if it ever happens.
+
+def _at(pair, index):
+    """A (log, sign) pair gathered at index."""
+    return pair[0][index], pair[1][index]
+
+
+def _gamma_ratio_log(num, den):
+    """(log |Gamma(a)/Gamma(b)|, sign) from the (log|Gamma|, sign) pairs of a and b.
+
+    A denominator pole gives the ratio 0.  A pole in the numerator means the
+    series itself is degenerate; that is excluded upstream by the alpha
+    guard, so it raises if it ever happens.
     """
-    log_n, sign_n = specfun._log_gamma_signed(num)
-    log_d, sign_d = specfun._log_gamma_signed(den)
+    log_n, sign_n = num
+    log_d, sign_d = den
     den_pole = sign_d == 0.0
     if np.any((sign_n == 0.0) & ~den_pole):
         raise DegenerateAlphaError("series coefficient hit a Gamma pole")
@@ -131,14 +150,14 @@ def _kahan_diagonal_sum(diag_values, diag_counts, tail_tol):
     previous = 0.0
     terms = 0
     converged = False
-    for value, count in zip(diag_values, diag_counts):
+    for value, count in zip(diag_values.tolist(), diag_counts.tolist()):
         y = value - comp
         t = total + y
         comp = (t - total) - y
         total = t
         previous = last
         last = abs(value)
-        terms += int(count)
+        terms += count
         if last < tail_tol * abs(total):
             small_run += 1
             if small_run >= 2:
@@ -191,19 +210,31 @@ def _double_series(
     over 0..n_max and n2 over the given range: from 0 for the asset digital,
     from 1 for the call, and range(1) for the cash digital, which is the
     n2 = 0 slice.  Requires -k/s > 0, which every branch guarantees.
+
+    The first ratio depends on j = n2 - n1 alone, the second's numerator on
+    m = 2 n1 + n2 and its denominator on n1, so all four Gammas come from
+    1-D arrays over j, m and n1, gathered onto the grid.
     """
     ratio = -k_val / s_val
     if not ratio > 0.0:
         raise InvalidParameters("series requires -moneyness/volatility > 0")
     log_ratio = math.log(ratio)
-    n1 = np.arange(n_max + 1)[:, None]
+    rows = np.arange(n_max + 1)
+    j = np.arange(n2.start - n_max, n2.stop)
+    m = np.arange(n2.start, 2 * n_max + n2.stop)
+    g_j1, g_j2, g_m, g_rows = _log_gammas(
+        (j + 1) / 2.0 + alpha, j / 2.0 + 1.0, -m - 1.0 - 2.0 * alpha, -rows + 0.5 - alpha
+    )
+    n1 = rows[:, None]
     n2 = np.arange(n2.start, n2.stop)[None, :]
-    log_fact = specfun._log_gamma_signed(n1 + 1.0)[0]
+    # every j occurs on the grid, so part 1's ratio is taken over j; part 2's
+    # pole rule sees only the grid, so a pole at an unused m is never raised
+    lr1, sr1 = _at(_gamma_ratio_log(g_j1, g_j2), n2 - n1 - j[0])
+    lr2, sr2 = _gamma_ratio_log(_at(g_m, 2 * n1 + n2 - m[0]), _at(g_rows, n1))
+    log_fact = _LOG_FACT[n1]
     log_pow = 0.0 if power_mult == 1.0 else n2 * math.log(power_mult)
     alternating = (-1.0) ** n1
-    lr1, sr1 = _gamma_ratio_log((n2 - n1 + 1) / 2.0 + alpha, (n2 - n1) / 2.0 + 1.0)
     lp_s, sp_s = _signed_power_log(s_val, n2)
-    lr2, sr2 = _gamma_ratio_log(-2.0 * n1 - n2 - 1.0 - 2.0 * alpha, -n1 + 0.5 - alpha)
     lp_k, sp_k = _signed_power_log(-k_val, n2)
     part1 = log_prefactor + lr1 + n1 * log_ratio + lp_s + log_pow - log_fact
     part2 = (
@@ -320,7 +351,7 @@ def _sym_series_price(derived, diagnostics, ctrl, k_val, n2_start, power_mult, p
     n2 = range(n2_start, ctrl.max_order + 1)
     if branch == "atm":
         n = np.arange(n2.start, n2.stop)
-        lr, sr = _gamma_ratio_log((n + 1) / 2.0 + derived.alpha, n / 2.0 + 1.0)
+        lr, sr = _gamma_ratio_log(*_log_gammas((n + 1) / 2.0 + derived.alpha, n / 2.0 + 1.0))
         log_terms = log_pref + lr + n * math.log(power_mult * derived.sigma_nu)
         value, terms, tail, conv = _residue_sum([(log_terms, sr)], n, ctrl.tail_tol)
     else:
@@ -544,17 +575,18 @@ def log_call(
             "no closed series for the in-the-money log call; use the Monte Carlo engine"
         )
     log_pref = -derived.rate_effective * market.tau - 0.5 * math.log(math.pi) - float(lg_shape)
-    lg_a1, s_a1 = specfun._log_gamma_signed(1.0 + alpha)
-    lg_ah, s_ah = specfun._log_gamma_signed(0.5 + alpha)
-    head = s_a1 * math.exp(log_pref + float(lg_a1) + math.log(s_nu)) + (
-        -math.sqrt(math.pi) / 2.0 * s_ah * math.exp(log_pref + float(lg_ah) + math.log(-k))
-    )
     n = np.arange(ctrl.max_order + 1)
-    log_fact = specfun._log_gamma_signed(n + 1.0)[0]
+    (lg_head, s_head), (l1, s1), (l2, s2) = _log_gammas(
+        np.array([1.0 + alpha, 0.5 + alpha]), alpha - n, -alpha - n
+    )
+    (lg_a1, lg_ah), (s_a1, s_ah) = lg_head.tolist(), s_head.tolist()
+    head = s_a1 * math.exp(log_pref + lg_a1 + math.log(s_nu)) + (
+        -math.sqrt(math.pi) / 2.0 * s_ah * math.exp(log_pref + lg_ah + math.log(-k))
+    )
+    log_fact = _LOG_FACT[n]
     log_mk = math.log(-k)
     log_2s = math.log(2.0 * s_nu)
     alternating = (-1.0) ** n
-    l1, s1 = specfun._log_gamma_signed(alpha - n)
     part1 = (
         log_pref
         + l1
@@ -563,7 +595,6 @@ def log_call(
         - (2.0 * n + 1.0) * log_2s
         - log_fact
     )
-    l2, s2 = specfun._log_gamma_signed(-alpha - n)
     div = (2.0 * n + 2.0 * alpha + 2.0) * (2.0 * n + 2.0 * alpha + 1.0)
     part2 = (
         log_pref
@@ -608,9 +639,8 @@ def _asym_single_series(
     """sum_n G((n+1)/2) G((n+1)/2 + a) q^{-(n+1)/2 - a} theta_sigma^n / n!"""
     n = np.arange(n_max + 1)
     log_q = math.log(q_factor)
-    lg1 = specfun._log_gamma_signed((n + 1) / 2.0)[0]
-    lg2, sg2 = specfun._log_gamma_signed((n + 1) / 2.0 + alpha)
-    log_fact = specfun._log_gamma_signed(n + 1.0)[0]
+    (lg1, _), (lg2, sg2) = _log_gammas((n + 1) / 2.0, (n + 1) / 2.0 + alpha)
+    log_fact = _LOG_FACT[n]
     lp_t, sp_t = _signed_power_log(theta_sigma, n)
     log_terms = (
         log_prefactor + lg1 + lg2 + (-(n + 1) / 2.0 - alpha) * log_q + lp_t - log_fact
@@ -632,16 +662,14 @@ def _asym_double_series(
         raise InvalidParameters("asymmetric series requires negative moneyness")
     n1 = np.arange(n_max + 1)[:, None]
     n2 = np.arange(n_max + 1)[None, :]
+    (lgA, sgA), (lgB, sgB) = _log_gammas(alpha - n1, -alpha - n1)
     log_q = math.log(q_factor)
     log_mk = math.log(-k_val)
-    log_fact = (
-        specfun._log_gamma_signed(n1 + 1.0)[0] + specfun._log_gamma_signed(n2 + 1.0)[0]
-    )
+    log_fact = _LOG_FACT[n1] + _LOG_FACT[n2]
     lp_t, sp_t = _signed_power_log(theta_sigma, n2)
     base = log_prefactor + _LOG2 + lp_t - log_fact
 
     alternating = (-1.0) ** n1
-    lgA, sgA = specfun._log_gamma_signed(alpha - n1)
     partA = (
         base
         + lgA
@@ -649,7 +677,6 @@ def _asym_double_series(
         + (2.0 * n1 + n2 + 1.0) * log_mk
         + (n1 - alpha) * log_q
     )
-    lgB, sgB = specfun._log_gamma_signed(-alpha - n1)
     div = -(2.0 * n1 + n2 + 1.0 + 2.0 * alpha)
     partB = (
         base

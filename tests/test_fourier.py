@@ -135,6 +135,17 @@ class TestFourierDiagnostics:
         assert inside.diagnostics["tolerance_met"] is True
         assert "warning" not in inside.diagnostics
 
+    def test_results_carry_python_scalars(self, bench_params):
+        """Values are plain floats and the tolerance flag a plain bool."""
+        for spot in (3000.0, 4200.0):
+            market = make_market(spot, 0.5)
+            for pricer in (lewis_cash_or_nothing, lewis_asset_or_nothing, carr_madan_european):
+                result = pricer(bench_params, market)
+                assert type(result.value) is float, pricer
+                assert type(result.truncation_estimate) is float, pricer
+                assert type(result.diagnostics["tolerance_met"]) is bool, pricer
+                assert type(result.diagnostics.get("converged", False)) is bool, pricer
+
 
 class TestLewisDigitals:
     def test_cash_or_nothing_reference_column(self, bench_params):

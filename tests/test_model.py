@@ -133,12 +133,17 @@ class TestDensity:
         """At x = 1e-30 the Bessel factor is about 1e30 (K_1(z) ~ 1/z); the
         density there must agree with its analytic x = 0 limit (t/nu > 1/2).
         Below |x| ~ 1e-154 x^2 is subnormal, and further down K overflows
-        double precision while the density stays finite."""
+        double precision while the density stays finite.  Below |x| ~ 1e-308
+        the Bessel argument is itself subnormal, and at t = 1 the order
+        t/nu - 1/2 = 0.68 is below 1."""
         assert bessel_k(1.0, 1e-30) == pytest.approx(1e30, rel=1e-12)
         for params in (bench_params, VgParams(sigma=0.2, nu=0.85, theta=-0.1)):
             for t in (1.0, 2.0, 5.0):
                 at_zero = density(params, 0.0, t)
-                for x in (1e-30, -1e-30, 1e-160, -1e-160, 1e-200, -1e-200, 1e-300, -1e-300):
+                for x in (
+                    1e-30, -1e-30, 1e-160, -1e-160, 1e-200, -1e-200, 1e-300, -1e-300,
+                    1e-308, -1e-308, 1e-315, -1e-315, 1e-320, -1e-320,
+                ):
                     assert density(params, x, t) == pytest.approx(at_zero, rel=1e-10)
 
     def test_domain_errors(self, bench_params):

@@ -1,18 +1,21 @@
 """Series-pricer tests: reference grids, parities, branch behavior."""
 
+import csv
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from vgpricer import fourier, montecarlo
+from vgpricer import fourier, montecarlo, specfun
 from vgpricer.errors import (
     DegenerateAlphaError,
     InvalidParameters,
     NonConvergenceError,
     UnsupportedBranchError,
+    VgError,
 )
-from vgpricer.model import VgParams, characteristic_fn, martingale_adjustment
+from vgpricer.model import MarketInputs, VgParams, characteristic_fn, derive, martingale_adjustment
 from vgpricer.reference import load_reference
 from vgpricer.series import (
     SeriesControl,
@@ -491,3 +494,157 @@ class TestAsymmetricDigital:
         result = asym_cash_or_nothing(params, make_market(spot, 2.0), SeriesControl(max_order=15))
         assert result.branch == "atm"
         assert result.value == pytest.approx(0.7288, abs=5e-4)
+
+
+# ---------------------------------------------------------------------------
+# bit-identity golden file
+# ---------------------------------------------------------------------------
+
+_SERIES_GOLDEN = Path(__file__).resolve().parent / "golden" / "series_values.csv"
+_GOLDEN_FIELDS = ["pricer", "contract", "max_order", "outcome", "value", "terms", "tail", "branch"]
+_GOLDEN_PRICERS = {
+    "european": european,
+    "asset_or_nothing": asset_or_nothing,
+    "cash_or_nothing": cash_or_nothing,
+    "gap": gap,
+    "power_asset_or_nothing": power_asset_or_nothing,
+    "log_call": log_call,
+    "asym_cash_or_nothing": asym_cash_or_nothing,
+    "european_atmf": european_atmf,
+}
+# (sigma, nu, theta of the drifted digital, tau, rate, dividend yield)
+_GOLDEN_SETS = {
+    "A": (0.2, 0.85, -0.05, 0.5, 0.01, 0.0),
+    "B": (0.25, 0.3, 0.05, 1.3, 0.03, 0.02),
+    "C": (0.12, 0.15, -0.02, 1 / 12, 0.02, 0.0),
+}
+# moneyness target in units of sigma sqrt(tau); None is at the money forward
+_GOLDEN_KINDS = {"otm": -1.0, "itm": 0.8, "atm": 0.0, "atmf": None}
+_GOLDEN_STRIKE, _GOLDEN_TRIGGER, _GOLDEN_POWER = 100.0, 105.0, 1.2
+
+
+def _golden_contract(pricer, set_id, kind):
+    """Params and market putting the moneyness that drives `pricer`'s branch
+    (at the trigger for the gap, the power moneyness for the power digital)
+    at the kind's target; every moneyness is ln S plus a constant."""
+    sigma, nu, theta, tau, rate, div = _GOLDEN_SETS[set_id]
+    params = VgParams(sigma=sigma, nu=nu, theta=theta if pricer == "asym_cash_or_nothing" else 0.0)
+    extra = {"trigger_strike": _GOLDEN_TRIGGER} if pricer == "gap" else {}
+    if pricer == "power_asset_or_nothing":
+        extra["power"] = _GOLDEN_POWER
+    target = _GOLDEN_KINDS[kind]
+    if target is None:
+        spot = _GOLDEN_STRIKE * math.exp(-(rate - div) * tau)
+    else:
+        probe = MarketInputs(
+            spot=_GOLDEN_STRIKE, strike=extra.get("trigger_strike", _GOLDEN_STRIKE),
+            rate=rate, tau=tau, dividend_yield=div, power=extra.get("power", 1.0),
+        )
+        derived = derive(params, probe)
+        now = derived.power_moneyness if "power" in extra else derived.rn_moneyness
+        spot = _GOLDEN_STRIKE * math.exp(target * sigma * math.sqrt(tau) - now)
+    market = MarketInputs(
+        spot=spot, strike=_GOLDEN_STRIKE, rate=rate, tau=tau, dividend_yield=div, **extra
+    )
+    return params, market
+
+
+def _golden_records():
+    """One record per (pricer, contract, max_order): float.hex of the value
+    and tail, the term count and the branch, of err.result on
+    NonConvergenceError, or the error type for any other raise."""
+    for pricer, fn in _GOLDEN_PRICERS.items():
+        for set_id in _GOLDEN_SETS:
+            for kind in _GOLDEN_KINDS:
+                params, market = _golden_contract(pricer, set_id, kind)
+                for order in (5, 25, 60):
+                    row = {"pricer": pricer, "contract": f"{set_id}-{kind}", "max_order": str(order)}
+                    ctrl = SeriesControl(max_order=order, alpha_policy="nudge")
+                    try:
+                        result, outcome = fn(params, market, ctrl), "ok"
+                    except NonConvergenceError as err:
+                        result, outcome = err.result, "NonConvergenceError"
+                    except VgError as err:
+                        yield {**row, "outcome": type(err).__name__, "value": "",
+                               "terms": "", "tail": "", "branch": ""}
+                        continue
+                    yield {
+                        **row,
+                        "outcome": outcome,
+                        "value": float.hex(result.value),
+                        "terms": str(result.terms_evaluated),
+                        "tail": float.hex(result.truncation_estimate),
+                        "branch": result.branch,
+                    }
+
+
+def _write_series_golden(path=_SERIES_GOLDEN):
+    with open(path, "w", newline="") as handle:
+        writer = csv.DictWriter(handle, fieldnames=_GOLDEN_FIELDS, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(_golden_records())
+
+
+class TestSeriesGolden:
+    def test_values_are_bit_identical(self):
+        """Every series pricer reproduces tests/golden/series_values.csv exactly.
+
+        Regenerate with `PYTHONPATH=src python tests/test_series.py --write-golden`
+        only for a change that is meant to move series values, and state the
+        diff.
+        """
+        with open(_SERIES_GOLDEN, newline="") as handle:
+            golden = list(csv.DictReader(handle))
+        assert len(golden) == 288
+        assert {row["branch"] for row in golden} >= {"otm", "itm", "atm"}
+        assert {row["outcome"] for row in golden} >= {
+            "ok", "NonConvergenceError", "InvalidParameters", "UnsupportedBranchError"
+        }
+        assert list(_golden_records()) == golden
+
+
+class TestCoefficientCost:
+    def test_log_gamma_points_grow_linearly_in_max_order(self, bench_params, monkeypatch):
+        """An OTM call takes its coefficients from 1-D index arrays: one
+        log-Gamma call for the series and one for the prefactor, O(max_order)
+        points, not one per (n1, n2) grid cell."""
+        calls = []
+        log_gamma = specfun._log_gamma_signed
+
+        def counting(x):
+            calls.append(np.size(x))
+            return log_gamma(x)
+
+        monkeypatch.setattr(specfun, "_log_gamma_signed", counting)
+        result = european(bench_params, make_market(3000.0, 0.5), SeriesControl(max_order=60))
+        assert result.branch == "otm"
+        assert len(calls) <= 2
+        assert sum(calls) <= 10 * 61
+
+
+class TestResultTypes:
+    @pytest.mark.parametrize("kind", list(_GOLDEN_KINDS))
+    def test_series_results_carry_python_scalars(self, kind):
+        """Values are plain floats and the converged flag a plain bool."""
+        seen = 0
+        for pricer, fn in _GOLDEN_PRICERS.items():
+            params, market = _golden_contract(pricer, "A", kind)
+            try:
+                result = fn(params, market, SeriesControl(max_order=25))
+            except NonConvergenceError as err:
+                result = err.result
+            except VgError:
+                continue
+            assert type(result.value) is float, pricer
+            assert type(result.truncation_estimate) is float, pricer
+            assert type(result.diagnostics["converged"]) is bool, pricer
+            seen += 1
+        assert seen >= 5
+
+
+if __name__ == "__main__":
+    import sys
+
+    if sys.argv[1:] == ["--write-golden"]:
+        _write_series_golden()
+        print(f"wrote {_SERIES_GOLDEN}")
