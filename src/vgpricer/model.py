@@ -261,7 +261,8 @@ def _log_bessel_k_leading(order: float, log_z: float) -> Optional[float]:
     None unless the first terms it drops are below 1e-16 relative:
     (z/2)^2/(v - 1) above v = 1, (z/2)^2 (1 + 2|ln(z/2)|) at v = 1, and
     (z/2)^{2v} Gamma(1-v)/Gamma(1+v) + (z/2)^2/(1 - v) for 0 < v < 1.  At
-    v = 0, K is logarithmic and has no such term.
+    v = 0, K is logarithmic: the term is -ln(z/2) - gamma (Euler's constant)
+    and the first dropped term (z/2)^2 (1 + |ln(z/2)|).
     """
     v = abs(order)
     log_half_z = log_z - math.log(2.0)
@@ -275,9 +276,11 @@ def _log_bessel_k_leading(order: float, log_z: float) -> Optional[float]:
             2.0 * log_half_z - math.log(1.0 - v),
         )
     else:
-        return None
+        log_dropped = 2.0 * log_half_z + math.log(1.0 + abs(log_half_z))
     if not log_dropped < math.log(1e-16):
         return None
+    if v == 0.0:
+        return math.log(-log_half_z - np.euler_gamma)
     return specfun.log_gamma(v)[0] - math.log(2.0) - v * log_half_z
 
 

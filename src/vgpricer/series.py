@@ -13,18 +13,22 @@ three branches selected by the sign of the risk-neutral moneyness:
 Numerics: every Gamma ratio is evaluated as exp(sum of signed log-Gammas).
 The log-Gammas are taken on short 1-D index arrays (n, or n2 - n1, 2 n1 + n2
 and n1 for a double series), in one call per series, and gathered onto the
-(n1, n2) grid.  Every series goes through one kernel, _residue_sum, which
-accumulates the anti-diagonals n1 + n2 = const in ascending order with
-compensated (Kahan) summation, because the terms alternate in sign and can
-grow enormously before they cancel (deep-OTM rows reach 1e3-sized partial
-sums).
+(n1, n2) grid.  Everything that depends only on the truncation shape (the
+indices and gathers, signs, log n! and the alpha-free part of every
+log-Gamma argument) is built once per shape by _grid, so a price pays only
+for the arithmetic in alpha, the moneyness and the volatility.  Every
+series goes through one kernel, _residue_sum, which accumulates the
+anti-diagonals n1 + n2 = const in ascending order with compensated (Kahan)
+summation, because the terms alternate in sign and can grow enormously
+before they cancel (deep-OTM rows reach 1e3-sized partial sums).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -56,6 +60,8 @@ _CONVERGENCE_LIMIT = 1e-6
 _LOG2 = math.log(2.0)
 # log n! for n = 0..200, which covers every index SeriesControl allows
 _LOG_FACT = specfun._log_gamma_signed(np.arange(1.0, 202.0))[0]
+# an index that turns a 1-D array over n1 into a column
+_COLUMN = np.s_[:, None]
 
 
 @dataclass(frozen=True)
@@ -92,12 +98,102 @@ class SeriesControl:
 # ---------------------------------------------------------------------------
 
 
-def _log_gammas(*args):
-    """(log|Gamma|, sign) pairs of each argument array, from one log-Gamma call
-    on their concatenation along the first axis."""
-    log_abs, sign = specfun._log_gamma_signed(np.concatenate(args))
-    cuts = np.cumsum([len(arg) for arg in args[:-1]])
-    return list(zip(np.split(log_abs, cuts), np.split(sign, cuts)))
+class _Args(NamedTuple):
+    """The log-Gamma arguments base + alpha * coef of one series, cut into pieces."""
+
+    base: np.ndarray
+    coef: np.ndarray
+    pieces: tuple
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+def _args(*pieces) -> _Args:
+    """_Args from (alpha-free part, coefficient of alpha) pieces.
+
+    The coefficients are 1, 0, -2 or -1, so alpha * coef rounds nothing and
+    base + alpha * coef is the argument exactly as written out per piece.
+    """
+    cuts = np.cumsum([0] + [len(base) for base, _ in pieces]).tolist()
+    return _Args(
+        _frozen(np.concatenate([base for base, _ in pieces]).astype(float)),
+        _frozen(np.concatenate([np.full(len(base), coef) for base, coef in pieces])),
+        tuple(slice(a, b) for a, b in zip(cuts, cuts[1:])),
+    )
+
+
+class _Grid:
+    """The input-free arrays of one truncation shape, built once per shape.
+
+    n1 runs over 0..n_max (a column) and n2 over n2_start..n2_stop - 1 (a
+    row); the 1-D series run over the n2 row.  Each array is the exact
+    expression a series would otherwise evaluate per price, so values do
+    not depend on whether a shape was memoised.  Nothing here depends on an
+    input, and every array is read-only.
+    """
+
+    def __init__(self, n_max: int, n2_start: int, n2_stop: int):
+        rows = np.arange(n_max + 1)
+        n1 = rows[:, None]
+        n2 = np.arange(n2_start, n2_stop)
+        self.n1 = n1 * 1.0
+        self.n2 = n2 * 1.0
+        self.alternating = (-1.0) ** n1
+        self.n2_sign = (-1.0) ** n2
+        self.log_fact = _LOG_FACT[n1]
+        self.n2_log_fact = _LOG_FACT[n2]
+        # (np.bincount index, counts) of n1 + n2 on the grid and of n2 alone
+        flat = (n1 + n2 - n2_start).ravel()
+        self.diag = (_frozen(flat), tuple(np.bincount(flat).tolist()))
+        self.line = (_frozen(n2 - n2_start), (1,) * len(n2))
+
+        # _double_series: Gammas over j = n2 - n1 and m = 2 n1 + n2, gathered
+        j = np.arange(n2_start - n_max, n2_stop)
+        m = np.arange(n2_start, 2 * n_max + n2_stop)
+        self.sym = _args(
+            ((j + 1) / 2.0, 1.0), (j / 2.0 + 1.0, 0.0), (-m - 1.0, -2.0), (-rows + 0.5, -1.0)
+        )
+        self.j_index = n2 - n1 - j[0]
+        self.m_index = 2 * n1 + n2 - m[0]
+        self.two_n1_1 = 2.0 * n1 + 1.0
+        # the collapsed ATM series
+        self.atm = _args(((n2 + 1) / 2.0, 1.0), (n2 / 2.0 + 1.0, 0.0))
+
+        # the drifted digital and the log call, which take the n2-from-0 shape
+        self.asym_single = _args(((n2 + 1) / 2.0, 0.0), ((n2 + 1) / 2.0, 1.0))
+        self.neg_half_n2_1 = -(n2 + 1) / 2.0
+        self.asym = _args((-rows, 1.0), (-rows, -1.0))
+        self.log_fact_2 = _LOG_FACT[n1] + _LOG_FACT[n2]
+        self.m_1 = 2.0 * n1 + n2 + 1.0
+        self.log_m_1 = np.log(self.m_1)
+        self.log_call = _args((np.array([1.0, 0.5]), 1.0), (-n2, 1.0), (-n2, -1.0))
+        self.two_n2 = 2.0 * n2
+        self.two_n2_2 = 2.0 * n2 + 2.0
+        self.two_n2_1 = 2.0 * n2 + 1.0
+        self.log_call_cut = np.log(self.two_n2_2 * self.two_n2_1)
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                _frozen(value)
+
+
+@functools.lru_cache(maxsize=8)
+def _grid(n_max: int, n2_start: int, n2_stop: int) -> _Grid:
+    """The _Grid of one truncation shape, memoised on the shape alone.
+
+    The series at one max_order use three shapes (n2 from 0, n2 from 1, and
+    the cash digital's n2 = 0 column), so a strike slice misses at most
+    three times, whatever its parameters.
+    """
+    return _Grid(n_max, n2_start, n2_stop)
+
+
+def _log_gammas(args: _Args, alpha: float):
+    """(log|Gamma|, sign) pairs of each piece of args at alpha, from one log-Gamma call."""
+    log_abs, sign = specfun._log_gamma_signed(args.base + alpha * args.coef)
+    return [(log_abs[piece], sign[piece]) for piece in args.pieces]
 
 
 def _at(pair, index):
@@ -108,32 +204,29 @@ def _at(pair, index):
 def _gamma_ratio_log(num, den):
     """(log |Gamma(a)/Gamma(b)|, sign) from the (log|Gamma|, sign) pairs of a and b.
 
-    A denominator pole gives the ratio 0.  A pole in the numerator means the
-    series itself is degenerate; that is excluded upstream by the alpha
-    guard, so it raises if it ever happens.
+    The numerator carries the full shape.  A denominator pole gives the
+    ratio 0 (log -inf, sign +-0).  A pole in the numerator means the series
+    itself is degenerate; that is excluded upstream by the alpha guard, so
+    it raises if it ever happens.
     """
     log_n, sign_n = num
     log_d, sign_d = den
-    den_pole = sign_d == 0.0
-    if np.any((sign_n == 0.0) & ~den_pole):
+    finite = sign_d != 0.0
+    if ((sign_n == 0.0) & finite).any():
         raise DegenerateAlphaError("series coefficient hit a Gamma pole")
-    with np.errstate(invalid="ignore"):
-        log_ratio = np.where(den_pole, -np.inf, log_n - log_d)
-    sign = np.where(den_pole, 0.0, sign_n * sign_d)
-    return log_ratio, sign
+    log_ratio = np.full_like(log_n, -np.inf)
+    np.subtract(log_n, log_d, out=log_ratio, where=finite)
+    return log_ratio, sign_n * sign_d
 
 
-def _signed_power_log(base: float, n):
-    """(n * log|base|, sign(base)^n) for integer exponents, 0^0 = 1.
+def _signed_power_log(base: float, n, n_sign):
+    """(n * log|base|, sign(base)^n) for integer exponents n with n_sign = (-1)^n, 0^0 = 1.
 
     The sign is a plain 1.0 unless the base is negative.
     """
-    n = np.asarray(n)
     if base == 0.0:
-        with np.errstate(divide="ignore"):
-            return np.where(n == 0, 0.0, -np.inf), 1.0
-    log_part = n * math.log(abs(base))
-    return log_part, (1.0 if base > 0.0 else np.where(n % 2 == 1, -1.0, 1.0))
+        return np.where(n == 0.0, 0.0, -np.inf), 1.0
+    return n * math.log(abs(base)), (1.0 if base > 0.0 else n_sign)
 
 
 def _kahan_diagonal_sum(diag_values, diag_counts, tail_tol):
@@ -150,7 +243,7 @@ def _kahan_diagonal_sum(diag_values, diag_counts, tail_tol):
     previous = 0.0
     terms = 0
     converged = False
-    for value, count in zip(diag_values.tolist(), diag_counts.tolist()):
+    for value, count in zip(diag_values.tolist(), diag_counts):
         y = value - comp
         t = total + y
         comp = (t - total) - y
@@ -168,19 +261,17 @@ def _kahan_diagonal_sum(diag_values, diag_counts, tail_tol):
     return total, terms, max(last, previous), converged
 
 
-def _residue_sum(parts, index, tail_tol):
+def _residue_sum(parts, diag, tail_tol):
     """The one summation kernel: sum of sign * exp(log) over the (log, sign) parts.
 
     Terms are added per index (n1 + n2 for a double series, n for a single
-    one), and the per-index sums are accumulated in ascending index by
-    _kahan_diagonal_sum.
+    one) through the grid's (np.bincount index, counts) pair diag, and the
+    per-index sums are accumulated in ascending index by _kahan_diagonal_sum.
     """
     with np.errstate(invalid="ignore", over="ignore"):
         terms = sum(sign * np.exp(log) for log, sign in parts)
-    flat = index.ravel() - index.min()
-    return _kahan_diagonal_sum(
-        np.bincount(flat, weights=terms.ravel()), np.bincount(flat), tail_tol
-    )
+    index, counts = diag
+    return _kahan_diagonal_sum(np.bincount(index, weights=terms.ravel()), counts, tail_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -213,39 +304,31 @@ def _double_series(
 
     The first ratio depends on j = n2 - n1 alone, the second's numerator on
     m = 2 n1 + n2 and its denominator on n1, so all four Gammas come from
-    1-D arrays over j, m and n1, gathered onto the grid.
+    1-D arrays over j, m and n1, gathered onto the grid of the shape.
     """
     ratio = -k_val / s_val
     if not ratio > 0.0:
         raise InvalidParameters("series requires -moneyness/volatility > 0")
     log_ratio = math.log(ratio)
-    rows = np.arange(n_max + 1)
-    j = np.arange(n2.start - n_max, n2.stop)
-    m = np.arange(n2.start, 2 * n_max + n2.stop)
-    g_j1, g_j2, g_m, g_rows = _log_gammas(
-        (j + 1) / 2.0 + alpha, j / 2.0 + 1.0, -m - 1.0 - 2.0 * alpha, -rows + 0.5 - alpha
-    )
-    n1 = rows[:, None]
-    n2 = np.arange(n2.start, n2.stop)[None, :]
+    g = _grid(n_max, n2.start, n2.stop)
+    g_j1, g_j2, g_m, g_rows = _log_gammas(g.sym, alpha)
     # every j occurs on the grid, so part 1's ratio is taken over j; part 2's
     # pole rule sees only the grid, so a pole at an unused m is never raised
-    lr1, sr1 = _at(_gamma_ratio_log(g_j1, g_j2), n2 - n1 - j[0])
-    lr2, sr2 = _gamma_ratio_log(_at(g_m, 2 * n1 + n2 - m[0]), _at(g_rows, n1))
-    log_fact = _LOG_FACT[n1]
-    log_pow = 0.0 if power_mult == 1.0 else n2 * math.log(power_mult)
-    alternating = (-1.0) ** n1
-    lp_s, sp_s = _signed_power_log(s_val, n2)
-    lp_k, sp_k = _signed_power_log(-k_val, n2)
-    part1 = log_prefactor + lr1 + n1 * log_ratio + lp_s + log_pow - log_fact
-    part2 = (
-        log_prefactor + _LOG2 + lr2 + (2.0 * n1 + 1.0 + 2.0 * alpha) * log_ratio
-        + lp_k + log_pow - log_fact
-    )
-    return _residue_sum(
-        [(part1, sr1 * sp_s * alternating), (part2, sr2 * sp_k * alternating)],
-        n1 + n2,
-        tail_tol,
-    )
+    lr1, sr1 = _at(_gamma_ratio_log(g_j1, g_j2), g.j_index)
+    lr2, sr2 = _gamma_ratio_log(_at(g_m, g.m_index), _at(g_rows, _COLUMN))
+    # -k/s > 0, so (-k)^n2 has the sign of s^n2
+    lp_s, sp = _signed_power_log(s_val, g.n2, g.n2_sign)
+    lp_k = g.n2 * math.log(abs(k_val))
+    part1 = log_prefactor + lr1 + g.n1 * log_ratio + lp_s
+    part2 = log_prefactor + _LOG2 + lr2 + (g.two_n1_1 + 2.0 * alpha) * log_ratio + lp_k
+    if power_mult != 1.0:
+        log_pow = g.n2 * math.log(power_mult)
+        part1 += log_pow
+        part2 += log_pow
+    part1 -= g.log_fact
+    part2 -= g.log_fact
+    sign = g.alternating * sp
+    return _residue_sum([(part1, sr1 * sign), (part2, sr2 * sign)], g.diag, tail_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -350,10 +433,10 @@ def _sym_series_price(derived, diagnostics, ctrl, k_val, n2_start, power_mult, p
     log_pref = _log_sym_prefactor(derived, derived.forward_strike)
     n2 = range(n2_start, ctrl.max_order + 1)
     if branch == "atm":
-        n = np.arange(n2.start, n2.stop)
-        lr, sr = _gamma_ratio_log(*_log_gammas((n + 1) / 2.0 + derived.alpha, n / 2.0 + 1.0))
-        log_terms = log_pref + lr + n * math.log(power_mult * derived.sigma_nu)
-        value, terms, tail, conv = _residue_sum([(log_terms, sr)], n, ctrl.tail_tol)
+        g = _grid(ctrl.max_order, n2.start, n2.stop)
+        lr, sr = _gamma_ratio_log(*_log_gammas(g.atm, derived.alpha))
+        log_terms = log_pref + lr + g.n2 * math.log(power_mult * derived.sigma_nu)
+        value, terms, tail, conv = _residue_sum([(log_terms, sr)], g.line, ctrl.tail_tol)
     else:
         value, terms, tail, conv = _otm_or_parity(
             branch,
@@ -575,39 +658,27 @@ def log_call(
             "no closed series for the in-the-money log call; use the Monte Carlo engine"
         )
     log_pref = -derived.rate_effective * market.tau - 0.5 * math.log(math.pi) - float(lg_shape)
-    n = np.arange(ctrl.max_order + 1)
-    (lg_head, s_head), (l1, s1), (l2, s2) = _log_gammas(
-        np.array([1.0 + alpha, 0.5 + alpha]), alpha - n, -alpha - n
-    )
+    g = _grid(ctrl.max_order, 0, ctrl.max_order + 1)
+    (lg_head, s_head), (l1, s1), (l2, s2) = _log_gammas(g.log_call, alpha)
     (lg_a1, lg_ah), (s_a1, s_ah) = lg_head.tolist(), s_head.tolist()
     head = s_a1 * math.exp(log_pref + lg_a1 + math.log(s_nu)) + (
         -math.sqrt(math.pi) / 2.0 * s_ah * math.exp(log_pref + lg_ah + math.log(-k))
     )
-    log_fact = _LOG_FACT[n]
     log_mk = math.log(-k)
     log_2s = math.log(2.0 * s_nu)
-    alternating = (-1.0) ** n
     part1 = (
-        log_pref
-        + l1
-        - np.log((2.0 * n + 2.0) * (2.0 * n + 1.0))
-        + (2.0 * n + 2.0) * log_mk
-        - (2.0 * n + 1.0) * log_2s
-        - log_fact
+        log_pref + l1 - g.log_call_cut + g.two_n2_2 * log_mk - g.two_n2_1 * log_2s
+        - g.n2_log_fact
     )
-    div = (2.0 * n + 2.0 * alpha + 2.0) * (2.0 * n + 2.0 * alpha + 1.0)
+    # 2 n + 2 alpha + 1 > 0 because alpha > -1/2, so both factors are positive
+    shifted = g.two_n2 + 2.0 * alpha
+    shifted_2, shifted_1 = shifted + 2.0, shifted + 1.0
     part2 = (
-        log_pref
-        + l2
-        - np.log(np.abs(div))
-        + (2.0 * n + 2.0 * alpha + 2.0) * log_mk
-        - (2.0 * alpha + 2.0 * n + 1.0) * log_2s
-        - log_fact
+        log_pref + l2 - np.log(shifted_2 * shifted_1) + shifted_2 * log_mk
+        - shifted_1 * log_2s - g.n2_log_fact
     )
     series, terms, tail, conv = _residue_sum(
-        [(part1, alternating * s1), (part2, alternating * s2 * np.sign(div))],
-        n,
-        ctrl.tail_tol,
+        [(part1, g.n2_sign * s1), (part2, g.n2_sign * s2)], g.line, ctrl.tail_tol
     )
     return _finalize(head + series, terms + 2, tail, conv, derived.branch, diagnostics)
 
@@ -637,15 +708,14 @@ def _asym_single_series(
     tail_tol: float,
 ):
     """sum_n G((n+1)/2) G((n+1)/2 + a) q^{-(n+1)/2 - a} theta_sigma^n / n!"""
-    n = np.arange(n_max + 1)
+    g = _grid(n_max, 0, n_max + 1)
     log_q = math.log(q_factor)
-    (lg1, _), (lg2, sg2) = _log_gammas((n + 1) / 2.0, (n + 1) / 2.0 + alpha)
-    log_fact = _LOG_FACT[n]
-    lp_t, sp_t = _signed_power_log(theta_sigma, n)
+    (lg1, _), (lg2, sg2) = _log_gammas(g.asym_single, alpha)
+    lp_t, sp_t = _signed_power_log(theta_sigma, g.n2, g.n2_sign)
     log_terms = (
-        log_prefactor + lg1 + lg2 + (-(n + 1) / 2.0 - alpha) * log_q + lp_t - log_fact
+        log_prefactor + lg1 + lg2 + (g.neg_half_n2_1 - alpha) * log_q + lp_t - g.n2_log_fact
     )
-    return _residue_sum([(log_terms, sg2 * sp_t)], n, tail_tol)
+    return _residue_sum([(log_terms, sg2 * sp_t)], g.line, tail_tol)
 
 
 def _asym_double_series(
@@ -660,40 +730,19 @@ def _asym_double_series(
     """The paired double series of the drifted digital (poles of both Bessel factors)."""
     if not k_val < 0.0:
         raise InvalidParameters("asymmetric series requires negative moneyness")
-    n1 = np.arange(n_max + 1)[:, None]
-    n2 = np.arange(n_max + 1)[None, :]
-    (lgA, sgA), (lgB, sgB) = _log_gammas(alpha - n1, -alpha - n1)
+    g = _grid(n_max, 0, n_max + 1)
+    (lgA, sgA), (lgB, sgB) = (_at(pair, _COLUMN) for pair in _log_gammas(g.asym, alpha))
     log_q = math.log(q_factor)
     log_mk = math.log(-k_val)
-    log_fact = _LOG_FACT[n1] + _LOG_FACT[n2]
-    lp_t, sp_t = _signed_power_log(theta_sigma, n2)
-    base = log_prefactor + _LOG2 + lp_t - log_fact
-
-    alternating = (-1.0) ** n1
-    partA = (
-        base
-        + lgA
-        - np.log(2.0 * n1 + n2 + 1.0)
-        + (2.0 * n1 + n2 + 1.0) * log_mk
-        + (n1 - alpha) * log_q
-    )
-    div = -(2.0 * n1 + n2 + 1.0 + 2.0 * alpha)
-    partB = (
-        base
-        + lgB
-        - np.log(np.abs(div))
-        + (2.0 * n1 + n2 + 1.0 + 2.0 * alpha) * log_mk
-        + n1 * log_q
-    )
-    return _residue_sum(
-        [
-            # the divisor -(2 n1 + n2 + 1) of part A is always negative
-            (partA, -sgA * sp_t * alternating),
-            (partB, sgB * np.sign(div) * sp_t * alternating),
-        ],
-        n1 + n2,
-        tail_tol,
-    )
+    lp_t, sp_t = _signed_power_log(theta_sigma, g.n2, g.n2_sign)
+    base = log_prefactor + _LOG2 + lp_t - g.log_fact_2
+    partA = base + lgA - g.log_m_1 + g.m_1 * log_mk + (g.n1 - alpha) * log_q
+    # the divisors -(2 n1 + n2 + 1) and -(2 n1 + n2 + 1 + 2 alpha) are both
+    # negative, because alpha > -1/2
+    shifted = g.m_1 + 2.0 * alpha
+    partB = base + lgB - np.log(shifted) + shifted * log_mk + g.n1 * log_q
+    sign = -g.alternating * sp_t
+    return _residue_sum([(partA, sgA * sign), (partB, sgB * sign)], g.diag, tail_tol)
 
 
 def asym_cash_or_nothing(

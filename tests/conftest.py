@@ -1,7 +1,16 @@
 import pytest
+from hypothesis import settings
 
 from vgpricer.model import MarketInputs, VgParams
 from vgpricer.reference import load_reference
+
+# Property tests draw the same examples on every run and keep no example
+# database, so a run is reproducible; with no per-example deadline a slow or
+# loaded host cannot fail them.
+settings.register_profile(
+    "deterministic", derandomize=True, deadline=None, max_examples=100, database=None
+)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

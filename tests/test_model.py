@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -145,6 +146,23 @@ class TestDensity:
                     1e-308, -1e-308, 1e-315, -1e-315, 1e-320, -1e-320,
                 ):
                     assert density(params, x, t) == pytest.approx(at_zero, rel=1e-10)
+
+    def test_order_zero_at_subnormal_argument(self, bench_params):
+        """At t/nu = 1/2 the Bessel order is 0 and the density diverges only
+        like -ln|x| at the origin.  scipy's K_0 overflows once its argument
+        is subnormal, so the density there must come from K_0's logarithmic
+        leading term; it is checked against the Bessel form in mpmath."""
+        t = 0.425
+        assert t / bench_params.nu == 0.5
+        for x in (1e-310, -1e-310, 1e-315, -1e-315, 1e-320, -1e-320):
+            with mpmath.workdps(40):
+                sigma, nu = mpmath.mpf(bench_params.sigma), mpmath.mpf(bench_params.nu)
+                front = 2 / (
+                    nu ** (t / nu) * mpmath.sqrt(2 * mpmath.pi) * sigma * mpmath.gamma(t / nu)
+                )
+                z = mpmath.sqrt(2 * sigma**2 / nu) * abs(mpmath.mpf(x)) / sigma**2
+                expected = float(front * mpmath.besselk(0, z))
+            assert density(bench_params, x, t) == pytest.approx(expected, rel=1e-12)
 
     def test_domain_errors(self, bench_params):
         with pytest.raises(InvalidParameters):

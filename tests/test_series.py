@@ -6,8 +6,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from vgpricer import fourier, montecarlo, specfun
+from vgpricer import fourier, montecarlo, series, specfun
 from vgpricer.errors import (
     DegenerateAlphaError,
     InvalidParameters,
@@ -524,15 +526,18 @@ _GOLDEN_STRIKE, _GOLDEN_TRIGGER, _GOLDEN_POWER = 100.0, 105.0, 1.2
 
 
 def _golden_contract(pricer, set_id, kind):
+    return _contract(pricer, *_GOLDEN_SETS[set_id], _GOLDEN_KINDS[kind])
+
+
+def _contract(pricer, sigma, nu, theta, tau, rate, div, target):
     """Params and market putting the moneyness that drives `pricer`'s branch
     (at the trigger for the gap, the power moneyness for the power digital)
-    at the kind's target; every moneyness is ln S plus a constant."""
-    sigma, nu, theta, tau, rate, div = _GOLDEN_SETS[set_id]
+    at target * sigma sqrt(tau), or at the money forward for target None;
+    every moneyness is ln S plus a constant."""
     params = VgParams(sigma=sigma, nu=nu, theta=theta if pricer == "asym_cash_or_nothing" else 0.0)
     extra = {"trigger_strike": _GOLDEN_TRIGGER} if pricer == "gap" else {}
     if pricer == "power_asset_or_nothing":
         extra["power"] = _GOLDEN_POWER
-    target = _GOLDEN_KINDS[kind]
     if target is None:
         spot = _GOLDEN_STRIKE * math.exp(-(rate - div) * tau)
     else:
@@ -640,6 +645,96 @@ class TestResultTypes:
             assert type(result.diagnostics["converged"]) is bool, pricer
             seen += 1
         assert seen >= 5
+
+
+def _price_record(pricer, params, market, max_order):
+    """(value, terms, tail, branch) with floats as float.hex, from err.result
+    on NonConvergenceError; the error type for any other raise."""
+    ctrl = SeriesControl(max_order=max_order, alpha_policy="nudge")
+    try:
+        result = _GOLDEN_PRICERS[pricer](params, market, ctrl)
+    except NonConvergenceError as err:
+        result = err.result
+    except VgError as err:
+        return type(err).__name__
+    return (
+        float.hex(result.value), result.terms_evaluated,
+        float.hex(result.truncation_estimate), result.branch,
+    )
+
+
+def _memo_arrays(value):
+    """Every numpy array held by a _Grid, through its tuples and _Args."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from _memo_arrays(item)
+    elif isinstance(value, series._Grid):
+        for item in vars(value).values():
+            yield from _memo_arrays(item)
+
+
+class TestGridMemo:
+    """series._grid holds the input-free part of each truncation shape."""
+
+    def test_bounded_over_every_order(self):
+        for order in range(1, 201):
+            for pricer in _GOLDEN_PRICERS:
+                kind = "atmf" if pricer == "european_atmf" else "otm"
+                _price_record(pricer, *_golden_contract(pricer, "A", kind), order)
+            info = series._grid.cache_info()
+            assert info.currsize <= info.maxsize == 8
+
+    def test_arrays_are_read_only(self):
+        for shape in ((25, 0, 26), (25, 1, 26), (25, 0, 1)):
+            arrays = list(_memo_arrays(series._grid(*shape)))
+            assert len(arrays) >= 25
+            for array in arrays:
+                with pytest.raises(ValueError):
+                    array[...] = 0
+
+    def test_a_strike_slice_misses_at_most_three_times(self):
+        sigma, nu, theta, tau, rate, div = _GOLDEN_SETS["B"]
+        series._grid.cache_clear()
+        for i in range(41):
+            target = -3.0 + 6.0 * i / 40
+            for pricer in _GOLDEN_PRICERS:
+                contract = _contract(
+                    pricer, sigma, nu, theta, tau, rate, div,
+                    None if pricer == "european_atmf" else target,
+                )
+                _price_record(pricer, *contract, 30)
+        assert series._grid.cache_info().misses <= 3
+
+
+_draws = {
+    "sigma": st.floats(0.08, 0.5),
+    "nu": st.floats(0.05, 1.0),
+    "theta": st.floats(-0.3, 0.3),
+    "tau": st.floats(1 / 365, 3.0),
+    "rate": st.floats(0.0, 0.05),
+    "div": st.sampled_from([0.0, 0.02]),
+    "target": st.one_of(st.none(), st.floats(-3.0, 3.0)),
+}
+
+
+class TestGridMemoProperty:
+    @given(
+        pricer=st.sampled_from(sorted(_GOLDEN_PRICERS)),
+        contract=st.fixed_dictionaries(_draws),
+        other=st.fixed_dictionaries(_draws),
+        max_order=st.integers(1, 60),
+    )
+    def test_cold_and_warm_prices_are_identical(self, pricer, contract, other, max_order):
+        """A price is the same to the bit whether its shape is built fresh or
+        was built and used by unrelated prices first."""
+        series._grid.cache_clear()
+        cold = _price_record(pricer, *_contract(pricer, **contract), max_order)
+        for unrelated in _GOLDEN_PRICERS:
+            _price_record(unrelated, *_contract(unrelated, **other), max_order)
+        assert series._grid.cache_info().hits > 0
+        assert _price_record(pricer, *_contract(pricer, **contract), max_order) == cold
 
 
 if __name__ == "__main__":
