@@ -22,7 +22,7 @@ import io
 import json
 import sys
 import time
-from functools import partial
+from functools import lru_cache, partial
 from typing import Optional
 
 import numpy as np
@@ -98,7 +98,10 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", default=None)
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process; it depends on no input,
+    and each parse_args call returns a fresh Namespace."""
     parser = _Parser(prog="vgpricer", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 _TINY = np.finfo(float).tiny
+_ZETA3 = 1.2020569031595942  # Apery's constant zeta(3)
 
 
 @dataclass(frozen=True)
@@ -259,22 +260,19 @@ def _log_bessel_k_leading(order: float, log_z: float) -> Optional[float]:
     """log of the leading small-z term Gamma(v)/2 (2/z)^v of K_order(z), v = |order|.
 
     None unless the first terms it drops are below 1e-16 relative:
-    (z/2)^2/(v - 1) above v = 1, (z/2)^2 (1 + 2|ln(z/2)|) at v = 1, and
-    (z/2)^{2v} Gamma(1-v)/Gamma(1+v) + (z/2)^2/(1 - v) for 0 < v < 1.  At
+    (z/2)^2/(v - 1) above v = 1 and (z/2)^2 (1 + 2|ln(z/2)|) at v = 1.  At
     v = 0, K is logarithmic: the term is -ln(z/2) - gamma (Euler's constant)
-    and the first dropped term (z/2)^2 (1 + |ln(z/2)|).
+    and the first dropped term (z/2)^2 (1 + |ln(z/2)|).  For 0 < v < 1 the
+    second term Gamma(-v)/2 (z/2)^v is kept too (`_log_bessel_k_two_terms`).
     """
     v = abs(order)
     log_half_z = log_z - math.log(2.0)
+    if 0.0 < v < 1.0:
+        return _log_bessel_k_two_terms(v, log_half_z)
     if v > 1.0:
         log_dropped = 2.0 * log_half_z - math.log(v - 1.0)
     elif v == 1.0:
         log_dropped = 2.0 * log_half_z + math.log(1.0 + 2.0 * abs(log_half_z))
-    elif v > 0.0:
-        log_dropped = math.log(2.0) + max(
-            2.0 * v * log_half_z + specfun.log_gamma(1.0 - v)[0] - specfun.log_gamma(1.0 + v)[0],
-            2.0 * log_half_z - math.log(1.0 - v),
-        )
     else:
         log_dropped = 2.0 * log_half_z + math.log(1.0 + abs(log_half_z))
     if not log_dropped < math.log(1e-16):
@@ -282,6 +280,32 @@ def _log_bessel_k_leading(order: float, log_z: float) -> Optional[float]:
     if v == 0.0:
         return math.log(-log_half_z - np.euler_gamma)
     return specfun.log_gamma(v)[0] - math.log(2.0) - v * log_half_z
+
+
+def _log_bessel_k_two_terms(v: float, log_half_z: float) -> Optional[float]:
+    """log of Gamma(v)/2 (2/z)^v + Gamma(-v)/2 (z/2)^v, the two leading
+    small-z terms of K_v(z) for 0 < v < 1.
+
+    The second term is -e^{-2w} times the first, with
+    2w = ln Gamma(1+v) - ln Gamma(1-v) - 2v ln(z/2), so the sum is the first
+    term times -expm1(-2w), which keeps its precision as v -> 0 (where the
+    sum tends to K_0's -ln(z/2) - gamma).  Below v = 1e-4 the log-Gamma
+    difference comes from its Taylor series -2 gamma v - 2 zeta(3) v^3/3, as
+    ln Gamma near 1 is accurate only to about 1e-16 absolute.  None unless
+    the terms it drops, (z/2)^2/(1 -+ v) relative to each kept term, are
+    below 1e-16 of the sum.
+    """
+    if v < 1e-4:
+        half_diff = -v * (np.euler_gamma + _ZETA3 / 3.0 * v * v)
+    else:
+        half_diff = 0.5 * (specfun.log_gamma(1.0 + v)[0] - specfun.log_gamma(1.0 - v)[0])
+    w = half_diff - v * log_half_z
+    if not w > 0.0:
+        return None
+    log_first = specfun.log_gamma(v)[0] - math.log(2.0) - v * log_half_z
+    log_k = log_first + math.log(-math.expm1(-2.0 * w))
+    log_dropped = math.log(2.0) + 2.0 * log_half_z - math.log(1.0 - v) + log_first - log_k
+    return log_k if log_dropped < math.log(1e-16) else None
 
 
 def density(params: VgParams, x: float, t: float) -> float:

@@ -9,6 +9,8 @@ consumed in fixed-size chunks (clock block, then normal block), so a given
 (seed, n_paths) request is bit-reproducible.  Gamma variates use the
 Marsaglia-Tsang squeeze for shape >= 1 and the Gamma(shape + 1) boost
 U^{1/shape} for shape < 1 (short maturities routinely put t/nu below one).
+The squeeze's log test runs only on the draws the squeeze rejects (about
+2 %), and the stream of draws is the same as with the test on every draw.
 """
 
 from __future__ import annotations
@@ -77,7 +79,13 @@ class McEstimate:
 
 
 def _gamma_marsaglia_tsang(rng: np.random.Generator, shape: float, size: int) -> np.ndarray:
-    """Standard Gamma(shape) variates, vectorised rejection."""
+    """Standard Gamma(shape) variates, vectorised rejection.
+
+    Each round draws standard_normal(n) and then random(n) for its n pending
+    variates.  The log test runs only on the squeeze rejects with v > 0: as
+    d >= 2/3, v <= 0 implies x^4 >= 36, where the squeeze bound is negative,
+    so no draw with v <= 0 passes the squeeze.
+    """
     boost = None
     a = shape
     if shape < 1.0:
@@ -86,21 +94,35 @@ def _gamma_marsaglia_tsang(rng: np.random.Generator, shape: float, size: int) ->
     d = a - 1.0 / 3.0
     c = 1.0 / math.sqrt(9.0 * d)
     out = np.empty(size)
-    pending = np.arange(size)
-    while pending.size:
-        x = rng.standard_normal(pending.size)
-        v = (1.0 + c * x) ** 3
-        u = rng.random(pending.size)
-        positive = v > 0.0
-        x2 = x * x
-        squeeze = positive & (u < 1.0 - 0.0331 * x2 * x2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            full = positive & ~squeeze & (
-                np.log(u) < 0.5 * x2 + d * (1.0 - v + np.log(np.where(positive, v, 1.0)))
+    pending = None  # every index, in the first round
+    n = size
+    while n:
+        x = rng.standard_normal(n)
+        # the first round works in out itself; later ones scatter into their
+        # pending slots.  A rejected slot is rewritten by a later round.
+        v = np.multiply(x, c, out=out if pending is None else None)
+        v += 1.0
+        v **= 3
+        u = rng.random(n)
+        x2 = np.multiply(x, x, out=x)
+        bound = np.multiply(x2, 0.0331)
+        bound *= x2
+        rejects = np.flatnonzero(u >= np.subtract(1.0, bound, out=bound))
+        accepted = v[rejects] > 0.0
+        tested = rejects[accepted]
+        v_t = v[tested]
+        with np.errstate(divide="ignore"):
+            accepted[accepted] = np.log(u[tested]) < 0.5 * x2[tested] + d * (
+                1.0 - v_t + np.log(v_t)
             )
-        accepted = squeeze | full
-        out[pending[accepted]] = d * v[accepted]
-        pending = pending[~accepted]
+        rejects = rejects[~accepted]
+        v *= d
+        if pending is None:
+            pending = rejects
+        else:
+            out[pending] = v
+            pending = pending[rejects]
+        n = pending.size
     if boost is not None:
         out *= boost
     return out
@@ -167,14 +189,24 @@ def mc_price(
     samples = np.empty(n_units)
     for start in range(0, n_units, _CHUNK):
         m = min(_CHUNK, n_units - start)
-        clock = _gamma_marsaglia_tsang(rng, shape, m) * params.nu
-        z = rng.standard_normal(m)
-        diffusion = params.sigma * np.sqrt(clock) * z
-        x_up = params.theta * clock + diffusion
-        s_t = market.spot * np.exp(drift + x_up)
-        block = discount * _terminal_payoff(payoff, s_t, market)
+        clock = _gamma_marsaglia_tsang(rng, shape, m)
+        clock *= params.nu
+        diffusion = np.sqrt(clock)
+        diffusion *= params.sigma
+        diffusion *= rng.standard_normal(m)
+        x_up = np.multiply(clock, params.theta, out=clock)
         if cfg.antithetic:
-            s_t_dn = market.spot * np.exp(drift + params.theta * clock - diffusion)
-            block = 0.5 * (block + discount * _terminal_payoff(payoff, s_t_dn, market))
-        samples[start : start + m] = block
+            x_dn = np.add(x_up, drift)
+            x_dn -= diffusion
+        x_up += diffusion
+        x_up += drift
+        s_t = np.multiply(np.exp(x_up, out=x_up), market.spot, out=x_up)
+        block = samples[start : start + m]
+        np.multiply(_terminal_payoff(payoff, s_t, market), discount, out=block)
+        if cfg.antithetic:
+            s_t_dn = np.multiply(np.exp(x_dn, out=x_dn), market.spot, out=x_dn)
+            down = _terminal_payoff(payoff, s_t_dn, market)
+            down *= discount
+            block += down
+            block *= 0.5
     return McEstimate.from_samples(samples)

@@ -56,6 +56,7 @@ __all__ = [
 ]
 
 _ALPHA_GUARD = 1e-8
+_ALPHA_NUDGES = 3  # relative nudges of nu by 1e-8 before a degenerate alpha is an error
 _CONVERGENCE_LIMIT = 1e-6
 _LOG2 = math.log(2.0)
 # log n! for n = 0..200, which covers every index SeriesControl allows
@@ -73,7 +74,8 @@ class SeriesControl:
     are quoted).  Summation stops early once two consecutive anti-diagonals
     each contribute less than tail_tol relative to the running sum.
     alpha_policy decides what happens when tau/nu - 1/2 is (half-)integral:
-    'error' raises, 'nudge' perturbs nu by one part in 1e8 and records it.
+    'error' raises, 'nudge' perturbs nu by one part in 1e8 and records it,
+    and raises if alpha is still degenerate after three nudges.
     """
 
     max_order: int = 25
@@ -347,18 +349,18 @@ def _apply_alpha_policy(
     the same policy.
     """
     diagnostics: dict = {}
-    for _ in range(3):
+    for nudges in range(_ALPHA_NUDGES + 1):
         alpha = market.tau / params.nu - 0.5
         near_int = abs(alpha - round(alpha)) < _ALPHA_GUARD
         near_half = abs(2.0 * alpha - round(2.0 * alpha)) < 2.0 * _ALPHA_GUARD
         if not (near_int or near_half):
             break
         kind = "integer" if near_int else "half-integer"
+        message = f"alpha = tau/nu - 1/2 = {alpha:.12g} is within {_ALPHA_GUARD} of a {kind} value"
         if ctrl.alpha_policy == "error":
-            raise DegenerateAlphaError(
-                f"alpha = tau/nu - 1/2 = {alpha:.12g} is within {_ALPHA_GUARD} of a "
-                f"{kind} value; pass alpha_policy='nudge' to perturb nu"
-            )
+            raise DegenerateAlphaError(f"{message}; pass alpha_policy='nudge' to perturb nu")
+        if nudges == _ALPHA_NUDGES:
+            raise DegenerateAlphaError(f"{message} after {nudges} nudges of nu")
         params = replace(params, nu=params.nu * (1.0 + 1e-8))
         diagnostics["nudged_nu"] = params.nu
     derived = model.derive(params, market)

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vgpricer import fourier, model, tables
+from vgpricer import cli, fourier, model, tables
 from vgpricer.cli import main
 from vgpricer.model import MarketInputs
 
@@ -72,6 +72,15 @@ class TestPriceCommand:
         assert out == ""
         payload = json.loads(err)
         assert "martingale adjustment undefined" in payload["error"]
+
+    def test_alpha_left_degenerate_by_the_nudges_exit_code(self, capsys):
+        code, out, err = run_cli(
+            capsys, "price", "--payoff", "log-call", "--method", "series",
+            "--spot", "90", "--strike", "100", "--rate", "0.01", "--tau", "1e-17",
+            "--sigma", "0.2", "--nu", "1", "--alpha-policy", "nudge",
+        )
+        assert code == 2 and out == ""
+        assert json.loads(err)["type"] == "DegenerateAlphaError"
 
     def test_non_convergence_exit_code(self, capsys):
         code, _, err = run_cli(
@@ -377,6 +386,32 @@ class TestOutputPlumbing:
         )
         assert json.loads(out)["value"] == pytest.approx(0.1181, abs=5e-4)
 
+    def test_reused_parser_keeps_no_state(self, capsys):
+        """The parser is built once per process; a call after a run with
+        other flags prints what it prints alone, and usage errors still
+        exit 1."""
+        cli._build_parser.cache_clear()
+        args = ["price", "--payoff", "european", "--method", "mc", *_BASE_FLAGS]
+        code, first, _ = run_cli(
+            capsys, *args, "--antithetic", "--paths", "1000", "--seed", "5", "--format", "csv",
+        )
+        assert code == 0 and parse_csv(first)[0]["method"] == "monte_carlo"
+        code, second, _ = run_cli(capsys, *args)
+        assert code == 0
+        root = Path(__file__).resolve().parents[1]
+        alone = subprocess.run(
+            [sys.executable, "-m", "vgpricer.cli", *args],
+            env=dict(os.environ, PYTHONPATH=str(root / "src")),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert alone.returncode == 0, alone.stderr
+        strip = lambda text: {k: v for k, v in json.loads(text).items() if k != "runtime_ms"}
+        assert strip(second) == strip(alone.stdout)
+        code, out, err = run_cli(capsys, "price", "--payoff", "straddle")
+        assert code == 1 and out == ""
+        assert json.loads(err)["type"] == "usage"
+        assert cli._build_parser.cache_info().misses == 1
+
     def test_unknown_config_keys_rejected(self, capsys, tmp_path):
         config = tmp_path / "bad.json"
         config.write_text(json.dumps({"spoot": 1.0}))
@@ -415,7 +450,10 @@ class TestBenchmarkTracer:
         assert proc.returncode == 0, proc.stderr
         traced = json.loads(proc.stdout)
         assert traced["code"] == 0
-        for layer in ("series", "fourier", "quadrature", "montecarlo"):
+        for layer in (
+            "series", "fourier", "quadrature", "montecarlo",
+            "montecarlo.gamma_clock", "montecarlo.payoff", "cli",
+        ):
             assert traced["spans"].get(layer) == 1, layer
         counts = traced["counts"]
         assert counts["series.prices"] == 1

@@ -164,6 +164,25 @@ class TestDensity:
                 expected = float(front * mpmath.besselk(0, z))
             assert density(bench_params, x, t) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("order", [0.01, 0.02, 0.025])
+    def test_small_order_at_subnormal_argument(self, bench_params, order):
+        """Between order 0 and about 0.026 neither the power-law leading term
+        of K nor K_0's logarithmic one is accurate at a subnormal argument,
+        and scipy's K overflows there; the two leading terms
+        Gamma(v)/2 (2/z)^v + Gamma(-v)/2 (z/2)^v are checked against the
+        Bessel form in mpmath."""
+        t = bench_params.nu * (0.5 + order)
+        for x in (1e-310, -1e-310, 1e-320, -1e-320):
+            with mpmath.workdps(40):
+                sigma, nu = mpmath.mpf(bench_params.sigma), mpmath.mpf(bench_params.nu)
+                shape = mpmath.mpf(t) / nu
+                a2 = 2 * sigma**2 / nu
+                front = 2 / (nu**shape * mpmath.sqrt(2 * mpmath.pi) * sigma * mpmath.gamma(shape))
+                z = mpmath.sqrt(a2) * abs(mpmath.mpf(x)) / sigma**2
+                power = (mpmath.mpf(x) ** 2 / a2) ** ((shape - 0.5) / 2)
+                expected = float(front * power * mpmath.besselk(shape - 0.5, z))
+            assert density(bench_params, x, t) == pytest.approx(expected, rel=1e-12)
+
     def test_domain_errors(self, bench_params):
         with pytest.raises(InvalidParameters):
             density(bench_params, 0.1, 0.0)

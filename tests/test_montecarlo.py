@@ -1,14 +1,17 @@
 """Monte Carlo engine tests: distribution, estimators, confidence intervals."""
 
+import csv
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 from scipy.special import kv as bessel_kv, gammaln
 
+from vgpricer import montecarlo
 from vgpricer.errors import InvalidParameters
-from vgpricer.model import VgParams
+from vgpricer.model import MarketInputs, VgParams
 from vgpricer.montecarlo import McConfig, McEstimate, mc_price, sample_vg
 from vgpricer.series import SeriesControl, asym_cash_or_nothing, european, gap, log_call
 from vgpricer.tables import atm_spot, base_params
@@ -184,3 +187,77 @@ class TestEstimator:
     def test_unknown_payoff_rejected(self, bench_params):
         with pytest.raises(InvalidParameters):
             mc_price("straddle", bench_params, make_market(4200.0, 2.0), McConfig(n_paths=10))
+
+
+# ---------------------------------------------------------------------------
+# bit-identity golden file
+# ---------------------------------------------------------------------------
+
+_MC_GOLDEN = Path(__file__).resolve().parent / "golden" / "mc_values.csv"
+_MC_GOLDEN_FIELDS = [
+    "payoff", "tau", "theta", "antithetic", "seed", "n_paths", "value", "std_error"
+]
+_MC_NU = 0.25
+# tau / nu = 0.4 (boosted Gamma(1.4)), 2 and 10
+_MC_TAUS = (0.1, 0.5, 2.5)
+_MC_STRIKES = {"power_asset_or_nothing": 160.0}
+
+
+def _mc_case(payoff, tau, theta, antithetic, seed, n_paths):
+    params = VgParams(sigma=0.2, nu=_MC_NU, theta=theta)
+    market = MarketInputs(
+        spot=100.0, strike=_MC_STRIKES.get(payoff, 100.0), rate=0.02, tau=tau,
+        dividend_yield=0.01, trigger_strike=105.0, power=1.1,
+    )
+    estimate = mc_price(
+        payoff, params, market, McConfig(n_paths=n_paths, seed=seed, antithetic=antithetic)
+    )
+    return {
+        "payoff": payoff, "tau": repr(tau), "theta": repr(theta),
+        "antithetic": str(antithetic), "seed": str(seed), "n_paths": str(n_paths),
+        "value": float.hex(estimate.value), "std_error": float.hex(estimate.std_error),
+    }
+
+
+def _mc_golden_records():
+    """float.hex of the estimate and its standard error for every payoff over
+    Gamma-clock shapes below 1, at 2 and at 10, with and without drift and
+    antithetic pairs, at two seeds; then two runs that span two chunks."""
+    for payoff in montecarlo.PAYOFF_NAMES:
+        for tau in _MC_TAUS:
+            for theta in (0.0, -0.15):
+                for antithetic in (False, True):
+                    for seed in (3, 11):
+                        yield _mc_case(payoff, tau, theta, antithetic, seed, 4000)
+    yield _mc_case("european", _MC_TAUS[0], -0.15, False, 3, montecarlo._CHUNK + 3)
+    yield _mc_case("cash_or_nothing", _MC_TAUS[1], 0.0, True, 11, 2 * montecarlo._CHUNK + 6)
+
+
+def _write_mc_golden(path=_MC_GOLDEN):
+    with open(path, "w", newline="") as handle:
+        writer = csv.DictWriter(handle, fieldnames=_MC_GOLDEN_FIELDS, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(_mc_golden_records())
+
+
+class TestMcGolden:
+    def test_values_are_bit_identical(self):
+        """mc_price reproduces tests/golden/mc_values.csv exactly: the same
+        draws from the Philox stream and the same arithmetic on each path.
+
+        Regenerate with `PYTHONPATH=src python tests/test_montecarlo.py
+        --write-golden` only for a change that is meant to move Monte Carlo
+        values, and state the diff.
+        """
+        with open(_MC_GOLDEN, newline="") as handle:
+            golden = list(csv.DictReader(handle))
+        assert len(golden) == 6 * 3 * 2 * 2 * 2 + 2
+        assert list(_mc_golden_records()) == golden
+
+
+if __name__ == "__main__":
+    import sys
+
+    if sys.argv[1:] == ["--write-golden"]:
+        _write_mc_golden()
+        print(f"wrote {_MC_GOLDEN}")

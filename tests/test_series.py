@@ -245,6 +245,17 @@ class TestDiagnostics:
         assert "nudged_nu" in nudged.diagnostics
         assert nudged.value == pytest.approx(0.53, abs=0.05)
 
+    @pytest.mark.parametrize(
+        "pricer, theta", [(asym_cash_or_nothing, -0.1), (log_call, 0.0)]
+    )
+    def test_nudges_that_cannot_move_alpha_raise(self, pricer, theta):
+        # tau/nu = 1e-17 rounds alpha to -1/2 whatever the nudge; the pricer
+        # used to return nan with a zero tail
+        params = VgParams(sigma=0.2, nu=1.0, theta=theta)
+        market = make_market(90.0, 1e-17, strike=100.0)
+        with pytest.raises(DegenerateAlphaError, match="after 3 nudges"):
+            pricer(params, market, SeriesControl(alpha_policy="nudge"))
+
     def test_half_integral_alpha_also_guarded(self):
         # tau/nu = 2 makes alpha = 3/2: individual coefficients hit poles
         params = VgParams(sigma=0.2, nu=1.0)
