@@ -308,6 +308,42 @@ def _log_bessel_k_two_terms(v: float, log_half_z: float) -> Optional[float]:
     return log_k if log_dropped < math.log(1e-16) else None
 
 
+def _debye_polynomials(count: int) -> list:
+    """u_0..u_count of the uniform large-order expansion of K (DLMF 10.41.10),
+    from u_{k+1}(p) = p^2 (1 - p^2) u_k'(p) / 2 + 1/8 int_0^p (1 - 5 t^2) u_k(t) dt."""
+    poly = np.polynomial.Polynomial
+    us = [poly([1.0])]
+    for _ in range(count):
+        u = us[-1]
+        integral = (poly([1.0, 0.0, -5.0]) * u).integ()
+        us.append(poly([0.0, 0.0, 0.5, 0.0, -0.5]) * u.deriv() + integral / 8.0)
+    return us
+
+
+_DEBYE_U = _debye_polynomials(8)
+
+
+def _log_bessel_k_debye(order: float, log_z: float) -> Optional[float]:
+    """log K_v(z), v = |order|, from the uniform large-order expansion (DLMF 10.41.4)
+
+        K_v(v w) ~ sqrt(pi / (2v)) e^{-v eta} (1 + w^2)^{-1/4} sum_k (-1)^k u_k(p) / v^k
+
+    with p = (1 + w^2)^{-1/2} and eta = sqrt(1 + w^2) + ln(w / (1 + sqrt(1 + w^2))),
+    summed through u_8.  None unless the last term kept is below 1e-16 of
+    the sum, which holds from about v = 35.
+    """
+    v = abs(order)
+    log_w = log_z - math.log(v)
+    w2 = math.exp(2.0 * log_w)
+    root = math.sqrt(1.0 + w2)
+    terms = [(-1.0) ** k * u(1.0 / root) / v**k for k, u in enumerate(_DEBYE_U)]
+    total = math.fsum(terms)
+    if not abs(terms[-1]) < 1e-16 * total:
+        return None
+    eta = root + log_w - math.log1p(root)
+    return 0.5 * math.log(math.pi / (2.0 * v)) - v * eta - 0.25 * math.log1p(w2) + math.log(total)
+
+
 def density(params: VgParams, x: float, t: float) -> float:
     """Transition density f(x, t) in Bessel form.
 
@@ -358,6 +394,8 @@ def density(params: VgParams, x: float, t: float) -> float:
             log_bessel = math.log(bessel)
         except GammaOverflowError:
             log_bessel = _log_bessel_k_leading(order, log_z)
+            if log_bessel is None:
+                log_bessel = _log_bessel_k_debye(order, log_z)
             if log_bessel is None:
                 raise
     if min(x * x, x * x / a2) < _TINY:  # x^2 is not a normal double

@@ -192,6 +192,41 @@ def _grid(n_max: int, n2_start: int, n2_stop: int) -> _Grid:
     return _Grid(n_max, n2_start, n2_stop)
 
 
+@functools.lru_cache(maxsize=16)
+def _alpha_block(kind: str, n_max: int, n2_start: int, n2_stop: int, alpha: float):
+    """The alpha-dependent coefficients of one series kind and shape, memoised.
+
+    Every strike of one maturity shares alpha, so a strike slice builds each
+    block once; prices at other alphas only cycle the bounded memo.  kind
+    'prefactor' is the scalar log Gamma(alpha + 1/2) (its shape is 0, 0, 0);
+    the others are the gathered (log, sign) arrays of their series, read-only.
+    The arrays are the same expressions a price would evaluate, so values do
+    not depend on the memo; a Gamma pole raises and is not stored.
+    """
+    if kind == "prefactor":
+        return float(specfun._log_gamma_signed(alpha + 0.5)[0])
+    g = _grid(n_max, n2_start, n2_stop)
+    if kind == "sym":
+        g_j1, g_j2, g_m, g_rows = _log_gammas(g.sym, alpha)
+        # every j occurs on the grid, so part 1's ratio is taken over j; part 2's
+        # pole rule sees only the grid, so a pole at an unused m is never raised
+        block = (
+            *_at(_gamma_ratio_log(g_j1, g_j2), g.j_index),
+            *_gamma_ratio_log(_at(g_m, g.m_index), _at(g_rows, _COLUMN)),
+        )
+    elif kind == "atm":
+        block = _gamma_ratio_log(*_log_gammas(g.atm, alpha))
+    elif kind == "asym_single":
+        (lg1, _), (lg2, sg2) = _log_gammas(g.asym_single, alpha)
+        block = (lg1, lg2, sg2)
+    elif kind == "asym":
+        block = tuple(a for pair in _log_gammas(g.asym, alpha) for a in _at(pair, _COLUMN))
+    else:  # "log_call"
+        (lg_head, s_head), (l1, s1), (l2, s2) = _log_gammas(g.log_call, alpha)
+        return (*lg_head.tolist(), *s_head.tolist(), *map(_frozen, (l1, s1, l2, s2)))
+    return tuple(map(_frozen, block))
+
+
 def _log_gammas(args: _Args, alpha: float):
     """(log|Gamma|, sign) pairs of each piece of args at alpha, from one log-Gamma call."""
     log_abs, sign = specfun._log_gamma_signed(args.base + alpha * args.coef)
@@ -313,11 +348,7 @@ def _double_series(
         raise InvalidParameters("series requires -moneyness/volatility > 0")
     log_ratio = math.log(ratio)
     g = _grid(n_max, n2.start, n2.stop)
-    g_j1, g_j2, g_m, g_rows = _log_gammas(g.sym, alpha)
-    # every j occurs on the grid, so part 1's ratio is taken over j; part 2's
-    # pole rule sees only the grid, so a pole at an unused m is never raised
-    lr1, sr1 = _at(_gamma_ratio_log(g_j1, g_j2), g.j_index)
-    lr2, sr2 = _gamma_ratio_log(_at(g_m, g.m_index), _at(g_rows, _COLUMN))
+    lr1, sr1, lr2, sr2 = _alpha_block("sym", n_max, n2.start, n2.stop, alpha)
     # -k/s > 0, so (-k)^n2 has the sign of s^n2
     lp_s, sp = _signed_power_log(s_val, g.n2, g.n2_sign)
     lp_k = g.n2 * math.log(abs(k_val))
@@ -420,8 +451,7 @@ def _otm_or_parity(branch: str, otm_series, parity):
 
 def _log_sym_prefactor(derived: DerivedQuantities, amount: float) -> float:
     """log of amount / (2 Gamma(tau/nu)) with tau/nu = alpha + 1/2."""
-    lg, _ = specfun._log_gamma_signed(derived.alpha + 0.5)
-    return math.log(amount) - _LOG2 - float(lg)
+    return math.log(amount) - _LOG2 - _alpha_block("prefactor", 0, 0, 0, derived.alpha)
 
 
 def _sym_series_price(derived, diagnostics, ctrl, k_val, n2_start, power_mult, parity):
@@ -436,7 +466,9 @@ def _sym_series_price(derived, diagnostics, ctrl, k_val, n2_start, power_mult, p
     n2 = range(n2_start, ctrl.max_order + 1)
     if branch == "atm":
         g = _grid(ctrl.max_order, n2.start, n2.stop)
-        lr, sr = _gamma_ratio_log(*_log_gammas(g.atm, derived.alpha))
+        # the call's collapsed series (n2 from 1) is the asset digital's without n2 = 0
+        block = _alpha_block("atm", ctrl.max_order, 0, n2.stop, derived.alpha)
+        lr, sr = (array[n2.start:] for array in block)
         log_terms = log_pref + lr + g.n2 * math.log(power_mult * derived.sigma_nu)
         value, terms, tail, conv = _residue_sum([(log_terms, sr)], g.line, ctrl.tail_tol)
     else:
@@ -647,22 +679,20 @@ def log_call(
     discount = math.exp(-derived.rate_effective * market.tau)
     alpha = derived.alpha
     s_nu = derived.sigma_nu
-    shape = alpha + 0.5
-    lg_shape, _ = specfun._log_gamma_signed(shape)
+    lg_shape = _alpha_block("prefactor", 0, 0, 0, alpha)
     if derived.branch == "atm":
-        lg_num, _ = specfun._log_gamma_signed(0.5 + shape)
-        value = (
-            discount / math.sqrt(math.pi) * math.exp(float(lg_num) - float(lg_shape)) * s_nu
-        )
+        lg_num, _ = specfun._log_gamma_signed(0.5 + (alpha + 0.5))
+        value = discount / math.sqrt(math.pi) * math.exp(float(lg_num) - lg_shape) * s_nu
         return _finalize(value, 1, 0.0, True, "atm", diagnostics)
     if derived.branch == "itm":
         raise UnsupportedBranchError(
             "no closed series for the in-the-money log call; use the Monte Carlo engine"
         )
-    log_pref = -derived.rate_effective * market.tau - 0.5 * math.log(math.pi) - float(lg_shape)
+    log_pref = -derived.rate_effective * market.tau - 0.5 * math.log(math.pi) - lg_shape
     g = _grid(ctrl.max_order, 0, ctrl.max_order + 1)
-    (lg_head, s_head), (l1, s1), (l2, s2) = _log_gammas(g.log_call, alpha)
-    (lg_a1, lg_ah), (s_a1, s_ah) = lg_head.tolist(), s_head.tolist()
+    lg_a1, lg_ah, s_a1, s_ah, l1, s1, l2, s2 = _alpha_block(
+        "log_call", ctrl.max_order, 0, ctrl.max_order + 1, alpha
+    )
     head = s_a1 * math.exp(log_pref + lg_a1 + math.log(s_nu)) + (
         -math.sqrt(math.pi) / 2.0 * s_ah * math.exp(log_pref + lg_ah + math.log(-k))
     )
@@ -691,13 +721,12 @@ def log_call(
 
 
 def _asym_log_prefactor(derived: DerivedQuantities, tau: float) -> float:
-    lg, _ = specfun._log_gamma_signed(derived.alpha + 0.5)
     return (
         -derived.rate_effective * tau
         - (2.0 + 2.0 * derived.alpha) * _LOG2
         - 0.5 * math.log(math.pi)
         - (1.0 + 2.0 * derived.alpha) * math.log(derived.sigma_nu)
-        - float(lg)
+        - _alpha_block("prefactor", 0, 0, 0, derived.alpha)
     )
 
 
@@ -712,7 +741,7 @@ def _asym_single_series(
     """sum_n G((n+1)/2) G((n+1)/2 + a) q^{-(n+1)/2 - a} theta_sigma^n / n!"""
     g = _grid(n_max, 0, n_max + 1)
     log_q = math.log(q_factor)
-    (lg1, _), (lg2, sg2) = _log_gammas(g.asym_single, alpha)
+    lg1, lg2, sg2 = _alpha_block("asym_single", n_max, 0, n_max + 1, alpha)
     lp_t, sp_t = _signed_power_log(theta_sigma, g.n2, g.n2_sign)
     log_terms = (
         log_prefactor + lg1 + lg2 + (g.neg_half_n2_1 - alpha) * log_q + lp_t - g.n2_log_fact
@@ -733,7 +762,7 @@ def _asym_double_series(
     if not k_val < 0.0:
         raise InvalidParameters("asymmetric series requires negative moneyness")
     g = _grid(n_max, 0, n_max + 1)
-    (lgA, sgA), (lgB, sgB) = (_at(pair, _COLUMN) for pair in _log_gammas(g.asym, alpha))
+    lgA, sgA, lgB, sgB = _alpha_block("asym", n_max, 0, n_max + 1, alpha)
     log_q = math.log(q_factor)
     log_mk = math.log(-k_val)
     lp_t, sp_t = _signed_power_log(theta_sigma, g.n2, g.n2_sign)

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import settings
 
+from vgpricer import series
 from vgpricer.model import MarketInputs, VgParams
 from vgpricer.reference import load_reference
 
@@ -11,6 +12,14 @@ settings.register_profile(
     "deterministic", derandomize=True, deadline=None, max_examples=100, database=None
 )
 settings.load_profile("deterministic")
+
+
+@pytest.fixture(autouse=True)
+def cold_series_memos():
+    """Every test starts with empty series memos, so no hit or miss count
+    depends on which tests ran before it."""
+    series._grid.cache_clear()
+    series._alpha_block.cache_clear()
 
 
 @pytest.fixture(scope="session")

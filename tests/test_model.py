@@ -7,7 +7,9 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import kv
 
+from vgpricer import model
 from vgpricer.errors import BranchCutError, InvalidParameters
 from vgpricer.model import (
     MarketInputs,
@@ -182,6 +184,32 @@ class TestDensity:
                 power = (mpmath.mpf(x) ** 2 / a2) ** ((shape - 0.5) / 2)
                 expected = float(front * power * mpmath.besselk(shape - 0.5, z))
             assert density(bench_params, x, t) == pytest.approx(expected, rel=1e-12)
+
+    def test_large_order_where_k_overflows(self):
+        """Above order about 35 there is a band of arguments where scipy's K
+        overflows and the leading small-argument term is not yet exact; log K
+        comes from the uniform large-order expansion there.  It is checked
+        against mpmath at 40 digits at orders 100, 150, ..., 500 and 499.5,
+        on 12 log-spaced arguments from 2e-8 sqrt(v - 1) to 2v, and the
+        density against the Gamma mixture at t/nu - 1/2 = 499.5."""
+        checked = 0
+        for order in [*np.linspace(100.0, 500.0, 9), 499.5]:
+            for z in np.geomspace(2e-8 * math.sqrt(order - 1.0), 2.0 * order, 12):
+                log_z = math.log(z)
+                leading = model._log_bessel_k_leading(order, log_z)
+                if not math.isinf(kv(order, z)) or leading is not None:
+                    continue
+                got = model._log_bessel_k_debye(order, log_z)
+                with mpmath.workdps(40):
+                    expected = mpmath.log(mpmath.besselk(order, mpmath.mpf(z)))
+                    assert abs(mpmath.expm1(got - expected)) < 1e-10
+                checked += 1
+        assert checked >= 50
+        params = VgParams(sigma=0.2, nu=0.01)
+        for x in (0.005, 0.05, -0.05, 0.1):
+            assert density(params, x, 5.0) == pytest.approx(
+                mixture_density(params, x, 5.0), rel=1e-10
+            )
 
     def test_domain_errors(self, bench_params):
         with pytest.raises(InvalidParameters):

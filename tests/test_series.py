@@ -637,6 +637,22 @@ class TestCoefficientCost:
         assert len(calls) <= 2
         assert sum(calls) <= 10 * 61
 
+    def test_a_strike_slice_takes_its_coefficients_once(self, bench_params, monkeypatch):
+        """41 OTM calls at one maturity share alpha, so the slice makes the
+        two log-Gamma calls of its first price and no more."""
+        calls = []
+        log_gamma = specfun._log_gamma_signed
+
+        def counting(x):
+            calls.append(np.size(x))
+            return log_gamma(x)
+
+        monkeypatch.setattr(specfun, "_log_gamma_signed", counting)
+        for i in range(41):
+            market = make_market(3000.0 + 20.0 * i, 0.5)
+            assert european(bench_params, market).branch == "otm"
+        assert len(calls) <= 2
+
 
 class TestResultTypes:
     @pytest.mark.parametrize("kind", list(_GOLDEN_KINDS))
@@ -696,18 +712,23 @@ class TestGridMemo:
                 _price_record(pricer, *_golden_contract(pricer, "A", kind), order)
             info = series._grid.cache_info()
             assert info.currsize <= info.maxsize == 8
+            info = series._alpha_block.cache_info()
+            assert info.currsize <= info.maxsize <= 16
 
     def test_arrays_are_read_only(self):
         for shape in ((25, 0, 26), (25, 1, 26), (25, 0, 1)):
             arrays = list(_memo_arrays(series._grid(*shape)))
             assert len(arrays) >= 25
+            for kind in ("sym", "atm", "asym_single", "asym", "log_call"):
+                block = series._alpha_block(kind, *shape, 0.3)
+                assert block is series._alpha_block(kind, *shape, 0.3)
+                arrays += list(_memo_arrays(block))
             for array in arrays:
                 with pytest.raises(ValueError):
                     array[...] = 0
 
     def test_a_strike_slice_misses_at_most_three_times(self):
         sigma, nu, theta, tau, rate, div = _GOLDEN_SETS["B"]
-        series._grid.cache_clear()
         for i in range(41):
             target = -3.0 + 6.0 * i / 40
             for pricer in _GOLDEN_PRICERS:
@@ -717,6 +738,17 @@ class TestGridMemo:
                 )
                 _price_record(pricer, *contract, 30)
         assert series._grid.cache_info().misses <= 3
+        # one alpha: the prefactor, three double-series shapes, the ATM
+        # series, both drifted-digital series and the log call
+        assert series._alpha_block.cache_info().misses <= 8
+
+    def test_a_gamma_pole_raises_on_every_call(self):
+        """At integral alpha part 1's numerator hits a pole where its
+        denominator does not; the error is raised again, never stored."""
+        for _ in range(2):
+            with pytest.raises(DegenerateAlphaError):
+                series._alpha_block("sym", 10, 0, 11, 1.0)
+        assert series._alpha_block.cache_info().currsize == 0
 
 
 _draws = {
@@ -745,6 +777,36 @@ class TestGridMemoProperty:
         for unrelated in _GOLDEN_PRICERS:
             _price_record(unrelated, *_contract(unrelated, **other), max_order)
         assert series._grid.cache_info().hits > 0
+        assert _price_record(pricer, *_contract(pricer, **contract), max_order) == cold
+
+
+# alpha = tau/nu - 1/2 set within 1e-9 of k/2, which the nudge policy moves
+_near_degenerate = st.one_of(st.none(), st.integers(0, 6))
+
+
+class TestAlphaMemoProperty:
+    @given(
+        pricer=st.sampled_from(sorted(_GOLDEN_PRICERS)),
+        contract=st.fixed_dictionaries(
+            {**_draws, "target": st.one_of(st.none(), st.just(0.0), st.floats(-3.0, 3.0))}
+        ),
+        other=st.fixed_dictionaries(_draws),
+        near=_near_degenerate,
+        max_order=st.integers(1, 60),
+    )
+    def test_cold_and_warm_prices_are_identical(self, pricer, contract, other, near, max_order):
+        """A price is the same to the bit whether its alpha block is built
+        fresh or was built and used first by unrelated prices at the same
+        alpha and at other alphas."""
+        if near is not None:
+            contract["nu"] = contract["tau"] / (0.5 + 0.5 * near + 1e-9)
+        series._alpha_block.cache_clear()
+        cold = _price_record(pricer, *_contract(pricer, **contract), max_order)
+        same_alpha = {**other, "tau": contract["tau"], "nu": contract["nu"]}
+        for unrelated in _GOLDEN_PRICERS:
+            _price_record(unrelated, *_contract(unrelated, **same_alpha), max_order)
+            _price_record(unrelated, *_contract(unrelated, **other), max_order)
+        assert series._alpha_block.cache_info().hits > 0
         assert _price_record(pricer, *_contract(pricer, **contract), max_order) == cold
 
 
