@@ -16,11 +16,16 @@ and n1 for a double series), in one call per series, and gathered onto the
 (n1, n2) grid.  Everything that depends only on the truncation shape (the
 indices and gathers, signs, log n! and the alpha-free part of every
 log-Gamma argument) is built once per shape by _grid, so a price pays only
-for the arithmetic in alpha, the moneyness and the volatility.  Every
-series goes through one kernel, _residue_sum, which accumulates the
-anti-diagonals n1 + n2 = const in ascending order with compensated (Kahan)
-summation, because the terms alternate in sign and can grow enormously
-before they cancel (deep-OTM rows reach 1e3-sized partial sums).
+for the arithmetic in alpha, the moneyness and the volatility.  The
+alpha-dependent part (the gathered log-Gamma coefficients, with the
+prefactor's log Gamma(alpha + 1/2) taken in the same call) is memoised per
+(kind, shape, alpha) by _alpha_block, bounded at 16 entries, so it is
+shared only by prices with the same alpha, such as the strikes of one
+maturity.  Every series goes through one kernel, _residue_sum, which
+accumulates the anti-diagonals n1 + n2 = const in ascending order with
+compensated (Kahan) summation, because the terms alternate in sign and can
+grow enormously before they cancel (deep-OTM rows reach 1e3-sized partial
+sums).
 """
 
 from __future__ import annotations
@@ -152,26 +157,29 @@ class _Grid:
         self.diag = (_frozen(flat), tuple(np.bincount(flat).tolist()))
         self.line = (_frozen(n2 - n2_start), (1,) * len(n2))
 
+        # every series' arguments end with alpha + 1/2, for its prefactor
+        half = (np.array([0.5]), 1.0)
         # _double_series: Gammas over j = n2 - n1 and m = 2 n1 + n2, gathered
         j = np.arange(n2_start - n_max, n2_stop)
         m = np.arange(n2_start, 2 * n_max + n2_stop)
         self.sym = _args(
-            ((j + 1) / 2.0, 1.0), (j / 2.0 + 1.0, 0.0), (-m - 1.0, -2.0), (-rows + 0.5, -1.0)
+            ((j + 1) / 2.0, 1.0), (j / 2.0 + 1.0, 0.0), (-m - 1.0, -2.0), (-rows + 0.5, -1.0),
+            half,
         )
         self.j_index = n2 - n1 - j[0]
         self.m_index = 2 * n1 + n2 - m[0]
         self.two_n1_1 = 2.0 * n1 + 1.0
         # the collapsed ATM series
-        self.atm = _args(((n2 + 1) / 2.0, 1.0), (n2 / 2.0 + 1.0, 0.0))
+        self.atm = _args(((n2 + 1) / 2.0, 1.0), (n2 / 2.0 + 1.0, 0.0), half)
 
         # the drifted digital and the log call, which take the n2-from-0 shape
-        self.asym_single = _args(((n2 + 1) / 2.0, 0.0), ((n2 + 1) / 2.0, 1.0))
+        self.asym_single = _args(((n2 + 1) / 2.0, 0.0), ((n2 + 1) / 2.0, 1.0), half)
         self.neg_half_n2_1 = -(n2 + 1) / 2.0
-        self.asym = _args((-rows, 1.0), (-rows, -1.0))
+        self.asym = _args((-rows, 1.0), (-rows, -1.0), half)
         self.log_fact_2 = _LOG_FACT[n1] + _LOG_FACT[n2]
         self.m_1 = 2.0 * n1 + n2 + 1.0
         self.log_m_1 = np.log(self.m_1)
-        self.log_call = _args((np.array([1.0, 0.5]), 1.0), (-n2, 1.0), (-n2, -1.0))
+        self.log_call = _args((np.array([1.0]), 1.0), (-n2, 1.0), (-n2, -1.0), half)
         self.two_n2 = 2.0 * n2
         self.two_n2_2 = 2.0 * n2 + 2.0
         self.two_n2_1 = 2.0 * n2 + 1.0
@@ -194,20 +202,21 @@ def _grid(n_max: int, n2_start: int, n2_stop: int) -> _Grid:
 
 @functools.lru_cache(maxsize=16)
 def _alpha_block(kind: str, n_max: int, n2_start: int, n2_stop: int, alpha: float):
-    """The alpha-dependent coefficients of one series kind and shape, memoised.
+    """The alpha-dependent coefficients of one series, memoised per (kind, shape, alpha).
 
-    Every strike of one maturity shares alpha, so a strike slice builds each
-    block once; prices at other alphas only cycle the bounded memo.  kind
-    'prefactor' is the scalar log Gamma(alpha + 1/2) (its shape is 0, 0, 0);
-    the others are the gathered (log, sign) arrays of their series, read-only.
-    The arrays are the same expressions a price would evaluate, so values do
-    not depend on the memo; a Gamma pole raises and is not stored.
+    kind names the _Grid attribute that holds the series' log-Gamma
+    arguments.  The block is log Gamma(alpha + 1/2) for the prefactor,
+    followed by the series' (log, sign) arrays, gathered and read-only; both
+    come from the series' one log-Gamma call.  Every strike of one maturity
+    shares alpha, so a strike slice builds each block once, while prices at
+    other alphas only cycle the bounded memo.  The arrays are the same
+    expressions a price would evaluate, so values do not depend on the memo;
+    a Gamma pole raises and is not stored.
     """
-    if kind == "prefactor":
-        return float(specfun._log_gamma_signed(alpha + 0.5)[0])
     g = _grid(n_max, n2_start, n2_stop)
+    *pairs, (lg_half, s_half) = _log_gammas(getattr(g, kind), alpha)
     if kind == "sym":
-        g_j1, g_j2, g_m, g_rows = _log_gammas(g.sym, alpha)
+        g_j1, g_j2, g_m, g_rows = pairs
         # every j occurs on the grid, so part 1's ratio is taken over j; part 2's
         # pole rule sees only the grid, so a pole at an unused m is never raised
         block = (
@@ -215,16 +224,19 @@ def _alpha_block(kind: str, n_max: int, n2_start: int, n2_stop: int, alpha: floa
             *_gamma_ratio_log(_at(g_m, g.m_index), _at(g_rows, _COLUMN)),
         )
     elif kind == "atm":
-        block = _gamma_ratio_log(*_log_gammas(g.atm, alpha))
+        block = _gamma_ratio_log(*pairs)
     elif kind == "asym_single":
-        (lg1, _), (lg2, sg2) = _log_gammas(g.asym_single, alpha)
+        (lg1, _), (lg2, sg2) = pairs
         block = (lg1, lg2, sg2)
     elif kind == "asym":
-        block = tuple(a for pair in _log_gammas(g.asym, alpha) for a in _at(pair, _COLUMN))
-    else:  # "log_call"
-        (lg_head, s_head), (l1, s1), (l2, s2) = _log_gammas(g.log_call, alpha)
-        return (*lg_head.tolist(), *s_head.tolist(), *map(_frozen, (l1, s1, l2, s2)))
-    return tuple(map(_frozen, block))
+        block = tuple(a for pair in pairs for a in _at(pair, _COLUMN))
+    else:  # "log_call", whose head takes Gamma(1 + alpha) and the sign of Gamma(alpha + 1/2)
+        (lg_a1, s_a1), (l1, s1), (l2, s2) = pairs
+        return (
+            lg_half.item(), lg_a1.item(), s_a1.item(), s_half.item(),
+            *map(_frozen, (l1, s1, l2, s2)),
+        )
+    return (lg_half.item(), *map(_frozen, block))
 
 
 def _log_gammas(args: _Args, alpha: float):
@@ -317,7 +329,7 @@ def _residue_sum(parts, diag, tail_tol):
 
 
 def _double_series(
-    log_prefactor: float,
+    log_amount: float,
     alpha: float,
     k_val: float,
     s_val: float,
@@ -328,16 +340,17 @@ def _double_series(
 ):
     """The two-part double series shared by asset-or-nothing style payoffs.
 
-    Term (n1, n2) is (-1)^{n1}/n1! times
+    Term (n1, n2) is amount / (2 G(a + 1/2)) (-1)^{n1}/n1! times
 
         G((n2-n1+1)/2 + a)/G((n2-n1)/2 + 1) (-k/s)^{n1} s^{n2} p^{n2}
       + 2 G(-2n1-n2-1-2a)/G(-n1+1/2-a) (-k/s)^{2n1+1+2a} (-k)^{n2} p^{n2}
 
-    evaluated for the moneyness k and rescaled-volatility argument s (the
-    ITM parity passes s < 0), with p the power-payoff multiplier.  n1 runs
-    over 0..n_max and n2 over the given range: from 0 for the asset digital,
-    from 1 for the call, and range(1) for the cash digital, which is the
-    n2 = 0 slice.  Requires -k/s > 0, which every branch guarantees.
+    with log_amount = log(amount / 2), evaluated for the moneyness k and
+    rescaled-volatility argument s (the ITM parity passes s < 0), with p
+    the power-payoff multiplier.  n1 runs over 0..n_max and n2 over the
+    given range: from 0 for the asset digital, from 1 for the call, and
+    range(1) for the cash digital, which is the n2 = 0 slice.  Requires
+    -k/s > 0, which every branch guarantees.
 
     The first ratio depends on j = n2 - n1 alone, the second's numerator on
     m = 2 n1 + n2 and its denominator on n1, so all four Gammas come from
@@ -348,7 +361,8 @@ def _double_series(
         raise InvalidParameters("series requires -moneyness/volatility > 0")
     log_ratio = math.log(ratio)
     g = _grid(n_max, n2.start, n2.stop)
-    lr1, sr1, lr2, sr2 = _alpha_block("sym", n_max, n2.start, n2.stop, alpha)
+    lg_half, lr1, sr1, lr2, sr2 = _alpha_block("sym", n_max, n2.start, n2.stop, alpha)
+    log_prefactor = log_amount - lg_half
     # -k/s > 0, so (-k)^n2 has the sign of s^n2
     lp_s, sp = _signed_power_log(s_val, g.n2, g.n2_sign)
     lp_k = g.n2 * math.log(abs(k_val))
@@ -449,11 +463,6 @@ def _otm_or_parity(branch: str, otm_series, parity):
     return complement - series, terms, tail, conv
 
 
-def _log_sym_prefactor(derived: DerivedQuantities, amount: float) -> float:
-    """log of amount / (2 Gamma(tau/nu)) with tau/nu = alpha + 1/2."""
-    return math.log(amount) - _LOG2 - _alpha_block("prefactor", 0, 0, 0, derived.alpha)
-
-
 def _sym_series_price(derived, diagnostics, ctrl, k_val, n2_start, power_mult, parity):
     """The asset digital, the call or the power digital, on the branch of k_val.
 
@@ -462,20 +471,20 @@ def _sym_series_price(derived, diagnostics, ctrl, k_val, n2_start, power_mult, p
     series; both index from n2_start.
     """
     branch = model.moneyness_branch(k_val)
-    log_pref = _log_sym_prefactor(derived, derived.forward_strike)
+    log_amount = math.log(derived.forward_strike) - _LOG2
     n2 = range(n2_start, ctrl.max_order + 1)
     if branch == "atm":
         g = _grid(ctrl.max_order, n2.start, n2.stop)
         # the call's collapsed series (n2 from 1) is the asset digital's without n2 = 0
-        block = _alpha_block("atm", ctrl.max_order, 0, n2.stop, derived.alpha)
-        lr, sr = (array[n2.start:] for array in block)
-        log_terms = log_pref + lr + g.n2 * math.log(power_mult * derived.sigma_nu)
+        lg_half, lr, sr = _alpha_block("atm", ctrl.max_order, 0, n2.stop, derived.alpha)
+        lr, sr = lr[n2.start:], sr[n2.start:]
+        log_terms = log_amount - lg_half + lr + g.n2 * math.log(power_mult * derived.sigma_nu)
         value, terms, tail, conv = _residue_sum([(log_terms, sr)], g.line, ctrl.tail_tol)
     else:
         value, terms, tail, conv = _otm_or_parity(
             branch,
             lambda sign: _double_series(
-                log_pref, derived.alpha, k_val, sign * derived.sigma_nu,
+                log_amount, derived.alpha, k_val, sign * derived.sigma_nu,
                 ctrl.max_order, ctrl.tail_tol, n2, power_mult,
             ),
             parity,
@@ -555,9 +564,8 @@ def european_atmf(
         return _finalize(value, 1, 0.0, True, "atm", {"leading_only": True})
     params, derived, diagnostics = _apply_alpha_policy(params, market, ctrl)
     k_eff = -0.5 * params.sigma**2 * market.tau  # omega tau under omega ~ -sigma^2/2
-    log_pref = _log_sym_prefactor(derived, spot)
     value, terms, tail, conv = _double_series(
-        log_pref, derived.alpha, k_eff, derived.sigma_nu,
+        math.log(spot) - _LOG2, derived.alpha, k_eff, derived.sigma_nu,
         ctrl.max_order, ctrl.tail_tol, range(1, ctrl.max_order + 1),
     )
     return _finalize(value, terms, tail, conv, "atm", diagnostics)
@@ -603,11 +611,11 @@ def cash_or_nothing(
     discount = math.exp(-derived.rate_effective * market.tau)
     if derived.branch == "atm":
         return _finalize(0.5 * discount, 0, 0.0, True, "atm", diagnostics)
-    log_pref = _log_sym_prefactor(derived, discount)
+    log_amount = math.log(discount) - _LOG2
     value, terms, tail, conv = _otm_or_parity(
         derived.branch,
         lambda sign: _double_series(
-            log_pref, derived.alpha, derived.rn_moneyness, sign * derived.sigma_nu,
+            log_amount, derived.alpha, derived.rn_moneyness, sign * derived.sigma_nu,
             ctrl.max_order, ctrl.tail_tol, range(1),
         ),
         lambda: discount,
@@ -679,22 +687,21 @@ def log_call(
     discount = math.exp(-derived.rate_effective * market.tau)
     alpha = derived.alpha
     s_nu = derived.sigma_nu
-    lg_shape = _alpha_block("prefactor", 0, 0, 0, alpha)
-    if derived.branch == "atm":
-        lg_num, _ = specfun._log_gamma_signed(0.5 + (alpha + 0.5))
-        value = discount / math.sqrt(math.pi) * math.exp(float(lg_num) - lg_shape) * s_nu
-        return _finalize(value, 1, 0.0, True, "atm", diagnostics)
     if derived.branch == "itm":
         raise UnsupportedBranchError(
             "no closed series for the in-the-money log call; use the Monte Carlo engine"
         )
-    log_pref = -derived.rate_effective * market.tau - 0.5 * math.log(math.pi) - lg_shape
-    g = _grid(ctrl.max_order, 0, ctrl.max_order + 1)
-    lg_a1, lg_ah, s_a1, s_ah, l1, s1, l2, s2 = _alpha_block(
+    lg_shape, lg_a1, s_a1, s_shape, l1, s1, l2, s2 = _alpha_block(
         "log_call", ctrl.max_order, 0, ctrl.max_order + 1, alpha
     )
+    if derived.branch == "atm":
+        lg_num, _ = specfun._log_gamma_signed(0.5 + (alpha + 0.5))
+        value = discount / math.sqrt(math.pi) * math.exp(float(lg_num) - lg_shape) * s_nu
+        return _finalize(value, 1, 0.0, True, "atm", diagnostics)
+    log_pref = -derived.rate_effective * market.tau - 0.5 * math.log(math.pi) - lg_shape
+    g = _grid(ctrl.max_order, 0, ctrl.max_order + 1)
     head = s_a1 * math.exp(log_pref + lg_a1 + math.log(s_nu)) + (
-        -math.sqrt(math.pi) / 2.0 * s_ah * math.exp(log_pref + lg_ah + math.log(-k))
+        -math.sqrt(math.pi) / 2.0 * s_shape * math.exp(log_pref + lg_shape + math.log(-k))
     )
     log_mk = math.log(-k)
     log_2s = math.log(2.0 * s_nu)
@@ -720,18 +727,19 @@ def log_call(
 # ---------------------------------------------------------------------------
 
 
-def _asym_log_prefactor(derived: DerivedQuantities, tau: float) -> float:
+def _asym_log_front(derived: DerivedQuantities, tau: float) -> float:
+    """log of the drifted digital's prefactor times Gamma(alpha + 1/2); each
+    series divides by that Gamma from its own alpha block."""
     return (
         -derived.rate_effective * tau
         - (2.0 + 2.0 * derived.alpha) * _LOG2
         - 0.5 * math.log(math.pi)
         - (1.0 + 2.0 * derived.alpha) * math.log(derived.sigma_nu)
-        - _alpha_block("prefactor", 0, 0, 0, derived.alpha)
     )
 
 
 def _asym_single_series(
-    log_prefactor: float,
+    log_front: float,
     alpha: float,
     q_factor: float,
     theta_sigma: float,
@@ -741,16 +749,17 @@ def _asym_single_series(
     """sum_n G((n+1)/2) G((n+1)/2 + a) q^{-(n+1)/2 - a} theta_sigma^n / n!"""
     g = _grid(n_max, 0, n_max + 1)
     log_q = math.log(q_factor)
-    lg1, lg2, sg2 = _alpha_block("asym_single", n_max, 0, n_max + 1, alpha)
+    lg_half, lg1, lg2, sg2 = _alpha_block("asym_single", n_max, 0, n_max + 1, alpha)
     lp_t, sp_t = _signed_power_log(theta_sigma, g.n2, g.n2_sign)
     log_terms = (
-        log_prefactor + lg1 + lg2 + (g.neg_half_n2_1 - alpha) * log_q + lp_t - g.n2_log_fact
+        log_front - lg_half + lg1 + lg2 + (g.neg_half_n2_1 - alpha) * log_q + lp_t
+        - g.n2_log_fact
     )
     return _residue_sum([(log_terms, sg2 * sp_t)], g.line, tail_tol)
 
 
 def _asym_double_series(
-    log_prefactor: float,
+    log_front: float,
     alpha: float,
     q_factor: float,
     k_val: float,
@@ -762,11 +771,11 @@ def _asym_double_series(
     if not k_val < 0.0:
         raise InvalidParameters("asymmetric series requires negative moneyness")
     g = _grid(n_max, 0, n_max + 1)
-    lgA, sgA, lgB, sgB = _alpha_block("asym", n_max, 0, n_max + 1, alpha)
+    lg_half, lgA, sgA, lgB, sgB = _alpha_block("asym", n_max, 0, n_max + 1, alpha)
     log_q = math.log(q_factor)
     log_mk = math.log(-k_val)
     lp_t, sp_t = _signed_power_log(theta_sigma, g.n2, g.n2_sign)
-    base = log_prefactor + _LOG2 + lp_t - g.log_fact_2
+    base = log_front - lg_half + _LOG2 + lp_t - g.log_fact_2
     partA = base + lgA - g.log_m_1 + g.m_1 * log_mk + (g.n1 - alpha) * log_q
     # the divisors -(2 n1 + n2 + 1) and -(2 n1 + n2 + 1 + 2 alpha) are both
     # negative, because alpha > -1/2
@@ -791,24 +800,24 @@ def asym_cash_or_nothing(
             "asym_cash_or_nothing requires theta != 0; use cash_or_nothing instead"
         )
     params, derived, diagnostics = _apply_alpha_policy(params, market, ctrl)
-    log_pref = _asym_log_prefactor(derived, market.tau)
+    log_front = _asym_log_front(derived, market.tau)
     discount = math.exp(-derived.rate_effective * market.tau)
 
     def otm_value(sign):
         theta_sigma = sign * derived.theta_sigma
         v1, t1, tail1, c1 = _asym_single_series(
-            log_pref, derived.alpha, derived.q_factor, theta_sigma,
+            log_front, derived.alpha, derived.q_factor, theta_sigma,
             ctrl.max_order, ctrl.tail_tol,
         )
         v2, t2, tail2, c2 = _asym_double_series(
-            log_pref, derived.alpha, derived.q_factor, sign * derived.rn_moneyness,
+            log_front, derived.alpha, derived.q_factor, sign * derived.rn_moneyness,
             theta_sigma, ctrl.max_order, ctrl.tail_tol,
         )
         return v1 + v2, t1 + t2, tail1 + tail2, c1 and c2
 
     if derived.branch == "atm":
         value, terms, tail, conv = _asym_single_series(
-            log_pref, derived.alpha, derived.q_factor, derived.theta_sigma,
+            log_front, derived.alpha, derived.q_factor, derived.theta_sigma,
             ctrl.max_order, ctrl.tail_tol,
         )
     else:
