@@ -407,7 +407,10 @@ def mixture_density(params: VgParams, x: float, t: float) -> float:
     """Transition density as a Gamma mixture of Gaussians (independent oracle).
 
     Integrates N(x; theta y, sigma^2 y) against the Gamma(t/nu, nu) clock
-    density with adaptive quadrature, absolute tolerance 1e-10.
+    density with adaptive quadrature, absolute tolerance 1e-10.  The interval
+    is split at the clock's mode, so the clock's mass (width sqrt(t nu)) is
+    found at long horizons too, and ends 14 sqrt(t/nu) + 90 scale lengths past
+    the clock's mean, where the Gamma tail is below e^-100.
     """
     if not t > 0.0:
         raise InvalidParameters(f"mixture_density requires t > 0, got {t!r}")
@@ -428,7 +431,11 @@ def mixture_density(params: VgParams, x: float, t: float) -> float:
         )
         return math.exp(log_val)
 
-    value, _ = quad(integrand, 0.0, np.inf, epsabs=1e-10, epsrel=1e-10, limit=400)
+    mode = (shape - 1.0) * nu
+    value, _ = quad(
+        integrand, 0.0, (shape + 14.0 * math.sqrt(shape) + 90.0) * nu,
+        points=(mode,) if mode > 0.0 else None, epsabs=1e-10, epsrel=1e-10, limit=400,
+    )
     return value
 
 

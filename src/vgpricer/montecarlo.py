@@ -11,10 +11,17 @@ Marsaglia-Tsang squeeze for shape >= 1 and the Gamma(shape + 1) boost
 U^{1/shape} for shape < 1 (short maturities routinely put t/nu below one).
 The squeeze's log test runs only on the draws the squeeze rejects (about
 2 %), and the stream of draws is the same as with the test on every draw.
+
+Strike, spot, rate, sigma and theta enter only after the draws, so the payoffs
+and strikes of one contract share them: requests of up to 2^18 path units keep
+their raw draws, read-only, in a memo of two entries keyed by (seed, shape,
+n_units).  Each price still does its own arithmetic on them, in the same order.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -27,6 +34,7 @@ from .model import MarketInputs, VgParams
 __all__ = ["McConfig", "McEstimate", "sample_vg", "mc_price", "PAYOFF_NAMES"]
 
 _CHUNK = 1 << 20
+_MEMO_UNITS = 1 << 18  # 4 MB of draws per memo entry
 _Z95 = 1.96
 
 PAYOFF_NAMES = (
@@ -132,21 +140,35 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 
+def _draws(seed: int, shape: float, n_units: int, memo: bool = True):
+    """Raw (Gamma(shape), standard normal) pairs from _rng(seed), one per chunk
+    of at most _CHUNK units, the clock block first; memoised up to _MEMO_UNITS."""
+    if memo and n_units <= _MEMO_UNITS:
+        return _memo_draws(seed, shape, n_units)
+    rng = _rng(seed)
+    sizes = (min(_CHUNK, n_units - start) for start in range(0, n_units, _CHUNK))
+    return ((_gamma_marsaglia_tsang(rng, shape, m), rng.standard_normal(m)) for m in sizes)
+
+
+@functools.lru_cache(maxsize=2)
+def _memo_draws(seed: int, shape: float, n_units: int) -> tuple:
+    draws = tuple(_draws(seed, shape, n_units, memo=False))
+    for array in itertools.chain.from_iterable(draws):
+        array.flags.writeable = False
+    return draws
+
+
 def sample_vg(params: VgParams, t: float, n: int, seed: int) -> np.ndarray:
     """n independent increments X(t), deterministic given the seed."""
     if not t > 0.0:
         raise InvalidParameters(f"sample_vg requires t > 0, got {t!r}")
     if not n >= 1:
         raise InvalidParameters(f"sample_vg requires n >= 1, got {n!r}")
-    rng = _rng(seed)
-    shape = t / params.nu
-    out = np.empty(n)
-    for start in range(0, n, _CHUNK):
-        m = min(_CHUNK, n - start)
-        clock = _gamma_marsaglia_tsang(rng, shape, m) * params.nu
-        z = rng.standard_normal(m)
-        out[start : start + m] = params.theta * clock + params.sigma * np.sqrt(clock) * z
-    return out
+    out = []
+    for gamma, z in _draws(seed, t / params.nu, n):
+        clock = gamma * params.nu
+        out.append(params.theta * clock + params.sigma * np.sqrt(clock) * z)
+    return np.concatenate(out)
 
 
 def _terminal_payoff(payoff: str, s_t: np.ndarray, market: MarketInputs) -> np.ndarray:
@@ -182,18 +204,14 @@ def mc_price(
     tau = market.tau
     discount = math.exp(-derived.rate_effective * tau)
     drift = (derived.rate_effective + derived.omega) * tau
-    rng = _rng(cfg.seed)
-    shape = tau / params.nu
-
     n_units = cfg.n_paths // 2 if cfg.antithetic else cfg.n_paths
     samples = np.empty(n_units)
-    for start in range(0, n_units, _CHUNK):
-        m = min(_CHUNK, n_units - start)
-        clock = _gamma_marsaglia_tsang(rng, shape, m)
-        clock *= params.nu
+    draws = _draws(cfg.seed, tau / params.nu, n_units)
+    for start, (gamma, z) in zip(range(0, n_units, _CHUNK), draws):
+        clock = np.multiply(gamma, params.nu)
         diffusion = np.sqrt(clock)
         diffusion *= params.sigma
-        diffusion *= rng.standard_normal(m)
+        diffusion *= z
         x_up = np.multiply(clock, params.theta, out=clock)
         if cfg.antithetic:
             x_dn = np.add(x_up, drift)
@@ -201,7 +219,7 @@ def mc_price(
         x_up += diffusion
         x_up += drift
         s_t = np.multiply(np.exp(x_up, out=x_up), market.spot, out=x_up)
-        block = samples[start : start + m]
+        block = samples[start : start + z.size]
         np.multiply(_terminal_payoff(payoff, s_t, market), discount, out=block)
         if cfg.antithetic:
             s_t_dn = np.multiply(np.exp(x_dn, out=x_dn), market.spot, out=x_dn)

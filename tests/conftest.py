@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import settings
 
-from vgpricer import series
+from vgpricer import montecarlo, series
 from vgpricer.model import MarketInputs, VgParams
 from vgpricer.reference import load_reference
 
@@ -15,11 +15,12 @@ settings.load_profile("deterministic")
 
 
 @pytest.fixture(autouse=True)
-def cold_series_memos():
-    """Every test starts with empty series memos, so no hit or miss count
-    depends on which tests ran before it."""
+def cold_memos():
+    """Every test starts with empty series and Monte Carlo memos, so no hit
+    or miss count depends on which tests ran before it."""
     series._grid.cache_clear()
     series._alpha_block.cache_clear()
+    montecarlo._memo_draws.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -428,11 +428,31 @@ from vgpricer import cli
 
 tracer = Tracer()
 tracer.install()
-with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.main(sys.argv[1:])
-spans = collections.Counter(name for _, _, name, _, _ in tracer.spans)
-print(json.dumps({"code": code, "spans": spans, "counts": tracer.counts}))
+calls = []
+for argv in json.loads(sys.argv[1]):
+    first = len(tracer.spans)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    spans = collections.Counter(name for _, _, name, _, _ in tracer.spans[first:])
+    calls.append({"code": code, "spans": spans})
+print(json.dumps({"calls": calls, "counts": tracer.counts}))
 """
+
+
+def _traced(*argvs):
+    """Run the CLI once per argv in one traced process: spans per call, counts over all."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACED_PRICE, json.dumps(argvs)],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def _price_all(payoff):
+    return ["price", "--payoff", payoff, "--method", "all", *_BASE_FLAGS, "--paths", "1000"]
 
 
 class TestBenchmarkTracer:
@@ -440,26 +460,31 @@ class TestBenchmarkTracer:
         """The benchmark's tracer patches module attributes; the CLI must
         look its pricers up through their modules at call time, or the
         per-layer counts go silently to zero."""
-        root = Path(__file__).resolve().parents[1]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]))
-        proc = subprocess.run(
-            [sys.executable, "-c", _TRACED_PRICE, "price", "--payoff", "european",
-             "--method", "all", *_BASE_FLAGS, "--paths", "1000"],
-            cwd=root, env=env, capture_output=True, text=True, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        traced = json.loads(proc.stdout)
-        assert traced["code"] == 0
+        traced = _traced(_price_all("european"))
+        (call,) = traced["calls"]
+        assert call["code"] == 0
         for layer in (
             "series", "fourier", "quadrature", "montecarlo",
             "montecarlo.gamma_clock", "montecarlo.payoff", "cli",
         ):
-            assert traced["spans"].get(layer) == 1, layer
+            assert call["spans"].get(layer) == 1, layer
         counts = traced["counts"]
         assert counts["series.prices"] == 1
         # the series kernel reaches the reduction and log-Gamma through their modules
-        assert traced["spans"].get("series.reduce") == 1
+        assert call["spans"].get("series.reduce") == 1
         assert counts["specfun.log_gamma.points"] > 0
         assert counts["fourier.prices"] == 1
         assert counts["quadrature.prices"] == 1
         assert counts["montecarlo.paths"] == 1000
+
+    def test_payoffs_of_one_contract_draw_the_gamma_clock_once(self):
+        """Three payoffs of one contract share their Monte Carlo draws: only
+        the first call draws Gamma clocks, the later ones price from the
+        memo, and every call still prices its 1,000 paths."""
+        traced = _traced(*map(_price_all, ("european", "cash-or-nothing", "asset-or-nothing")))
+        calls = traced["calls"]
+        assert [call["code"] for call in calls] == [0, 0, 0]
+        assert [call["spans"].get("montecarlo.gamma_clock", 0) for call in calls] == [1, 0, 0]
+        for layer in ("montecarlo", "montecarlo.payoff"):
+            assert [call["spans"].get(layer) for call in calls] == [1, 1, 1], layer
+        assert traced["counts"]["montecarlo.paths"] == 3000

@@ -211,6 +211,17 @@ class TestDensity:
                 mixture_density(params, x, 5.0), rel=1e-10
             )
 
+    @pytest.mark.parametrize("order", [200.0, 400.0, 600.0])
+    def test_mixture_agreement_at_long_horizons(self, bench_params, order):
+        """At t/nu - 1/2 of 200 and more the clock's mass sits in a band of
+        width sqrt(t nu) around y = t, which an integral over [0, inf) can
+        step over; both forms must still agree."""
+        t = bench_params.nu * (order + 0.5)
+        for x in (0.01, 1.0, -2.5, 6.0):
+            assert mixture_density(bench_params, x, t) == pytest.approx(
+                density(bench_params, x, t), rel=1e-10
+            )
+
     def test_domain_errors(self, bench_params):
         with pytest.raises(InvalidParameters):
             density(bench_params, 0.1, 0.0)

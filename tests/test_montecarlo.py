@@ -1,11 +1,15 @@
 """Monte Carlo engine tests: distribution, estimators, confidence intervals."""
 
 import csv
+import hashlib
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import kv as bessel_kv, gammaln
 
@@ -219,18 +223,23 @@ def _mc_case(payoff, tau, theta, antithetic, seed, n_paths):
     }
 
 
-def _mc_golden_records():
-    """float.hex of the estimate and its standard error for every payoff over
-    Gamma-clock shapes below 1, at 2 and at 10, with and without drift and
-    antithetic pairs, at two seeds; then two runs that span two chunks."""
+def _mc_golden_cases():
+    """Every payoff over Gamma-clock shapes below 1, at 2 and at 10, with and
+    without drift and antithetic pairs, at two seeds; then two runs that span
+    two chunks."""
     for payoff in montecarlo.PAYOFF_NAMES:
         for tau in _MC_TAUS:
             for theta in (0.0, -0.15):
                 for antithetic in (False, True):
                     for seed in (3, 11):
-                        yield _mc_case(payoff, tau, theta, antithetic, seed, 4000)
-    yield _mc_case("european", _MC_TAUS[0], -0.15, False, 3, montecarlo._CHUNK + 3)
-    yield _mc_case("cash_or_nothing", _MC_TAUS[1], 0.0, True, 11, 2 * montecarlo._CHUNK + 6)
+                        yield payoff, tau, theta, antithetic, seed, 4000
+    yield "european", _MC_TAUS[0], -0.15, False, 3, montecarlo._CHUNK + 3
+    yield "cash_or_nothing", _MC_TAUS[1], 0.0, True, 11, 2 * montecarlo._CHUNK + 6
+
+
+def _mc_golden_records():
+    """float.hex of the estimate and its standard error for every golden case."""
+    return (_mc_case(*case) for case in _mc_golden_cases())
 
 
 def _write_mc_golden(path=_MC_GOLDEN):
@@ -240,19 +249,171 @@ def _write_mc_golden(path=_MC_GOLDEN):
         writer.writerows(_mc_golden_records())
 
 
+def _read_mc_golden():
+    with open(_MC_GOLDEN, newline="") as handle:
+        golden = list(csv.DictReader(handle))
+    assert len(golden) == 6 * 3 * 2 * 2 * 2 + 2
+    return golden
+
+
 class TestMcGolden:
     def test_values_are_bit_identical(self):
         """mc_price reproduces tests/golden/mc_values.csv exactly: the same
         draws from the Philox stream and the same arithmetic on each path.
+        The draw memo is cleared before every record, so each one draws.
 
         Regenerate with `PYTHONPATH=src python tests/test_montecarlo.py
         --write-golden` only for a change that is meant to move Monte Carlo
         values, and state the diff.
         """
-        with open(_MC_GOLDEN, newline="") as handle:
+        golden = _read_mc_golden()
+        records = []
+        for case in _mc_golden_cases():
+            montecarlo._memo_draws.cache_clear()
+            records.append(_mc_case(*case))
+        assert records == golden
+        assert montecarlo._memo_draws.cache_info().hits == 0
+
+    def test_values_from_shared_draws_are_bit_identical(self):
+        """The same file in one pass with the memo kept, the records that
+        share (seed, shape, n_units) in a row: 11 of each 12 such records
+        take their draws from the memo, and the two runs above its cap draw
+        past it."""
+        golden = _read_mc_golden()
+        cases = list(enumerate(_mc_golden_cases()))
+        cases.sort(key=lambda item: item[1][1:2] + item[1][3:])
+        records = {index: _mc_case(*case) for index, case in cases}
+        assert [records[index] for index in range(len(golden))] == golden
+        info = montecarlo._memo_draws.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (132, 12, 2)
+
+
+_MC_THETAS = st.floats(-0.3, 0.3)
+_MC_STRIKES_DRAWN = st.floats(60.0, 160.0)
+
+
+def _estimate_hex(payoff, tau, theta, strike, antithetic, seed, n_paths):
+    params = VgParams(sigma=0.2, nu=_MC_NU, theta=theta)
+    market = MarketInputs(
+        spot=100.0, strike=strike, rate=0.02, tau=tau, dividend_yield=0.01,
+        trigger_strike=105.0, power=1.1,
+    )
+    cfg = McConfig(n_paths=n_paths, seed=seed, antithetic=antithetic)
+    estimate = mc_price(payoff, params, market, cfg)
+    return float.hex(estimate.value), float.hex(estimate.std_error)
+
+
+class TestDrawMemoProperty:
+    @given(
+        payoff=st.sampled_from(montecarlo.PAYOFF_NAMES),
+        tau=st.sampled_from(_MC_TAUS),
+        theta=_MC_THETAS,
+        strike=_MC_STRIKES_DRAWN,
+        antithetic=st.booleans(),
+        seed=st.integers(0, 2**64 - 1),
+        n_units=st.integers(1, 3000),
+        others=st.lists(st.tuples(_MC_THETAS, _MC_STRIKES_DRAWN), min_size=1, max_size=3),
+    )
+    def test_cold_and_warm_prices_are_identical(
+        self, payoff, tau, theta, strike, antithetic, seed, n_units, others
+    ):
+        """A price is the same to the bit whether its draws are fresh or were
+        drawn and used first by every payoff at other drifts and strikes; the
+        memoised draws cannot be written in place."""
+        n_paths = 2 * n_units if antithetic else n_units
+        montecarlo._memo_draws.cache_clear()
+        cold = _estimate_hex(payoff, tau, theta, strike, antithetic, seed, n_paths)
+        for other_theta, other_strike in others:
+            for other in montecarlo.PAYOFF_NAMES:
+                _estimate_hex(other, tau, other_theta, other_strike, antithetic, seed, n_paths)
+        hits = montecarlo._memo_draws.cache_info().hits
+        assert _estimate_hex(payoff, tau, theta, strike, antithetic, seed, n_paths) == cold
+        info = montecarlo._memo_draws.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (hits + 1, 1, 1)
+        ((gamma, z),) = montecarlo._memo_draws(seed, tau / _MC_NU, n_units)
+        for array in (gamma, z):
+            with pytest.raises(ValueError):
+                array *= 2.0
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    @given(
+        payoff=st.sampled_from(montecarlo.PAYOFF_NAMES),
+        antithetic=st.booleans(),
+        seed=st.integers(0, 2**64 - 1),
+        n_units=st.integers(1, 128),
+        cap=st.integers(0, 128),
+    )
+    def test_requests_above_the_cap_draw_past_the_memo(
+        self, payoff, antithetic, seed, n_units, cap
+    ):
+        """Below or at the cap a request adds its draws to the memo, above it
+        the memo is left as it was; the price is the same either way."""
+        n_paths = 2 * n_units if antithetic else n_units
+        case = (payoff, _MC_TAUS[1], -0.15, 100.0, antithetic, seed, n_paths)
+        montecarlo._memo_draws.cache_clear()
+        _estimate_hex(payoff, _MC_TAUS[2], 0.0, 100.0, False, seed, 7)  # an unrelated entry
+        with mock.patch.object(montecarlo, "_MEMO_UNITS", cap):
+            value = _estimate_hex(*case)
+        assert montecarlo._memo_draws.cache_info().currsize == (2 if n_units <= cap else 1)
+        with mock.patch.object(montecarlo, "_MEMO_UNITS", -1):
+            assert _estimate_hex(*case) == value
+
+    def test_request_above_the_real_cap_leaves_the_memo_alone(self):
+        market = MarketInputs(spot=100.0, strike=100.0, rate=0.02, tau=_MC_TAUS[1])
+        params = VgParams(sigma=0.2, nu=_MC_NU)
+        mc_price("european", params, market, McConfig(n_paths=1000, seed=1))
+        before = montecarlo._memo_draws.cache_info()
+        cfg = McConfig(n_paths=montecarlo._MEMO_UNITS + 1, seed=1)
+        mc_price("cash_or_nothing", params, market, cfg)
+        assert montecarlo._memo_draws.cache_info() == before
+        assert before.currsize == 1
+
+
+_VG_GOLDEN = Path(__file__).resolve().parent / "golden" / "sample_vg_values.csv"
+_VG_GOLDEN_FIELDS = ["t", "theta", "seed", "n", "first", "last", "sha256"]
+
+
+def _vg_case(t, theta, seed, n):
+    draws = sample_vg(VgParams(sigma=0.2, nu=_MC_NU, theta=theta), t, n, seed)
+    hexes = [float.hex(v) for v in draws.tolist()]
+    return {
+        "t": repr(t), "theta": repr(theta), "seed": str(seed), "n": str(n),
+        "first": hexes[0], "last": hexes[-1],
+        "sha256": hashlib.sha256("\n".join(hexes).encode()).hexdigest(),
+    }
+
+
+def _vg_golden_records():
+    """sha256 of the float.hex of every sample_vg draw, over Gamma-clock
+    shapes 0.4 and 10, with and without drift, at two seeds; then one run
+    that spans two chunks."""
+    for t in (_MC_TAUS[0], _MC_TAUS[2]):
+        for theta in (0.0, -0.15):
+            for seed in (3, 11):
+                yield _vg_case(t, theta, seed, 4000)
+    yield _vg_case(_MC_TAUS[0], -0.15, 3, montecarlo._CHUNK + 3)
+
+
+def _write_vg_golden(path=_VG_GOLDEN):
+    with open(path, "w", newline="") as handle:
+        writer = csv.DictWriter(handle, fieldnames=_VG_GOLDEN_FIELDS, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(_vg_golden_records())
+
+
+class TestSampleVgGolden:
+    def test_draws_are_bit_identical(self):
+        """sample_vg reproduces tests/golden/sample_vg_values.csv exactly.
+
+        Regenerate with `PYTHONPATH=src python tests/test_montecarlo.py
+        --write-golden` only for a change that is meant to move the draws,
+        and state the diff.
+        """
+        with open(_VG_GOLDEN, newline="") as handle:
             golden = list(csv.DictReader(handle))
-        assert len(golden) == 6 * 3 * 2 * 2 * 2 + 2
-        assert list(_mc_golden_records()) == golden
+        assert len(golden) == 2 * 2 * 2 + 1
+        assert list(_vg_golden_records()) == golden
 
 
 if __name__ == "__main__":
@@ -260,4 +421,5 @@ if __name__ == "__main__":
 
     if sys.argv[1:] == ["--write-golden"]:
         _write_mc_golden()
-        print(f"wrote {_MC_GOLDEN}")
+        _write_vg_golden()
+        print(f"wrote {_MC_GOLDEN} and {_VG_GOLDEN}")
