@@ -432,10 +432,9 @@ def mixture_density(params: VgParams, x: float, t: float) -> float:
         return math.exp(log_val)
 
     mode = (shape - 1.0) * nu
-    value, _ = quad(
-        integrand, 0.0, (shape + 14.0 * math.sqrt(shape) + 90.0) * nu,
-        points=(mode,) if mode > 0.0 else None, epsabs=1e-10, epsrel=1e-10, limit=400,
-    )
+    hi = (shape + 14.0 * math.sqrt(shape) + 90.0) * nu
+    points = (mode,) if mode > 0.0 else None
+    value, _ = quad(integrand, 0.0, hi, points=points, epsabs=1e-10, epsrel=1e-10, limit=400)
     return value
 
 

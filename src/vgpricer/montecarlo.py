@@ -13,8 +13,8 @@ The squeeze's log test runs only on the draws the squeeze rejects (about
 2 %), and the stream of draws is the same as with the test on every draw.
 
 Strike, spot, rate, sigma and theta enter only after the draws, so the payoffs
-and strikes of one contract share them: requests of up to 2^18 path units keep
-their raw draws, read-only, in a memo of two entries keyed by (seed, shape,
+and strikes of one contract share them: a request of up to 2^18 path units
+keeps its raw draws, read-only, in a one-entry memo keyed by (seed, shape,
 n_units).  Each price still does its own arithmetic on them, in the same order.
 """
 
@@ -150,7 +150,7 @@ def _draws(seed: int, shape: float, n_units: int, memo: bool = True):
     return ((_gamma_marsaglia_tsang(rng, shape, m), rng.standard_normal(m)) for m in sizes)
 
 
-@functools.lru_cache(maxsize=2)
+@functools.lru_cache(maxsize=1)
 def _memo_draws(seed: int, shape: float, n_units: int) -> tuple:
     draws = tuple(_draws(seed, shape, n_units, memo=False))
     for array in itertools.chain.from_iterable(draws):

@@ -285,7 +285,7 @@ class TestMcGolden:
         records = {index: _mc_case(*case) for index, case in cases}
         assert [records[index] for index in range(len(golden))] == golden
         info = montecarlo._memo_draws.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (132, 12, 2)
+        assert (info.hits, info.misses, info.currsize) == (132, 12, 1)
 
 
 _MC_THETAS = st.floats(-0.3, 0.3)
@@ -352,12 +352,13 @@ class TestDrawMemoProperty:
         n_paths = 2 * n_units if antithetic else n_units
         case = (payoff, _MC_TAUS[1], -0.15, 100.0, antithetic, seed, n_paths)
         montecarlo._memo_draws.cache_clear()
-        _estimate_hex(payoff, _MC_TAUS[2], 0.0, 100.0, False, seed, 7)  # an unrelated entry
         with mock.patch.object(montecarlo, "_MEMO_UNITS", cap):
             value = _estimate_hex(*case)
-        assert montecarlo._memo_draws.cache_info().currsize == (2 if n_units <= cap else 1)
-        with mock.patch.object(montecarlo, "_MEMO_UNITS", -1):
+        assert montecarlo._memo_draws.cache_info().currsize == (1 if n_units <= cap else 0)
+        before = montecarlo._memo_draws.cache_info()
+        with mock.patch.object(montecarlo, "_MEMO_UNITS", n_units - 1):
             assert _estimate_hex(*case) == value
+        assert montecarlo._memo_draws.cache_info() == before
 
     def test_request_above_the_real_cap_leaves_the_memo_alone(self):
         market = MarketInputs(spot=100.0, strike=100.0, rate=0.02, tau=_MC_TAUS[1])
