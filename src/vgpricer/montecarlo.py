@@ -164,11 +164,11 @@ def sample_vg(params: VgParams, t: float, n: int, seed: int) -> np.ndarray:
         raise InvalidParameters(f"sample_vg requires t > 0, got {t!r}")
     if not n >= 1:
         raise InvalidParameters(f"sample_vg requires n >= 1, got {n!r}")
-    out = []
-    for gamma, z in _draws(seed, t / params.nu, n):
+    out = np.empty(n)
+    for start, (gamma, z) in zip(range(0, n, _CHUNK), _draws(seed, t / params.nu, n)):
         clock = gamma * params.nu
-        out.append(params.theta * clock + params.sigma * np.sqrt(clock) * z)
-    return np.concatenate(out)
+        out[start : start + z.size] = params.theta * clock + params.sigma * np.sqrt(clock) * z
+    return out
 
 
 def _terminal_payoff(payoff: str, s_t: np.ndarray, market: MarketInputs) -> np.ndarray:

@@ -237,16 +237,11 @@ def _mc_golden_cases():
     yield "cash_or_nothing", _MC_TAUS[1], 0.0, True, 11, 2 * montecarlo._CHUNK + 6
 
 
-def _mc_golden_records():
-    """float.hex of the estimate and its standard error for every golden case."""
-    return (_mc_case(*case) for case in _mc_golden_cases())
-
-
 def _write_mc_golden(path=_MC_GOLDEN):
     with open(path, "w", newline="") as handle:
         writer = csv.DictWriter(handle, fieldnames=_MC_GOLDEN_FIELDS, lineterminator="\n")
         writer.writeheader()
-        writer.writerows(_mc_golden_records())
+        writer.writerows(_mc_case(*case) for case in _mc_golden_cases())
 
 
 def _read_mc_golden():
