@@ -20,6 +20,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import sys
 import time
 from functools import lru_cache, partial
@@ -158,7 +159,7 @@ _DEFAULTS = {
     "max_order": 25,
     "tail_tol": 1e-10,
     "alpha_policy": "error",
-    "u_max": 1e4,
+    "u_max": math.inf,
     "panels": 1,
     "damping_a": 1.0,
     "abs_tol": 1e-9,
@@ -321,6 +322,8 @@ def _price_record(payoff: str, method: str, resolved: dict) -> dict:
     if result.std_error is not None:
         record["std_error"] = result.std_error
         record["ci"] = list(result.ci)
+    if "warning" in result.diagnostics:
+        record["warning"] = result.diagnostics["warning"]
     record["params"] = {"sigma": params.sigma, "nu": params.nu, "theta": params.theta}
     record["market"] = {
         "spot": market.spot,

@@ -1,7 +1,6 @@
 """Fourier-integral benchmark pricers.
 
-Digitals use the half-line representations built on the risk-neutral
-characteristic function:
+Digitals use the inversion of the risk-neutral characteristic function
 
     asset-or-nothing: S  (1/2 + (1/pi) int_0^umax Re[e^{iuk} PhiRN(u-i, tau)/(iu)] du)
     cash-or-nothing:  e^{-r tau} (1/2 + (1/pi) int_0^umax Re[e^{iuk} PhiRN(u, tau)/(iu)] du)
@@ -12,17 +11,33 @@ integrable, priced through the characteristic function of log S_T, and the
 damping removed afterwards.  The damping factor must stay below the
 square-integrability bound (a_max for the symmetric model).
 
-Quadrature is composite 32-point Gauss-Legendre on graded panels.  The first
-panel resolves the e^{iuk} oscillation near the origin (width
+The default, u_max = inf, prices the untruncated integrals on a
+sinh-deformed contour xi(y) = i w1 + b sinh(i w + y) (Boyarchenko and
+Levendorskii, "Sinh-acceleration", 2019), where the trapezoid rule in y
+converges exponentially: a few tens to a few hundred nodes per price.  The
+contour bends into the half-plane where e^{-i xi x1}, x1 = -k_rn, decays.
+Its apex sits at -i(1 + a) for an out-of-the-money call; elsewhere it is the
+point of least |integrand| on the imaginary axis (Lord and Kahl, "Optimal
+Fourier inversion in semi-analytical option pricing", 2007), no further than
+half-way to the nearest branch point of Phi.  Bending up over the pole at
+0 (and -i for the call) adds its residue: 1 for a digital, the forward
+intrinsic value for a call.  Phi is taken in factored form
+(model._log_characteristic_fn), whose branch cuts point away from the
+contour.  The step halves until the change is below abs_tol, and that
+change, plus a rounding floor, is the truncation_estimate.
+
+An explicit finite u_max keeps the real-axis integral truncated there.  Its
+quadrature is composite 32-point Gauss-Legendre on graded panels.  The
+first panel resolves the e^{iuk} oscillation near the origin (width
 min(pi/(2|k| + 1), cap)); each next panel is 1.5x wider, up to four periods
 of e^{iuk}, since the integrands decay like a power of u.  Every pass splits
 all panels in two until the change is below abs_tol, and evaluates its nodes
 in bounded chunks.  The panels change only the quadrature: each price is the
-same integral truncated at u_max.
+same integral truncated at u_max, and its truncation_estimate is the dropped
+tail past u_max.
 
-Each result reports the dropped tail past u_max as its truncation_estimate,
-and a price outside its no-arbitrage bounds is returned unchanged but with
-tolerance_met False and a warning in its diagnostics.
+Either way a price outside its no-arbitrage bounds is returned unchanged
+but with tolerance_met False and a warning in its diagnostics.
 """
 
 from __future__ import annotations
@@ -49,18 +64,27 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 _MAX_REFINEMENTS = 5
 _GROWTH = 1.5  # width ratio of consecutive panels
 _CAP_PERIODS = 4  # widest panel, in periods of e^{iuk}
-_CHUNK_PANELS = 2**16 // len(_GL_NODES)  # panels evaluated at once: at most 2^16 nodes
+_CHUNK_NODES = 2**16
+_CHUNK_PANELS = _CHUNK_NODES // len(_GL_NODES)  # panels evaluated at once: at most 2^16 nodes
+_SQRT2 = math.sqrt(2.0)
+_STEP = 0.2  # first trapezoid step in y on the contour
+_Y_LIMIT = 600.0  # keeps b sinh(y) finite
+_APEX_GRID = 24  # apex candidates, each 0.74 of the distance of the one before
+_ROUNDING = 8.0 * 2.0**-52  # rounding floor per unit of summed magnitude
 
 
 @dataclass(frozen=True)
 class FourierConfig:
     """Integration controls: truncation point, panel floor, damping, tolerance.
 
-    panels is a floor on the number of panels in the first pass; the graded
-    layout alone needs from a few tens to a few hundred at u_max = 1e4.
+    u_max = inf (the default) prices the untruncated integral on a deformed
+    contour; a finite u_max truncates the real-axis integral there.  panels
+    applies to the finite path only: it is a floor on the number of panels in
+    the first pass, where the graded layout alone needs from a few tens to a
+    few hundred at u_max = 1e4.
     """
 
-    u_max: float = 1e4
+    u_max: float = math.inf
     panels: int = 1
     damping_a: float = 1.0
     abs_tol: float = 1e-9
@@ -146,6 +170,77 @@ def _tail_estimate(g, u_max: float, k_rn: float, decay: float) -> float:
     return float(abs(g(u_max))) / max(abs(k_rn), (decay - 1.0) / u_max)
 
 
+def _contour_integral(F, x1, pole, branch, decay, sigma_nu, residue, cfg, apex=None):
+    """residue + (1/2pi) int F(xi) dxi along xi(y) = i w1 + b sinh(i w + y), y real.
+
+    Every singularity of F lies on the imaginary axis, and i pole and
+    i branch are the two that enclose the contour's apex.  The contour bends
+    toward the branch point: down (w = -pi/4) when x1 >= 0, where e^{-i xi x1}
+    decays, and up (w = pi/4) when x1 < 0.  Unless it is given, the apex is
+    where |F| is least on the imaginary axis (the choice of Lord and Kahl
+    for the damping), searched on a geometric grid of _APEX_GRID points from
+    half-way to the branch point down to 1e-3 of that distance from the pole.
+    At long maturities the half-way point would put |F| up to (4/3)^(tau/nu)
+    on the contour, and the price would cancel from there.
+
+    b is the largest value for which the hyperbolas at angles between 0
+    and 2w, the images of the strip |Im y| < pi/4, cross the axis between
+    pole and branch, so the trapezoid rule in y converges exponentially in
+    1/h.  F(-conj xi) = conj F(xi), as for any real random variable, so only
+    y >= 0 is evaluated.
+
+    |F| falls like exp(-|x1| (b/2) e^y |sin w|) from the oscillation and like
+    exp(-decay y) from the power decay of Phi; y stops where either bound has
+    fallen by e^-L, L = ln(1/abs_tol) + 25, or at _Y_LIMIT.  The step starts
+    at _STEP and halves, reusing the nodes, until the change is below
+    abs_tol or the next pass would exceed _CHUNK_NODES nodes.  Returns the
+    value, the count of evaluations of F, whether abs_tol was met, and the
+    last change plus a rounding floor of _ROUNDING times the sum of the
+    magnitudes added.
+    """
+    evals = 0
+    if apex is None:
+        v = pole + 0.5 * (branch - pole) * np.geomspace(1.0, 1e-3, _APEX_GRID)
+        apex = float(v[np.argmin(np.abs(F(1j * v)))])
+        evals = _APEX_GRID
+    toward = math.copysign(1.0, branch - pole)
+    b = min(_SQRT2 * abs(apex - pole), abs(branch - apex) / (1.0 - 1.0 / _SQRT2))
+    w = toward * math.pi / 4.0
+    w1 = apex - toward * b / _SQRT2
+    log_drop = math.log(1.0 / cfg.abs_tol) + 25.0
+    # |Phi| <= (sigma_nu |Re xi|)^-decay and |Re xi| = b sinh(y) / sqrt 2
+    t = math.log(_SQRT2 / (sigma_nu * b)) + (log_drop + math.log1p(1.0 / decay)) / decay
+    y_max = min(math.asinh(math.exp(t)) if t < 20.0 else t + math.log(2.0), _Y_LIMIT)
+    oscillation = abs(x1) * b / _SQRT2
+    if oscillation > 0.0:
+        y_max = min(y_max, math.acosh(1.0 + log_drop / oscillation))
+
+    def f(y):
+        z = 1j * w + y
+        return (F(1j * w1 + b * np.sinh(z)) * (b * np.cosh(z))).real
+
+    h = _STEP
+    n = max(1, math.ceil(y_max / h))
+    values = f(h * np.arange(n + 1))
+    values[0] *= 0.5
+    value = h * float(np.sum(values)) / math.pi
+    magnitude = h * float(np.sum(np.abs(values))) / math.pi
+    evals += n + 1
+    change = math.inf
+    while evals + n <= _CHUNK_NODES:
+        values = f(h * (np.arange(n) + 0.5))
+        refined = 0.5 * (value + h * float(np.sum(values)) / math.pi)
+        magnitude = 0.5 * (magnitude + h * float(np.sum(np.abs(values))) / math.pi)
+        evals += n
+        change = abs(refined - value)
+        value = refined
+        h, n = 0.5 * h, 2 * n
+        if change <= cfg.abs_tol:
+            break
+    ok = change <= cfg.abs_tol
+    return residue + value, evals, ok, change + _ROUNDING * (abs(residue) + magnitude)
+
+
 def _result(value, truncation, bounds, evals, tolerance_met, derived, **extra) -> PriceResult:
     """A Fourier PriceResult; a value outside its no-arbitrage bounds is flagged, not changed."""
     lower, upper = bounds
@@ -180,12 +275,46 @@ def _lewis_digital(g, scale: float, params: VgParams, market: MarketInputs, deri
     )
 
 
+def _branch_points(params: VgParams) -> tuple[float, float]:
+    """(eta_-, eta_+): Phi(xi) is analytic for eta_- < Im xi < eta_+ (see model._log_characteristic_fn)."""
+    gd = model.gamma_decomposition(params)
+    return -1.0 / (params.nu * gd.mu_plus), 1.0 / (params.nu * gd.mu_minus)
+
+
+def _contour_digital(shift: float, scale: float, params, market, derived, cfg) -> PriceResult:
+    """scale P(X > x1), x1 = -k_rn, by the inversion (1/2pi) int e^{-i xi x1} Psi(xi)/(i xi) dxi,
+    Psi(xi) = e^{shift omega tau} Phi(xi - i shift): the share measure's X for shift 1.
+
+    The contour bends down when x1 >= 0; when x1 < 0 it bends up over the
+    pole at 0 and adds its residue Psi(0) = 1.  Its apex lies between the pole
+    and the nearest branch point of Psi, i (eta_pm + shift), at most half-way.
+    """
+    tau = market.tau
+    x1 = -derived.rn_moneyness
+    log_norm = shift * derived.omega * tau
+
+    def F(xi):
+        log_psi = model._log_characteristic_fn(params, xi - 1j * shift, tau)
+        return np.exp(log_psi + log_norm - 1j * xi * x1) / (1j * xi)
+
+    eta_minus, eta_plus = _branch_points(params)
+    branch, residue = (eta_plus + shift, 1.0) if x1 < 0.0 else (eta_minus + shift, 0.0)
+    value, evals, ok, estimate = _contour_integral(
+        F, x1, 0.0, branch, 2.0 * tau / params.nu, derived.sigma_nu, residue, cfg
+    )
+    return _result(
+        scale * value, scale * estimate, (0.0, scale), evals, ok, derived, u_max=cfg.u_max
+    )
+
+
 def lewis_asset_or_nothing(
     params: VgParams, market: MarketInputs, cfg: Optional[FourierConfig] = None
 ) -> PriceResult:
     """Asset-or-nothing digital via the shifted characteristic function."""
     cfg = cfg or FourierConfig()
     derived = model.derive(params, market)
+    if math.isinf(cfg.u_max):
+        return _contour_digital(1.0, market.spot, params, market, derived, cfg)
     tau = market.tau
     omega = derived.omega
 
@@ -206,11 +335,13 @@ def lewis_cash_or_nothing(
     cfg = cfg or FourierConfig()
     derived = model.derive(params, market)
     tau = market.tau
+    discount = math.exp(-derived.rate_effective * tau)
+    if math.isinf(cfg.u_max):
+        return _contour_digital(0.0, discount, params, market, derived, cfg)
 
     def g(u):
         return model.rn_characteristic_fn(params, u, tau) / (1j * u)
 
-    discount = math.exp(-derived.rate_effective * tau)
     return _lewis_digital(g, discount, params, market, derived, cfg)
 
 
@@ -226,6 +357,46 @@ def a_max(params: VgParams) -> float:
             "verify integrability via characteristic_fn(-(a+1)i, tau) instead"
         )
     return math.sqrt(2.0 / params.nu) / params.sigma - 1.0
+
+
+def _contour_call(a: float, params, market, derived, cfg) -> PriceResult:
+    """European call K e^{-r tau} (1/2pi) int e^{-i xi x1} Phi(xi) / (-xi (xi + i)) dxi, x1 = -k_rn.
+
+    Out of the money (x1 >= 0) the contour bends down from the damped line's
+    point -i(1 + a), between the poles at 0 and -i and the branch point
+    i eta_-.  In the money it bends up over both poles, whose residues add
+    the forward intrinsic value S - K e^{-r tau}, with its apex between 0 and
+    i eta_+, at most half-way.
+    """
+    tau = market.tau
+    x1 = -derived.rn_moneyness
+    discounted_strike = market.strike * math.exp(-derived.rate_effective * tau)
+    intrinsic = market.spot - discounted_strike
+
+    def F(xi):
+        log_phi = model._log_characteristic_fn(params, xi, tau)
+        return np.exp(log_phi - 1j * xi * x1) / (-xi * (xi + 1j))
+
+    eta_minus, eta_plus = _branch_points(params)
+    decay = 1.0 + 2.0 * tau / params.nu
+    if x1 < 0.0:
+        value, evals, ok, estimate = _contour_integral(
+            F, x1, 0.0, eta_plus, decay, derived.sigma_nu, intrinsic / discounted_strike, cfg
+        )
+    else:
+        value, evals, ok, estimate = _contour_integral(
+            F, x1, -1.0, eta_minus, decay, derived.sigma_nu, 0.0, cfg, apex=-(1.0 + a)
+        )
+    return _result(
+        discounted_strike * value,
+        discounted_strike * estimate,
+        (max(0.0, intrinsic), market.spot),
+        evals,
+        ok,
+        derived,
+        u_max=cfg.u_max,
+        damping_a=a,
+    )
 
 
 def carr_madan_european(
@@ -248,6 +419,8 @@ def carr_madan_european(
             raise DampingOutOfRangeError(
                 f"damping factor a = {a!r} outside (0, a_max = {bound:.6g})"
             )
+    elif not a > 0.0:
+        raise DampingOutOfRangeError(f"damping factor a = {a!r} must be positive")
     else:
         try:
             model.characteristic_fn(params, -(a + 1.0) * 1j, tau)
@@ -255,6 +428,8 @@ def carr_madan_european(
             raise DampingOutOfRangeError(
                 f"damping factor a = {a!r} violates integrability: {exc}"
             ) from exc
+    if math.isinf(cfg.u_max):
+        return _contour_call(a, params, market, derived, cfg)
     k_rn = derived.rn_moneyness
 
     def g(u):

@@ -475,6 +475,23 @@ def rn_characteristic_fn(params: VgParams, u, t: float):
     return complex(result) if u_arr.ndim == 0 else result
 
 
+def _log_characteristic_fn(params: VgParams, xi, t: float):
+    """log Phi(xi, t) in factored form, for complex xi off the real axis.
+
+    The base of characteristic_fn factors as (1 - i nu mu_+ xi)(1 + i nu mu_- xi)
+    with mu_pm from gamma_decomposition, that is (sigma^2 nu / 2)(xi - i eta_+)(xi - i eta_-)
+    with eta_+ = 1/(nu mu_-) and eta_- = -1/(nu mu_+).  One principal log per
+    factor puts the cuts on the imaginary axis, up from i eta_+ and down from
+    i eta_-, so the result is analytic on every contour between them, where
+    the principal power of the unfactored base jumps.  On the real axis it
+    agrees with characteristic_fn to rounding.
+    """
+    gd = gamma_decomposition(params)
+    nu = params.nu
+    xi = np.asarray(xi, dtype=complex)
+    return -(t / nu) * (np.log(1.0 - 1j * nu * gd.mu_plus * xi) + np.log(1.0 + 1j * nu * gd.mu_minus * xi))
+
+
 def levy_symbol(params: VgParams, u) -> complex:
     """Characteristic exponent Psi(u) = (1/nu) log(1 - i theta nu u + sigma^2 nu u^2/2).
 

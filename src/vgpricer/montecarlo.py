@@ -171,23 +171,33 @@ def sample_vg(params: VgParams, t: float, n: int, seed: int) -> np.ndarray:
     return out
 
 
-def _terminal_payoff(payoff: str, s_t: np.ndarray, market: MarketInputs) -> np.ndarray:
+def _terminal_payoff(payoff: str, s_t: np.ndarray, market: MarketInputs, out: np.ndarray) -> np.ndarray:
+    """Write the payoff at each terminal price s_t into out (not aliasing s_t) and return it.
+
+    Each element takes the same operations as max(s_t - K, 0), 1{s_t > K},
+    s_t 1{s_t > K} and so on, with no temporary larger than a boolean mask.
+    """
     k = market.strike
     if payoff == "european":
-        return np.maximum(s_t - k, 0.0)
+        return np.maximum(np.subtract(s_t, k, out=out), 0.0, out=out)
     if payoff == "cash_or_nothing":
-        return (s_t > k).astype(float)
+        return np.greater(s_t, k, out=out)
     if payoff == "asset_or_nothing":
-        return np.where(s_t > k, s_t, 0.0)
+        np.copyto(out, s_t)
+        np.copyto(out, 0.0, where=s_t <= k)
+        return out
     if payoff == "gap":
         if market.trigger_strike is None:
             raise InvalidParameters("gap payoff requires trigger_strike")
-        return np.where(s_t > market.trigger_strike, s_t - k, 0.0)
+        np.subtract(s_t, k, out=out)
+        np.copyto(out, 0.0, where=s_t <= market.trigger_strike)
+        return out
     if payoff == "power_asset_or_nothing":
-        powered = s_t**market.power
-        return np.where(powered > k, powered, 0.0)
+        np.power(s_t, market.power, out=out)
+        np.copyto(out, 0.0, where=out <= k)
+        return out
     if payoff == "log_call":
-        return np.maximum(np.log(s_t / k), 0.0)
+        return np.maximum(np.log(np.divide(s_t, k, out=out), out=out), 0.0, out=out)
     raise InvalidParameters(f"unknown payoff {payoff!r}; expected one of {PAYOFF_NAMES}")
 
 
@@ -219,11 +229,12 @@ def mc_price(
         x_up += diffusion
         x_up += drift
         s_t = np.multiply(np.exp(x_up, out=x_up), market.spot, out=x_up)
-        block = samples[start : start + z.size]
-        np.multiply(_terminal_payoff(payoff, s_t, market), discount, out=block)
+        block = _terminal_payoff(payoff, s_t, market, samples[start : start + z.size])
+        block *= discount
         if cfg.antithetic:
             s_t_dn = np.multiply(np.exp(x_dn, out=x_dn), market.spot, out=x_dn)
-            down = _terminal_payoff(payoff, s_t_dn, market)
+            # diffusion is spent, so the down leg's payoff takes its place
+            down = _terminal_payoff(payoff, s_t_dn, market, diffusion)
             down *= discount
             block += down
             block *= 0.5

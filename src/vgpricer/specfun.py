@@ -16,6 +16,7 @@ Everything here is pure and reentrant.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -136,10 +137,16 @@ def laguerre_rule(n: int) -> QuadratureRule:
 
     Eigenvalues of the Jacobi matrix seed Newton iteration on the Laguerre
     recurrence; weights follow from w_i = u_i / ((n+1)^2 L_{n+1}(u_i)^2).
+    Each order is built once per process; its arrays are read-only, as every
+    caller shares them.
     """
     if not isinstance(n, (int, np.integer)) or not 1 <= n <= 64:
         raise InvalidParameters(f"laguerre_rule order must be in [1, 64], got {n!r}")
-    n = int(n)
+    return _laguerre_rule(int(n))
+
+
+@functools.lru_cache(maxsize=64)
+def _laguerre_rule(n: int) -> QuadratureRule:
     jacobi = np.diag(2.0 * np.arange(n) + 1.0)
     off = np.arange(1.0, n)
     jacobi += np.diag(off, 1) + np.diag(off, -1)
@@ -152,4 +159,6 @@ def laguerre_rule(n: int) -> QuadratureRule:
 
     _, l_np1 = _laguerre_pair(n + 1, nodes)
     weights = nodes / ((n + 1.0) ** 2 * l_np1**2)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
     return QuadratureRule(order=n, nodes=nodes, weights=weights)

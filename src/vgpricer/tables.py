@@ -27,6 +27,8 @@ _STRIKE = 4000.0
 _RATE = 0.01
 _SIGMA = 0.2
 _NU = 0.85
+# the lewis columns keep the real-axis integral truncated at 1e4
+_LEWIS = fourier.FourierConfig(u_max=1e4)
 
 
 def base_params(theta: float = 0.0) -> VgParams:
@@ -67,7 +69,7 @@ def _digital_rows(pricer: Callable, lewis: Callable) -> list[dict]:
                 f"max={m}": _series_cell(pricer, params, market, m)
                 for m in (3, 5, 10, 15)
             }
-            cells["lewis"] = lewis(params, market).value
+            cells["lewis"] = lewis(params, market, _LEWIS).value
             rows.append({"row_label": f"tau={tau:g},{label}", "cells": cells})
     return rows
 
@@ -115,7 +117,7 @@ def _table_four() -> list[dict]:
                 f"max={m}": _series_cell(series.asym_cash_or_nothing, params, market, m)
                 for m in (3, 5, 10, 15)
             }
-            cells["lewis"] = fourier.lewis_cash_or_nothing(params, market).value
+            cells["lewis"] = fourier.lewis_cash_or_nothing(params, market, _LEWIS).value
             rows.append({"row_label": f"theta={sign}0.1,{label}", "cells": cells})
     return rows
 

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import settings
 
-from vgpricer import montecarlo, series
+from vgpricer import montecarlo, series, specfun
 from vgpricer.model import MarketInputs, VgParams
 from vgpricer.reference import load_reference
 
@@ -16,11 +16,12 @@ settings.load_profile("deterministic")
 
 @pytest.fixture(autouse=True)
 def cold_memos():
-    """Every test starts with empty series and Monte Carlo memos, so no hit
-    or miss count depends on which tests ran before it."""
+    """Every test starts with empty series, Monte Carlo and Laguerre-rule
+    memos, so no hit or miss count depends on which tests ran before it."""
     series._grid.cache_clear()
     series._alpha_block.cache_clear()
     montecarlo._memo_draws.cache_clear()
+    specfun._laguerre_rule.cache_clear()
 
 
 @pytest.fixture(scope="session")

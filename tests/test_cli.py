@@ -22,6 +22,14 @@ _BASE_FLAGS = [
 ]
 
 
+# S = 2000, K = 4000, one week: the u_max = 1e4 truncation drives the Lewis
+# cash digital below zero (series 1.858e-5, Lewis -1.4523e-5)
+_NEGATIVE_DIGITAL_FLAGS = [
+    "--spot", "2000", "--strike", "4000", "--rate", "0.01", "--tau", repr(1 / 52),
+    "--sigma", "0.2", "--nu", "0.85",
+]
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -98,7 +106,7 @@ class TestPriceCommand:
         code, out, _ = run_cli(
             capsys, "price", "--payoff", "cash-or-nothing", "--method", "all",
             "--spot", "2000", "--strike", "4000", "--rate", "0.01", "--tau", repr(1 / 52),
-            "--sigma", "0.2", "--nu", "0.85", "--max-order", "60",
+            "--sigma", "0.2", "--nu", "0.85", "--max-order", "60", "--u-max", "10000",
         )
         assert code == 0
         records = {r["method"]: r for r in map(json.loads, out.splitlines())}
@@ -106,14 +114,49 @@ class TestPriceCommand:
         assert records["fourier"]["truncation_estimate"] > 3.31e-5
         assert records["series"]["value"] > 0.0
 
+    def test_flagged_fourier_price_carries_its_warning(self, capsys):
+        """A Fourier price flagged in its diagnostics says so in its record;
+        a record without a warning has no such key."""
+        code, out, _ = run_cli(
+            capsys, "price", "--payoff", "cash-or-nothing", "--method", "all",
+            *_NEGATIVE_DIGITAL_FLAGS, "--max-order", "60", "--u-max", "10000",
+        )
+        assert code == 0
+        records = {r["method"]: r for r in map(json.loads, out.splitlines())}
+        assert "no-arbitrage" in records["fourier"]["warning"]
+        assert "warning" not in records["series"]
+        assert list(records["fourier"])[6:8] == ["warning", "params"]
+
+    def test_default_fourier_is_untruncated(self, capsys):
+        """At default settings the same contract prints the series' 1.858e-5,
+        unflagged, from under 500 evaluations."""
+        code, out, _ = run_cli(
+            capsys, "price", "--payoff", "cash-or-nothing", "--method", "fourier",
+            *_NEGATIVE_DIGITAL_FLAGS,
+        )
+        assert code == 0
+        record = json.loads(out)
+        assert record["value"] == pytest.approx(1.8580577e-5, abs=1e-12)
+        assert record["terms_evaluated"] < 500
+        assert "warning" not in record
+
+    def test_u_max_infinity_parses(self, capsys):
+        args = ["price", "--payoff", "european", "--method", "fourier", *_NEGATIVE_DIGITAL_FLAGS]
+        strip = lambda text: {k: v for k, v in json.loads(text).items() if k != "runtime_ms"}
+        _, default, _ = run_cli(capsys, *args)
+        code, explicit, _ = run_cli(capsys, *args, "--u-max", "inf")
+        assert code == 0
+        assert strip(explicit) == strip(default)
+
     def test_fourier_gap_keeps_both_legs_flags(self, bench_params):
+        truncated = fourier.FourierConfig(u_max=1e4)
         market = MarketInputs(
             spot=2000.0, strike=3900.0, trigger_strike=4000.0, rate=0.01, tau=1 / 52
         )
         result = model.gap_from_digitals(
             market,
-            lambda trigger: fourier.lewis_asset_or_nothing(bench_params, trigger),
-            lambda trigger: fourier.lewis_cash_or_nothing(bench_params, trigger),
+            lambda trigger: fourier.lewis_asset_or_nothing(bench_params, trigger, truncated),
+            lambda trigger: fourier.lewis_cash_or_nothing(bench_params, trigger, truncated),
         )
         assert result.diagnostics["tolerance_met"] is False
         assert "cash leg" in result.diagnostics["warning"]

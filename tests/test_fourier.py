@@ -4,9 +4,16 @@ import math
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from vgpricer.errors import DampingOutOfRangeError, InvalidParameters
+from vgpricer.errors import (
+    DampingOutOfRangeError,
+    DegenerateAlphaError,
+    InvalidParameters,
+    NonConvergenceError,
+)
 from vgpricer.fourier import (
     FourierConfig,
     a_max,
@@ -14,9 +21,15 @@ from vgpricer.fourier import (
     lewis_asset_or_nothing,
     lewis_cash_or_nothing,
 )
-from vgpricer.model import VgParams
+from vgpricer.model import MarketInputs, VgParams
 from vgpricer.reference import load_reference
-from vgpricer.series import SeriesControl, asset_or_nothing, cash_or_nothing, european
+from vgpricer.series import (
+    SeriesControl,
+    asset_or_nothing,
+    asym_cash_or_nothing,
+    cash_or_nothing,
+    european,
+)
 from vgpricer.tables import atm_spot, base_params
 
 from conftest import make_market
@@ -27,6 +40,7 @@ _GRID_SPOTS = (2000.0, 3000.0, 4000.0, 4200.0, 5000.0, 6000.0)
 # S = 2000, K = 4000, one week: the u_max = 1e4 truncation drives the Lewis
 # cash digital below zero (series 1.858e-5, Lewis -1.4523e-5)
 _NEGATIVE_DIGITAL = dict(spot=2000.0, tau=1 / 52)
+_TRUNCATED = FourierConfig(u_max=1e4)
 
 
 def _lewis_cells(table: str):
@@ -76,8 +90,8 @@ class TestGradedQuadrature:
             for spot in _GRID_SPOTS:
                 market = make_market(spot, tau)
                 discount = math.exp(-market.rate * tau)
-                cash = lewis_cash_or_nothing(bench_params, market)
-                asset = lewis_asset_or_nothing(bench_params, market)
+                cash = lewis_cash_or_nothing(bench_params, market, _TRUNCATED)
+                asset = lewis_asset_or_nothing(bench_params, market, _TRUNCATED)
                 cash_integral = _lewis_integral(bench_params, market, 1e4, 0.0)
                 asset_integral = _lewis_integral(bench_params, market, 1e4, 1.0)
                 defining_cash = discount * (0.5 + cash_integral / math.pi)
@@ -89,8 +103,10 @@ class TestGradedQuadrature:
 
     def test_panel_floor(self, bench_params):
         market = make_market(4200.0, 0.5)
-        default = lewis_cash_or_nothing(bench_params, market)
-        floored = lewis_cash_or_nothing(bench_params, market, FourierConfig(panels=4000))
+        default = lewis_cash_or_nothing(bench_params, market, _TRUNCATED)
+        floored = lewis_cash_or_nothing(
+            bench_params, market, FourierConfig(u_max=1e4, panels=4000)
+        )
         assert floored.terms_evaluated >= 4000 * 32 > default.terms_evaluated
         assert floored.value == pytest.approx(default.value, abs=1e-9)
 
@@ -111,7 +127,7 @@ class TestGradedQuadrature:
 class TestFourierDiagnostics:
     def test_truncation_estimate_covers_truncation_error(self, bench_params):
         market = make_market(**_NEGATIVE_DIGITAL)
-        lewis = lewis_cash_or_nothing(bench_params, market)
+        lewis = lewis_cash_or_nothing(bench_params, market, _TRUNCATED)
         series_value = cash_or_nothing(bench_params, market, SeriesControl(max_order=60)).value
         error = abs(lewis.value - series_value)
         assert error == pytest.approx(3.31e-5, abs=5e-8)
@@ -127,11 +143,11 @@ class TestFourierDiagnostics:
 
     def test_price_outside_bounds_is_flagged_not_changed(self, bench_params):
         market = make_market(**_NEGATIVE_DIGITAL)
-        result = lewis_cash_or_nothing(bench_params, market)
+        result = lewis_cash_or_nothing(bench_params, market, _TRUNCATED)
         assert result.value == pytest.approx(-1.4523e-5, abs=1e-9)
         assert result.diagnostics["tolerance_met"] is False
         assert "no-arbitrage" in result.diagnostics["warning"]
-        inside = lewis_cash_or_nothing(bench_params, make_market(3000.0, 1 / 52))
+        inside = lewis_cash_or_nothing(bench_params, make_market(3000.0, 1 / 52), _TRUNCATED)
         assert inside.diagnostics["tolerance_met"] is True
         assert "warning" not in inside.diagnostics
 
@@ -253,3 +269,104 @@ class TestCarrMadan:
             FourierConfig(u_max=-1.0)
         with pytest.raises(InvalidParameters):
             FourierConfig(panels=0)
+
+
+@st.composite
+def _crosscheck_contracts(draw):
+    """The engine cross-check's domain: sigma in [0.15, 0.3], nu in [0.1, 0.5],
+    tau in [max(0.25, nu/2), 2], r in [0, 0.04] and |ln(S/F)| <= 0.28, with
+    theta = x sigma sqrt(2/nu), |x| <= 0.2, in a third of the draws."""
+    sigma = draw(st.floats(0.15, 0.3))
+    nu = draw(st.floats(0.1, 0.5))
+    tau = draw(st.floats(max(0.25, 0.5 * nu), 2.0))
+    rate = draw(st.floats(0.0, 0.04))
+    spot = 100.0 * math.exp(draw(st.floats(-0.7, 0.7)))
+    strike = spot * math.exp(rate * tau + draw(st.floats(-0.28, 0.28)))
+    x = draw(st.sampled_from([0.0, 0.0, None]))
+    if x is None:
+        x = draw(st.floats(-0.2, 0.2))
+    params = VgParams(sigma=sigma, nu=nu, theta=x * sigma * math.sqrt(2.0 / nu))
+    return params, MarketInputs(spot=spot, strike=strike, rate=rate, tau=tau)
+
+
+def _contour_prices(params, market):
+    return (
+        lewis_cash_or_nothing(params, market),
+        lewis_asset_or_nothing(params, market),
+        carr_madan_european(params, market),
+    )
+
+
+class TestContour:
+    """The untruncated default: each price on a sinh-deformed contour."""
+
+    @given(_crosscheck_contracts())
+    def test_bounds_and_parity(self, contract):
+        """0 <= CN <= e^{-r tau}, 0 <= AN <= S, the call within its bounds,
+        AN - K CN = call to 1e-10 S, each under 500 evaluations."""
+        params, market = contract
+        cash, asset, call = _contour_prices(params, market)
+        spot, discounted = market.spot, market.strike * math.exp(-market.rate * market.tau)
+        assert 0.0 <= cash.value <= math.exp(-market.rate * market.tau)
+        assert 0.0 <= asset.value <= spot
+        assert max(0.0, spot - discounted) <= call.value <= spot
+        assert abs(asset.value - market.strike * cash.value - call.value) <= 1e-10 * spot
+        for result in (cash, asset, call):
+            assert result.diagnostics["tolerance_met"] is True
+            assert "warning" not in result.diagnostics
+            assert result.terms_evaluated < 500
+
+    @settings(max_examples=40)
+    @given(_crosscheck_contracts())
+    def test_agreement_with_series(self, contract):
+        """Within truncation_estimate + 1e-10 of the series at max_order 120,
+        wherever the series converges (and alpha is not degenerate)."""
+        params, market = contract
+        cash, asset, call = _contour_prices(params, market)
+        ctrl = SeriesControl(max_order=120)
+        if params.theta == 0.0:
+            pairs = ((cash, cash_or_nothing), (asset, asset_or_nothing), (call, european))
+        else:
+            pairs = ((cash, asym_cash_or_nothing),)
+        for result, pricer in pairs:
+            try:
+                reference = pricer(params, market, ctrl).value
+            except (NonConvergenceError, DegenerateAlphaError):
+                continue
+            assert abs(result.value - reference) <= result.truncation_estimate + 1e-10, pricer
+
+    def test_lewis_fault_prices_correctly(self, bench_params):
+        """The u_max = 1e4 truncation's negative cash digital: at default
+        settings the contour is within its truncation_estimate of the series."""
+        market = make_market(**_NEGATIVE_DIGITAL)
+        result = lewis_cash_or_nothing(bench_params, market)
+        series_value = cash_or_nothing(bench_params, market, SeriesControl(max_order=60)).value
+        assert result.diagnostics["tolerance_met"] is True
+        assert abs(result.value - series_value) <= result.truncation_estimate
+        assert result.value == pytest.approx(1.8580577e-5, abs=1e-12)
+
+    @pytest.mark.parametrize("spot", [3000.0, 3900.0, 4100.0, 5000.0])
+    def test_explicit_infinity_is_the_default(self, bench_params, spot):
+        market = make_market(spot, 0.5)
+        cfg = FourierConfig(u_max=math.inf)
+        for pricer in (lewis_cash_or_nothing, lewis_asset_or_nothing, carr_madan_european):
+            assert pricer(bench_params, market) == pricer(bench_params, market, cfg)
+
+    def test_long_horizon_does_not_cancel(self):
+        """tau/nu = 385: half-way to the branch point |Phi| reaches (4/3)^385
+        on the contour; the apex at the least |F| keeps the price exact."""
+        params = VgParams(sigma=0.25, nu=0.013)
+        market = MarketInputs(spot=100.0, strike=110.0, rate=0.01, tau=5.0)
+        cash, asset, call = _contour_prices(params, market)
+        for result in (cash, asset, call):
+            assert result.diagnostics["tolerance_met"] is True
+        assert abs(asset.value - 110.0 * cash.value - call.value) <= 1e-10 * 100.0
+        assert call.value == pytest.approx(
+            european(params, market, SeriesControl(max_order=120)).value, abs=1e-8
+        )
+
+    def test_damping_outside_the_strip_rejected_for_drifted_model(self):
+        params = VgParams(sigma=0.2, nu=0.85, theta=-0.1)
+        for a in (0.0, -0.5, 20.0):
+            with pytest.raises(DampingOutOfRangeError):
+                carr_madan_european(params, make_market(4200.0, 2.0), FourierConfig(damping_a=a))

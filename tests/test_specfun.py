@@ -14,6 +14,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import roots_laguerre
 
+from vgpricer import specfun
 from vgpricer.errors import GammaOverflowError, InvalidParameters, PoleError
 from vgpricer.reference import load_reference
 from vgpricer.specfun import bessel_k, gamma, laguerre_rule, log_gamma, normal_cdf
@@ -232,6 +233,16 @@ class TestLaguerreRule:
         assert rule.weights.sum() == pytest.approx(1.0, abs=1e-10)
         # first moment of e^{-u} du on [0, inf) is 1
         assert np.sum(rule.weights * rule.nodes) == pytest.approx(1.0, abs=1e-9)
+
+    def test_rule_is_built_once_per_order_and_read_only(self):
+        first = laguerre_rule(15)
+        second = laguerre_rule(np.int64(15))
+        assert np.array_equal(second.nodes, first.nodes)
+        assert np.array_equal(second.weights, first.weights)
+        assert specfun._laguerre_rule.cache_info().misses == 1
+        for array in (second.nodes, second.weights):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
 
     @pytest.mark.parametrize("n", [0, -3, 65, 2.5])
     def test_order_bounds(self, n):
