@@ -189,14 +189,15 @@ def _contour_integral(F, x1, pole, branch, decay, sigma_nu, residue, cfg, apex=N
     1/h.  F(-conj xi) = conj F(xi), as for any real random variable, so only
     y >= 0 is evaluated.
 
-    |F| falls like exp(-|x1| (b/2) e^y |sin w|) from the oscillation and like
-    exp(-decay y) from the power decay of Phi; y stops where either bound has
-    fallen by e^-L, L = ln(1/abs_tol) + 25, or at _Y_LIMIT.  The step starts
-    at _STEP and halves, reusing the nodes, until the change is below
-    abs_tol or the next pass would exceed _CHUNK_NODES nodes.  Returns the
-    value, the count of evaluations of F, whether abs_tol was met, and the
-    last change plus a rounding floor of _ROUNDING times the sum of the
-    magnitudes added.
+    From its value at the apex, |F| falls by exp(-|x1| b |sin w| (cosh y - 1))
+    from the oscillation (about exp(-|x1| (b/2) e^y |sin w|)), and Phi is at
+    most (sigma_nu |Re xi|)^-decay, a power decay exp(-decay y); y stops where
+    either bound has fallen by e^-L, L = ln(1/abs_tol) + 25, or at _Y_LIMIT.
+    The step starts at _STEP and halves, reusing the nodes, until the change
+    is below abs_tol or the next pass would exceed _CHUNK_NODES nodes.
+    Returns the value, the count of evaluations of F, whether abs_tol was
+    met, and the last change plus a rounding floor of _ROUNDING times the
+    sum of the magnitudes added.
     """
     evals = 0
     if apex is None:
@@ -276,7 +277,10 @@ def _lewis_digital(g, scale: float, params: VgParams, market: MarketInputs, deri
 
 
 def _branch_points(params: VgParams) -> tuple[float, float]:
-    """(eta_-, eta_+): Phi(xi) is analytic for eta_- < Im xi < eta_+ (see model._log_characteristic_fn)."""
+    """(eta_-, eta_+): Phi(xi) is analytic for eta_- < Im xi < eta_+.
+
+    See model._log_characteristic_fn for the factored form they come from.
+    """
     gd = model.gamma_decomposition(params)
     return -1.0 / (params.nu * gd.mu_plus), 1.0 / (params.nu * gd.mu_minus)
 
@@ -380,13 +384,12 @@ def _contour_call(a: float, params, market, derived, cfg) -> PriceResult:
     eta_minus, eta_plus = _branch_points(params)
     decay = 1.0 + 2.0 * tau / params.nu
     if x1 < 0.0:
-        value, evals, ok, estimate = _contour_integral(
-            F, x1, 0.0, eta_plus, decay, derived.sigma_nu, intrinsic / discounted_strike, cfg
-        )
+        pole, branch, residue, apex = 0.0, eta_plus, intrinsic / discounted_strike, None
     else:
-        value, evals, ok, estimate = _contour_integral(
-            F, x1, -1.0, eta_minus, decay, derived.sigma_nu, 0.0, cfg, apex=-(1.0 + a)
-        )
+        pole, branch, residue, apex = -1.0, eta_minus, 0.0, -(1.0 + a)
+    value, evals, ok, estimate = _contour_integral(
+        F, x1, pole, branch, decay, derived.sigma_nu, residue, cfg, apex
+    )
     return _result(
         discounted_strike * value,
         discounted_strike * estimate,

@@ -489,7 +489,8 @@ def _log_characteristic_fn(params: VgParams, xi, t: float):
     gd = gamma_decomposition(params)
     nu = params.nu
     xi = np.asarray(xi, dtype=complex)
-    return -(t / nu) * (np.log(1.0 - 1j * nu * gd.mu_plus * xi) + np.log(1.0 + 1j * nu * gd.mu_minus * xi))
+    log_base = np.log(1.0 - 1j * nu * gd.mu_plus * xi) + np.log(1.0 + 1j * nu * gd.mu_minus * xi)
+    return -(t / nu) * log_base
 
 
 def levy_symbol(params: VgParams, u) -> complex:

@@ -171,7 +171,9 @@ def sample_vg(params: VgParams, t: float, n: int, seed: int) -> np.ndarray:
     return out
 
 
-def _terminal_payoff(payoff: str, s_t: np.ndarray, market: MarketInputs, out: np.ndarray) -> np.ndarray:
+def _terminal_payoff(
+    payoff: str, s_t: np.ndarray, market: MarketInputs, out: np.ndarray
+) -> np.ndarray:
     """Write the payoff at each terminal price s_t into out (not aliasing s_t) and return it.
 
     Each element takes the same operations as max(s_t - K, 0), 1{s_t > K},
