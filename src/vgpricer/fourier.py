@@ -36,8 +36,9 @@ in bounded chunks.  The panels change only the quadrature: each price is the
 same integral truncated at u_max, and its truncation_estimate is the dropped
 tail past u_max.
 
-Either way a price outside its no-arbitrage bounds is returned unchanged
-but with tolerance_met False and a warning in its diagnostics.
+Either way a price outside its no-arbitrage bounds by more than the
+contour's rounding floor is returned unchanged but with tolerance_met False
+and a warning in its diagnostics.
 """
 
 from __future__ import annotations
@@ -196,8 +197,8 @@ def _contour_integral(F, x1, pole, branch, decay, sigma_nu, residue, cfg, apex=N
     The step starts at _STEP and halves, reusing the nodes, until the change
     is below abs_tol or the next pass would exceed _CHUNK_NODES nodes.
     Returns the value, the count of evaluations of F, whether abs_tol was
-    met, and the last change plus a rounding floor of _ROUNDING times the
-    sum of the magnitudes added.
+    met, the last change plus a rounding floor, and that floor: _ROUNDING
+    times the sum of the magnitudes added.
     """
     evals = 0
     if apex is None:
@@ -239,12 +240,16 @@ def _contour_integral(F, x1, pole, branch, decay, sigma_nu, residue, cfg, apex=N
         if change <= cfg.abs_tol:
             break
     ok = change <= cfg.abs_tol
-    return residue + value, evals, ok, change + _ROUNDING * (abs(residue) + magnitude)
+    floor = _ROUNDING * (abs(residue) + magnitude)
+    return residue + value, evals, ok, change + floor, floor
 
 
-def _result(value, truncation, bounds, evals, tolerance_met, derived, **extra) -> PriceResult:
-    """A Fourier PriceResult; a value outside its no-arbitrage bounds is flagged, not changed."""
+def _result(value, truncation, bounds, evals, tolerance_met, derived, floor=0.0, **extra):
+    """A Fourier PriceResult; a value outside its no-arbitrage bounds is flagged, not changed,
+    unless it is within its rounding floor of them: then it is set to the bound it crossed."""
     lower, upper = bounds
+    if lower - floor <= value <= upper + floor:
+        value = min(max(value, lower), upper)
     warnings = []
     if not tolerance_met:
         warnings.append("abs_tol not reached within refinement budget")
@@ -303,11 +308,12 @@ def _contour_digital(shift: float, scale: float, params, market, derived, cfg) -
 
     eta_minus, eta_plus = _branch_points(params)
     branch, residue = (eta_plus + shift, 1.0) if x1 < 0.0 else (eta_minus + shift, 0.0)
-    value, evals, ok, estimate = _contour_integral(
+    value, evals, ok, estimate, floor = _contour_integral(
         F, x1, 0.0, branch, 2.0 * tau / params.nu, derived.sigma_nu, residue, cfg
     )
     return _result(
-        scale * value, scale * estimate, (0.0, scale), evals, ok, derived, u_max=cfg.u_max
+        scale * value, scale * estimate, (0.0, scale), evals, ok, derived,
+        floor=scale * floor, u_max=cfg.u_max,
     )
 
 
@@ -387,7 +393,7 @@ def _contour_call(a: float, params, market, derived, cfg) -> PriceResult:
         pole, branch, residue, apex = 0.0, eta_plus, intrinsic / discounted_strike, None
     else:
         pole, branch, residue, apex = -1.0, eta_minus, 0.0, -(1.0 + a)
-    value, evals, ok, estimate = _contour_integral(
+    value, evals, ok, estimate, floor = _contour_integral(
         F, x1, pole, branch, decay, derived.sigma_nu, residue, cfg, apex
     )
     return _result(
@@ -397,6 +403,7 @@ def _contour_call(a: float, params, market, derived, cfg) -> PriceResult:
         evals,
         ok,
         derived,
+        floor=discounted_strike * floor,
         u_max=cfg.u_max,
         damping_a=a,
     )

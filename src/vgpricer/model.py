@@ -18,9 +18,10 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import kv
 
 from . import specfun
-from .errors import BranchCutError, GammaOverflowError, InvalidParameters
+from .errors import BranchCutError, GammaOverflowError, InvalidParameters, NonConvergenceError
 
 __all__ = [
     "VgParams",
@@ -42,7 +43,7 @@ __all__ = [
 ]
 
 _TINY = np.finfo(float).tiny
-_ZETA3 = 1.2020569031595942  # Apery's constant zeta(3)
+_LOG_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -256,94 +257,6 @@ def derive(params: VgParams, market: MarketInputs) -> DerivedQuantities:
     )
 
 
-def _log_bessel_k_leading(order: float, log_z: float) -> Optional[float]:
-    """log of the leading small-z term Gamma(v)/2 (2/z)^v of K_order(z), v = |order|.
-
-    None unless the first terms it drops are below 1e-16 relative:
-    (z/2)^2/(v - 1) above v = 1 and (z/2)^2 (1 + 2|ln(z/2)|) at v = 1.  At
-    v = 0, K is logarithmic: the term is -ln(z/2) - gamma (Euler's constant)
-    and the first dropped term (z/2)^2 (1 + |ln(z/2)|).  For 0 < v < 1 the
-    second term Gamma(-v)/2 (z/2)^v is kept too (`_log_bessel_k_two_terms`).
-    """
-    v = abs(order)
-    log_half_z = log_z - math.log(2.0)
-    if 0.0 < v < 1.0:
-        return _log_bessel_k_two_terms(v, log_half_z)
-    if v > 1.0:
-        log_dropped = 2.0 * log_half_z - math.log(v - 1.0)
-    elif v == 1.0:
-        log_dropped = 2.0 * log_half_z + math.log(1.0 + 2.0 * abs(log_half_z))
-    else:
-        log_dropped = 2.0 * log_half_z + math.log(1.0 + abs(log_half_z))
-    if not log_dropped < math.log(1e-16):
-        return None
-    if v == 0.0:
-        return math.log(-log_half_z - np.euler_gamma)
-    return specfun.log_gamma(v)[0] - math.log(2.0) - v * log_half_z
-
-
-def _log_bessel_k_two_terms(v: float, log_half_z: float) -> Optional[float]:
-    """log of Gamma(v)/2 (2/z)^v + Gamma(-v)/2 (z/2)^v, the two leading
-    small-z terms of K_v(z) for 0 < v < 1.
-
-    The second term is -e^{-2w} times the first, with
-    2w = ln Gamma(1+v) - ln Gamma(1-v) - 2v ln(z/2), so the sum is the first
-    term times -expm1(-2w), which keeps its precision as v -> 0 (where the
-    sum tends to K_0's -ln(z/2) - gamma).  Below v = 1e-4 the log-Gamma
-    difference comes from its Taylor series -2 gamma v - 2 zeta(3) v^3/3, as
-    ln Gamma near 1 is accurate only to about 1e-16 absolute.  None unless
-    the terms it drops, (z/2)^2/(1 -+ v) relative to each kept term, are
-    below 1e-16 of the sum.
-    """
-    if v < 1e-4:
-        half_diff = -v * (np.euler_gamma + _ZETA3 / 3.0 * v * v)
-    else:
-        half_diff = 0.5 * (specfun.log_gamma(1.0 + v)[0] - specfun.log_gamma(1.0 - v)[0])
-    w = half_diff - v * log_half_z
-    if not w > 0.0:
-        return None
-    log_first = specfun.log_gamma(v)[0] - math.log(2.0) - v * log_half_z
-    log_k = log_first + math.log(-math.expm1(-2.0 * w))
-    log_dropped = math.log(2.0) + 2.0 * log_half_z - math.log(1.0 - v) + log_first - log_k
-    return log_k if log_dropped < math.log(1e-16) else None
-
-
-def _debye_polynomials(count: int) -> list:
-    """u_0..u_count of the uniform large-order expansion of K (DLMF 10.41.10),
-    from u_{k+1}(p) = p^2 (1 - p^2) u_k'(p) / 2 + 1/8 int_0^p (1 - 5 t^2) u_k(t) dt."""
-    poly = np.polynomial.Polynomial
-    us = [poly([1.0])]
-    for _ in range(count):
-        u = us[-1]
-        integral = (poly([1.0, 0.0, -5.0]) * u).integ()
-        us.append(poly([0.0, 0.0, 0.5, 0.0, -0.5]) * u.deriv() + integral / 8.0)
-    return us
-
-
-_DEBYE_U = _debye_polynomials(8)
-
-
-def _log_bessel_k_debye(order: float, log_z: float) -> Optional[float]:
-    """log K_v(z), v = |order|, from the uniform large-order expansion (DLMF 10.41.4)
-
-        K_v(v w) ~ sqrt(pi / (2v)) e^{-v eta} (1 + w^2)^{-1/4} sum_k (-1)^k u_k(p) / v^k
-
-    with p = (1 + w^2)^{-1/2} and eta = sqrt(1 + w^2) + ln(w / (1 + sqrt(1 + w^2))),
-    summed through u_8.  None unless the last term kept is below 1e-16 of
-    the sum, which holds from about v = 35.
-    """
-    v = abs(order)
-    log_w = log_z - math.log(v)
-    w2 = math.exp(2.0 * log_w)
-    root = math.sqrt(1.0 + w2)
-    terms = [(-1.0) ** k * u(1.0 / root) / v**k for k, u in enumerate(_DEBYE_U)]
-    total = math.fsum(terms)
-    if not abs(terms[-1]) < 1e-16 * total:
-        return None
-    eta = root + log_w - math.log1p(root)
-    return 0.5 * math.log(math.pi / (2.0 * v)) - v * eta - 0.25 * math.log1p(w2) + math.log(total)
-
-
 def density(params: VgParams, x: float, t: float) -> float:
     """Transition density f(x, t) in Bessel form.
 
@@ -376,31 +289,22 @@ def density(params: VgParams, x: float, t: float) -> float:
             )
         # limit of (x^2/a2)^{order/2} K_order(c|x|): Gamma(order)/2 * (2 sigma^2 / a2)^order
         lg_order, _ = specfun.log_gamma(order)
-        return math.exp(
-            log_front
-            - math.log(2.0)
-            + lg_order
-            + order * math.log(2.0 * sigma**2 / a2)
-        )
-    z = math.sqrt(a2) * abs(x) / sigma**2
-    # log z without forming z, which loses bits once it is subnormal
-    log_z = 0.5 * math.log(a2) + math.log(abs(x)) - 2.0 * math.log(sigma)
-    log_bessel = _log_bessel_k_leading(order, log_z) if z < _TINY else None
-    if log_bessel is None:
-        try:
-            bessel = specfun.bessel_k(order, z)
-            if bessel == 0.0:
-                return 0.0
-            log_bessel = math.log(bessel)
-        except GammaOverflowError:
-            log_bessel = _log_bessel_k_leading(order, log_z)
-            if log_bessel is None:
-                log_bessel = _log_bessel_k_debye(order, log_z)
-            if log_bessel is None:
-                raise
-    if min(x * x, x * x / a2) < _TINY:  # x^2 is not a normal double
-        return math.exp(log_front + order * (math.log(abs(x)) - 0.5 * math.log(a2)) + log_bessel)
-    return math.exp(log_front + (0.5 * order) * math.log(x * x / a2) + log_bessel)
+        log_density = log_front - math.log(2.0) + lg_order + order * math.log(2.0 * sigma**2 / a2)
+    else:
+        z = math.sqrt(a2) * abs(x) / sigma**2
+        # log z without forming z, which loses bits once it is subnormal
+        log_z = 0.5 * math.log(a2) + math.log(abs(x)) - 2.0 * math.log(sigma)
+        bessel = float(kv(order, z)) if z >= _TINY else math.inf
+        if bessel == 0.0:
+            return 0.0
+        log_bessel = math.log(bessel) if bessel < math.inf else specfun._log_bessel_k(order, log_z)
+        if min(x * x, x * x / a2) < _TINY:  # x^2 is not a normal double
+            log_density = log_front + order * (math.log(abs(x)) - 0.5 * math.log(a2)) + log_bessel
+        else:
+            log_density = log_front + (0.5 * order) * math.log(x * x / a2) + log_bessel
+    if log_density > _LOG_MAX:
+        raise GammaOverflowError(f"density({x!r}, {t!r}) overflows double precision")
+    return math.exp(log_density)
 
 
 def mixture_density(params: VgParams, x: float, t: float) -> float:
@@ -410,7 +314,8 @@ def mixture_density(params: VgParams, x: float, t: float) -> float:
     density with adaptive quadrature, absolute tolerance 1e-10.  The interval
     is split at the clock's mode, so the clock's mass (width sqrt(t nu)) is
     found at long horizons too, and ends 14 sqrt(t/nu) + 90 scale lengths past
-    the clock's mean, where the Gamma tail is below e^-100.
+    the clock's mean, where the Gamma tail is below e^-100.  Raises
+    NonConvergenceError when quad reports that it did not converge.
     """
     if not t > 0.0:
         raise InvalidParameters(f"mixture_density requires t > 0, got {t!r}")
@@ -434,7 +339,11 @@ def mixture_density(params: VgParams, x: float, t: float) -> float:
     mode = (shape - 1.0) * nu
     hi = (shape + 14.0 * math.sqrt(shape) + 90.0) * nu
     points = (mode,) if mode > 0.0 else None
-    value, _ = quad(integrand, 0.0, hi, points=points, epsabs=1e-10, epsrel=1e-10, limit=400)
+    value, _, _, *failure = quad(
+        integrand, 0.0, hi, points=points, epsabs=1e-10, epsrel=1e-10, limit=400, full_output=1
+    )
+    if failure:  # quad appends a message only when it did not converge
+        raise NonConvergenceError(f"mixture_density({x!r}, {t!r}): {failure[0].splitlines()[0]}")
     return value
 
 

@@ -329,6 +329,17 @@ class TestDensityCommand:
             assert xs[0] == float(lo) and xs[-1] == float(hi)
 
 
+    def test_overflowing_density_is_a_typed_error(self, capsys):
+        """At t/nu far below 1/2 the density at x = 1e-320 exceeds double
+        precision; that is a JSON error with exit code 2, not a traceback."""
+        code, _, err = run_cli(
+            capsys, "density", "--sigma", "0.2", "--nu", "0.85", "--t", "1e-6",
+            "--x-min=1e-320", "--x-max=2e-320", "--points", "2",
+        )
+        assert code == 2
+        assert json.loads(err)["type"] == "GammaOverflowError"
+
+
 _GOLDEN = Path(__file__).resolve().parent / "golden"
 
 

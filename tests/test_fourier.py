@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from vgpricer import fourier, model
 from vgpricer.errors import (
     DampingOutOfRangeError,
     DegenerateAlphaError,
@@ -364,6 +365,24 @@ class TestContour:
         assert call.value == pytest.approx(
             european(params, market, SeriesControl(max_order=120)).value, abs=1e-8
         )
+
+    def test_call_below_zero_by_rounding_is_clamped_not_flagged(self):
+        """A call worth zero to rounding came out -2.6e-16, below its bound by
+        less than its rounding floor of 3.3e-15, and was flagged as a breach."""
+        params = VgParams(sigma=0.116, nu=0.0818, theta=-0.384)
+        market = MarketInputs(spot=42.93, strike=100.0, rate=0.0388, tau=0.4245)
+        result = carr_madan_european(params, market)
+        assert result.value == 0.0
+        assert result.diagnostics["tolerance_met"] is True
+        assert "warning" not in result.diagnostics
+
+    def test_breach_beyond_the_rounding_floor_stays_flagged(self, bench_params):
+        derived = model.derive(bench_params, make_market(3000.0, 0.5))
+        cases = ((-1e-16, 0.0, True), (1.0 + 4e-16, 1.0, True), (-1e-12, -1e-12, False))
+        for value, expected, met in cases:
+            result = fourier._result(value, 0.0, (0.0, 1.0), 10, True, derived, floor=1e-15)
+            assert result.value == expected
+            assert result.diagnostics["tolerance_met"] is met
 
     def test_damping_outside_the_strip_rejected_for_drifted_model(self):
         params = VgParams(sigma=0.2, nu=0.85, theta=-0.1)

@@ -9,8 +9,13 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import kv
 
-from vgpricer import model
-from vgpricer.errors import BranchCutError, InvalidParameters
+from vgpricer import specfun
+from vgpricer.errors import (
+    BranchCutError,
+    GammaOverflowError,
+    InvalidParameters,
+    NonConvergenceError,
+)
 from vgpricer.model import (
     MarketInputs,
     VgParams,
@@ -187,19 +192,17 @@ class TestDensity:
 
     def test_large_order_where_k_overflows(self):
         """Above order about 35 there is a band of arguments where scipy's K
-        overflows and the leading small-argument term is not yet exact; log K
-        comes from the uniform large-order expansion there.  It is checked
-        against mpmath at 40 digits at orders 100, 150, ..., 500 and 499.5,
-        on 12 log-spaced arguments from 2e-8 sqrt(v - 1) to 2v, and the
-        density against the Gamma mixture at t/nu - 1/2 = 499.5."""
+        overflows while the density stays finite; log K comes from the
+        log-space integral there.  It is checked against mpmath at 40 digits
+        at orders 100, 150, ..., 500 and 499.5, on 12 log-spaced arguments
+        from 2e-8 sqrt(v - 1) to 2v, at every point where kv overflows, and
+        the density against the Gamma mixture at t/nu - 1/2 = 499.5."""
         checked = 0
         for order in [*np.linspace(100.0, 500.0, 9), 499.5]:
             for z in np.geomspace(2e-8 * math.sqrt(order - 1.0), 2.0 * order, 12):
-                log_z = math.log(z)
-                leading = model._log_bessel_k_leading(order, log_z)
-                if not math.isinf(kv(order, z)) or leading is not None:
+                if not math.isinf(kv(order, z)):
                     continue
-                got = model._log_bessel_k_debye(order, log_z)
+                got = specfun._log_bessel_k(order, math.log(z))
                 with mpmath.workdps(40):
                     expected = mpmath.log(mpmath.besselk(order, mpmath.mpf(z)))
                     assert abs(mpmath.expm1(got - expected)) < 1e-10
@@ -210,6 +213,31 @@ class TestDensity:
             assert density(params, x, 5.0) == pytest.approx(
                 mixture_density(params, x, 5.0), rel=1e-10
             )
+
+    @pytest.mark.parametrize("t", [1e-6, 1e-3])
+    def test_overflowing_density_is_a_typed_error(self, t):
+        """At t/nu well below 1/2 the density near the origin grows like
+        |x|^(2 t/nu - 1) and exceeds double precision at x = 1e-320."""
+        with pytest.raises(GammaOverflowError):
+            density(VgParams(sigma=0.2, nu=0.85), 1e-320, t)
+
+    @pytest.mark.parametrize("x, t", [(1e-300, 0.01), (1e-320, 1e-6)])
+    def test_mixture_quadrature_failure_is_a_typed_error(self, x, t):
+        """Near the origin at short horizons the mixture integrand is a spike
+        that quad cannot resolve; it reported a wrong, negative value."""
+        with pytest.raises(NonConvergenceError):
+            mixture_density(VgParams(sigma=0.2, nu=0.85), x, t)
+
+    def test_mixture_quadrature_converges_on_ordinary_grids(self):
+        """On 101-point grids like the density command's, quad reports no
+        failure at any point where the density is finite (x = 0 is left out
+        at t/nu <= 1/2, where it diverges)."""
+        for theta in (0.0, -0.14):
+            params = VgParams(sigma=0.2, nu=0.85, theta=theta)
+            for t in (0.05, 1.0, 5.0):
+                for x in np.linspace(-1.5, 1.5, 101):
+                    if x != 0.0 or t / params.nu > 0.5:
+                        assert mixture_density(params, float(x), t) >= 0.0
 
     @pytest.mark.parametrize("order", [200.0, 400.0, 600.0])
     def test_mixture_agreement_at_long_horizons(self, bench_params, order):

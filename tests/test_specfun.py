@@ -9,10 +9,13 @@ numeric integration of the Gaussian density for the normal CDF.
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import roots_laguerre
+from scipy.special import kv, roots_laguerre
 
 from vgpricer import specfun
 from vgpricer.errors import GammaOverflowError, InvalidParameters, PoleError
@@ -155,6 +158,82 @@ class TestBesselK:
         assert 0.0 <= bessel_k(0.3, 705.0) < 1e-300
         assert 0.0 <= bessel_k(0.3, 740.0) < 1e-320
         assert bessel_k(0.3, 800.0) == 0.0
+
+
+# Orders 0-600 take the stated step; 199.5 and 200 are t/nu of about 200, and
+# 2000 and 1e5 take the step that shrinks with the order.
+_LOG_K_ORDERS = [
+    0.0, 0.01, 0.02, 0.025, 0.3, 0.5, 0.68, 1.0, 2.5, 10.0, 37.0, 100.0,
+    199.5, 200.0, 300.0, 499.5, 600.0, 2000.0, 1e5,
+]
+
+
+def _log_k_tolerance(order: float, log_z: float, log_k: float, rel: float) -> float:
+    """rel max(1, |log K|, v + z): log z + t carries a rounding error of about
+    eps |log z + t|, which moves log K by up to v + z times as much."""
+    return rel * max(1.0, abs(log_k), abs(order) + math.exp(min(log_z, 700.0)))
+
+
+def _mpmath_log_k(order: float, log_z: float) -> float:
+    with mpmath.workdps(40):
+        return float(mpmath.log(mpmath.besselk(order, mpmath.exp(mpmath.mpf(log_z)))))
+
+
+class TestLogBesselK:
+    def test_against_mpmath_grid(self):
+        """log K on 36 arguments from log z = -744 (z subnormal) to 5, at 40 digits."""
+        for order in _LOG_K_ORDERS:
+            for log_z in np.linspace(-744.0, 5.0, 36):
+                expected = _mpmath_log_k(order, float(log_z))
+                got = specfun._log_bessel_k(order, float(log_z))
+                assert abs(got - expected) <= _log_k_tolerance(order, log_z, expected, 1e-15)
+
+    @given(
+        order=st.floats(0.0, 600.0),
+        log_z=st.floats(math.log(np.finfo(float).tiny), math.log(705.0)),
+    )
+    def test_agrees_with_kv_where_kv_is_finite(self, order, log_z):
+        """Where density keeps kv (z normal, kv finite and non-zero), the
+        routine agrees with log kv to 1e-14.  Near z = 2 at orders below 1
+        kv itself is off by up to 3e-13 relative; where the two differ by
+        more, mpmath must side with the routine."""
+        z = math.exp(log_z)
+        bessel = float(kv(order, z))
+        assume(z >= np.finfo(float).tiny and 0.0 < bessel < math.inf)
+        got = specfun._log_bessel_k(order, log_z)
+        want = math.log(bessel)
+        if abs(got - want) > _log_k_tolerance(order, log_z, want, 1e-14):
+            exact = _mpmath_log_k(order, log_z)
+            assert abs(got - exact) <= _log_k_tolerance(order, log_z, exact, 1e-15)
+            assert abs(got - exact) < abs(want - exact)
+
+    def test_halving_the_step_moves_no_value(self, monkeypatch):
+        """The stated step is converged: at half of it (and twice the node
+        cap) no value on the mpmath grid moves by more than its tolerance."""
+        grid = [
+            (order, float(log_z))
+            for order in _LOG_K_ORDERS
+            for log_z in np.linspace(-744.0, 5.0, 12)
+        ]
+        stated = [specfun._log_bessel_k(order, log_z) for order, log_z in grid]
+        monkeypatch.setattr(specfun, "_LOG_K_STEP", specfun._LOG_K_STEP / 2.0)
+        monkeypatch.setattr(specfun, "_LOG_K_MAX_NODES", 2 * specfun._LOG_K_MAX_NODES)
+        for (order, log_z), value in zip(grid, stated):
+            halved = specfun._log_bessel_k(order, log_z)
+            assert abs(halved - value) <= _log_k_tolerance(order, log_z, value, 1e-15)
+
+    def test_node_cap_is_a_typed_error(self):
+        """Below log z of about -810 the flat part of the integrand needs
+        more than the node cap; that is refused, not allocated."""
+        assert specfun._log_bessel_k(0.0, -800.0) == pytest.approx(
+            _mpmath_log_k(0.0, -800.0), rel=1e-15
+        )
+        with pytest.raises(GammaOverflowError):
+            specfun._log_bessel_k(0.0, -900.0)
+
+    def test_order_symmetry(self):
+        for order, log_z in ((0.3, -700.0), (37.0, 2.0), (600.0, -100.0)):
+            assert specfun._log_bessel_k(-order, log_z) == specfun._log_bessel_k(order, log_z)
 
 
 class TestNormalCdf:
