@@ -157,8 +157,8 @@ class TestDensity:
     def test_order_zero_at_subnormal_argument(self, bench_params):
         """At t/nu = 1/2 the Bessel order is 0 and the density diverges only
         like -ln|x| at the origin.  scipy's K_0 overflows once its argument
-        is subnormal, so the density there must come from K_0's logarithmic
-        leading term; it is checked against the Bessel form in mpmath."""
+        is subnormal, so the density there must come from log K alone; it is
+        checked against the Bessel form in mpmath."""
         t = 0.425
         assert t / bench_params.nu == 0.5
         for x in (1e-310, -1e-310, 1e-315, -1e-315, 1e-320, -1e-320):
@@ -175,8 +175,7 @@ class TestDensity:
     def test_small_order_at_subnormal_argument(self, bench_params, order):
         """Between order 0 and about 0.026 neither the power-law leading term
         of K nor K_0's logarithmic one is accurate at a subnormal argument,
-        and scipy's K overflows there; the two leading terms
-        Gamma(v)/2 (2/z)^v + Gamma(-v)/2 (z/2)^v are checked against the
+        and scipy's K overflows there; the density is checked against the
         Bessel form in mpmath."""
         t = bench_params.nu * (0.5 + order)
         for x in (1e-310, -1e-310, 1e-320, -1e-320):
