@@ -315,12 +315,15 @@ def mixture_density(params: VgParams, x: float, t: float) -> float:
     is split at the clock's mode, so the clock's mass (width sqrt(t nu)) is
     found at long horizons too, and ends 14 sqrt(t/nu) + 90 scale lengths past
     the clock's mean, where the Gamma tail is below e^-100.  Raises
-    NonConvergenceError when quad reports that it did not converge.
+    NonConvergenceError when quad reports that it did not converge, and
+    InvalidParameters at x = 0 for t/nu <= 1/2, where the density diverges.
     """
     if not t > 0.0:
         raise InvalidParameters(f"mixture_density requires t > 0, got {t!r}")
     sigma, nu, theta = params.sigma, params.nu, params.theta
     shape = t / nu
+    if x == 0.0 and shape <= 0.5:
+        raise InvalidParameters("mixture density diverges at x = 0 for t/nu <= 1/2")
     lg_shape, _ = specfun.log_gamma(shape)
     log_norm = -shape * math.log(nu) - lg_shape - 0.5 * math.log(2.0 * math.pi) - math.log(sigma)
 

@@ -12,10 +12,11 @@ U^{1/shape} for shape < 1 (short maturities routinely put t/nu below one).
 The squeeze's log test runs only on the draws the squeeze rejects (about
 2 %), and the stream of draws is the same as with the test on every draw.
 
-Strike, spot, rate, sigma and theta enter only after the draws, so the payoffs
-and strikes of one contract share them: a request of up to 2^18 path units
-keeps its raw draws, read-only, in a one-entry memo keyed by (seed, shape,
-n_units).  Each price still does its own arithmetic on them, in the same order.
+Strike, spot and rate enter only after the increments, so the payoffs and
+strikes of one contract share them: a request of up to 2^18 path units keeps
+its (theta G, sigma sqrt(G) Z) pairs, read-only, in a one-entry memo keyed by
+(seed, shape, n_units, nu, sigma, theta).  Each price adds its drift to them.
+A sweep over sigma, theta or nu at a fixed seed and shape draws again.
 """
 
 from __future__ import annotations
@@ -140,22 +141,38 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 
-def _draws(seed: int, shape: float, n_units: int, memo: bool = True):
-    """Raw (Gamma(shape), standard normal) pairs from _rng(seed), one per chunk
-    of at most _CHUNK units, the clock block first; memoised up to _MEMO_UNITS."""
+def _increment_chunk(
+    rng: np.random.Generator, shape: float, m: int, nu: float, sigma: float, theta: float
+) -> tuple:
+    clock = np.multiply(_gamma_marsaglia_tsang(rng, shape, m), nu)
+    diffusion = np.sqrt(clock)
+    diffusion *= sigma
+    diffusion *= rng.standard_normal(m)
+    return np.multiply(clock, theta, out=clock), diffusion
+
+
+def _increments(
+    seed: int, shape: float, n_units: int, nu: float, sigma: float, theta: float,
+    memo: bool = True,
+):
+    """(theta clock, sigma sqrt(clock) Z) pairs, clock = nu Gamma(shape), from
+    _rng(seed), one per chunk of at most _CHUNK units, the clock block drawn
+    first; memoised up to _MEMO_UNITS."""
     if memo and n_units <= _MEMO_UNITS:
-        return _memo_draws(seed, shape, n_units)
+        return _memo_increments(seed, shape, n_units, nu, sigma, theta)
     rng = _rng(seed)
     sizes = (min(_CHUNK, n_units - start) for start in range(0, n_units, _CHUNK))
-    return ((_gamma_marsaglia_tsang(rng, shape, m), rng.standard_normal(m)) for m in sizes)
+    return (_increment_chunk(rng, shape, m, nu, sigma, theta) for m in sizes)
 
 
 @functools.lru_cache(maxsize=1)
-def _memo_draws(seed: int, shape: float, n_units: int) -> tuple:
-    draws = tuple(_draws(seed, shape, n_units, memo=False))
-    for array in itertools.chain.from_iterable(draws):
+def _memo_increments(
+    seed: int, shape: float, n_units: int, nu: float, sigma: float, theta: float
+) -> tuple:
+    chunks = tuple(_increments(seed, shape, n_units, nu, sigma, theta, memo=False))
+    for array in itertools.chain.from_iterable(chunks):
         array.flags.writeable = False
-    return draws
+    return chunks
 
 
 def sample_vg(params: VgParams, t: float, n: int, seed: int) -> np.ndarray:
@@ -165,9 +182,9 @@ def sample_vg(params: VgParams, t: float, n: int, seed: int) -> np.ndarray:
     if not n >= 1:
         raise InvalidParameters(f"sample_vg requires n >= 1, got {n!r}")
     out = np.empty(n)
-    for start, (gamma, z) in zip(range(0, n, _CHUNK), _draws(seed, t / params.nu, n)):
-        clock = gamma * params.nu
-        out[start : start + z.size] = params.theta * clock + params.sigma * np.sqrt(clock) * z
+    chunks = _increments(seed, t / params.nu, n, params.nu, params.sigma, params.theta)
+    for start, (shift, diffusion) in zip(range(0, n, _CHUNK), chunks):
+        np.add(shift, diffusion, out=out[start : start + shift.size])
     return out
 
 
@@ -185,9 +202,7 @@ def _terminal_payoff(
     if payoff == "cash_or_nothing":
         return np.greater(s_t, k, out=out)
     if payoff == "asset_or_nothing":
-        np.copyto(out, s_t)
-        np.copyto(out, 0.0, where=s_t <= k)
-        return out
+        return np.multiply(s_t, np.greater(s_t, k), out=out)
     if payoff == "gap":
         if market.trigger_strike is None:
             raise InvalidParameters("gap payoff requires trigger_strike")
@@ -196,8 +211,7 @@ def _terminal_payoff(
         return out
     if payoff == "power_asset_or_nothing":
         np.power(s_t, market.power, out=out)
-        np.copyto(out, 0.0, where=out <= k)
-        return out
+        return np.multiply(out, np.greater(out, k), out=out)
     if payoff == "log_call":
         return np.maximum(np.log(np.divide(s_t, k, out=out), out=out), 0.0, out=out)
     raise InvalidParameters(f"unknown payoff {payoff!r}; expected one of {PAYOFF_NAMES}")
@@ -218,25 +232,19 @@ def mc_price(
     drift = (derived.rate_effective + derived.omega) * tau
     n_units = cfg.n_paths // 2 if cfg.antithetic else cfg.n_paths
     samples = np.empty(n_units)
-    draws = _draws(cfg.seed, tau / params.nu, n_units)
-    for start, (gamma, z) in zip(range(0, n_units, _CHUNK), draws):
-        clock = np.multiply(gamma, params.nu)
-        diffusion = np.sqrt(clock)
-        diffusion *= params.sigma
-        diffusion *= z
-        x_up = np.multiply(clock, params.theta, out=clock)
-        if cfg.antithetic:
-            x_dn = np.add(x_up, drift)
-            x_dn -= diffusion
-        x_up += diffusion
+    chunks = _increments(cfg.seed, tau / params.nu, n_units, params.nu, params.sigma, params.theta)
+    for start, (shift, diffusion) in zip(range(0, n_units, _CHUNK), chunks):
+        x_up = np.add(shift, diffusion)
         x_up += drift
         s_t = np.multiply(np.exp(x_up, out=x_up), market.spot, out=x_up)
-        block = _terminal_payoff(payoff, s_t, market, samples[start : start + z.size])
+        block = _terminal_payoff(payoff, s_t, market, samples[start : start + shift.size])
         block *= discount
         if cfg.antithetic:
+            x_dn = np.add(shift, drift)
+            x_dn -= diffusion
             s_t_dn = np.multiply(np.exp(x_dn, out=x_dn), market.spot, out=x_dn)
-            # diffusion is spent, so the down leg's payoff takes its place
-            down = _terminal_payoff(payoff, s_t_dn, market, diffusion)
+            # s_t is spent, so the down leg's payoff takes its place
+            down = _terminal_payoff(payoff, s_t_dn, market, s_t)
             down *= discount
             block += down
             block *= 0.5

@@ -478,7 +478,7 @@ class TestOutputPlumbing:
 _TRACED_PRICE = """
 import collections, contextlib, io, json, sys
 from vgbench.trace import Tracer
-from vgpricer import cli
+from vgpricer import cli, montecarlo
 
 tracer = Tracer()
 tracer.install()
@@ -489,7 +489,8 @@ for argv in json.loads(sys.argv[1]):
         code = cli.main(argv)
     spans = collections.Counter(name for _, _, name, _, _ in tracer.spans[first:])
     calls.append({"code": code, "spans": spans})
-print(json.dumps({"calls": calls, "counts": tracer.counts}))
+memo = montecarlo._memo_increments.cache_info()._asdict()
+print(json.dumps({"calls": calls, "counts": tracer.counts, "memo": memo}))
 """
 
 
@@ -532,13 +533,15 @@ class TestBenchmarkTracer:
         assert counts["montecarlo.paths"] == 1000
 
     def test_payoffs_of_one_contract_draw_the_gamma_clock_once(self):
-        """Three payoffs of one contract share their Monte Carlo draws: only
-        the first call draws Gamma clocks, the later ones price from the
-        memo, and every call still prices its 1,000 paths."""
+        """Three payoffs of one contract share their Monte Carlo increments:
+        only the first call draws Gamma clocks and builds the increments, the
+        later ones price from the memo, and every call still prices its 1,000
+        paths."""
         traced = _traced(*map(_price_all, ("european", "cash-or-nothing", "asset-or-nothing")))
         calls = traced["calls"]
         assert [call["code"] for call in calls] == [0, 0, 0]
         assert [call["spans"].get("montecarlo.gamma_clock", 0) for call in calls] == [1, 0, 0]
+        assert (traced["memo"]["misses"], traced["memo"]["hits"]) == (1, 2)
         for layer in ("montecarlo", "montecarlo.payoff"):
             assert [call["spans"].get(layer) for call in calls] == [1, 1, 1], layer
         assert traced["counts"]["montecarlo.paths"] == 3000

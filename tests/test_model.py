@@ -227,6 +227,15 @@ class TestDensity:
         with pytest.raises(NonConvergenceError):
             mixture_density(VgParams(sigma=0.2, nu=0.85), x, t)
 
+    @pytest.mark.parametrize("t", [0.05, 0.425])
+    def test_mixture_rejects_the_divergent_origin(self, t):
+        """At x = 0 with t/nu <= 1/2 the mixture integral diverges, as the
+        closed form does; both raise the same domain error."""
+        params = VgParams(sigma=0.2, nu=0.85)
+        for form in (density, mixture_density):
+            with pytest.raises(InvalidParameters):
+                form(params, 0.0, t)
+
     def test_mixture_quadrature_converges_on_ordinary_grids(self):
         """On 101-point grids like the density command's, quad reports no
         failure at any point where the density is finite (x = 0 is left out

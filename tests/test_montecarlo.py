@@ -255,7 +255,7 @@ class TestMcGolden:
     def test_values_are_bit_identical(self):
         """mc_price reproduces tests/golden/mc_values.csv exactly: the same
         draws from the Philox stream and the same arithmetic on each path.
-        The draw memo is cleared before every record, so each one draws.
+        The increment memo is cleared before every record, so each one draws.
 
         Regenerate with `PYTHONPATH=src python tests/test_montecarlo.py
         --write-golden` only for a change that is meant to move Monte Carlo
@@ -264,33 +264,36 @@ class TestMcGolden:
         golden = _read_mc_golden()
         records = []
         for case in _mc_golden_cases():
-            montecarlo._memo_draws.cache_clear()
+            montecarlo._memo_increments.cache_clear()
             records.append(_mc_case(*case))
         assert records == golden
-        assert montecarlo._memo_draws.cache_info().hits == 0
+        assert montecarlo._memo_increments.cache_info().hits == 0
 
     def test_values_from_shared_draws_are_bit_identical(self):
         """The same file in one pass with the memo kept, the records that
-        share (seed, shape, n_units) in a row: 11 of each 12 such records
-        take their draws from the memo, and the two runs above its cap draw
-        past it."""
+        share (seed, shape, n_units, theta) in a row: 5 of each 6 such
+        records, one per payoff, take their increments from the memo, and
+        the two runs above its cap draw past it."""
         golden = _read_mc_golden()
         cases = list(enumerate(_mc_golden_cases()))
-        cases.sort(key=lambda item: item[1][1:2] + item[1][3:])
+        cases.sort(key=lambda item: item[1][1:])
         records = {index: _mc_case(*case) for index, case in cases}
         assert [records[index] for index in range(len(golden))] == golden
-        info = montecarlo._memo_draws.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (132, 12, 1)
+        info = montecarlo._memo_increments.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (120, 24, 1)
 
 
 _MC_THETAS = st.floats(-0.3, 0.3)
 _MC_STRIKES_DRAWN = st.floats(60.0, 160.0)
 
 
-def _estimate_hex(payoff, tau, theta, strike, antithetic, seed, n_paths):
-    params = VgParams(sigma=0.2, nu=_MC_NU, theta=theta)
+def _estimate_hex(
+    payoff, tau, theta, strike, antithetic, seed, n_paths,
+    spot=100.0, rate=0.02, sigma=0.2, nu=_MC_NU,
+):
+    params = VgParams(sigma=sigma, nu=nu, theta=theta)
     market = MarketInputs(
-        spot=100.0, strike=strike, rate=0.02, tau=tau, dividend_yield=0.01,
+        spot=spot, strike=strike, rate=rate, tau=tau, dividend_yield=0.01,
         trigger_strike=105.0, power=1.1,
     )
     cfg = McConfig(n_paths=n_paths, seed=seed, antithetic=antithetic)
@@ -307,30 +310,53 @@ class TestDrawMemoProperty:
         antithetic=st.booleans(),
         seed=st.integers(0, 2**64 - 1),
         n_units=st.integers(1, 3000),
-        others=st.lists(st.tuples(_MC_THETAS, _MC_STRIKES_DRAWN), min_size=1, max_size=3),
+        others=st.lists(
+            st.tuples(_MC_STRIKES_DRAWN, st.floats(80.0, 125.0), st.floats(0.0, 0.05)),
+            min_size=1, max_size=3,
+        ),
+        moved=st.sampled_from(("sigma", "theta", "nu")),
+        step=st.floats(0.01, 0.1),
     )
     def test_cold_and_warm_prices_are_identical(
-        self, payoff, tau, theta, strike, antithetic, seed, n_units, others
+        self, payoff, tau, theta, strike, antithetic, seed, n_units, others, moved, step
     ):
-        """A price is the same to the bit whether its draws are fresh or were
-        drawn and used first by every payoff at other drifts and strikes; the
-        memoised draws cannot be written in place."""
+        """A price is the same to the bit whether its increments are fresh or
+        were made and used first by every payoff at other strikes, spots and
+        rates; a contract that differs only in sigma, theta or nu makes its
+        own and prices as it does cold; the memoised increments cannot be
+        written in place."""
         n_paths = 2 * n_units if antithetic else n_units
-        montecarlo._memo_draws.cache_clear()
-        cold = _estimate_hex(payoff, tau, theta, strike, antithetic, seed, n_paths)
-        for other_theta, other_strike in others:
+        case = dict(
+            payoff=payoff, tau=tau, theta=theta, strike=strike, antithetic=antithetic,
+            seed=seed, n_paths=n_paths,
+        )
+        montecarlo._memo_increments.cache_clear()
+        cold = _estimate_hex(**case)
+        for other_strike, spot, rate in others:
             for other in montecarlo.PAYOFF_NAMES:
-                _estimate_hex(other, tau, other_theta, other_strike, antithetic, seed, n_paths)
-        hits = montecarlo._memo_draws.cache_info().hits
-        assert _estimate_hex(payoff, tau, theta, strike, antithetic, seed, n_paths) == cold
-        info = montecarlo._memo_draws.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (hits + 1, 1, 1)
-        ((gamma, z),) = montecarlo._memo_draws(seed, tau / _MC_NU, n_units)
-        for array in (gamma, z):
+                _estimate_hex(
+                    **{**case, "payoff": other, "strike": other_strike}, spot=spot, rate=rate
+                )
+        info = montecarlo._memo_increments.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (6 * len(others), 1, 1)
+        assert _estimate_hex(**case) == cold
+        info = montecarlo._memo_increments.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (6 * len(others) + 1, 1, 1)
+        ((shift, diffusion),) = montecarlo._memo_increments(
+            seed, tau / _MC_NU, n_units, _MC_NU, 0.2, theta
+        )
+        for array in (shift, diffusion):
             with pytest.raises(ValueError):
                 array *= 2.0
             with pytest.raises(ValueError):
                 array[0] = 0.0
+        defaults = {"sigma": 0.2, "theta": theta, "nu": _MC_NU}
+        moved_case = {**case, moved: defaults[moved] + step}
+        warm = _estimate_hex(**moved_case)
+        assert montecarlo._memo_increments.cache_info().misses == 2
+        montecarlo._memo_increments.cache_clear()
+        assert _estimate_hex(**moved_case) == warm
+        assert _estimate_hex(**case) == cold
 
     @given(
         payoff=st.sampled_from(montecarlo.PAYOFF_NAMES),
@@ -342,27 +368,27 @@ class TestDrawMemoProperty:
     def test_requests_above_the_cap_draw_past_the_memo(
         self, payoff, antithetic, seed, n_units, cap
     ):
-        """Below or at the cap a request adds its draws to the memo, above it
-        the memo is left as it was; the price is the same either way."""
+        """Below or at the cap a request adds its increments to the memo,
+        above it the memo is left as it was; the price is the same either way."""
         n_paths = 2 * n_units if antithetic else n_units
         case = (payoff, _MC_TAUS[1], -0.15, 100.0, antithetic, seed, n_paths)
-        montecarlo._memo_draws.cache_clear()
+        montecarlo._memo_increments.cache_clear()
         with mock.patch.object(montecarlo, "_MEMO_UNITS", cap):
             value = _estimate_hex(*case)
-        assert montecarlo._memo_draws.cache_info().currsize == (1 if n_units <= cap else 0)
-        before = montecarlo._memo_draws.cache_info()
+        assert montecarlo._memo_increments.cache_info().currsize == (1 if n_units <= cap else 0)
+        before = montecarlo._memo_increments.cache_info()
         with mock.patch.object(montecarlo, "_MEMO_UNITS", n_units - 1):
             assert _estimate_hex(*case) == value
-        assert montecarlo._memo_draws.cache_info() == before
+        assert montecarlo._memo_increments.cache_info() == before
 
     def test_request_above_the_real_cap_leaves_the_memo_alone(self):
         market = MarketInputs(spot=100.0, strike=100.0, rate=0.02, tau=_MC_TAUS[1])
         params = VgParams(sigma=0.2, nu=_MC_NU)
         mc_price("european", params, market, McConfig(n_paths=1000, seed=1))
-        before = montecarlo._memo_draws.cache_info()
+        before = montecarlo._memo_increments.cache_info()
         cfg = McConfig(n_paths=montecarlo._MEMO_UNITS + 1, seed=1)
         mc_price("cash_or_nothing", params, market, cfg)
-        assert montecarlo._memo_draws.cache_info() == before
+        assert montecarlo._memo_increments.cache_info() == before
         assert before.currsize == 1
 
 
