@@ -144,7 +144,8 @@ def _rng(seed: int) -> np.random.Generator:
 def _increment_chunk(
     rng: np.random.Generator, shape: float, m: int, nu: float, sigma: float, theta: float
 ) -> tuple:
-    clock = np.multiply(_gamma_marsaglia_tsang(rng, shape, m), nu)
+    clock = _gamma_marsaglia_tsang(rng, shape, m)
+    clock *= nu
     diffusion = np.sqrt(clock)
     diffusion *= sigma
     diffusion *= rng.standard_normal(m)
