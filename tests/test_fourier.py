@@ -1,7 +1,9 @@
 """Fourier-engine tests: reference Lewis columns, damping rules, stability."""
 
+import csv
 import math
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -389,3 +391,103 @@ class TestContour:
         for a in (0.0, -0.5, 20.0):
             with pytest.raises(DampingOutOfRangeError):
                 carr_madan_european(params, make_market(4200.0, 2.0), FourierConfig(damping_a=a))
+
+
+# ---------------------------------------------------------------------------
+# bit-identity golden file
+# ---------------------------------------------------------------------------
+
+_FOURIER_GOLDEN = Path(__file__).resolve().parent / "golden" / "fourier_values.csv"
+_FOURIER_GOLDEN_FIELDS = [
+    "pricer", "sigma", "nu", "theta", "spot", "strike", "tau", "u_max",
+    "outcome", "value", "terms_evaluated", "branch", "truncation_estimate", "diagnostics",
+]
+_FOURIER_PRICERS = (lewis_cash_or_nothing, lewis_asset_or_nothing, carr_madan_european)
+
+
+def _golden_text(value) -> str:
+    return float.hex(value) if type(value) is float else str(value)
+
+
+def _fourier_case(pricer, params, market, u_max):
+    record = {
+        "pricer": pricer.__name__, "sigma": repr(params.sigma), "nu": repr(params.nu),
+        "theta": repr(params.theta), "spot": repr(market.spot), "strike": repr(market.strike),
+        "tau": repr(market.tau), "u_max": repr(u_max),
+    }
+    try:
+        result = pricer(params, market, FourierConfig(u_max=u_max))
+    except Exception as err:  # the error type is pinned like a value
+        return {**record, "outcome": type(err).__name__}
+    return {
+        **record,
+        "outcome": "ok",
+        "value": float.hex(result.value),
+        "terms_evaluated": str(result.terms_evaluated),
+        "branch": result.branch,
+        # the finite path's estimate is pinned by the tests above, not here
+        "truncation_estimate": (
+            float.hex(result.truncation_estimate) if math.isinf(u_max) else ""
+        ),
+        "diagnostics": ";".join(
+            f"{key}={_golden_text(value)}" for key, value in sorted(result.diagnostics.items())
+        ),
+    }
+
+
+def _fourier_golden_cases():
+    """Every pricer on the contour and at u_max 1e2 and 1e4: out of, at and in
+    the money at two maturities with and without drift, then the Lewis-fault
+    contract (S 2000, one week) and the long-horizon contract (tau/nu = 385)."""
+    contracts = []
+    for theta in (0.0, 0.1, -0.1):
+        params = VgParams(sigma=0.2, nu=0.85, theta=theta)
+        for tau in (0.5, 2.0):
+            for spot in (3000.0, atm_spot(params, tau), 5000.0):
+                contracts.append((params, make_market(spot, tau)))
+    contracts.append((VgParams(sigma=0.2, nu=0.85), make_market(**_NEGATIVE_DIGITAL)))
+    contracts.append(
+        (VgParams(sigma=0.25, nu=0.013), MarketInputs(spot=100.0, strike=110.0, rate=0.01, tau=5.0))
+    )
+    for params, market in contracts:
+        for u_max in (math.inf, 1e2, 1e4):
+            for pricer in _FOURIER_PRICERS:
+                yield pricer, params, market, u_max
+
+
+def _write_fourier_golden(path=_FOURIER_GOLDEN):
+    with open(path, "w", newline="") as handle:
+        writer = csv.DictWriter(
+            handle, fieldnames=_FOURIER_GOLDEN_FIELDS, restval="", lineterminator="\n"
+        )
+        writer.writeheader()
+        writer.writerows(_fourier_case(*case) for case in _fourier_golden_cases())
+
+
+class TestFourierGolden:
+    def test_values_are_bit_identical(self):
+        """The three pricers reproduce tests/golden/fourier_values.csv exactly:
+        value, evaluation count, branch and diagnostics on both paths, and the
+        truncation estimate on the contour.
+
+        Regenerate with `PYTHONPATH=src python tests/test_fourier.py
+        --write-golden` only for a change that is meant to move Fourier
+        values, and state the diff.
+        """
+        with open(_FOURIER_GOLDEN, newline="") as handle:
+            golden = list(csv.DictReader(handle))
+        assert len(golden) == 3 * 3 * (3 * 2 * 3 + 2)
+        assert {row["branch"] for row in golden} == {"otm", "atm", "itm"}
+        records = [
+            {key: record.get(key, "") for key in _FOURIER_GOLDEN_FIELDS}
+            for record in map(lambda case: _fourier_case(*case), _fourier_golden_cases())
+        ]
+        assert records == golden
+
+
+if __name__ == "__main__":
+    import sys
+
+    if sys.argv[1:] == ["--write-golden"]:
+        _write_fourier_golden()
+        print(f"wrote {_FOURIER_GOLDEN}")
