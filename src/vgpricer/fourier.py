@@ -5,7 +5,9 @@ Digitals use the inversion of the risk-neutral characteristic function
     asset-or-nothing: S  (1/2 + (1/pi) int_0^umax Re[e^{iuk} PhiRN(u-i, tau)/(iu)] du)
     cash-or-nothing:  e^{-r tau} (1/2 + (1/pi) int_0^umax Re[e^{iuk} PhiRN(u, tau)/(iu)] du)
 
-with k the log-forward moneyness.  European calls use the damped integral:
+with k the log-forward moneyness.  One function prices both, parametrised by
+the measure shift: 1 for the asset digital (scale S), 0 for the cash digital
+(scale e^{-r tau}).  European calls use the damped integral:
 the call price in log-strike is multiplied by e^{a k_L} to make it
 integrable, priced through the characteristic function of log S_T, and the
 damping removed afterwards.  The damping factor must stay below the
@@ -33,8 +35,10 @@ min(pi/(2|k| + 1), cap)); each next panel is 1.5x wider, up to four periods
 of e^{iuk}, since the integrands decay like a power of u.  Every pass splits
 all panels in two until the change is below abs_tol, and evaluates its nodes
 in bounded chunks.  The panels change only the quadrature: each price is the
-same integral truncated at u_max, and its truncation_estimate is the dropped
-tail past u_max.
+same integral truncated at u_max.  Its truncation_estimate adds what that
+integral drops, the tail past u_max and, for a digital, the head [0, 1e-10]
+below its first panel, to the last refinement's change, each times the
+price's scale over pi.
 
 Either way a price outside its no-arbitrage bounds by more than the
 contour's rounding floor is returned unchanged but with tolerance_met False
@@ -135,49 +139,50 @@ def _panel_integral(f, edges: np.ndarray, splits: int, n_panels: int) -> float:
     return total
 
 
-def _integrate(g, k: float, lo: float, hi: float, width_cap: float, cfg: FourierConfig):
-    """int_lo^hi Re[e^{iuk} g(u)] du on graded panels, refined by splitting every panel in two."""
+def _integrate(g, k: float, lo: float, width_cap: float, decay: float, derived, cfg: FourierConfig):
+    """int_lo^u_max Re[e^{iuk} g(u)] du on graded panels, refined by splitting every panel in two.
+
+    Returns the integral, the evaluation count, whether abs_tol was met, and
+    the size of what it leaves out: the last refinement's change, the head
+    [0, lo], about lo |f(lo)| (a digital's integrand tends to a constant
+    there), and the tail past u_max.  There the integrand oscillates like
+    e^{iu k_rn} and |g| falls like u^-decay; one integration by parts bounds
+    the tail by |g(u_max)| / |k_rn|, and near the money, where that diverges,
+    the power decay alone by |g(u_max)| u_max / (decay - 1).  The smaller of
+    the two is taken.
+    """
 
     def f(u):
         return np.real(np.exp(1j * u * k) * g(u))
 
-    edges = _graded_edges(lo, hi, k, width_cap)
+    edges = _graded_edges(lo, cfg.u_max, k, width_cap)
     splits = -(-cfg.panels // (len(edges) - 1))
     n_panels = splits * (len(edges) - 1)
     value = _panel_integral(f, edges, splits, n_panels)
     evals = n_panels * len(_GL_NODES)
-    tolerance_met = False
     for _ in range(_MAX_REFINEMENTS):
         splits *= 2
         n_panels *= 2
         refined = _panel_integral(f, edges, splits, n_panels)
         evals += n_panels * len(_GL_NODES)
-        if abs(refined - value) <= cfg.abs_tol:
-            value = refined
-            tolerance_met = True
-            break
+        change = abs(refined - value)
         value = refined
-    return value, evals, tolerance_met
+        if change <= cfg.abs_tol:
+            break
+    head = lo * float(abs(f(lo)))
+    tail = float(abs(g(cfg.u_max))) / max(abs(derived.rn_moneyness), (decay - 1.0) / cfg.u_max)
+    return value, evals, change <= cfg.abs_tol, change + head + tail
 
 
-def _tail_estimate(g, u_max: float, k_rn: float, decay: float) -> float:
-    """Size of the dropped tail int_{u_max}^inf Re[e^{iuk} g(u)] du, |g| ~ u^-decay.
-
-    Past u_max the integrand oscillates like e^{iu k_rn}; one integration by
-    parts gives |g(u_max)| / |k_rn|.  Near the money, where that diverges,
-    the power decay alone gives |g(u_max)| u_max / (decay - 1); the smaller
-    of the two is returned.
-    """
-    return float(abs(g(u_max))) / max(abs(k_rn), (decay - 1.0) / u_max)
-
-
-def _contour_integral(F, x1, pole, branch, decay, sigma_nu, residue, cfg, apex=None):
-    """residue + (1/2pi) int F(xi) dxi along xi(y) = i w1 + b sinh(i w + y), y real.
+def _contour_integral(
+    F, pole, branch, decay, residue, scale, bounds, derived, cfg, apex=None, **extra
+) -> PriceResult:
+    """The price scale (residue + (1/2pi) int F(xi) dxi), xi(y) = i w1 + b sinh(i w + y), y real.
 
     Every singularity of F lies on the imaginary axis, and i pole and
     i branch are the two that enclose the contour's apex.  The contour bends
-    toward the branch point: down (w = -pi/4) when x1 >= 0, where e^{-i xi x1}
-    decays, and up (w = pi/4) when x1 < 0.  Unless it is given, the apex is
+    toward the branch point: down (w = -pi/4) when x1 = -k_rn >= 0, where
+    e^{-i xi x1} decays, and up (w = pi/4) when x1 < 0.  Unless it is given, the apex is
     where |F| is least on the imaginary axis (the choice of Lord and Kahl
     for the damping), searched on a geometric grid of _APEX_GRID points from
     half-way to the branch point down to 1e-3 of that distance from the pole.
@@ -196,10 +201,11 @@ def _contour_integral(F, x1, pole, branch, decay, sigma_nu, residue, cfg, apex=N
     either bound has fallen by e^-L, L = ln(1/abs_tol) + 25, or at _Y_LIMIT.
     The step starts at _STEP and halves, reusing the nodes, until the change
     is below abs_tol or the next pass would exceed _CHUNK_NODES nodes.
-    Returns the value, the count of evaluations of F, whether abs_tol was
-    met, the last change plus a rounding floor, and that floor: _ROUNDING
-    times the sum of the magnitudes added.
+    The PriceResult counts the evaluations of F, and its truncation_estimate
+    is the last change plus a rounding floor: _ROUNDING times the sum of the
+    magnitudes added, within which a price past its bounds is clamped.
     """
+    x1 = -derived.rn_moneyness
     evals = 0
     if apex is None:
         v = pole + 0.5 * (branch - pole) * np.geomspace(1.0, 1e-3, _APEX_GRID)
@@ -211,7 +217,7 @@ def _contour_integral(F, x1, pole, branch, decay, sigma_nu, residue, cfg, apex=N
     w1 = apex - toward * b / _SQRT2
     log_drop = math.log(1.0 / cfg.abs_tol) + 25.0
     # |Phi| <= (sigma_nu |Re xi|)^-decay and |Re xi| = b sinh(y) / sqrt 2
-    t = math.log(_SQRT2 / (sigma_nu * b)) + (log_drop + math.log1p(1.0 / decay)) / decay
+    t = math.log(_SQRT2 / (derived.sigma_nu * b)) + (log_drop + math.log1p(1.0 / decay)) / decay
     y_max = min(math.asinh(math.exp(t)) if t < 20.0 else t + math.log(2.0), _Y_LIMIT)
     oscillation = abs(x1) * b / _SQRT2
     if oscillation > 0.0:
@@ -239,9 +245,11 @@ def _contour_integral(F, x1, pole, branch, decay, sigma_nu, residue, cfg, apex=N
         h, n = 0.5 * h, 2 * n
         if change <= cfg.abs_tol:
             break
-    ok = change <= cfg.abs_tol
     floor = _ROUNDING * (abs(residue) + magnitude)
-    return residue + value, evals, ok, change + floor, floor
+    return _result(
+        scale * (residue + value), scale * (change + floor), bounds, evals,
+        change <= cfg.abs_tol, derived, floor=scale * floor, u_max=cfg.u_max, **extra,
+    )
 
 
 def _result(value, truncation, bounds, evals, tolerance_met, derived, floor=0.0, **extra):
@@ -271,16 +279,6 @@ def _result(value, truncation, bounds, evals, tolerance_met, derived, floor=0.0,
     )
 
 
-def _lewis_digital(g, scale: float, params: VgParams, market: MarketInputs, derived, cfg):
-    """scale (1/2 + (1/pi) int_0^umax Re[e^{iuk} g(u)] du), a digital worth between 0 and scale."""
-    integral, evals, ok = _integrate(g, derived.log_fwd_moneyness, 1e-10, cfg.u_max, 2.0, cfg)
-    tail = _tail_estimate(g, cfg.u_max, derived.rn_moneyness, 1.0 + 2.0 * market.tau / params.nu)
-    value = scale * (0.5 + integral / math.pi)
-    return _result(
-        value, scale * tail / math.pi, (0.0, scale), evals, ok, derived, u_max=cfg.u_max
-    )
-
-
 def _branch_points(params: VgParams) -> tuple[float, float]:
     """(eta_-, eta_+): Phi(xi) is analytic for eta_- < Im xi < eta_+.
 
@@ -290,30 +288,45 @@ def _branch_points(params: VgParams) -> tuple[float, float]:
     return -1.0 / (params.nu * gd.mu_plus), 1.0 / (params.nu * gd.mu_minus)
 
 
-def _contour_digital(shift: float, scale: float, params, market, derived, cfg) -> PriceResult:
+def _digital(shift: float, params, market, cfg) -> PriceResult:
     """scale P(X > x1), x1 = -k_rn, by the inversion (1/2pi) int e^{-i xi x1} Psi(xi)/(i xi) dxi,
     Psi(xi) = e^{shift omega tau} Phi(xi - i shift): the share measure's X for shift 1.
 
-    The contour bends down when x1 >= 0; when x1 < 0 it bends up over the
-    pole at 0 and adds its residue Psi(0) = 1.  Its apex lies between the pole
-    and the nearest branch point of Psi, i (eta_pm + shift), at most half-way.
+    Shift 1 is the asset-or-nothing digital, worth between 0 and scale S;
+    shift 0 the cash-or-nothing digital, scale e^{-r tau}.  On the contour,
+    which bends down when x1 >= 0 and otherwise up over the pole at 0, adding
+    its residue Psi(0) = 1, the apex lies between the pole and the nearest
+    branch point of Psi, i (eta_pm + shift), at most half-way.  At a finite
+    u_max it is scale (1/2 + (1/pi) int_0^umax Re[e^{iu k_rn} Psi(u)/(iu)] du).
     """
+    cfg = cfg or FourierConfig()
+    derived = model.derive(params, market)
     tau = market.tau
-    x1 = -derived.rn_moneyness
-    log_norm = shift * derived.omega * tau
+    scale = market.spot if shift else math.exp(-derived.rate_effective * tau)
+    decay = 2.0 * tau / params.nu
+    if math.isinf(cfg.u_max):
+        x1 = -derived.rn_moneyness
+        log_norm = shift * derived.omega * tau
 
-    def F(xi):
-        log_psi = model._log_characteristic_fn(params, xi - 1j * shift, tau)
-        return np.exp(log_psi + log_norm - 1j * xi * x1) / (1j * xi)
+        def F(xi):
+            log_psi = model._log_characteristic_fn(params, xi - 1j * shift, tau)
+            return np.exp(log_psi + log_norm - 1j * xi * x1) / (1j * xi)
 
-    eta_minus, eta_plus = _branch_points(params)
-    branch, residue = (eta_plus + shift, 1.0) if x1 < 0.0 else (eta_minus + shift, 0.0)
-    value, evals, ok, estimate, floor = _contour_integral(
-        F, x1, 0.0, branch, 2.0 * tau / params.nu, derived.sigma_nu, residue, cfg
+        eta_minus, eta_plus = _branch_points(params)
+        branch, residue = (eta_plus + shift, 1.0) if x1 < 0.0 else (eta_minus + shift, 0.0)
+        return _contour_integral(F, 0.0, branch, decay, residue, scale, (0.0, scale), derived, cfg)
+
+    def g(u):
+        z = u - 1j * shift
+        phi = model.characteristic_fn(params, z, tau)
+        return np.exp(1j * z * tau * derived.omega) * phi / (1j * u)
+
+    integral, evals, ok, dropped = _integrate(
+        g, derived.log_fwd_moneyness, 1e-10, 2.0, 1.0 + decay, derived, cfg
     )
     return _result(
-        scale * value, scale * estimate, (0.0, scale), evals, ok, derived,
-        floor=scale * floor, u_max=cfg.u_max,
+        scale * (0.5 + integral / math.pi), scale * dropped / math.pi, (0.0, scale), evals, ok,
+        derived, u_max=cfg.u_max,
     )
 
 
@@ -321,38 +334,14 @@ def lewis_asset_or_nothing(
     params: VgParams, market: MarketInputs, cfg: Optional[FourierConfig] = None
 ) -> PriceResult:
     """Asset-or-nothing digital via the shifted characteristic function."""
-    cfg = cfg or FourierConfig()
-    derived = model.derive(params, market)
-    if math.isinf(cfg.u_max):
-        return _contour_digital(1.0, market.spot, params, market, derived, cfg)
-    tau = market.tau
-    omega = derived.omega
-
-    def g(u):
-        shifted = u - 1j
-        phi = np.exp(1j * shifted * tau * omega) * model.characteristic_fn(
-            params, shifted, tau
-        )
-        return phi / (1j * u)
-
-    return _lewis_digital(g, market.spot, params, market, derived, cfg)
+    return _digital(1.0, params, market, cfg)
 
 
 def lewis_cash_or_nothing(
     params: VgParams, market: MarketInputs, cfg: Optional[FourierConfig] = None
 ) -> PriceResult:
     """Cash-or-nothing digital via the risk-neutral characteristic function."""
-    cfg = cfg or FourierConfig()
-    derived = model.derive(params, market)
-    tau = market.tau
-    discount = math.exp(-derived.rate_effective * tau)
-    if math.isinf(cfg.u_max):
-        return _contour_digital(0.0, discount, params, market, derived, cfg)
-
-    def g(u):
-        return model.rn_characteristic_fn(params, u, tau) / (1j * u)
-
-    return _lewis_digital(g, discount, params, market, derived, cfg)
+    return _digital(0.0, params, market, cfg)
 
 
 def a_max(params: VgParams) -> float:
@@ -393,19 +382,9 @@ def _contour_call(a: float, params, market, derived, cfg) -> PriceResult:
         pole, branch, residue, apex = 0.0, eta_plus, intrinsic / discounted_strike, None
     else:
         pole, branch, residue, apex = -1.0, eta_minus, 0.0, -(1.0 + a)
-    value, evals, ok, estimate, floor = _contour_integral(
-        F, x1, pole, branch, decay, derived.sigma_nu, residue, cfg, apex
-    )
-    return _result(
-        discounted_strike * value,
-        discounted_strike * estimate,
-        (max(0.0, intrinsic), market.spot),
-        evals,
-        ok,
-        derived,
-        floor=discounted_strike * floor,
-        u_max=cfg.u_max,
-        damping_a=a,
+    bounds = (max(0.0, intrinsic), market.spot)
+    return _contour_integral(
+        F, pole, branch, decay, residue, discounted_strike, bounds, derived, cfg, apex, damping_a=a
     )
 
 
@@ -440,28 +419,22 @@ def carr_madan_european(
             ) from exc
     if math.isinf(cfg.u_max):
         return _contour_call(a, params, market, derived, cfg)
-    k_rn = derived.rn_moneyness
 
     def g(u):
         z = u - (a + 1.0) * 1j
         denom = a * a + a - u * u + 1j * (2.0 * a + 1.0) * u
         return model.characteristic_fn(params, z, tau) / denom
 
-    integral, evals, ok = _integrate(g, k_rn, 0.0, cfg.u_max, 1.0, cfg)
-    log_scale = (
+    integral, evals, ok, dropped = _integrate(
+        g, derived.rn_moneyness, 0.0, 1.0, 2.0 + 2.0 * tau / params.nu, derived, cfg
+    )
+    scale = math.exp(
         -a * math.log(market.strike)
         - derived.rate_effective * tau
         + (a + 1.0) * (math.log(market.spot) + (derived.rate_effective + derived.omega) * tau)
     )
-    tail = _tail_estimate(g, cfg.u_max, k_rn, 2.0 + 2.0 * tau / params.nu)
     intrinsic = market.spot - market.strike * math.exp(-derived.rate_effective * tau)
     return _result(
-        math.exp(log_scale) * integral / math.pi,
-        math.exp(log_scale) * tail / math.pi,
-        (max(0.0, intrinsic), market.spot),
-        evals,
-        ok,
-        derived,
-        u_max=cfg.u_max,
-        damping_a=a,
+        scale * integral / math.pi, scale * dropped / math.pi, (max(0.0, intrinsic), market.spot),
+        evals, ok, derived, u_max=cfg.u_max, damping_a=a,
     )

@@ -136,6 +136,17 @@ class TestFourierDiagnostics:
         assert error == pytest.approx(3.31e-5, abs=5e-8)
         assert error <= lewis.truncation_estimate < 1.1 * error
 
+    def test_truncation_estimate_covers_the_skipped_head(self, bench_params):
+        """At S 2000, tau 2 the asset digital's integrand tends to about -0.63
+        at u = 0, so the head [0, 1e-10] the panels start after is worth
+        -4.0e-8 of the price: the estimate must cover it."""
+        market = make_market(2000.0, 2.0)
+        lewis = lewis_asset_or_nothing(bench_params, market, _TRUNCATED)
+        series_value = asset_or_nothing(bench_params, market, SeriesControl(max_order=120)).value
+        error = abs(lewis.value - series_value)
+        assert error == pytest.approx(3.99e-8, abs=1e-10)
+        assert error <= lewis.truncation_estimate < 1.1 * error
+
     def test_truncation_estimate_reported_by_every_integrand(self, bench_params):
         market = make_market(3000.0, 1 / 12)
         for pricer in (lewis_cash_or_nothing, lewis_asset_or_nothing, carr_madan_european):
