@@ -20,7 +20,6 @@ import csv
 import dataclasses
 import io
 import json
-import math
 import sys
 import time
 from functools import lru_cache, partial
@@ -62,41 +61,51 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _add_model_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--sigma", type=float, default=None)
-    parser.add_argument("--nu", type=float, default=None)
-    parser.add_argument("--theta", type=float, default=None)
+_FLOAT, _INT, _SWITCH = dict(type=float), dict(type=int), dict(action="store_true")
 
-
-def _add_market_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--spot", type=float, default=None)
-    parser.add_argument("--strike", type=float, default=None)
-    parser.add_argument("--trigger-strike", type=float, default=None)
-    parser.add_argument("--rate", type=float, default=None)
-    parser.add_argument("--dividend-yield", type=float, default=None)
-    parser.add_argument("--tau", type=float, default=None)
-    parser.add_argument("--power", type=float, default=None)
-
-
-def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--max-order", type=int, default=None)
-    parser.add_argument("--tail-tol", type=float, default=None)
-    parser.add_argument("--alpha-policy", choices=("error", "nudge"), default=None)
-    parser.add_argument("--u-max", type=float, default=None)
-    parser.add_argument("--panels", type=int, default=None)
-    parser.add_argument("--damping-a", type=float, default=None)
-    parser.add_argument("--abs-tol", type=float, default=None)
-    parser.add_argument("--gl-order", type=int, default=None)
-    parser.add_argument("--paths", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--antithetic", action="store_true", default=None)
-
-
-def _add_output_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("json", "csv"), default=None)
-    parser.add_argument("--output", default=None)
-    parser.add_argument("--stream", action="store_true", default=None)
-    parser.add_argument("--config", default=None)
+# Every configurable key, in --help order: (flag group, default, argparse
+# keywords).  Its flag is --key with dashes and defaults to None, so _resolve
+# can tell a flag given from one left out; --config takes the same keys.
+# Engine defaults are read from the engines' config classes.
+_FLAGS = {
+    "method": ("price", "series", dict(choices=_METHODS)),
+    "compare": ("table", False, _SWITCH),
+    "t": ("density", 1.0, _FLOAT),
+    "x_min": ("density", -1.5, _FLOAT),
+    "x_max": ("density", 1.5, _FLOAT),
+    "points": ("density", 101, _INT),
+    "max_orders": ("converge", "3,5,10,15,20,25", dict(help="comma-separated series truncations")),
+    "u_max_list": (
+        "converge", "1e2,1e3,1e4", dict(help="comma-separated Fourier truncation points")
+    ),
+    "reference": ("converge", "series", dict(choices=("series", "fourier"))),
+    "sigma": ("model", None, _FLOAT),
+    "nu": ("model", None, _FLOAT),
+    "theta": ("model", VgParams.theta, _FLOAT),
+    "spot": ("market", None, _FLOAT),
+    "strike": ("market", None, _FLOAT),
+    "trigger_strike": ("market", MarketInputs.trigger_strike, _FLOAT),
+    "rate": ("market", 0.0, _FLOAT),
+    "dividend_yield": ("market", MarketInputs.dividend_yield, _FLOAT),
+    "tau": ("market", None, _FLOAT),
+    "power": ("market", MarketInputs.power, _FLOAT),
+    "max_order": ("engine", series.SeriesControl.max_order, _INT),
+    "tail_tol": ("engine", series.SeriesControl.tail_tol, _FLOAT),
+    "alpha_policy": ("engine", series.SeriesControl.alpha_policy, dict(choices=("error", "nudge"))),
+    "u_max": ("engine", fourier.FourierConfig.u_max, _FLOAT),
+    "panels": ("engine", fourier.FourierConfig.panels, _INT),
+    "damping_a": ("engine", fourier.FourierConfig.damping_a, _FLOAT),
+    "abs_tol": ("engine", fourier.FourierConfig.abs_tol, _FLOAT),
+    "gl_order": ("engine", 15, _INT),
+    "paths": ("engine", 100_000, _INT),
+    "seed": ("engine", montecarlo.McConfig.seed, _INT),
+    "antithetic": ("engine", montecarlo.McConfig.antithetic, _SWITCH),
+    "format": ("output", None, dict(choices=("json", "csv"))),
+    "output": ("output", None, {}),
+    "stream": ("output", False, _SWITCH),
+}
+_PAYOFF = ("--payoff", dict(choices=_PAYOFFS, required=True))
+_TABLE_ID = ("--id", dict(dest="table_id", required=True, choices=tables.TABLE_IDS))
 
 
 @lru_cache(maxsize=1)
@@ -105,103 +114,28 @@ def _build_parser() -> _Parser:
     and each parse_args call returns a fresh Namespace."""
     parser = _Parser(prog="vgpricer", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    price = sub.add_parser("price", help="price a single contract")
-    price.add_argument("--payoff", choices=_PAYOFFS, required=True)
-    price.add_argument("--method", choices=_METHODS, default=None)
-    for add in (_add_model_flags, _add_market_flags, _add_engine_flags, _add_output_flags):
-        add(price)
-
-    table = sub.add_parser("table", help="reproduce a reference table")
-    table.add_argument("--id", dest="table_id", required=True,
-                       choices=tables.TABLE_IDS)
-    table.add_argument("--compare", action="store_true", default=None)
-    for add in (_add_engine_flags, _add_output_flags):
-        add(table)
-
-    density = sub.add_parser("density", help="density samples as CSV/JSON")
-    density.add_argument("--t", type=float, default=None)
-    density.add_argument("--x-min", type=float, default=None)
-    density.add_argument("--x-max", type=float, default=None)
-    density.add_argument("--points", type=int, default=None)
-    for add in (_add_model_flags, _add_engine_flags, _add_output_flags):
-        add(density)
-
-    converge = sub.add_parser("converge", help="series vs Fourier convergence race")
-    converge.add_argument("--max-orders", default=None,
-                          help="comma-separated series truncations")
-    converge.add_argument("--u-max-list", default=None,
-                          help="comma-separated Fourier truncation points")
-    converge.add_argument("--reference", choices=("series", "fourier"), default=None)
-    for add in (_add_model_flags, _add_market_flags, _add_engine_flags, _add_output_flags):
-        add(converge)
-
-    bench = sub.add_parser("bench", help="price one contract with every engine")
-    bench.add_argument("--payoff", choices=_PAYOFFS, required=True)
-    for add in (_add_model_flags, _add_market_flags, _add_engine_flags, _add_output_flags):
-        add(bench)
-
+    for name, (help_text, required, groups, _) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        if required:
+            command.add_argument(required[0], **required[1])
+        for key, (group, _, kwargs) in _FLAGS.items():
+            if group in groups:
+                command.add_argument("--" + key.replace("_", "-"), default=None, **kwargs)
+        command.add_argument("--config", default=None)
     return parser
-
-
-_DEFAULTS = {
-    "method": "series",
-    "sigma": None,
-    "nu": None,
-    "theta": 0.0,
-    "spot": None,
-    "strike": None,
-    "trigger_strike": None,
-    "rate": 0.0,
-    "dividend_yield": 0.0,
-    "tau": None,
-    "power": 1.0,
-    "max_order": 25,
-    "tail_tol": 1e-10,
-    "alpha_policy": "error",
-    "u_max": math.inf,
-    "panels": 1,
-    "damping_a": 1.0,
-    "abs_tol": 1e-9,
-    "gl_order": 15,
-    "paths": 100_000,
-    "seed": 0,
-    "antithetic": False,
-    "format": None,
-    "output": None,
-    "stream": False,
-    "compare": False,
-    "t": 1.0,
-    "x_min": -1.5,
-    "x_max": 1.5,
-    "points": 101,
-    "max_orders": "3,5,10,15,20,25",
-    "u_max_list": "1e2,1e3,1e4",
-    "reference": "series",
-}
 
 
 def _resolve(args: argparse.Namespace) -> dict:
     """Fold CLI flags over config-file values over built-in defaults."""
     config = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config, "r", encoding="utf-8") as handle:
             config = json.load(handle)
-        unknown = set(config) - set(_DEFAULTS)
+        unknown = set(config) - set(_FLAGS)
         if unknown:
             raise _UsageError(f"unknown config keys: {sorted(unknown)}")
-    resolved = {}
-    for key, default in _DEFAULTS.items():
-        flag = getattr(args, key, None)
-        if flag is not None:
-            resolved[key] = flag
-        elif key in config:
-            resolved[key] = config[key]
-        else:
-            resolved[key] = default
-    for key in ("payoff", "command", "table_id"):
-        if hasattr(args, key):
-            resolved[key] = getattr(args, key)
+    resolved = {key: config.get(key, default) for key, (_, default, _) in _FLAGS.items()}
+    resolved.update((key, value) for key, value in vars(args).items() if value is not None)
     return resolved
 
 
@@ -212,39 +146,11 @@ def _require(resolved: dict, *keys: str) -> None:
         raise _UsageError(f"missing required flags: {flags}")
 
 
-def _params(resolved: dict) -> VgParams:
-    _require(resolved, "sigma", "nu")
-    return VgParams(sigma=resolved["sigma"], nu=resolved["nu"], theta=resolved["theta"])
-
-
-def _market(resolved: dict) -> MarketInputs:
-    _require(resolved, "spot", "strike", "tau")
-    return MarketInputs(
-        spot=resolved["spot"],
-        strike=resolved["strike"],
-        rate=resolved["rate"],
-        tau=resolved["tau"],
-        trigger_strike=resolved["trigger_strike"],
-        dividend_yield=resolved["dividend_yield"],
-        power=resolved["power"],
-    )
-
-
-def _series_control(resolved: dict) -> series.SeriesControl:
-    return series.SeriesControl(
-        max_order=resolved["max_order"],
-        tail_tol=resolved["tail_tol"],
-        alpha_policy=resolved["alpha_policy"],
-    )
-
-
-def _fourier_config(resolved: dict) -> fourier.FourierConfig:
-    return fourier.FourierConfig(
-        u_max=resolved["u_max"],
-        panels=resolved["panels"],
-        damping_a=resolved["damping_a"],
-        abs_tol=resolved["abs_tol"],
-    )
+def _build(cls, resolved: dict):
+    """cls from the resolved keys named like its fields; a field without a default must be set."""
+    fields = dataclasses.fields(cls)
+    _require(resolved, *(f.name for f in fields if f.default is dataclasses.MISSING))
+    return cls(**{f.name: resolved[f.name] for f in fields})
 
 
 def _monte_carlo(payoff: str, params, market, cfg) -> PriceResult:
@@ -269,8 +175,8 @@ def _monte_carlo(payoff: str, params, market, cfg) -> PriceResult:
 
 
 _CONFIGS = {
-    "series": _series_control,
-    "fourier": _fourier_config,
+    "series": partial(_build, series.SeriesControl),
+    "fourier": partial(_build, fourier.FourierConfig),
     "quadrature": lambda resolved: resolved["gl_order"],
     "mc": lambda resolved: montecarlo.McConfig(
         n_paths=resolved["paths"], seed=resolved["seed"], antithetic=resolved["antithetic"]
@@ -303,8 +209,8 @@ _ENGINES = {
 
 
 def _price_record(payoff: str, method: str, resolved: dict) -> dict:
-    params = _params(resolved)
-    market = _market(resolved)
+    params = _build(VgParams, resolved)
+    market = _build(MarketInputs, resolved)
     start = time.perf_counter()
     config = _CONFIGS[method](resolved)
     if (method, payoff) not in _ENGINES:
@@ -424,7 +330,7 @@ def _cmd_table(resolved: dict) -> int:
 
 
 def _cmd_density(resolved: dict) -> int:
-    params = _params(resolved)
+    params = _build(VgParams, resolved)
     t = resolved["t"]
     n = resolved["gl_order"]
     lo, hi, points = resolved["x_min"], resolved["x_max"], resolved["points"]
@@ -451,8 +357,8 @@ def _cmd_density(resolved: dict) -> int:
 
 
 def _cmd_converge(resolved: dict) -> int:
-    params = _params(resolved)
-    market = _market(resolved)
+    params = _build(VgParams, resolved)
+    market = _build(MarketInputs, resolved)
     max_orders = [int(v) for v in str(resolved["max_orders"]).split(",") if v]
     u_maxes = [float(v) for v in str(resolved["u_max_list"]).split(",") if v]
     if resolved["reference"] == "series":
@@ -460,7 +366,7 @@ def _cmd_converge(resolved: dict) -> int:
         reference = series.european(params, market, ref_ctrl).value
     else:
         reference = fourier.carr_madan_european(
-            params, market, _fourier_config(resolved)
+            params, market, _build(fourier.FourierConfig, resolved)
         ).value
     rows = []
     for m in max_orders:
@@ -479,7 +385,7 @@ def _cmd_converge(resolved: dict) -> int:
             }
         )
     for u_max in u_maxes:
-        cfg = dataclasses.replace(_fourier_config(resolved), u_max=u_max)
+        cfg = dataclasses.replace(_build(fourier.FourierConfig, resolved), u_max=u_max)
         value = fourier.carr_madan_european(params, market, cfg).value
         rows.append(
             {
@@ -515,23 +421,27 @@ def _cmd_bench(resolved: dict) -> int:
     return 0
 
 
+# subcommand: (help, its required flag, the flag groups it takes, handler)
+_COMMANDS = {
+    "price": ("price a single contract", _PAYOFF,
+              ("price", "model", "market", "engine", "output"), _cmd_price),
+    "table": ("reproduce a reference table", _TABLE_ID, ("table", "engine", "output"), _cmd_table),
+    "density": ("density samples as CSV/JSON", None,
+                ("density", "model", "engine", "output"), _cmd_density),
+    "converge": ("series vs Fourier convergence race", None,
+                 ("converge", "model", "market", "engine", "output"), _cmd_converge),
+    "bench": ("price one contract with every engine", _PAYOFF,
+              ("model", "market", "engine", "output"), _cmd_bench),
+}
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         resolved = _resolve(args)
-        command = resolved["command"]
-        if command == "price":
-            return _cmd_price(resolved)
-        if command == "table":
-            return _cmd_table(resolved)
-        if command == "density":
-            return _cmd_density(resolved)
-        if command == "converge":
-            return _cmd_converge(resolved)
-        if command == "bench":
-            return _cmd_bench(resolved)
-        raise _UsageError(f"unknown command {command!r}")
+        *_, handler = _COMMANDS[resolved["command"]]
+        return handler(resolved)
     except _UsageError as err:
         sys.stderr.write(json.dumps({"error": str(err), "type": "usage"}) + "\n")
         return 1

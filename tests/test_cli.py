@@ -1,6 +1,7 @@
 """Command-line surface tests: flags, exit codes, output formats, stability."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -12,9 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vgpricer import cli, fourier, model, tables
+from vgpricer import cli, fourier, model, montecarlo, series, tables
 from vgpricer.cli import main
-from vgpricer.model import MarketInputs
+from vgpricer.model import MarketInputs, VgParams
 
 _BASE_FLAGS = [
     "--spot", "4200", "--strike", "4000", "--rate", "0.01", "--tau", "2",
@@ -474,6 +475,34 @@ class TestOutputPlumbing:
         )
         assert code == 1
         assert "spoot" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("key", ["config", "payoff", "command", "table_id"])
+    def test_command_line_only_keys_rejected_in_config(self, capsys, tmp_path, key):
+        """A config file takes the configurable keys only: not --config
+        itself, nor the subcommand and the flag it requires."""
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps({key: "x"}))
+        code, _, err = run_cli(
+            capsys, "price", "--payoff", "european", *_BASE_FLAGS, "--config", str(config),
+        )
+        assert code == 1
+        assert key in json.loads(err)["error"]
+
+    def test_bare_price_resolves_to_the_engine_defaults(self):
+        """With no flag and no config file, every engine setting is the
+        default of the engine's own config class."""
+        resolved = cli._resolve(cli._build_parser().parse_args(["price", "--payoff", "european"]))
+        for config in (series.SeriesControl(), fourier.FourierConfig()):
+            for field in dataclasses.fields(config):
+                assert resolved[field.name] == getattr(config, field.name), field.name
+        mc = montecarlo.McConfig(n_paths=1)
+        assert (resolved["seed"], resolved["antithetic"]) == (mc.seed, mc.antithetic)
+        assert resolved["theta"] == VgParams(sigma=0.2, nu=0.85).theta
+        market = MarketInputs(spot=1.0, strike=1.0, rate=0.0, tau=1.0)
+        assert (resolved["dividend_yield"], resolved["power"]) == (
+            market.dividend_yield, market.power
+        )
+        assert resolved["trigger_strike"] is market.trigger_strike is None
 
 _TRACED_PRICE = """
 import collections, contextlib, io, json, sys
