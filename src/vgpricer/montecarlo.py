@@ -15,7 +15,7 @@ The squeeze's log test runs only on the draws the squeeze rejects (about
 Strike, spot and rate enter only after the increments, so the payoffs and
 strikes of one contract share them: a request of up to 2^18 path units keeps
 its (theta G, sigma sqrt(G) Z) pairs, read-only, in a one-entry memo keyed by
-(seed, shape, n_units, nu, sigma, theta).  Each price adds its drift to them.
+(seed, shape, n_units, nu, sigma, theta) and theta's sign.  Each price adds its drift to them.
 A sweep over sigma, theta or nu at a fixed seed and shape draws again.
 """
 
@@ -160,7 +160,8 @@ def _increments(
     _rng(seed), one per chunk of at most _CHUNK units, the clock block drawn
     first; memoised up to _MEMO_UNITS."""
     if memo and n_units <= _MEMO_UNITS:
-        return _memo_increments(seed, shape, n_units, nu, sigma, theta)
+        # theta = -0.0 equals 0.0 as a key, but its sign reaches sample_vg's zeros
+        return _memo_increments(seed, shape, n_units, nu, sigma, theta, math.copysign(1.0, theta))
     rng = _rng(seed)
     sizes = (min(_CHUNK, n_units - start) for start in range(0, n_units, _CHUNK))
     return (_increment_chunk(rng, shape, m, nu, sigma, theta) for m in sizes)
@@ -168,7 +169,7 @@ def _increments(
 
 @functools.lru_cache(maxsize=1)
 def _memo_increments(
-    seed: int, shape: float, n_units: int, nu: float, sigma: float, theta: float
+    seed: int, shape: float, n_units: int, nu: float, sigma: float, theta: float, theta_sign: float
 ) -> tuple:
     chunks = tuple(_increments(seed, shape, n_units, nu, sigma, theta, memo=False))
     for array in itertools.chain.from_iterable(chunks):

@@ -343,7 +343,7 @@ class TestDrawMemoProperty:
         info = montecarlo._memo_increments.cache_info()
         assert (info.hits, info.misses, info.currsize) == (6 * len(others) + 1, 1, 1)
         ((shift, diffusion),) = montecarlo._memo_increments(
-            seed, tau / _MC_NU, n_units, _MC_NU, 0.2, theta
+            seed, tau / _MC_NU, n_units, _MC_NU, 0.2, theta, math.copysign(1.0, theta)
         )
         for array in (shift, diffusion):
             with pytest.raises(ValueError):
@@ -380,6 +380,21 @@ class TestDrawMemoProperty:
         with mock.patch.object(montecarlo, "_MEMO_UNITS", n_units - 1):
             assert _estimate_hex(*case) == value
         assert montecarlo._memo_increments.cache_info() == before
+
+    def test_memo_keeps_the_sign_of_a_zero_theta(self):
+        """theta = -0.0 equals 0.0, but where the clock underflows to 0 and
+        Z < 0 a draw is theta's signed zero: increments made at theta = 0.0
+        must not serve a request at theta = -0.0."""
+        def draws(theta):
+            return sample_vg(VgParams(sigma=0.2, nu=0.85, theta=theta), 0.0085, 100_000, 1)
+
+        cold = draws(-0.0)
+        zeros = cold == 0.0
+        assert (np.count_nonzero(zeros), np.count_nonzero(np.signbit(cold[zeros]))) == (61, 28)
+        montecarlo._memo_increments.cache_clear()
+        draws(0.0)
+        assert draws(-0.0).tobytes() == cold.tobytes()
+        assert montecarlo._memo_increments.cache_info().misses == 2
 
     def test_request_above_the_real_cap_leaves_the_memo_alone(self):
         market = MarketInputs(spot=100.0, strike=100.0, rate=0.02, tau=_MC_TAUS[1])
