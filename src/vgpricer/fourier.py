@@ -358,36 +358,6 @@ def a_max(params: VgParams) -> float:
     return math.sqrt(2.0 / params.nu) / params.sigma - 1.0
 
 
-def _contour_call(a: float, params, market, derived, cfg) -> PriceResult:
-    """European call K e^{-r tau} (1/2pi) int e^{-i xi x1} Phi(xi) / (-xi (xi + i)) dxi, x1 = -k_rn.
-
-    Out of the money (x1 >= 0) the contour bends down from the damped line's
-    point -i(1 + a), between the poles at 0 and -i and the branch point
-    i eta_-.  In the money it bends up over both poles, whose residues add
-    the forward intrinsic value S - K e^{-r tau}, with its apex between 0 and
-    i eta_+, at most half-way.
-    """
-    tau = market.tau
-    x1 = -derived.rn_moneyness
-    discounted_strike = market.strike * math.exp(-derived.rate_effective * tau)
-    intrinsic = market.spot - discounted_strike
-
-    def F(xi):
-        log_phi = model._log_characteristic_fn(params, xi, tau)
-        return np.exp(log_phi - 1j * xi * x1) / (-xi * (xi + 1j))
-
-    eta_minus, eta_plus = _branch_points(params)
-    decay = 1.0 + 2.0 * tau / params.nu
-    if x1 < 0.0:
-        pole, branch, residue, apex = 0.0, eta_plus, intrinsic / discounted_strike, None
-    else:
-        pole, branch, residue, apex = -1.0, eta_minus, 0.0, -(1.0 + a)
-    bounds = (max(0.0, intrinsic), market.spot)
-    return _contour_integral(
-        F, pole, branch, decay, residue, discounted_strike, bounds, derived, cfg, apex, damping_a=a
-    )
-
-
 def carr_madan_european(
     params: VgParams, market: MarketInputs, cfg: Optional[FourierConfig] = None
 ) -> PriceResult:
@@ -397,6 +367,13 @@ def carr_madan_european(
     characteristic function of log S_T are combined analytically, so the
     integrand oscillates on the slow risk-neutral-moneyness scale rather
     than on the ln K scale.
+
+    On the contour it is K e^{-r tau} (1/2pi) int e^{-i xi x1} Phi(xi) / (-xi (xi + i)) dxi,
+    x1 = -k_rn.  Out of the money (x1 >= 0) the contour bends down from the
+    damped line's point -i(1 + a), between the poles at 0 and -i and the
+    branch point i eta_-.  In the money it bends up over both poles, whose
+    residues add the forward intrinsic value S - K e^{-r tau}, with its apex
+    between 0 and i eta_+, at most half-way.
     """
     cfg = cfg or FourierConfig()
     a = cfg.damping_a
@@ -417,8 +394,25 @@ def carr_madan_european(
             raise DampingOutOfRangeError(
                 f"damping factor a = {a!r} violates integrability: {exc}"
             ) from exc
+    discounted_strike = market.strike * math.exp(-derived.rate_effective * tau)
+    intrinsic = market.spot - discounted_strike
+    bounds = (max(0.0, intrinsic), market.spot)
     if math.isinf(cfg.u_max):
-        return _contour_call(a, params, market, derived, cfg)
+        x1 = -derived.rn_moneyness
+
+        def F(xi):
+            log_phi = model._log_characteristic_fn(params, xi, tau)
+            return np.exp(log_phi - 1j * xi * x1) / (-xi * (xi + 1j))
+
+        eta_minus, eta_plus = _branch_points(params)
+        if x1 < 0.0:
+            pole, branch, residue, apex = 0.0, eta_plus, intrinsic / discounted_strike, None
+        else:
+            pole, branch, residue, apex = -1.0, eta_minus, 0.0, -(1.0 + a)
+        return _contour_integral(
+            F, pole, branch, 1.0 + 2.0 * tau / params.nu, residue, discounted_strike, bounds,
+            derived, cfg, apex, damping_a=a,
+        )
 
     def g(u):
         z = u - (a + 1.0) * 1j
@@ -433,8 +427,7 @@ def carr_madan_european(
         - derived.rate_effective * tau
         + (a + 1.0) * (math.log(market.spot) + (derived.rate_effective + derived.omega) * tau)
     )
-    intrinsic = market.spot - market.strike * math.exp(-derived.rate_effective * tau)
     return _result(
-        scale * integral / math.pi, scale * dropped / math.pi, (max(0.0, intrinsic), market.spot),
-        evals, ok, derived, u_max=cfg.u_max, damping_a=a,
+        scale * integral / math.pi, scale * dropped / math.pi, bounds, evals, ok, derived,
+        u_max=cfg.u_max, damping_a=a,
     )

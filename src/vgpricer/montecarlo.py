@@ -15,8 +15,9 @@ The squeeze's log test runs only on the draws the squeeze rejects (about
 Strike, spot and rate enter only after the increments, so the payoffs and
 strikes of one contract share them: a request of up to 2^18 path units keeps
 its (theta G, sigma sqrt(G) Z) pairs, read-only, in a one-entry memo keyed by
-(seed, shape, n_units, nu, sigma, theta) and theta's sign.  Each price adds its drift to them.
-A sweep over sigma, theta or nu at a fixed seed and shape draws again.
+(seed, shape, n_units, nu, sigma, theta) and theta's sign.  Each price adds
+its drift to them.  A sweep over sigma, theta or nu at a fixed seed and shape
+draws again.
 """
 
 from __future__ import annotations
