@@ -139,17 +139,14 @@ def _resolve(args: argparse.Namespace) -> dict:
     return resolved
 
 
-def _require(resolved: dict, *keys: str) -> None:
-    missing = [key for key in keys if resolved.get(key) is None]
-    if missing:
-        flags = ", ".join("--" + key.replace("_", "-") for key in missing)
-        raise _UsageError(f"missing required flags: {flags}")
-
-
 def _build(cls, resolved: dict):
     """cls from the resolved keys named like its fields; a field without a default must be set."""
     fields = dataclasses.fields(cls)
-    _require(resolved, *(f.name for f in fields if f.default is dataclasses.MISSING))
+    required = (f.name for f in fields if f.default is dataclasses.MISSING)
+    missing = [name for name in required if resolved[name] is None]
+    if missing:
+        flags = ", ".join("--" + name.replace("_", "-") for name in missing)
+        raise _UsageError(f"missing required flags: {flags}")
     return cls(**{f.name: resolved[f.name] for f in fields})
 
 
