@@ -33,14 +33,7 @@ from .model import MarketInputs, PriceResult, VgParams
 
 __all__ = ["main"]
 
-_PAYOFFS = (
-    "european",
-    "cash-or-nothing",
-    "asset-or-nothing",
-    "gap",
-    "power-asset-or-nothing",
-    "log-call",
-)
+_PAYOFFS = tuple(name.replace("_", "-") for name in montecarlo.PAYOFF_NAMES)
 _METHODS = ("series", "fourier", "quadrature", "mc", "all")
 
 
@@ -125,15 +118,37 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _takes(flag: tuple, value) -> bool:
+    """Whether a config value has the type its flag parses to; null only where
+    the flag defaults to None, that is, where a config may leave it unset."""
+    _, default, kwargs = flag
+    if value is None:
+        return default is None
+    if "choices" in kwargs:
+        return value in kwargs["choices"]
+    if kwargs.get("action") == "store_true":
+        return isinstance(value, bool)
+    kinds = {float: (int, float), int: int}.get(kwargs.get("type"), str)
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 def _resolve(args: argparse.Namespace) -> dict:
     """Fold CLI flags over config-file values over built-in defaults."""
     config = {}
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as handle:
-            config = json.load(handle)
+        try:
+            with open(args.config, "r", encoding="utf-8") as handle:
+                config = json.load(handle)
+        except (OSError, ValueError) as err:
+            raise _UsageError(f"cannot read --config {args.config}: {err}") from None
+        if not isinstance(config, dict):
+            raise _UsageError(f"--config {args.config} must hold a JSON object")
         unknown = set(config) - set(_FLAGS)
         if unknown:
             raise _UsageError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in config.items():
+            if not _takes(_FLAGS[key], value):
+                raise _UsageError(f"config key {key} cannot take {json.dumps(value)}")
     resolved = {key: config.get(key, default) for key, (_, default, _) in _FLAGS.items()}
     resolved.update((key, value) for key, value in vars(args).items() if value is not None)
     return resolved
@@ -442,16 +457,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except _UsageError as err:
         sys.stderr.write(json.dumps({"error": str(err), "type": "usage"}) + "\n")
         return 1
-    except NonConvergenceError as err:
-        sys.stderr.write(
-            json.dumps({"error": str(err), "type": "NonConvergenceError"}) + "\n"
-        )
-        return 3
     except VgError as err:
-        sys.stderr.write(
-            json.dumps({"error": str(err), "type": type(err).__name__}) + "\n"
-        )
-        return 2
+        sys.stderr.write(json.dumps({"error": str(err), "type": type(err).__name__}) + "\n")
+        return 3 if isinstance(err, NonConvergenceError) else 2
 
 
 if __name__ == "__main__":

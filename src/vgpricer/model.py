@@ -17,7 +17,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import kv
 
 from . import specfun
@@ -339,6 +338,9 @@ def mixture_density(params: VgParams, x: float, t: float) -> float:
         )
         return math.exp(log_val)
 
+    # imported here, not at module level: loading scipy.integrate costs a
+    # one-shot CLI process about 0.2 s, and only this oracle needs it
+    from scipy.integrate import quad
     mode = (shape - 1.0) * nu
     hi = (shape + 14.0 * math.sqrt(shape) + 90.0) * nu
     points = (mode,) if mode > 0.0 else None

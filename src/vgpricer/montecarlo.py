@@ -6,11 +6,9 @@ sigma sqrt(G) Z with Z standard normal.
 
 The generator is a counter-based Philox stream keyed by the seed; draws are
 consumed in fixed-size chunks (clock block, then normal block), so a given
-(seed, n_paths) request is bit-reproducible.  Gamma variates use the
-Marsaglia-Tsang squeeze for shape >= 1 and the Gamma(shape + 1) boost
-U^{1/shape} for shape < 1 (short maturities routinely put t/nu below one).
-The squeeze's log test runs only on the draws the squeeze rejects (about
-2 %), and the stream of draws is the same as with the test on every draw.
+(seed, n_paths) request is bit-reproducible.  The clock comes from numpy's
+Generator.standard_gamma, which covers the shapes below one that short
+maturities routinely give t/nu.
 
 Strike, spot and rate enter only after the increments, so the payoffs and
 strikes of one contract share them: a request of up to 2^18 path units keeps
@@ -58,6 +56,8 @@ class McConfig:
     def __post_init__(self):
         if not self.n_paths >= 1:
             raise InvalidParameters(f"n_paths must be >= 1, got {self.n_paths!r}")
+        if not 0 <= self.seed < 2**64:
+            raise InvalidParameters(f"seed must be in [0, 2^64), got {self.seed!r}")
         if self.antithetic and self.n_paths % 2 != 0:
             raise InvalidParameters("antithetic sampling needs an even n_paths")
 
@@ -89,53 +89,12 @@ class McEstimate:
 
 
 def _gamma_marsaglia_tsang(rng: np.random.Generator, shape: float, size: int) -> np.ndarray:
-    """Standard Gamma(shape) variates, vectorised rejection.
-
-    Each round draws standard_normal(n) and then random(n) for its n pending
-    variates.  The log test runs only on the squeeze rejects with v > 0: as
-    d >= 2/3, v <= 0 implies x^4 >= 36, where the squeeze bound is negative,
-    so no draw with v <= 0 passes the squeeze.
+    """size standard Gamma(shape) variates from numpy's C sampler on rng:
+    Marsaglia-Tsang above shape 1, the exponential at 1, and a rejection
+    method on uniforms and exponentials below 1.  The benchmark tracer wraps
+    this function by name as montecarlo.gamma_clock.
     """
-    boost = None
-    a = shape
-    if shape < 1.0:
-        boost = rng.random(size) ** (1.0 / shape)
-        a = shape + 1.0
-    d = a - 1.0 / 3.0
-    c = 1.0 / math.sqrt(9.0 * d)
-    out = np.empty(size)
-    pending = None  # every index, in the first round
-    n = size
-    while n:
-        x = rng.standard_normal(n)
-        # the first round works in out itself; later ones scatter into their
-        # pending slots.  A rejected slot is rewritten by a later round.
-        v = np.multiply(x, c, out=out if pending is None else None)
-        v += 1.0
-        v **= 3
-        u = rng.random(n)
-        x2 = np.multiply(x, x, out=x)
-        bound = np.multiply(x2, 0.0331)
-        bound *= x2
-        rejects = np.flatnonzero(u >= np.subtract(1.0, bound, out=bound))
-        accepted = v[rejects] > 0.0
-        tested = rejects[accepted]
-        v_t = v[tested]
-        with np.errstate(divide="ignore"):
-            accepted[accepted] = np.log(u[tested]) < 0.5 * x2[tested] + d * (
-                1.0 - v_t + np.log(v_t)
-            )
-        rejects = rejects[~accepted]
-        v *= d
-        if pending is None:
-            pending = rejects
-        else:
-            out[pending] = v
-            pending = pending[rejects]
-        n = pending.size
-    if boost is not None:
-        out *= boost
-    return out
+    return rng.standard_gamma(shape, size)
 
 
 def _rng(seed: int) -> np.random.Generator:

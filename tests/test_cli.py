@@ -1,5 +1,6 @@
 """Command-line surface tests: flags, exit codes, output formats, stability."""
 
+import contextlib
 import csv
 import dataclasses
 import io
@@ -12,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from vgpricer import cli, fourier, model, montecarlo, series, tables
 from vgpricer.cli import main
@@ -503,6 +506,105 @@ class TestOutputPlumbing:
             market.dividend_yield, market.power
         )
         assert resolved["trigger_strike"] is market.trigger_strike is None
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"max_order": "30"}', "max_order"),
+            ('{"power": null}', "power"),
+            ('{"antithetic": "no"}', "antithetic"),
+            ("[{}]", None),
+            ("5", None),
+            ('{"max_order": 30', None),
+            (None, None),
+        ],
+        ids=["string-int", "null-power", "string-switch", "list", "number", "malformed", "missing"],
+    )
+    def test_bad_config_is_a_usage_error(self, capsys, tmp_path, text, key):
+        """A config file must hold a JSON object whose values have their
+        flags' types; anything else, or a file that cannot be read, exits 1
+        with one JSON usage line naming the key, and prices nothing."""
+        config = tmp_path / "bad.json"
+        if text is not None:
+            config.write_text(text)
+        code, out, err = run_cli(
+            capsys, "price", "--payoff", "european", "--method", "mc", "--paths", "1000",
+            *_BASE_FLAGS, "--config", str(config),
+        )
+        assert (code, out) == (1, "")
+        (line,) = err.splitlines()
+        assert json.loads(line)["type"] == "usage"
+        assert (key or str(config)) in json.loads(line)["error"]
+
+
+# a config value of any JSON type, its numbers small enough to price quickly
+_ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-3.0, 3.0) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=4,
+)
+# well-typed numbers per key: the model and market keys mostly in their valid
+# domain, so that examples price; the engine keys reaching past it at one end
+_CONFIG_RANGES = {
+    "sigma": (0.05, 1.0), "nu": (0.05, 1.0), "theta": (-0.3, 0.3), "spot": (50.0, 150.0),
+    "strike": (50.0, 150.0), "trigger_strike": (50.0, 150.0), "rate": (0.0, 0.1),
+    "dividend_yield": (0.0, 0.05), "tau": (0.02, 3.0), "power": (1.0, 2.0),
+    "paths": (-1, 10_000), "panels": (-1, 64), "max_order": (-1, 60), "gl_order": (-1, 40),
+    "seed": (-1, 2**64), "points": (-1, 50), "u_max": (-1.0, 1e4), "abs_tol": (-1e-9, 1e-3),
+    "tail_tol": (-1e-9, 1e-3),
+}
+_CONFIG_KEYS = [key for key in cli._FLAGS if key != "output"]  # no files written
+_PRICE_KEYS = ("sigma", "nu", "spot", "strike", "tau")
+
+
+def _well_typed(key):
+    kwargs = cli._FLAGS[key][2]
+    if "choices" in kwargs:
+        return st.sampled_from(kwargs["choices"])
+    if "action" in kwargs:
+        return st.booleans()
+    if "type" not in kwargs:
+        return st.text(max_size=8)
+    lo, hi = _CONFIG_RANGES.get(key, (-1.0, 2.0))
+    values = st.integers(math.ceil(lo), math.floor(hi))
+    return values | st.floats(lo, hi) if kwargs["type"] is float else values
+
+
+@given(
+    payoff=st.sampled_from(cli._PAYOFFS),
+    config=st.fixed_dictionaries(
+        {key: _well_typed(key) for key in _PRICE_KEYS},
+        optional={key: _well_typed(key) for key in _CONFIG_KEYS if key not in _PRICE_KEYS},
+    ),
+    noise=st.just({}) | st.dictionaries(st.sampled_from(_CONFIG_KEYS), _ANY_JSON, min_size=1, max_size=2),
+)
+def test_any_config_exits_with_a_typed_status(tmp_path_factory, payoff, config, noise):
+    """Any JSON object over the known keys prices or exits 1, 2 or 3 with
+    exactly one JSON line on stderr."""
+    path = tmp_path_factory.getbasetemp() / "property_config.json"
+    path.write_text(json.dumps({**config, **noise}))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["price", "--payoff", payoff, "--config", str(path)])
+    assert code in (0, 1, 2, 3)
+    if code:
+        (line,) = err.getvalue().splitlines()
+        assert set(json.loads(line)) == {"error", "type"}
+    else:
+        assert out.getvalue() and not err.getvalue()
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    """scipy.integrate is the slowest scipy module to load, and only
+    model.mixture_density uses it; a one-shot CLI process must not pay for it."""
+    root = Path(__file__).resolve().parents[1]
+    probe = "import sys, vgpricer, vgpricer.cli; print('scipy.integrate' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
 
 _TRACED_PRICE = """
 import collections, contextlib, io, json, sys
