@@ -540,7 +540,9 @@ class TestOutputPlumbing:
 # a config value of any JSON type, its numbers small enough to price quickly
 _ANY_JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-3.0, 3.0) | st.text(max_size=4),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3)
+    ),
     max_leaves=4,
 )
 # well-typed numbers per key: the model and market keys mostly in their valid
@@ -576,11 +578,13 @@ def _well_typed(key):
         {key: _well_typed(key) for key in _PRICE_KEYS},
         optional={key: _well_typed(key) for key in _CONFIG_KEYS if key not in _PRICE_KEYS},
     ),
-    noise=st.just({}) | st.dictionaries(st.sampled_from(_CONFIG_KEYS), _ANY_JSON, min_size=1, max_size=2),
+    noise=st.just({})
+    | st.dictionaries(st.sampled_from(_CONFIG_KEYS), _ANY_JSON, min_size=1, max_size=2),
 )
 def test_any_config_exits_with_a_typed_status(tmp_path_factory, payoff, config, noise):
     """Any JSON object over the known keys prices or exits 1, 2 or 3 with
-    exactly one JSON line on stderr."""
+    exactly one JSON line on stderr.  Well-typed values are mixed with up to
+    two values of any JSON type."""
     path = tmp_path_factory.getbasetemp() / "property_config.json"
     path.write_text(json.dumps({**config, **noise}))
     out, err = io.StringIO(), io.StringIO()
@@ -595,7 +599,7 @@ def test_any_config_exits_with_a_typed_status(tmp_path_factory, payoff, config, 
 
 
 def test_import_leaves_scipy_integrate_unloaded():
-    """scipy.integrate is the slowest scipy module to load, and only
+    """scipy.integrate takes a fresh process about 0.2 s to load, and only
     model.mixture_density uses it; a one-shot CLI process must not pay for it."""
     root = Path(__file__).resolve().parents[1]
     probe = "import sys, vgpricer, vgpricer.cli; print('scipy.integrate' in sys.modules)"
