@@ -368,12 +368,25 @@ def _cmd_density(resolved: dict) -> int:
     return 0
 
 
+def _comma_list(resolved: dict, key: str, kind) -> list:
+    """The values of the comma-separated flag key; one that kind cannot
+    parse is a usage error naming the flag."""
+    text = str(resolved[key])
+    try:
+        return [kind(v) for v in text.split(",") if v]
+    except ValueError:
+        flag = "--" + key.replace("_", "-")
+        raise _UsageError(f"{flag} takes comma-separated {kind.__name__}s, got {text!r}") from None
+
+
 def _cmd_converge(resolved: dict) -> int:
     params = _build(VgParams, resolved)
     market = _build(MarketInputs, resolved)
-    max_orders = [int(v) for v in str(resolved["max_orders"]).split(",") if v]
-    u_maxes = [float(v) for v in str(resolved["u_max_list"]).split(",") if v]
+    max_orders = _comma_list(resolved, "max_orders", int)
+    u_maxes = _comma_list(resolved, "u_max_list", float)
     if resolved["reference"] == "series":
+        if not max_orders:
+            raise _UsageError("--max-orders must name an order for --reference series")
         ref_ctrl = series.SeriesControl(max_order=min(200, max(max_orders) + 20))
         reference = series.european(params, market, ref_ctrl).value
     else:

@@ -35,6 +35,7 @@ __all__ = ["McConfig", "McEstimate", "sample_vg", "mc_price", "PAYOFF_NAMES"]
 
 _CHUNK = 1 << 20
 _MEMO_UNITS = 1 << 18  # 4 MB of draws per memo entry
+_MAX_PATHS = 1 << 27
 _Z95 = 1.96
 
 PAYOFF_NAMES = (
@@ -49,13 +50,23 @@ PAYOFF_NAMES = (
 
 @dataclass(frozen=True)
 class McConfig:
+    """Path count, Philox seed and antithetic pairing of one Monte Carlo price.
+
+    n_paths runs from 1 to 2^27 (134,217,728): a price keeps one float64
+    sample per path, so the ceiling holds the samples to 1 GiB, and a larger
+    count raises InvalidParameters before anything is allocated.  seed lies
+    in [0, 2^64), and antithetic pairing needs an even n_paths.
+    """
+
     n_paths: int
     seed: int = 0
     antithetic: bool = False
 
     def __post_init__(self):
-        if not self.n_paths >= 1:
-            raise InvalidParameters(f"n_paths must be >= 1, got {self.n_paths!r}")
+        if not 1 <= self.n_paths <= _MAX_PATHS:
+            raise InvalidParameters(
+                f"n_paths must be in [1, 2^27 = {_MAX_PATHS}], got {self.n_paths!r}"
+            )
         if not 0 <= self.seed < 2**64:
             raise InvalidParameters(f"seed must be in [0, 2^64), got {self.seed!r}")
         if self.antithetic and self.n_paths % 2 != 0:

@@ -13,19 +13,25 @@ three branches selected by the sign of the risk-neutral moneyness:
 Numerics: every Gamma ratio is evaluated as exp(sum of signed log-Gammas).
 The log-Gammas are taken on short 1-D index arrays (n, or n2 - n1, 2 n1 + n2
 and n1 for a double series), in one call per series, and gathered onto the
-(n1, n2) grid.  Everything that depends only on the truncation shape (the
-indices and gathers, signs, log n! and the alpha-free part of every
-log-Gamma argument) is built once per shape by _grid, so a price pays only
-for the arithmetic in alpha, the moneyness and the volatility.  The
-alpha-dependent part (the gathered log-Gamma coefficients, with the
-prefactor's log Gamma(alpha + 1/2) taken in the same call) is memoised per
-(kind, shape, alpha) by _alpha_block, bounded at 16 entries, so it is
-shared only by prices with the same alpha, such as the strikes of one
-maturity.  Every series goes through one kernel, _residue_sum, which
-accumulates the anti-diagonals n1 + n2 = const in ascending order with
-compensated (Kahan) summation, because the terms alternate in sign and can
-grow enormously before they cancel (deep-OTM rows reach 1e3-sized partial
-sums).
+(n1, n2) grid.  The two parts of a double series (and of the log call) are
+held on one leading axis, as (part, n1, n2) stacks, so a price makes one
+numpy call per step for both parts; a 1-D series is a stack of one part with
+one n1 row.  Everything that depends only on the truncation shape (the
+indices and gathers, log n!, the branch signs (-1)^n1 and (-1)^(n1+n2), and
+the alpha-free part of every log-Gamma argument) is built once per shape by
+_grid, so a price pays only for the arithmetic in alpha, the moneyness and
+the volatility.  The alpha-dependent part (the stacked log-Gamma
+coefficients and their signs, the powers and divisors that involve alpha,
+and the prefactor's log Gamma(alpha + 1/2) from the same log-Gamma call) is
+memoised per (kind, shape, alpha) by _alpha_block, bounded at 16 entries,
+so it is shared only by prices with the same alpha, such as the strikes of
+one maturity.  Each stacked element takes the same operations in the same
+order as its part did on its own, so values do not depend on the stacking.
+Every series goes through one kernel, _residue_sum, which exponentiates the
+stack once, adds its parts and accumulates the anti-diagonals n1 + n2 =
+const in ascending order with compensated (Kahan) summation, because the
+terms alternate in sign and can grow enormously before they cancel (deep-OTM
+rows reach 1e3-sized partial sums).
 """
 
 from __future__ import annotations
@@ -66,8 +72,12 @@ _CONVERGENCE_LIMIT = 1e-6
 _LOG2 = math.log(2.0)
 # log n! for n = 0..200, which covers every index SeriesControl allows
 _LOG_FACT = specfun._log_gamma_signed(np.arange(1.0, 202.0))[0]
-# an index that turns a 1-D array over n1 into a column
-_COLUMN = np.s_[:, None]
+# an index that turns a pair of per-part values into a (2, 1, 1) stack
+_PARTS = np.s_[:, None, None]
+# the coefficients of alpha in a two-part stack that adds 2 alpha to part 2,
+# or alpha to part 1, only
+_TWO_IN_PART_2 = np.array([0.0, 2.0])[_PARTS]
+_ONE_IN_PART_1 = np.array([1.0, 0.0])[_PARTS]
 
 
 @dataclass(frozen=True)
@@ -100,13 +110,16 @@ class SeriesControl:
             )
 
 
+_DEFAULT_CONTROL = SeriesControl()
+
 # ---------------------------------------------------------------------------
 # building blocks
 # ---------------------------------------------------------------------------
 
 
 class _Args(NamedTuple):
-    """The log-Gamma arguments base + alpha * coef of one series, cut into pieces."""
+    """The log-Gamma arguments base + alpha * coef of one series, flat, with
+    the (slice, shape) of each piece."""
 
     base: np.ndarray
     coef: np.ndarray
@@ -121,14 +134,19 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 def _args(*pieces) -> _Args:
     """_Args from (alpha-free part, coefficient of alpha) pieces.
 
-    The coefficients are 1, 0, -2 or -1, so alpha * coef rounds nothing and
-    base + alpha * coef is the argument exactly as written out per piece.
+    A piece keeps the shape of its alpha-free part, to which its coefficient
+    broadcasts.  The coefficients are 1, 0, -2 or -1, so alpha * coef rounds
+    nothing and base + alpha * coef is the argument exactly as written out
+    per piece.
     """
-    cuts = np.cumsum([0] + [len(base) for base, _ in pieces]).tolist()
+    bases = [np.asarray(base, dtype=float) for base, _ in pieces]
+    cuts = np.cumsum([0] + [base.size for base in bases]).tolist()
     return _Args(
-        _frozen(np.concatenate([base for base, _ in pieces]).astype(float)),
-        _frozen(np.concatenate([np.full(len(base), coef) for base, coef in pieces])),
-        tuple(slice(a, b) for a, b in zip(cuts, cuts[1:])),
+        _frozen(np.concatenate([base.ravel() for base in bases])),
+        _frozen(np.concatenate([
+            np.broadcast_to(coef, base.shape).ravel() for base, (_, coef) in zip(bases, pieces)
+        ])),
+        tuple((slice(a, b), base.shape) for a, b, base in zip(cuts, cuts[1:], bases)),
     )
 
 
@@ -148,8 +166,10 @@ class _Grid:
         n2 = np.arange(n2_start, n2_stop)
         self.n1 = n1 * 1.0
         self.n2 = n2 * 1.0
-        self.alternating = (-1.0) ** n1
         self.n2_sign = (-1.0) ** n2
+        # the sign (-1)^n1 x^n2 of a double-series term, for x > 0 and x < 0
+        alternating = (-1.0) ** n1
+        self.branch_sign = (alternating, alternating * self.n2_sign)
         self.log_fact = _LOG_FACT[n1]
         self.n2_log_fact = _LOG_FACT[n2]
         # (np.bincount index, counts) of n1 + n2 on the grid and of n2 alone
@@ -157,36 +177,41 @@ class _Grid:
         self.diag = (_frozen(flat), tuple(np.bincount(flat).tolist()))
         self.line = (_frozen(n2 - n2_start), (1,) * len(n2))
 
-        # every series' arguments end with alpha + 1/2, for its prefactor
+        # every series' arguments end with alpha + 1/2, for its prefactor, and a
+        # 1-D series' pieces are stacks of one part with one n1 row
         half = (np.array([0.5]), 1.0)
-        # _double_series: Gammas over j = n2 - n1 and m = 2 n1 + n2, gathered
+        row = (n2 + 1)[None, None] / 2.0
+        # _double_series: Gammas over j = n2 - n1, m = 2 n1 + n2 and n1
         j = np.arange(n2_start - n_max, n2_stop)
         m = np.arange(n2_start, 2 * n_max + n2_stop)
         self.sym = _args(
-            ((j + 1) / 2.0, 1.0), (j / 2.0 + 1.0, 0.0), (-m - 1.0, -2.0), (-rows + 0.5, -1.0),
-            half,
+            ((j + 1) / 2.0, 1.0), (j / 2.0 + 1.0, 0.0), (-m - 1.0, -2.0),
+            ((-rows + 0.5)[:, None], -1.0), half,
         )
-        self.j_index = n2 - n1 - j[0]
-        self.m_index = 2 * n1 + n2 - m[0]
-        self.two_n1_1 = 2.0 * n1 + 1.0
+        # each (log or sign, part, n1, n2) cell's place in the concatenation of
+        # part 1's ratio over j, log Gamma over m, and the signs of both
+        logs = np.stack((n2 - n1 - j[0], 2 * n1 + n2 - m[0] + len(j)))
+        self.sym_gather = np.stack((logs, logs + len(j) + len(m)))
+        # the parts' powers of -k/s, with 2 alpha still to add to part 2's
+        self.sym_power = np.stack((self.n1, 2.0 * n1 + 1.0))
         # the collapsed ATM series
-        self.atm = _args(((n2 + 1) / 2.0, 1.0), (n2 / 2.0 + 1.0, 0.0), half)
+        self.atm = _args((row, 1.0), (n2[None, None] / 2.0 + 1.0, 0.0), half)
 
         # the drifted digital and the log call, which take the n2-from-0 shape
-        self.asym_single = _args(((n2 + 1) / 2.0, 0.0), ((n2 + 1) / 2.0, 1.0), half)
+        self.asym_single = _args((row, 0.0), (row, 1.0), half)
         self.neg_half_n2_1 = -(n2 + 1) / 2.0
-        self.asym = _args((-rows, 1.0), (-rows, -1.0), half)
+        self.asym = _args((np.stack((-n1, -n1)), np.array([1.0, -1.0])[_PARTS]), half)
         self.log_fact_2 = _LOG_FACT[n1] + _LOG_FACT[n2]
         self.m_1 = 2.0 * n1 + n2 + 1.0
-        self.log_m_1 = np.log(self.m_1)
-        self.log_call = _args((np.array([1.0]), 1.0), (-n2, 1.0), (-n2, -1.0), half)
+        self.log_call = _args(
+            (np.array([1.0]), 1.0), (np.stack((-n2, -n2))[:, None], np.array([1.0, -1.0])[_PARTS]),
+            half,
+        )
         self.two_n2 = 2.0 * n2
-        self.two_n2_2 = 2.0 * n2 + 2.0
-        self.two_n2_1 = 2.0 * n2 + 1.0
-        self.log_call_cut = np.log(self.two_n2_2 * self.two_n2_1)
         for value in vars(self).values():
-            if isinstance(value, np.ndarray):
-                _frozen(value)
+            for array in value if isinstance(value, tuple) else (value,):
+                if isinstance(array, np.ndarray):
+                    _frozen(array)
 
 
 @functools.lru_cache(maxsize=8)
@@ -206,12 +231,13 @@ def _alpha_block(kind: str, n_max: int, n2_start: int, n2_stop: int, alpha: floa
 
     kind names the _Grid attribute that holds the series' log-Gamma
     arguments.  The block is log Gamma(alpha + 1/2) for the prefactor,
-    followed by the series' (log, sign) arrays, gathered and read-only; both
-    come from the series' one log-Gamma call.  Every strike of one maturity
-    shares alpha, so a strike slice builds each block once, while prices at
-    other alphas only cycle the bounded memo.  The arrays are the same
-    expressions a price would evaluate, so values do not depend on the memo;
-    a Gamma pole raises and is not stored.
+    followed by the series' (log, sign) coefficients, stacked as (part, n1,
+    n2) arrays, and the coefficients of its powers that involve alpha; the
+    Gammas come from the series' one log-Gamma call.  Every strike of one
+    maturity shares alpha, so a strike slice builds each block once, while
+    prices at other alphas only cycle the bounded memo.  The arrays are the
+    same expressions a price would evaluate, so values do not depend on the
+    memo; they are read-only, and a Gamma pole raises and is not stored.
     """
     g = _grid(n_max, n2_start, n2_stop)
     *pairs, (lg_half, s_half) = _log_gammas(getattr(g, kind), alpha)
@@ -219,39 +245,45 @@ def _alpha_block(kind: str, n_max: int, n2_start: int, n2_stop: int, alpha: floa
         g_j1, g_j2, g_m, g_rows = pairs
         # every j occurs on the grid, so part 1's ratio is taken over j; part 2's
         # pole rule sees only the grid, so a pole at an unused m is never raised
-        block = (
-            *_at(_gamma_ratio_log(g_j1, g_j2), g.j_index),
-            *_gamma_ratio_log(_at(g_m, g.m_index), _at(g_rows, _COLUMN)),
-        )
+        ratio = _gamma_ratio_log(g_j1, g_j2)
+        log, sign = np.concatenate((ratio[0], g_m[0], ratio[1], g_m[1]))[g.sym_gather]
+        _gamma_ratio_log((log[1], sign[1]), g_rows)
+        block = (log, sign, g.sym_power + alpha * _TWO_IN_PART_2)
     elif kind == "atm":
         block = _gamma_ratio_log(*pairs)
     elif kind == "asym_single":
         (lg1, _), (lg2, sg2) = pairs
-        block = (lg1, lg2, sg2)
+        block = (lg1, lg2, sg2, g.neg_half_n2_1 - alpha)
     elif kind == "asym":
-        block = tuple(a for pair in pairs for a in _at(pair, _COLUMN))
+        ((lg, sg),) = pairs
+        # the divisors -(2 n1 + n2 + 1) and -(2 n1 + n2 + 1 + 2 alpha) are both
+        # negative, because alpha > -1/2; the signs carry the series' minus
+        divisor = g.m_1 + alpha * _TWO_IN_PART_2
+        block = (lg, -sg, np.log(divisor), divisor, g.n1 - alpha * _ONE_IN_PART_1)
     else:  # "log_call", whose head takes Gamma(1 + alpha) and the sign of Gamma(alpha + 1/2)
-        (lg_a1, s_a1), (l1, s1), (l2, s2) = pairs
+        (lg_a1, s_a1), (log, sign) = pairs
+        # 2 n + 2 alpha + 1 > 0 because alpha > -1/2, so both factors are positive
+        shifted = g.two_n2 + alpha * _TWO_IN_PART_2
+        shifted_2, shifted_1 = shifted + 2.0, shifted + 1.0
         return (
             lg_half.item(), lg_a1.item(), s_a1.item(), s_half.item(),
-            *map(_frozen, (l1, s1, l2, s2)),
+            *map(_frozen, (
+                log, g.n2_sign * sign, np.log(shifted_2 * shifted_1), shifted_2, shifted_1
+            )),
         )
     return (lg_half.item(), *map(_frozen, block))
 
 
 def _log_gammas(args: _Args, alpha: float):
-    """(log|Gamma|, sign) pairs of each piece of args at alpha, from one log-Gamma call."""
+    """(log|Gamma|, sign) pairs of each piece of args at alpha, in the piece's
+    shape, from one log-Gamma call."""
     log_abs, sign = specfun._log_gamma_signed(args.base + alpha * args.coef)
-    return [(log_abs[piece], sign[piece]) for piece in args.pieces]
-
-
-def _at(pair, index):
-    """A (log, sign) pair gathered at index."""
-    return pair[0][index], pair[1][index]
+    return [(log_abs[cut].reshape(shape), sign[cut].reshape(shape)) for cut, shape in args.pieces]
 
 
 def _gamma_ratio_log(num, den):
-    """(log |Gamma(a)/Gamma(b)|, sign) from the (log|Gamma|, sign) pairs of a and b.
+    """(log |Gamma(a)/Gamma(b)|, sign) from the (log|Gamma|, sign) pairs of a
+    and b, written over num's arrays.
 
     The numerator carries the full shape.  A denominator pole gives the
     ratio 0 (log -inf, sign +-0).  A pole in the numerator means the series
@@ -263,19 +295,18 @@ def _gamma_ratio_log(num, den):
     finite = sign_d != 0.0
     if ((sign_n == 0.0) & finite).any():
         raise DegenerateAlphaError("series coefficient hit a Gamma pole")
-    log_ratio = np.full_like(log_n, -np.inf)
-    np.subtract(log_n, log_d, out=log_ratio, where=finite)
-    return log_ratio, sign_n * sign_d
+    np.subtract(log_n, log_d, out=log_n, where=finite)
+    np.copyto(log_n, -np.inf, where=~finite)
+    sign_n *= sign_d
+    return num
 
 
-def _signed_power_log(base: float, n, n_sign):
-    """(n * log|base|, sign(base)^n) for integer exponents n with n_sign = (-1)^n, 0^0 = 1.
-
-    The sign is a plain 1.0 unless the base is negative.
-    """
+def _power_log(base: float, n):
+    """n * log|base| for integer exponents n, with 0^0 = 1; the sign of base^n
+    comes from a _Grid's branch signs."""
     if base == 0.0:
-        return np.where(n == 0.0, 0.0, -np.inf), 1.0
-    return n * math.log(abs(base)), (1.0 if base > 0.0 else n_sign)
+        return np.where(n == 0.0, 0.0, -np.inf)
+    return n * math.log(abs(base))
 
 
 def _kahan_diagonal_sum(diag_values, diag_counts, tail_tol):
@@ -310,15 +341,18 @@ def _kahan_diagonal_sum(diag_values, diag_counts, tail_tol):
     return total, terms, max(last, previous), converged
 
 
-def _residue_sum(parts, diag, tail_tol):
-    """The one summation kernel: sum of sign * exp(log) over the (log, sign) parts.
+def _residue_sum(log_terms, signs, diag, tail_tol):
+    """The one summation kernel: sum of signs * exp(log_terms) over the parts.
 
-    Terms are added per index (n1 + n2 for a double series, n for a single
-    one) through the grid's (np.bincount index, counts) pair diag, and the
+    Both arrays stack one or two parts on their leading axis.  Terms are
+    added per index (n1 + n2 for a double series, n for a single one)
+    through the grid's (np.bincount index, counts) pair diag, and the
     per-index sums are accumulated in ascending index by _kahan_diagonal_sum.
     """
     with np.errstate(invalid="ignore", over="ignore"):
-        terms = sum(sign * np.exp(log) for log, sign in parts)
+        terms = signs * np.exp(log_terms)
+    if len(terms) == 2:
+        terms = terms[0] + terms[1]
     index, counts = diag
     return _kahan_diagonal_sum(np.bincount(index, weights=terms.ravel()), counts, tail_tol)
 
@@ -361,21 +395,18 @@ def _double_series(
         raise InvalidParameters("series requires -moneyness/volatility > 0")
     log_ratio = math.log(ratio)
     g = _grid(n_max, n2.start, n2.stop)
-    lg_half, lr1, sr1, lr2, sr2 = _alpha_block("sym", n_max, n2.start, n2.stop, alpha)
+    lg_half, log_coef, sign_coef, ratio_power = _alpha_block(
+        "sym", n_max, n2.start, n2.stop, alpha
+    )
     log_prefactor = log_amount - lg_half
-    # -k/s > 0, so (-k)^n2 has the sign of s^n2
-    lp_s, sp = _signed_power_log(s_val, g.n2, g.n2_sign)
-    lp_k = g.n2 * math.log(abs(k_val))
-    part1 = log_prefactor + lr1 + g.n1 * log_ratio + lp_s
-    part2 = log_prefactor + _LOG2 + lr2 + (g.two_n1_1 + 2.0 * alpha) * log_ratio + lp_k
+    heads = np.array((log_prefactor, log_prefactor + _LOG2))[_PARTS]
+    # part 1 takes s^n2 and part 2 (-k)^n2; -k/s > 0, so both have the sign of s^n2
+    powers = g.n2 * np.array((math.log(abs(s_val)), math.log(abs(k_val))))[_PARTS]
+    log_terms = heads + log_coef + ratio_power * log_ratio + powers
     if power_mult != 1.0:
-        log_pow = g.n2 * math.log(power_mult)
-        part1 += log_pow
-        part2 += log_pow
-    part1 -= g.log_fact
-    part2 -= g.log_fact
-    sign = g.alternating * sp
-    return _residue_sum([(part1, sr1 * sign), (part2, sr2 * sign)], g.diag, tail_tol)
+        log_terms += g.n2 * math.log(power_mult)
+    log_terms -= g.log_fact
+    return _residue_sum(log_terms, sign_coef * g.branch_sign[s_val < 0.0], g.diag, tail_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +461,6 @@ def _finalize(
     branch: str,
     diagnostics: dict,
 ) -> PriceResult:
-    diagnostics = dict(diagnostics)
     diagnostics["converged"] = converged or tail <= _CONVERGENCE_LIMIT * abs(value)
     result = PriceResult(
         value=value,
@@ -477,9 +507,9 @@ def _sym_series_price(derived, diagnostics, ctrl, k_val, n2_start, power_mult, p
         g = _grid(ctrl.max_order, n2.start, n2.stop)
         # the call's collapsed series (n2 from 1) is the asset digital's without n2 = 0
         lg_half, lr, sr = _alpha_block("atm", ctrl.max_order, 0, n2.stop, derived.alpha)
-        lr, sr = lr[n2.start:], sr[n2.start:]
+        lr, sr = lr[..., n2.start:], sr[..., n2.start:]
         log_terms = log_amount - lg_half + lr + g.n2 * math.log(power_mult * derived.sigma_nu)
-        value, terms, tail, conv = _residue_sum([(log_terms, sr)], g.line, ctrl.tail_tol)
+        value, terms, tail, conv = _residue_sum(log_terms, sr, g.line, ctrl.tail_tol)
     else:
         value, terms, tail, conv = _otm_or_parity(
             branch,
@@ -501,7 +531,7 @@ def asset_or_nothing(
     params: VgParams, market: MarketInputs, ctrl: Optional[SeriesControl] = None
 ) -> PriceResult:
     """Digital paying S_T when S_T > K, symmetric model."""
-    ctrl = ctrl or SeriesControl()
+    ctrl = ctrl or _DEFAULT_CONTROL
     _require_symmetric(params, "asset_or_nothing")
     params, derived, diagnostics = _apply_alpha_policy(params, market, ctrl)
     return _sym_series_price(
@@ -517,7 +547,7 @@ def european(
     Same series as the asset-or-nothing digital with the volatility-power
     index starting at 1; ITM branch adds the forward parity S - K e^{-r tau}.
     """
-    ctrl = ctrl or SeriesControl()
+    ctrl = ctrl or _DEFAULT_CONTROL
     _require_symmetric(params, "european")
     params, derived, diagnostics = _apply_alpha_policy(params, market, ctrl)
     return _sym_series_price(
@@ -542,7 +572,7 @@ def european_atmf(
 
     which recovers the familiar ~0.4 S sigma sqrt(tau) estimate as nu -> 0.
     """
-    ctrl = ctrl or SeriesControl()
+    ctrl = ctrl or _DEFAULT_CONTROL
     _require_symmetric(params, "european_atmf")
     if abs(math.log(market.spot / market.strike) + (market.rate - market.dividend_yield) * market.tau) > 1e-9:
         raise InvalidParameters(
@@ -605,7 +635,7 @@ def cash_or_nothing(
     The ATM price is exactly e^{-r tau}/2 (the terminal distribution median
     sits at the strike when the risk-neutral moneyness vanishes).
     """
-    ctrl = ctrl or SeriesControl()
+    ctrl = ctrl or _DEFAULT_CONTROL
     _require_symmetric(params, "cash_or_nothing")
     params, derived, diagnostics = _apply_alpha_policy(params, market, ctrl)
     discount = math.exp(-derived.rate_effective * market.tau)
@@ -649,7 +679,7 @@ def power_asset_or_nothing(
     ITM branch applies parity against the discounted moment
     e^{-r tau} E[S_T^q], which requires q^2 sigma^2 nu / 2 < 1 to exist.
     """
-    ctrl = ctrl or SeriesControl()
+    ctrl = ctrl or _DEFAULT_CONTROL
     _require_symmetric(params, "power_asset_or_nothing")
     q_pow = market.power
     params, derived, diagnostics = _apply_alpha_policy(params, market, ctrl)
@@ -680,7 +710,7 @@ def log_call(
     Only the OTM (and limiting ATM) branch has a closed series; ITM requests
     are rejected rather than improvising an unstated parity relation.
     """
-    ctrl = ctrl or SeriesControl()
+    ctrl = ctrl or _DEFAULT_CONTROL
     _require_symmetric(params, "log_call")
     params, derived, diagnostics = _apply_alpha_policy(params, market, ctrl)
     k = derived.rn_moneyness
@@ -691,9 +721,8 @@ def log_call(
         raise UnsupportedBranchError(
             "no closed series for the in-the-money log call; use the Monte Carlo engine"
         )
-    lg_shape, lg_a1, s_a1, s_shape, l1, s1, l2, s2 = _alpha_block(
-        "log_call", ctrl.max_order, 0, ctrl.max_order + 1, alpha
-    )
+    block = _alpha_block("log_call", ctrl.max_order, 0, ctrl.max_order + 1, alpha)
+    lg_shape, lg_a1, s_a1, s_shape, log_coef, sign_coef, log_divisor, shifted_2, shifted_1 = block
     if derived.branch == "atm":
         lg_num, _ = specfun._log_gamma_signed(0.5 + (alpha + 0.5))
         value = discount / math.sqrt(math.pi) * math.exp(float(lg_num) - lg_shape) * s_nu
@@ -705,20 +734,10 @@ def log_call(
     )
     log_mk = math.log(-k)
     log_2s = math.log(2.0 * s_nu)
-    part1 = (
-        log_pref + l1 - g.log_call_cut + g.two_n2_2 * log_mk - g.two_n2_1 * log_2s
-        - g.n2_log_fact
+    log_terms = (
+        log_pref + log_coef - log_divisor + shifted_2 * log_mk - shifted_1 * log_2s - g.n2_log_fact
     )
-    # 2 n + 2 alpha + 1 > 0 because alpha > -1/2, so both factors are positive
-    shifted = g.two_n2 + 2.0 * alpha
-    shifted_2, shifted_1 = shifted + 2.0, shifted + 1.0
-    part2 = (
-        log_pref + l2 - np.log(shifted_2 * shifted_1) + shifted_2 * log_mk
-        - shifted_1 * log_2s - g.n2_log_fact
-    )
-    series, terms, tail, conv = _residue_sum(
-        [(part1, g.n2_sign * s1), (part2, g.n2_sign * s2)], g.line, ctrl.tail_tol
-    )
+    series, terms, tail, conv = _residue_sum(log_terms, sign_coef, g.line, ctrl.tail_tol)
     return _finalize(head + series, terms + 2, tail, conv, derived.branch, diagnostics)
 
 
@@ -749,13 +768,12 @@ def _asym_single_series(
     """sum_n G((n+1)/2) G((n+1)/2 + a) q^{-(n+1)/2 - a} theta_sigma^n / n!"""
     g = _grid(n_max, 0, n_max + 1)
     log_q = math.log(q_factor)
-    lg_half, lg1, lg2, sg2 = _alpha_block("asym_single", n_max, 0, n_max + 1, alpha)
-    lp_t, sp_t = _signed_power_log(theta_sigma, g.n2, g.n2_sign)
+    lg_half, lg1, lg2, sg2, q_power = _alpha_block("asym_single", n_max, 0, n_max + 1, alpha)
     log_terms = (
-        log_front - lg_half + lg1 + lg2 + (g.neg_half_n2_1 - alpha) * log_q + lp_t
+        log_front - lg_half + lg1 + lg2 + q_power * log_q + _power_log(theta_sigma, g.n2)
         - g.n2_log_fact
     )
-    return _residue_sum([(log_terms, sg2 * sp_t)], g.line, tail_tol)
+    return _residue_sum(log_terms, sg2 * (1.0, g.n2_sign)[theta_sigma < 0.0], g.line, tail_tol)
 
 
 def _asym_double_series(
@@ -771,18 +789,16 @@ def _asym_double_series(
     if not k_val < 0.0:
         raise InvalidParameters("asymmetric series requires negative moneyness")
     g = _grid(n_max, 0, n_max + 1)
-    lg_half, lgA, sgA, lgB, sgB = _alpha_block("asym", n_max, 0, n_max + 1, alpha)
+    lg_half, log_coef, sign_coef, log_divisor, divisor, q_power = _alpha_block(
+        "asym", n_max, 0, n_max + 1, alpha
+    )
     log_q = math.log(q_factor)
     log_mk = math.log(-k_val)
-    lp_t, sp_t = _signed_power_log(theta_sigma, g.n2, g.n2_sign)
-    base = log_front - lg_half + _LOG2 + lp_t - g.log_fact_2
-    partA = base + lgA - g.log_m_1 + g.m_1 * log_mk + (g.n1 - alpha) * log_q
-    # the divisors -(2 n1 + n2 + 1) and -(2 n1 + n2 + 1 + 2 alpha) are both
-    # negative, because alpha > -1/2
-    shifted = g.m_1 + 2.0 * alpha
-    partB = base + lgB - np.log(shifted) + shifted * log_mk + g.n1 * log_q
-    sign = -g.alternating * sp_t
-    return _residue_sum([(partA, sgA * sign), (partB, sgB * sign)], g.diag, tail_tol)
+    base = log_front - lg_half + _LOG2 + _power_log(theta_sigma, g.n2) - g.log_fact_2
+    log_terms = base + log_coef - log_divisor + divisor * log_mk + q_power * log_q
+    return _residue_sum(
+        log_terms, sign_coef * g.branch_sign[theta_sigma < 0.0], g.diag, tail_tol
+    )
 
 
 def asym_cash_or_nothing(
@@ -794,7 +810,7 @@ def asym_cash_or_nothing(
     series in the moneyness; ITM applies parity with both the moneyness and
     the drift ratio sign-flipped; ATM keeps the single series alone.
     """
-    ctrl = ctrl or SeriesControl()
+    ctrl = ctrl or _DEFAULT_CONTROL
     if params.theta == 0.0:
         raise InvalidParameters(
             "asym_cash_or_nothing requires theta != 0; use cash_or_nothing instead"

@@ -52,9 +52,13 @@ def _log_gamma_signed(x) -> tuple[np.ndarray, np.ndarray]:
     are normalised here.
     """
     x = np.asarray(x, dtype=float)
+    # out= keeps a 0-d input's results 0-d arrays, which the pole mask can set
+    log_abs = gammaln(x, out=np.empty_like(x))
+    sign = gammasgn(x, out=np.empty_like(x))
     pole = (x <= 0.0) & (x == np.floor(x))
-    log_abs = np.where(pole, np.inf, gammaln(x))
-    sign = np.where(pole, 0.0, gammasgn(x))
+    if pole.any():
+        log_abs[pole] = np.inf
+        sign[pole] = 0.0
     return log_abs, sign
 
 

@@ -380,6 +380,32 @@ class TestConvergeCommand:
         rows = parse_csv(out)
         assert all(float(r["abs_error_vs_reference"]) < 5e-3 for r in rows)
 
+    @pytest.mark.parametrize(
+        "key, text",
+        [
+            ("max_orders", "3,x"),
+            ("max_orders", "nan"),
+            ("max_orders", ","),
+            ("u_max_list", "1e3,y"),
+        ],
+        ids=["order-word", "order-nan", "order-empty", "u-max-word"],
+    )
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_bad_list_is_a_usage_error(self, capsys, tmp_path, key, text, source):
+        """A comma list that does not parse, or names no series order, exits 1
+        with one JSON usage line naming the flag, from a flag or a config."""
+        if source == "flag":
+            extra = ["--" + key.replace("_", "-"), text]
+        else:
+            config = tmp_path / "lists.json"
+            config.write_text(json.dumps({key: text}))
+            extra = ["--config", str(config)]
+        code, out, err = run_cli(capsys, "converge", *_BASE_FLAGS, *extra)
+        assert (code, out) == (1, "")
+        (line,) = err.splitlines()
+        assert json.loads(line)["type"] == "usage"
+        assert "--" + key.replace("_", "-") in json.loads(line)["error"]
+
 
 class TestBenchCommand:
     def test_all_methods_reported(self, capsys):
@@ -506,6 +532,18 @@ class TestOutputPlumbing:
             market.dividend_yield, market.power
         )
         assert resolved["trigger_strike"] is market.trigger_strike is None
+
+    def test_path_count_above_the_ceiling_is_a_typed_error(self, capsys):
+        """10^13 paths would need 80 TB of samples: the count is refused with
+        exit 2 and one JSON line before anything is allocated."""
+        code, out, err = run_cli(
+            capsys, "price", "--payoff", "european", "--method", "mc",
+            "--paths", "10000000000000", *_BASE_FLAGS,
+        )
+        assert (code, out) == (2, "")
+        (line,) = err.splitlines()
+        assert json.loads(line)["type"] == "InvalidParameters"
+        assert "n_paths" in json.loads(line)["error"]
 
     @pytest.mark.parametrize(
         "text, key",

@@ -205,6 +205,14 @@ class TestEstimator:
         with pytest.raises(InvalidParameters):
             McConfig(n_paths=10, seed=seed)
 
+    @pytest.mark.parametrize("n_paths", [2**27 + 1, 10**13])
+    def test_path_count_above_the_ceiling_rejected(self, n_paths):
+        """A count above 2^27 raises before any draw; 2^27 itself is a valid
+        config (built here, never priced)."""
+        assert McConfig(n_paths=2**27).n_paths == 2**27
+        with pytest.raises(InvalidParameters, match="2\\^27"):
+            McConfig(n_paths=n_paths)
+
 
 # ---------------------------------------------------------------------------
 # bit-identity golden file

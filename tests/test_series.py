@@ -540,15 +540,18 @@ def _golden_contract(pricer, set_id, kind):
     return _contract(pricer, *_GOLDEN_SETS[set_id], _GOLDEN_KINDS[kind])
 
 
-def _contract(pricer, sigma, nu, theta, tau, rate, div, target):
+def _contract(
+    pricer, sigma, nu, theta, tau, rate, div, target,
+    trigger=_GOLDEN_TRIGGER, power=_GOLDEN_POWER,
+):
     """Params and market putting the moneyness that drives `pricer`'s branch
     (at the trigger for the gap, the power moneyness for the power digital)
     at target * sigma sqrt(tau), or at the money forward for target None;
     every moneyness is ln S plus a constant."""
     params = VgParams(sigma=sigma, nu=nu, theta=theta if pricer == "asym_cash_or_nothing" else 0.0)
-    extra = {"trigger_strike": _GOLDEN_TRIGGER} if pricer == "gap" else {}
+    extra = {"trigger_strike": trigger} if pricer == "gap" else {}
     if pricer == "power_asset_or_nothing":
-        extra["power"] = _GOLDEN_POWER
+        extra["power"] = power
     if target is None:
         spot = _GOLDEN_STRIKE * math.exp(-(rate - div) * tau)
     else:
@@ -810,9 +813,85 @@ class TestAlphaMemoProperty:
         assert _price_record(pricer, *_contract(pricer, **contract), max_order) == cold
 
 
+# ---------------------------------------------------------------------------
+# bit-identity digest over random contracts
+# ---------------------------------------------------------------------------
+
+_DIGEST_ORDERS = (5, 10, 25, 40, 60)
+
+
+def _digest_contracts(draws=3000, seed=20261018):
+    """The contract arguments of each random draw, the branch cycling OTM,
+    ITM, ATM and ATM forward by draw index.
+
+    sigma ~ U[0.08, 0.5], nu ~ U[0.05, 1], tau log-uniform in [1/365, 3],
+    r ~ U[0, 0.05], q in {0, 0.02}, the moneyness z sigma sqrt(tau) with
+    z ~ U[0.05, 3], the trigger K U[0.9, 1.1], the power U[1, 1.5] and
+    theta ~ U[-0.3, 0.3] for the drifted digital.
+    """
+    rng = np.random.default_rng(seed)
+    for i in range(draws):
+        sigma, nu, log_tau, rate, z, trigger, power, theta = rng.uniform(
+            [0.08, 0.05, math.log(1 / 365), 0.0, 0.05, 0.9, 1.0, -0.3],
+            [0.5, 1.0, math.log(3.0), 0.05, 3.0, 1.1, 1.5, 0.3],
+        ).tolist()
+        div = (0.0, 0.02)[int(rng.integers(2))]
+        target = (-z, z, 0.0, None)[i % 4]
+        yield dict(
+            sigma=sigma, nu=nu, theta=theta, tau=math.exp(log_tau), rate=rate, div=div,
+            target=target, trigger=_GOLDEN_STRIKE * trigger, power=power,
+        )
+
+
+def _hexed(value):
+    return float.hex(float(value)) if isinstance(value, (float, np.floating)) else value
+
+
+def _digest_records():
+    """One line per (draw, pricer, max_order) with alpha_policy="nudge": the
+    value, terms, tail, branch and diagnostics, floats as float.hex, of
+    err.result on NonConvergenceError; the error type for any other raise."""
+    for draw in _digest_contracts():
+        for pricer, fn in _GOLDEN_PRICERS.items():
+            params, market = _contract(pricer, **draw)
+            for order in _DIGEST_ORDERS:
+                ctrl = SeriesControl(max_order=order, alpha_policy="nudge")
+                try:
+                    result, outcome = fn(params, market, ctrl), "ok"
+                except NonConvergenceError as err:
+                    result, outcome = err.result, "NonConvergenceError"
+                except VgError as err:
+                    yield type(err).__name__, type(err).__name__
+                    continue
+                diagnostics = [(key, _hexed(v)) for key, v in result.diagnostics.items()]
+                yield outcome, repr((
+                    _hexed(result.value), result.terms_evaluated,
+                    _hexed(result.truncation_estimate), result.branch, diagnostics,
+                ))
+
+
+def _print_digest():
+    import collections
+    import hashlib
+
+    digest = hashlib.sha256()
+    tally = collections.Counter()
+    for outcome, line in _digest_records():
+        tally[outcome] += 1
+        digest.update(line.encode() + b"\n")
+    print(f"records {sum(tally.values())}")
+    print("outcomes " + ", ".join(f"{key} {count}" for key, count in sorted(tally.items())))
+    print(f"sha256 {digest.hexdigest()}")
+
+
 if __name__ == "__main__":
     import sys
 
+    # PYTHONPATH=src python tests/test_series.py --write-golden | --digest
     if sys.argv[1:] == ["--write-golden"]:
         _write_series_golden()
         print(f"wrote {_SERIES_GOLDEN}")
+    elif sys.argv[1:] == ["--digest"]:
+        _print_digest()
+    else:
+        sys.exit("usage: test_series.py --write-golden | --digest")

@@ -82,6 +82,33 @@ class TestLogGamma:
             log_gamma(x)
 
 
+class TestSignedLogGammaKernel:
+    """specfun._log_gamma_signed, which the series take their coefficients from."""
+
+    def test_poles_give_inf_and_zero_sign_among_ordinary_points(self):
+        from scipy.special import gammaln, gammasgn
+
+        x = np.array([2.5, 0.0, -0.5, -0.0, -1.0, 7.0, -7.0, -2.25, 1e-300, np.nan])
+        pole = np.array([False, True, False, True, True, False, True, False, False, False])
+        log_abs, sign = specfun._log_gamma_signed(x)
+        assert log_abs.shape == sign.shape == x.shape
+        assert np.all(log_abs[pole] == np.inf)
+        assert np.all(sign[pole] == 0.0)
+        np.testing.assert_array_equal(log_abs[~pole], gammaln(x[~pole]))
+        np.testing.assert_array_equal(sign[~pole], gammasgn(x[~pole]))
+
+    @pytest.mark.parametrize("x, expected", [
+        (0.0, (np.inf, 0.0)), (-0.0, (np.inf, 0.0)), (-7.0, (np.inf, 0.0)),
+        (0.5, (0.5 * math.log(math.pi), 1.0)), (-0.5, (math.log(2.0 * math.sqrt(math.pi)), -1.0)),
+    ])
+    def test_a_0d_input_gives_0d_arrays(self, x, expected):
+        for arg in (x, np.array(x)):
+            log_abs, sign = specfun._log_gamma_signed(arg)
+            assert type(log_abs) is type(sign) is np.ndarray
+            assert log_abs.shape == sign.shape == ()
+            assert (float(log_abs), float(sign)) == pytest.approx(expected, rel=1e-15)
+
+
 class TestGamma:
     def test_factorial(self):
         assert gamma(5.0) == pytest.approx(24.0, rel=1e-14)
