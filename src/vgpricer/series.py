@@ -168,8 +168,8 @@ class _Grid:
         self.n2 = n2 * 1.0
         self.n2_sign = (-1.0) ** n2
         # the sign (-1)^n1 x^n2 of a double-series term, for x > 0 and x < 0
-        alternating = (-1.0) ** n1
-        self.branch_sign = (alternating, alternating * self.n2_sign)
+        self.sign_pos = (-1.0) ** n1
+        self.sign_neg = self.sign_pos * self.n2_sign
         self.log_fact = _LOG_FACT[n1]
         self.n2_log_fact = _LOG_FACT[n2]
         # (np.bincount index, counts) of n1 + n2 on the grid and of n2 alone
@@ -209,9 +209,12 @@ class _Grid:
         )
         self.two_n2 = 2.0 * n2
         for value in vars(self).values():
-            for array in value if isinstance(value, tuple) else (value,):
-                if isinstance(array, np.ndarray):
-                    _frozen(array)
+            if isinstance(value, np.ndarray):
+                _frozen(value)
+
+    def branch_sign(self, base: float) -> np.ndarray:
+        """The sign (-1)^n1 base^n2 of a double-series term."""
+        return self.sign_neg if base < 0.0 else self.sign_pos
 
 
 @functools.lru_cache(maxsize=8)
@@ -351,6 +354,8 @@ def _residue_sum(log_terms, signs, diag, tail_tol):
     """
     with np.errstate(invalid="ignore", over="ignore"):
         terms = signs * np.exp(log_terms)
+    # one add of the two parts rounds as terms.sum(axis=0) would, in half the
+    # time on arrays this small; a single part needs no add
     if len(terms) == 2:
         terms = terms[0] + terms[1]
     index, counts = diag
@@ -406,7 +411,7 @@ def _double_series(
     if power_mult != 1.0:
         log_terms += g.n2 * math.log(power_mult)
     log_terms -= g.log_fact
-    return _residue_sum(log_terms, sign_coef * g.branch_sign[s_val < 0.0], g.diag, tail_tol)
+    return _residue_sum(log_terms, sign_coef * g.branch_sign(s_val), g.diag, tail_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -773,7 +778,8 @@ def _asym_single_series(
         log_front - lg_half + lg1 + lg2 + q_power * log_q + _power_log(theta_sigma, g.n2)
         - g.n2_log_fact
     )
-    return _residue_sum(log_terms, sg2 * (1.0, g.n2_sign)[theta_sigma < 0.0], g.line, tail_tol)
+    signs = sg2 * (g.n2_sign if theta_sigma < 0.0 else 1.0)
+    return _residue_sum(log_terms, signs, g.line, tail_tol)
 
 
 def _asym_double_series(
@@ -796,9 +802,7 @@ def _asym_double_series(
     log_mk = math.log(-k_val)
     base = log_front - lg_half + _LOG2 + _power_log(theta_sigma, g.n2) - g.log_fact_2
     log_terms = base + log_coef - log_divisor + divisor * log_mk + q_power * log_q
-    return _residue_sum(
-        log_terms, sign_coef * g.branch_sign[theta_sigma < 0.0], g.diag, tail_tol
-    )
+    return _residue_sum(log_terms, sign_coef * g.branch_sign(theta_sigma), g.diag, tail_tol)
 
 
 def asym_cash_or_nothing(

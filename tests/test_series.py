@@ -676,6 +676,22 @@ class TestResultTypes:
             seen += 1
         assert seen >= 5
 
+    @pytest.mark.parametrize("set_id", ["A", "B"])
+    @pytest.mark.parametrize("kind", list(_GOLDEN_KINDS))
+    def test_numpy_scalar_params_price_as_floats(self, set_id, kind):
+        """np.float64 sigma, nu and theta give the Python-float records bit for
+        bit, on every branch and for theta of either sign."""
+        for pricer in _GOLDEN_PRICERS:
+            params, market = _golden_contract(pricer, set_id, kind)
+            numpy_params = VgParams(
+                sigma=np.float64(params.sigma), nu=np.float64(params.nu),
+                theta=np.float64(params.theta),
+            )
+            for max_order in (10, 25):
+                assert _price_record(pricer, numpy_params, market, max_order) == _price_record(
+                    pricer, params, market, max_order
+                ), (pricer, max_order)
+
 
 def _price_record(pricer, params, market, max_order):
     """(value, terms, tail, branch) with floats as float.hex, from err.result
