@@ -149,11 +149,12 @@ def _memo_increments(
 
 
 def sample_vg(params: VgParams, t: float, n: int, seed: int) -> np.ndarray:
-    """n independent increments X(t), deterministic given the seed."""
+    """n independent increments X(t), deterministic given the seed; n runs
+    from 1 to 2^27, the path ceiling of McConfig."""
     if not t > 0.0:
         raise InvalidParameters(f"sample_vg requires t > 0, got {t!r}")
-    if not n >= 1:
-        raise InvalidParameters(f"sample_vg requires n >= 1, got {n!r}")
+    if not 1 <= n <= _MAX_PATHS:
+        raise InvalidParameters(f"sample_vg requires n in [1, 2^27 = {_MAX_PATHS}], got {n!r}")
     out = np.empty(n)
     chunks = _increments(seed, t / params.nu, n, params.nu, params.sigma, params.theta)
     for start, (shift, diffusion) in zip(range(0, n, _CHUNK), chunks):

@@ -70,8 +70,11 @@ _ALPHA_GUARD = 1e-8
 _ALPHA_NUDGES = 3  # relative nudges of nu by 1e-8 before a degenerate alpha is an error
 _CONVERGENCE_LIMIT = 1e-6
 _LOG2 = math.log(2.0)
-# log n! for n = 0..200, which covers every index SeriesControl allows
-_LOG_FACT = specfun._log_gamma_signed(np.arange(1.0, 202.0))[0]
+# (log|Gamma(k/2)|, sign) for k = -198..402: the alpha-free Gammas Gamma(j/2 + 1),
+# Gamma(n/2 + 1), Gamma((n + 1)/2) and n! at every index SeriesControl allows
+_HALF_GAMMA = specfun._log_gamma_signed(np.arange(-198, 403) / 2.0)
+# log n! = log Gamma((2 n + 2)/2) for n = 0..200
+_LOG_FACT = _HALF_GAMMA[0][2 + 198 :: 2]
 # an index that turns a pair of per-part values into a (2, 1, 1) stack
 _PARTS = np.s_[:, None, None]
 # the coefficients of alpha in a two-part stack that adds 2 alpha to part 2,
@@ -150,14 +153,22 @@ def _args(*pieces) -> _Args:
     )
 
 
+def _half_gamma(k):
+    """(log|Gamma(k/2)|, sign) of integers k in [-198, 402], from _HALF_GAMMA."""
+    return tuple(_frozen(part[k + 198]) for part in _HALF_GAMMA)
+
+
 class _Grid:
     """The input-free arrays of one truncation shape, built once per shape.
 
     n1 runs over 0..n_max (a column) and n2 over n2_start..n2_stop - 1 (a
-    row); the 1-D series run over the n2 row.  Each array is the exact
-    expression a series would otherwise evaluate per price, so values do
-    not depend on whether a shape was memoised.  Nothing here depends on an
-    input, and every array is read-only.
+    row); the 1-D series run over the n2 row.  The recipes of the alpha
+    blocks (the log-Gamma arguments, the alpha-free Gammas and the gathers)
+    depend on n_max alone: they run over the full row n = 0..n_max, and
+    _alpha_block reads them from the n2-from-0 shape.  Each array is the
+    exact expression a series would otherwise evaluate per price, so values
+    do not depend on whether a shape was memoised.  Nothing here depends on
+    an input, and every array is read-only.
     """
 
     def __init__(self, n_max: int, n2_start: int, n2_stop: int):
@@ -172,6 +183,7 @@ class _Grid:
         self.sign_neg = self.sign_pos * self.n2_sign
         self.log_fact = _LOG_FACT[n1]
         self.n2_log_fact = _LOG_FACT[n2]
+        self.log_fact_2 = _LOG_FACT[n1] + _LOG_FACT[n2]
         # (np.bincount index, counts) of n1 + n2 on the grid and of n2 alone
         flat = (n1 + n2 - n2_start).ravel()
         self.diag = (_frozen(flat), tuple(np.bincount(flat).tolist()))
@@ -179,35 +191,41 @@ class _Grid:
 
         # every series' arguments end with alpha + 1/2, for its prefactor, and a
         # 1-D series' pieces are stacks of one part with one n1 row
+        n = rows
         half = (np.array([0.5]), 1.0)
-        row = (n2 + 1)[None, None] / 2.0
-        # _double_series: Gammas over j = n2 - n1, m = 2 n1 + n2 and n1
-        j = np.arange(n2_start - n_max, n2_stop)
-        m = np.arange(n2_start, 2 * n_max + n2_stop)
+        row = (n + 1)[None, None] / 2.0
+        # _double_series: part 1's numerator over j = n2 - n1 (its denominator
+        # Gamma(j/2 + 1) is alpha-free), part 2's over m = 2 n1 + n2 and n1
+        j = np.arange(-n_max, n_max + 1)
+        m = np.arange(3 * n_max + 1)
         self.sym = _args(
-            ((j + 1) / 2.0, 1.0), (j / 2.0 + 1.0, 0.0), (-m - 1.0, -2.0),
-            ((-rows + 0.5)[:, None], -1.0), half,
+            ((j + 1) / 2.0, 1.0), (-m - 1.0, -2.0), ((-rows + 0.5)[:, None], -1.0), half
         )
-        # each (log or sign, part, n1, n2) cell's place in the concatenation of
+        self.sym_den = _half_gamma(j + 2)
+        # each (log or sign, part, n1, n) cell's place in the concatenation of
         # part 1's ratio over j, log Gamma over m, and the signs of both
-        logs = np.stack((n2 - n1 - j[0], 2 * n1 + n2 - m[0] + len(j)))
+        logs = np.stack((n - n1 - j[0], 2 * n1 + n + len(j)))
         self.sym_gather = np.stack((logs, logs + len(j) + len(m)))
         # the parts' powers of -k/s, with 2 alpha still to add to part 2's
         self.sym_power = np.stack((self.n1, 2.0 * n1 + 1.0))
-        # the collapsed ATM series
-        self.atm = _args((row, 1.0), (n2[None, None] / 2.0 + 1.0, 0.0), half)
-
-        # the drifted digital and the log call, which take the n2-from-0 shape
-        self.asym_single = _args((row, 0.0), (row, 1.0), half)
-        self.neg_half_n2_1 = -(n2 + 1) / 2.0
-        self.asym = _args((np.stack((-n1, -n1)), np.array([1.0, -1.0])[_PARTS]), half)
-        self.log_fact_2 = _LOG_FACT[n1] + _LOG_FACT[n2]
-        self.m_1 = 2.0 * n1 + n2 + 1.0
+        # the collapsed ATM series, over the alpha-free Gamma(n/2 + 1)
+        self.atm = _args((row, 1.0), half)
+        self.atm_den = _half_gamma(n[None, None] + 2)
+        # the drifted digital: its single series' Gamma((n + 1)/2 + alpha) (the
+        # alpha-free log Gamma((n + 1)/2) is asym_lg1), then its double series'
+        # Gamma(-n1 + alpha) and Gamma(-n1 - alpha)
+        self.asym = _args(
+            (row, 1.0), (np.stack((-n1, -n1)), np.array([1.0, -1.0])[_PARTS]), half
+        )
+        self.asym_lg1 = _half_gamma(n[None, None] + 1)[0]
+        self.neg_half_n_1 = -(n + 1) / 2.0
+        self.m_1 = 2.0 * n1 + n + 1.0
         self.log_call = _args(
-            (np.array([1.0]), 1.0), (np.stack((-n2, -n2))[:, None], np.array([1.0, -1.0])[_PARTS]),
+            (np.array([1.0]), 1.0), (np.stack((-n, -n))[:, None], np.array([1.0, -1.0])[_PARTS]),
             half,
         )
-        self.two_n2 = 2.0 * n2
+        self.n_sign = (-1.0) ** n
+        self.two_n = 2.0 * n
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 _frozen(value)
@@ -229,49 +247,58 @@ def _grid(n_max: int, n2_start: int, n2_stop: int) -> _Grid:
 
 
 @functools.lru_cache(maxsize=16)
-def _alpha_block(kind: str, n_max: int, n2_start: int, n2_stop: int, alpha: float):
-    """The alpha-dependent coefficients of one series, memoised per (kind, shape, alpha).
+def _alpha_block(kind: str, n_max: int, alpha: float):
+    """The alpha-dependent coefficients of one series kind, memoised per (kind, max_order, alpha).
 
-    kind names the _Grid attribute that holds the series' log-Gamma
-    arguments.  The block is log Gamma(alpha + 1/2) for the prefactor,
-    followed by the series' (log, sign) coefficients, stacked as (part, n1,
-    n2) arrays, and the coefficients of its powers that involve alpha; the
-    Gammas come from the series' one log-Gamma call.  Every strike of one
-    maturity shares alpha, so a strike slice builds each block once, while
-    prices at other alphas only cycle the bounded memo.  The arrays are the
-    same expressions a price would evaluate, so values do not depend on the
-    memo; they are read-only, and a Gamma pole raises and is not stored.
+    kind names the _Grid recipe that holds the series' log-Gamma arguments:
+    "sym" for the double series, "atm" for the collapsed ATM series, "asym"
+    for both series of the drifted digital, and "log_call".  Each block is
+    built on n2 from 0; the double series' three shapes (n2 from 0 for the
+    asset digital, from 1 for the call, and the cash digital's n2 = 0
+    column) slice the one "sym" block, so both legs of a gap share it, as
+    the call's ATM series slices the "atm" block.  The block is log
+    Gamma(alpha + 1/2) for the prefactor, followed by the series' (log,
+    sign) coefficients, stacked as (part, n1, n2) arrays, and the
+    coefficients of its powers that involve alpha ("asym" holds the single
+    series' four arrays, then the double series' five).  The Gammas in
+    alpha come from the kind's one log-Gamma call, the alpha-free ones from
+    the import-time _HALF_GAMMA table.  Every strike of one maturity shares
+    alpha, so a strike slice builds each block once, while prices at other
+    alphas only cycle the bounded memo.  The arrays are the same
+    expressions a price would evaluate, so values do not depend on the memo
+    or the slicing; they are read-only, and a Gamma pole raises and is not
+    stored.
     """
-    g = _grid(n_max, n2_start, n2_stop)
-    *pairs, (lg_half, s_half) = _log_gammas(getattr(g, kind), alpha)
+    g = _grid(n_max, 0, n_max + 1)
+    (*pairs, (lg_half, s_half)), pole = _log_gammas(getattr(g, kind), alpha)
     if kind == "sym":
-        g_j1, g_j2, g_m, g_rows = pairs
+        g_j, g_m, g_rows = pairs
         # every j occurs on the grid, so part 1's ratio is taken over j; part 2's
         # pole rule sees only the grid, so a pole at an unused m is never raised
-        ratio = _gamma_ratio_log(g_j1, g_j2)
+        ratio = _gamma_ratio_log(g_j, g.sym_den, pole)
         log, sign = np.concatenate((ratio[0], g_m[0], ratio[1], g_m[1]))[g.sym_gather]
-        _gamma_ratio_log((log[1], sign[1]), g_rows)
+        _gamma_ratio_log((log[1], sign[1]), g_rows, pole)
         block = (log, sign, g.sym_power + alpha * _TWO_IN_PART_2)
     elif kind == "atm":
-        block = _gamma_ratio_log(*pairs)
-    elif kind == "asym_single":
-        (lg1, _), (lg2, sg2) = pairs
-        block = (lg1, lg2, sg2, g.neg_half_n2_1 - alpha)
+        block = _gamma_ratio_log(*pairs, g.atm_den, pole)
     elif kind == "asym":
-        ((lg, sg),) = pairs
+        (lg2, sg2), (lg, sg) = pairs
         # the divisors -(2 n1 + n2 + 1) and -(2 n1 + n2 + 1 + 2 alpha) are both
         # negative, because alpha > -1/2; the signs carry the series' minus
         divisor = g.m_1 + alpha * _TWO_IN_PART_2
-        block = (lg, -sg, np.log(divisor), divisor, g.n1 - alpha * _ONE_IN_PART_1)
+        block = (
+            g.asym_lg1, lg2, sg2, g.neg_half_n_1 - alpha,
+            lg, -sg, np.log(divisor), divisor, g.n1 - alpha * _ONE_IN_PART_1,
+        )
     else:  # "log_call", whose head takes Gamma(1 + alpha) and the sign of Gamma(alpha + 1/2)
         (lg_a1, s_a1), (log, sign) = pairs
         # 2 n + 2 alpha + 1 > 0 because alpha > -1/2, so both factors are positive
-        shifted = g.two_n2 + alpha * _TWO_IN_PART_2
+        shifted = g.two_n + alpha * _TWO_IN_PART_2
         shifted_2, shifted_1 = shifted + 2.0, shifted + 1.0
         return (
             lg_half.item(), lg_a1.item(), s_a1.item(), s_half.item(),
             *map(_frozen, (
-                log, g.n2_sign * sign, np.log(shifted_2 * shifted_1), shifted_2, shifted_1
+                log, g.n_sign * sign, np.log(shifted_2 * shifted_1), shifted_2, shifted_1
             )),
         )
     return (lg_half.item(), *map(_frozen, block))
@@ -279,27 +306,35 @@ def _alpha_block(kind: str, n_max: int, n2_start: int, n2_stop: int, alpha: floa
 
 def _log_gammas(args: _Args, alpha: float):
     """(log|Gamma|, sign) pairs of each piece of args at alpha, in the piece's
-    shape, from one log-Gamma call."""
+    shape, from one log-Gamma call, and whether that call met a pole."""
     log_abs, sign = specfun._log_gamma_signed(args.base + alpha * args.coef)
-    return [(log_abs[cut].reshape(shape), sign[cut].reshape(shape)) for cut, shape in args.pieces]
+    pairs = [(log_abs[cut].reshape(shape), sign[cut].reshape(shape)) for cut, shape in args.pieces]
+    # a pole is the one place the sign is 0
+    return pairs, np.count_nonzero(sign) < sign.size
 
 
-def _gamma_ratio_log(num, den):
+def _gamma_ratio_log(num, den, pole):
     """(log |Gamma(a)/Gamma(b)|, sign) from the (log|Gamma|, sign) pairs of a
     and b, written over num's arrays.
 
     The numerator carries the full shape.  A denominator pole gives the
     ratio 0 (log -inf, sign +-0).  A pole in the numerator means the series
     itself is degenerate; that is excluded upstream by the alpha guard, so
-    it raises if it ever happens.
+    it raises if it ever happens.  pole says whether the log-Gamma call
+    behind the alpha-dependent Gammas met a pole; without one the numerator
+    is finite, so the plain difference already gives -inf at a denominator
+    pole, and the masked rule is skipped.
     """
     log_n, sign_n = num
     log_d, sign_d = den
-    finite = sign_d != 0.0
-    if ((sign_n == 0.0) & finite).any():
-        raise DegenerateAlphaError("series coefficient hit a Gamma pole")
-    np.subtract(log_n, log_d, out=log_n, where=finite)
-    np.copyto(log_n, -np.inf, where=~finite)
+    if pole:
+        finite = sign_d != 0.0
+        if ((sign_n == 0.0) & finite).any():
+            raise DegenerateAlphaError("series coefficient hit a Gamma pole")
+        np.subtract(log_n, log_d, out=log_n, where=finite)
+        np.copyto(log_n, -np.inf, where=~finite)
+    else:
+        log_n -= log_d
     sign_n *= sign_d
     return num
 
@@ -393,16 +428,18 @@ def _double_series(
 
     The first ratio depends on j = n2 - n1 alone, the second's numerator on
     m = 2 n1 + n2 and its denominator on n1, so all four Gammas come from
-    1-D arrays over j, m and n1, gathered onto the grid of the shape.
+    1-D arrays over j, m and n1, gathered onto the grid with n2 from 0, of
+    which each range takes its columns.
     """
     ratio = -k_val / s_val
     if not ratio > 0.0:
         raise InvalidParameters("series requires -moneyness/volatility > 0")
     log_ratio = math.log(ratio)
     g = _grid(n_max, n2.start, n2.stop)
-    lg_half, log_coef, sign_coef, ratio_power = _alpha_block(
-        "sym", n_max, n2.start, n2.stop, alpha
-    )
+    lg_half, log_coef, sign_coef, ratio_power = _alpha_block("sym", n_max, alpha)
+    # the block is built on n2 from 0; the call and the cash digital slice it
+    cells = np.s_[..., n2.start : n2.stop]
+    log_coef, sign_coef = log_coef[cells], sign_coef[cells]
     log_prefactor = log_amount - lg_half
     heads = np.array((log_prefactor, log_prefactor + _LOG2))[_PARTS]
     # part 1 takes s^n2 and part 2 (-k)^n2; -k/s > 0, so both have the sign of s^n2
@@ -511,7 +548,7 @@ def _sym_series_price(derived, diagnostics, ctrl, k_val, n2_start, power_mult, p
     if branch == "atm":
         g = _grid(ctrl.max_order, n2.start, n2.stop)
         # the call's collapsed series (n2 from 1) is the asset digital's without n2 = 0
-        lg_half, lr, sr = _alpha_block("atm", ctrl.max_order, 0, n2.stop, derived.alpha)
+        lg_half, lr, sr = _alpha_block("atm", ctrl.max_order, derived.alpha)
         lr, sr = lr[..., n2.start:], sr[..., n2.start:]
         log_terms = log_amount - lg_half + lr + g.n2 * math.log(power_mult * derived.sigma_nu)
         value, terms, tail, conv = _residue_sum(log_terms, sr, g.line, ctrl.tail_tol)
@@ -726,7 +763,7 @@ def log_call(
         raise UnsupportedBranchError(
             "no closed series for the in-the-money log call; use the Monte Carlo engine"
         )
-    block = _alpha_block("log_call", ctrl.max_order, 0, ctrl.max_order + 1, alpha)
+    block = _alpha_block("log_call", ctrl.max_order, alpha)
     lg_shape, lg_a1, s_a1, s_shape, log_coef, sign_coef, log_divisor, shifted_2, shifted_1 = block
     if derived.branch == "atm":
         lg_num, _ = specfun._log_gamma_signed(0.5 + (alpha + 0.5))
@@ -773,7 +810,7 @@ def _asym_single_series(
     """sum_n G((n+1)/2) G((n+1)/2 + a) q^{-(n+1)/2 - a} theta_sigma^n / n!"""
     g = _grid(n_max, 0, n_max + 1)
     log_q = math.log(q_factor)
-    lg_half, lg1, lg2, sg2, q_power = _alpha_block("asym_single", n_max, 0, n_max + 1, alpha)
+    lg_half, lg1, lg2, sg2, q_power = _alpha_block("asym", n_max, alpha)[:5]
     log_terms = (
         log_front - lg_half + lg1 + lg2 + q_power * log_q + _power_log(theta_sigma, g.n2)
         - g.n2_log_fact
@@ -795,9 +832,9 @@ def _asym_double_series(
     if not k_val < 0.0:
         raise InvalidParameters("asymmetric series requires negative moneyness")
     g = _grid(n_max, 0, n_max + 1)
-    lg_half, log_coef, sign_coef, log_divisor, divisor, q_power = _alpha_block(
-        "asym", n_max, 0, n_max + 1, alpha
-    )
+    block = _alpha_block("asym", n_max, alpha)
+    lg_half = block[0]
+    log_coef, sign_coef, log_divisor, divisor, q_power = block[5:]
     log_q = math.log(q_factor)
     log_mk = math.log(-k_val)
     base = log_front - lg_half + _LOG2 + _power_log(theta_sigma, g.n2) - g.log_fact_2

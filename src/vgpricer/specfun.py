@@ -55,8 +55,9 @@ def _log_gamma_signed(x) -> tuple[np.ndarray, np.ndarray]:
     # out= keeps a 0-d input's results 0-d arrays, which the pole mask can set
     log_abs = gammaln(x, out=np.empty_like(x))
     sign = gammasgn(x, out=np.empty_like(x))
-    pole = (x <= 0.0) & (x == np.floor(x))
-    if pole.any():
+    # gammaln is +inf at every pole, so without an infinity there is none to mask
+    if np.isinf(log_abs).any():
+        pole = (x <= 0.0) & (x == np.floor(x))
         log_abs[pole] = np.inf
         sign[pole] = 0.0
     return log_abs, sign

@@ -106,6 +106,17 @@ class TestSampling:
         with pytest.raises(InvalidParameters):
             sample_vg(params, 1.0, 0, seed=0)
 
+    @pytest.mark.parametrize("n", [2**27 + 1, 10**13])
+    def test_count_above_the_path_ceiling_rejected(self, n, monkeypatch):
+        """A count above 2^27 raises before the output array is allocated."""
+
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("sample_vg allocated before checking n")
+
+        monkeypatch.setattr(np, "empty", no_allocation)
+        with pytest.raises(InvalidParameters, match="2\\^27"):
+            sample_vg(VgParams(sigma=0.2, nu=0.85), 1.0, n, seed=0)
+
 
 class TestEstimator:
     def test_bit_reproducible(self, bench_params):

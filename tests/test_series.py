@@ -1,6 +1,8 @@
 """Series-pricer tests: reference grids, parities, branch behavior."""
 
+import collections
 import csv
+import hashlib
 import math
 from pathlib import Path
 
@@ -656,6 +658,26 @@ class TestCoefficientCost:
             assert european(bench_params, market).branch == "otm"
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("pricer, theta, market", [
+        (gap, 0.0, make_market(3000.0, 0.5, trigger_strike=4000.0)),
+        (asym_cash_or_nothing, -0.05, make_market(3000.0, 0.5)),
+    ])
+    def test_a_cold_two_series_price_takes_one_call(self, pricer, theta, market, monkeypatch):
+        """A gap's two digitals share one alpha block, and the drifted
+        digital's single and double series share another, so a cold OTM price
+        of either makes one log-Gamma call; the alpha-free Gammas come from an
+        import-time table."""
+        calls = []
+        log_gamma = specfun._log_gamma_signed
+
+        def counting(x):
+            calls.append(np.size(x))
+            return log_gamma(x)
+
+        monkeypatch.setattr(specfun, "_log_gamma_signed", counting)
+        assert pricer(VgParams(sigma=0.2, nu=0.85, theta=theta), market).branch == "otm"
+        assert len(calls) == 1
+
 
 class TestResultTypes:
     @pytest.mark.parametrize("kind", list(_GOLDEN_KINDS))
@@ -738,9 +760,9 @@ class TestGridMemo:
         for shape in ((25, 0, 26), (25, 1, 26), (25, 0, 1)):
             arrays = list(_memo_arrays(series._grid(*shape)))
             assert len(arrays) >= 25
-            for kind in ("sym", "atm", "asym_single", "asym", "log_call"):
-                block = series._alpha_block(kind, *shape, 0.3)
-                assert block is series._alpha_block(kind, *shape, 0.3)
+            for kind in ("sym", "atm", "asym", "log_call"):
+                block = series._alpha_block(kind, shape[0], 0.3)
+                assert block is series._alpha_block(kind, shape[0], 0.3)
                 arrays += list(_memo_arrays(block))
             for array in arrays:
                 with pytest.raises(ValueError):
@@ -757,16 +779,16 @@ class TestGridMemo:
                 )
                 _price_record(pricer, *contract, 30)
         assert series._grid.cache_info().misses <= 3
-        # one alpha: three double-series shapes, the ATM series, both
-        # drifted-digital series and the log call
-        assert series._alpha_block.cache_info().misses <= 7
+        # one alpha: the double series' block, which its three shapes slice,
+        # the ATM series, the drifted digital and the log call
+        assert series._alpha_block.cache_info().misses <= 4
 
     def test_a_gamma_pole_raises_on_every_call(self):
         """At integral alpha part 1's numerator hits a pole where its
         denominator does not; the error is raised again, never stored."""
         for _ in range(2):
             with pytest.raises(DegenerateAlphaError):
-                series._alpha_block("sym", 10, 0, 11, 1.0)
+                series._alpha_block("sym", 10, 1.0)
         assert series._alpha_block.cache_info().currsize == 0
 
 
@@ -863,11 +885,11 @@ def _hexed(value):
     return float.hex(float(value)) if isinstance(value, (float, np.floating)) else value
 
 
-def _digest_records():
+def _digest_records(draws=3000):
     """One line per (draw, pricer, max_order) with alpha_policy="nudge": the
     value, terms, tail, branch and diagnostics, floats as float.hex, of
     err.result on NonConvergenceError; the error type for any other raise."""
-    for draw in _digest_contracts():
+    for draw in _digest_contracts(draws):
         for pricer, fn in _GOLDEN_PRICERS.items():
             params, market = _contract(pricer, **draw)
             for order in _DIGEST_ORDERS:
@@ -886,18 +908,32 @@ def _digest_records():
                 ))
 
 
-def _print_digest():
-    import collections
-    import hashlib
-
+def _digest(draws=3000):
+    """(outcome tally, sha256 hex digest) of the records of the first draws."""
     digest = hashlib.sha256()
     tally = collections.Counter()
-    for outcome, line in _digest_records():
+    for outcome, line in _digest_records(draws):
         tally[outcome] += 1
         digest.update(line.encode() + b"\n")
+    return tally, digest.hexdigest()
+
+
+def _print_digest():
+    tally, sha256 = _digest()
     print(f"records {sum(tally.values())}")
     print("outcomes " + ", ".join(f"{key} {count}" for key, count in sorted(tally.items())))
-    print(f"sha256 {digest.hexdigest()}")
+    print(f"sha256 {sha256}")
+
+
+class TestSeriesDigest:
+    def test_first_draws_are_bit_identical(self):
+        """The digest's first 200 draws (8,000 records) hash as they did before
+        the alpha blocks were shared across series shapes.  The full 3,000-draw
+        digest is `PYTHONPATH=src python tests/test_series.py --digest`; a
+        change meant to move series values restates both hashes."""
+        tally, sha256 = _digest(draws=200)
+        assert sum(tally.values()) == 8000
+        assert sha256 == "c79100401799f25a1dbf8268654dbae8818add6298239719fa5d8af5f0663b40"
 
 
 if __name__ == "__main__":
