@@ -19,14 +19,19 @@ numpy call per step for both parts; a 1-D series is a stack of one part with
 one n1 row.  Everything that depends only on the truncation shape (the
 indices and gathers, log n!, the branch signs (-1)^n1 and (-1)^(n1+n2), and
 the alpha-free part of every log-Gamma argument) is built once per shape by
-_grid, so a price pays only for the arithmetic in alpha, the moneyness and
-the volatility.  The alpha-dependent part (the stacked log-Gamma
-coefficients and their signs, the powers and divisors that involve alpha,
-and the prefactor's log Gamma(alpha + 1/2) from the same log-Gamma call) is
-memoised per (kind, shape, alpha) by _alpha_block, bounded at 16 entries,
-so it is shared only by prices with the same alpha, such as the strikes of
-one maturity.  Each stacked element takes the same operations in the same
-order as its part did on its own, so values do not depend on the stacking.
+_grid, and the alpha-free Gammas (Gamma(j/2 + 1), Gamma(n/2 + 1) and
+Gamma((n + 1)/2)) come from one import-time table, so a price pays only for
+the arithmetic in alpha, the moneyness and the volatility.  The
+alpha-dependent part (the stacked log-Gamma coefficients and their signs,
+the powers and divisors that involve alpha, and the prefactor's log
+Gamma(alpha + 1/2) from the same log-Gamma call) is memoised per (kind,
+max_order, alpha) by _alpha_block, bounded at 16 entries.  Each block is
+built on n2 from 0: the double series' three shapes (n2 from 0, from 1, and
+the n2 = 0 column) slice one block, so a gap's two digitals share it, and
+the drifted digital's two series share another.  A block is shared only by
+prices with the same alpha, such as the strikes of one maturity.  Each
+stacked element takes the same operations in the same order as its part did
+on its own, so values do not depend on the stacking.
 Every series goes through one kernel, _residue_sum, which exponentiates the
 stack once, adds its parts and accumulates the anti-diagonals n1 + n2 =
 const in ascending order with compensated (Kahan) summation, because the
@@ -172,8 +177,8 @@ class _Grid:
     """
 
     def __init__(self, n_max: int, n2_start: int, n2_stop: int):
-        rows = np.arange(n_max + 1)
-        n1 = rows[:, None]
+        n = np.arange(n_max + 1)
+        n1 = n[:, None]
         n2 = np.arange(n2_start, n2_stop)
         self.n1 = n1 * 1.0
         self.n2 = n2 * 1.0
@@ -191,16 +196,13 @@ class _Grid:
 
         # every series' arguments end with alpha + 1/2, for its prefactor, and a
         # 1-D series' pieces are stacks of one part with one n1 row
-        n = rows
         half = (np.array([0.5]), 1.0)
         row = (n + 1)[None, None] / 2.0
         # _double_series: part 1's numerator over j = n2 - n1 (its denominator
         # Gamma(j/2 + 1) is alpha-free), part 2's over m = 2 n1 + n2 and n1
         j = np.arange(-n_max, n_max + 1)
         m = np.arange(3 * n_max + 1)
-        self.sym = _args(
-            ((j + 1) / 2.0, 1.0), (-m - 1.0, -2.0), ((-rows + 0.5)[:, None], -1.0), half
-        )
+        self.sym = _args(((j + 1) / 2.0, 1.0), (-m - 1.0, -2.0), (-n1 + 0.5, -1.0), half)
         self.sym_den = _half_gamma(j + 2)
         # each (log or sign, part, n1, n) cell's place in the concatenation of
         # part 1's ratio over j, log Gamma over m, and the signs of both
@@ -251,23 +253,18 @@ def _alpha_block(kind: str, n_max: int, alpha: float):
     """The alpha-dependent coefficients of one series kind, memoised per (kind, max_order, alpha).
 
     kind names the _Grid recipe that holds the series' log-Gamma arguments:
-    "sym" for the double series, "atm" for the collapsed ATM series, "asym"
-    for both series of the drifted digital, and "log_call".  Each block is
-    built on n2 from 0; the double series' three shapes (n2 from 0 for the
-    asset digital, from 1 for the call, and the cash digital's n2 = 0
-    column) slice the one "sym" block, so both legs of a gap share it, as
-    the call's ATM series slices the "atm" block.  The block is log
+    "sym" (the double series), "atm", "asym" (both series of the drifted
+    digital) or "log_call".  Each block is built on n2 from 0, and the
+    shapes that start later or stop sooner slice it, so the asset digital,
+    the call and the cash digital share one "sym" block.  The block is log
     Gamma(alpha + 1/2) for the prefactor, followed by the series' (log,
     sign) coefficients, stacked as (part, n1, n2) arrays, and the
     coefficients of its powers that involve alpha ("asym" holds the single
-    series' four arrays, then the double series' five).  The Gammas in
-    alpha come from the kind's one log-Gamma call, the alpha-free ones from
-    the import-time _HALF_GAMMA table.  Every strike of one maturity shares
-    alpha, so a strike slice builds each block once, while prices at other
-    alphas only cycle the bounded memo.  The arrays are the same
-    expressions a price would evaluate, so values do not depend on the memo
-    or the slicing; they are read-only, and a Gamma pole raises and is not
-    stored.
+    series' four arrays, then the double series' five); the Gammas in alpha
+    come from one log-Gamma call, the alpha-free ones from _HALF_GAMMA.
+    The arrays are the same expressions a price would evaluate, so values
+    do not depend on the memo or the slicing; they are read-only, and a
+    Gamma pole raises and is not stored.
     """
     g = _grid(n_max, 0, n_max + 1)
     (*pairs, (lg_half, s_half)), pole = _log_gammas(getattr(g, kind), alpha)

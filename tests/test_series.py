@@ -927,10 +927,10 @@ def _print_digest():
 
 class TestSeriesDigest:
     def test_first_draws_are_bit_identical(self):
-        """The digest's first 200 draws (8,000 records) hash as they did before
-        the alpha blocks were shared across series shapes.  The full 3,000-draw
-        digest is `PYTHONPATH=src python tests/test_series.py --digest`; a
-        change meant to move series values restates both hashes."""
+        """The digest's first 200 draws (8,000 records) keep their recorded
+        hash, so no series value, term count, tail or diagnostic moves.  The
+        full 3,000-draw digest is `PYTHONPATH=src python tests/test_series.py
+        --digest`; a change meant to move series values restates both hashes."""
         tally, sha256 = _digest(draws=200)
         assert sum(tally.values()) == 8000
         assert sha256 == "c79100401799f25a1dbf8268654dbae8818add6298239719fa5d8af5f0663b40"
