@@ -35,6 +35,8 @@ __all__ = ["main"]
 
 _PAYOFFS = tuple(name.replace("_", "-") for name in montecarlo.PAYOFF_NAMES)
 _METHODS = ("series", "fourier", "quadrature", "mc", "all")
+# the most density samples one run writes: each row prices three densities
+_MAX_POINTS = 1 << 20
 
 
 class _UsageError(Exception):
@@ -348,6 +350,8 @@ def _cmd_density(resolved: dict) -> int:
     lo, hi, points = resolved["x_min"], resolved["x_max"], resolved["points"]
     if points < 2:
         raise _UsageError("--points must be at least 2")
+    if points > _MAX_POINTS:
+        raise _UsageError(f"--points must be at most 2^20 = {_MAX_POINTS}, got {points}")
     if lo == -hi:  # symmetric request: build an exactly symmetric grid
         # the positive half of linspace(lo, hi, points), spaced 2 hi / (points - 1)
         positive = np.linspace(hi * (1 + points % 2) / (points - 1), hi, points // 2)

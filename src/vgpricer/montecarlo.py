@@ -123,26 +123,30 @@ def _increment_chunk(
     return np.multiply(clock, theta, out=clock), diffusion
 
 
-def _increments(
-    seed: int, shape: float, n_units: int, nu: float, sigma: float, theta: float,
-    memo: bool = True,
+def _draw_increments(
+    seed: int, shape: float, n_units: int, nu: float, sigma: float, theta: float
 ):
     """(theta clock, sigma sqrt(clock) Z) pairs, clock = nu Gamma(shape), from
     _rng(seed), one per chunk of at most _CHUNK units, the clock block drawn
-    first; memoised up to _MEMO_UNITS."""
-    if memo and n_units <= _MEMO_UNITS:
-        # theta = -0.0 equals 0.0 as a key, but its sign reaches sample_vg's zeros
-        return _memo_increments(seed, shape, n_units, nu, sigma, theta, math.copysign(1.0, theta))
+    first."""
     rng = _rng(seed)
     sizes = (min(_CHUNK, n_units - start) for start in range(0, n_units, _CHUNK))
     return (_increment_chunk(rng, shape, m, nu, sigma, theta) for m in sizes)
+
+
+def _increments(seed: int, shape: float, n_units: int, nu: float, sigma: float, theta: float):
+    """The chunks of _draw_increments, memoised up to _MEMO_UNITS."""
+    if n_units <= _MEMO_UNITS:
+        # theta = -0.0 equals 0.0 as a key, but its sign reaches sample_vg's zeros
+        return _memo_increments(seed, shape, n_units, nu, sigma, theta, math.copysign(1.0, theta))
+    return _draw_increments(seed, shape, n_units, nu, sigma, theta)
 
 
 @functools.lru_cache(maxsize=1)
 def _memo_increments(
     seed: int, shape: float, n_units: int, nu: float, sigma: float, theta: float, theta_sign: float
 ) -> tuple:
-    chunks = tuple(_increments(seed, shape, n_units, nu, sigma, theta, memo=False))
+    chunks = tuple(_draw_increments(seed, shape, n_units, nu, sigma, theta))
     for array in itertools.chain.from_iterable(chunks):
         array.flags.writeable = False
     return chunks

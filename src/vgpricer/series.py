@@ -16,27 +16,28 @@ and n1 for a double series), in one call per series, and gathered onto the
 (n1, n2) grid.  The two parts of a double series (and of the log call) are
 held on one leading axis, as (part, n1, n2) stacks, so a price makes one
 numpy call per step for both parts; a 1-D series is a stack of one part with
-one n1 row.  Everything that depends only on the truncation shape (the
-indices and gathers, log n!, the branch signs (-1)^n1 and (-1)^(n1+n2), and
-the alpha-free part of every log-Gamma argument) is built once per shape by
-_grid, and the alpha-free Gammas (Gamma(j/2 + 1), Gamma(n/2 + 1) and
-Gamma((n + 1)/2)) come from one import-time table, so a price pays only for
-the arithmetic in alpha, the moneyness and the volatility.  The
-alpha-dependent part (the stacked log-Gamma coefficients and their signs,
-the powers and divisors that involve alpha, and the prefactor's log
-Gamma(alpha + 1/2) from the same log-Gamma call) is memoised per (kind,
-max_order, alpha) by _alpha_block, bounded at 16 entries.  Each block is
-built on n2 from 0: the double series' three shapes (n2 from 0, from 1, and
-the n2 = 0 column) slice one block, so a gap's two digitals share it, and
-the drifted digital's two series share another.  A block is shared only by
-prices with the same alpha, such as the strikes of one maturity.  Each
-stacked element takes the same operations in the same order as its part did
-on its own, so values do not depend on the stacking.
+one n1 row.  Everything that depends only on max_order (the indices and
+gathers, log n!, the branch signs (-1)^n1 and (-1)^(n1+n2), and the
+alpha-free part of every log-Gamma argument) is built once per max_order by
+_grid, on n1 and n2 over 0..max_order, and the alpha-free Gammas come from
+one import-time table, so a price pays only for the arithmetic in alpha,
+the moneyness and the volatility.  The alpha-dependent part (the stacked
+log-Gamma coefficients and their signs, the powers and divisors that
+involve alpha, and the prefactor's log Gamma(alpha + 1/2) from the same
+log-Gamma call) is memoised per (kind, max_order, alpha) by _alpha_block,
+bounded at 16 entries.  Every series slices the grid and its block: the
+double series' three shapes (n2 from 0, from 1, and the n2 = 0 column) take
+their columns, and the collapsed ATM series, the k -> 0 limit of the double
+series, is row n1 = 0 of part 1.  So a gap's two digitals and the ATM and
+OTM prices of one alpha share a block, and the drifted digital's two series
+share another.  Each stacked element takes the same operations in the same
+order as its part did on its own, so values do not depend on the stacking
+or the slicing.
 Every series goes through one kernel, _residue_sum, which exponentiates the
 stack once, adds its parts and accumulates the anti-diagonals n1 + n2 =
-const in ascending order with compensated (Kahan) summation, because the
-terms alternate in sign and can grow enormously before they cancel (deep-OTM
-rows reach 1e3-sized partial sums).
+const of the block's shape in ascending order with compensated (Kahan)
+summation, because the terms alternate in sign and can grow enormously
+before they cancel (deep-OTM rows reach 1e3-sized partial sums).
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ _ALPHA_NUDGES = 3  # relative nudges of nu by 1e-8 before a degenerate alpha is 
 _CONVERGENCE_LIMIT = 1e-6
 _LOG2 = math.log(2.0)
 # (log|Gamma(k/2)|, sign) for k = -198..402: the alpha-free Gammas Gamma(j/2 + 1),
-# Gamma(n/2 + 1), Gamma((n + 1)/2) and n! at every index SeriesControl allows
+# Gamma((n + 1)/2) and n! at every index SeriesControl allows
 _HALF_GAMMA = specfun._log_gamma_signed(np.arange(-198, 403) / 2.0)
 # log n! = log Gamma((2 n + 2)/2) for n = 0..200
 _LOG_FACT = _HALF_GAMMA[0][2 + 198 :: 2]
@@ -164,35 +165,32 @@ def _half_gamma(k):
 
 
 class _Grid:
-    """The input-free arrays of one truncation shape, built once per shape.
+    """The input-free arrays of one max_order, built once per max_order.
 
-    n1 runs over 0..n_max (a column) and n2 over n2_start..n2_stop - 1 (a
-    row); the 1-D series run over the n2 row.  The recipes of the alpha
-    blocks (the log-Gamma arguments, the alpha-free Gammas and the gathers)
-    depend on n_max alone: they run over the full row n = 0..n_max, and
-    _alpha_block reads them from the n2-from-0 shape.  Each array is the
-    exact expression a series would otherwise evaluate per price, so values
-    do not depend on whether a shape was memoised.  Nothing here depends on
-    an input, and every array is read-only.
+    n1 runs over 0..n_max (a column) and n2 over 0..n_max (a row); the 1-D
+    series run over the n2 row, and the double series' shapes take its
+    columns: the asset digital all of them, the call those from n2 = 1 and
+    the cash digital the n2 = 0 column.  The recipes of the alpha blocks
+    (the log-Gamma arguments, the alpha-free Gammas and the gathers) run
+    over the full row n = 0..n_max.  Each array is the exact expression a
+    series would otherwise evaluate per price, so values do not depend on
+    the memo or the slicing.  Nothing here depends on an input, and every
+    array is read-only.
     """
 
-    def __init__(self, n_max: int, n2_start: int, n2_stop: int):
+    def __init__(self, n_max: int):
         n = np.arange(n_max + 1)
         n1 = n[:, None]
-        n2 = np.arange(n2_start, n2_stop)
         self.n1 = n1 * 1.0
-        self.n2 = n2 * 1.0
-        self.n2_sign = (-1.0) ** n2
-        # the sign (-1)^n1 x^n2 of a double-series term, for x > 0 and x < 0
-        self.sign_pos = (-1.0) ** n1
+        self.n2 = n * 1.0
+        self.n2_sign = (-1.0) ** n
+        # the sign (-1)^n1 x^n2 of a double-series term, for x > 0 and x < 0, on
+        # the full block so that a shape can take its columns
+        self.sign_pos = np.broadcast_to((-1.0) ** n1, (n_max + 1, n_max + 1))
         self.sign_neg = self.sign_pos * self.n2_sign
         self.log_fact = _LOG_FACT[n1]
-        self.n2_log_fact = _LOG_FACT[n2]
-        self.log_fact_2 = _LOG_FACT[n1] + _LOG_FACT[n2]
-        # (np.bincount index, counts) of n1 + n2 on the grid and of n2 alone
-        flat = (n1 + n2 - n2_start).ravel()
-        self.diag = (_frozen(flat), tuple(np.bincount(flat).tolist()))
-        self.line = (_frozen(n2 - n2_start), (1,) * len(n2))
+        self.n2_log_fact = _LOG_FACT[n]
+        self.log_fact_2 = _LOG_FACT[n1] + _LOG_FACT[n]
 
         # every series' arguments end with alpha + 1/2, for its prefactor, and a
         # 1-D series' pieces are stacks of one part with one n1 row
@@ -210,9 +208,6 @@ class _Grid:
         self.sym_gather = np.stack((logs, logs + len(j) + len(m)))
         # the parts' powers of -k/s, with 2 alpha still to add to part 2's
         self.sym_power = np.stack((self.n1, 2.0 * n1 + 1.0))
-        # the collapsed ATM series, over the alpha-free Gamma(n/2 + 1)
-        self.atm = _args((row, 1.0), half)
-        self.atm_den = _half_gamma(n[None, None] + 2)
         # the drifted digital: its single series' Gamma((n + 1)/2 + alpha) (the
         # alpha-free log Gamma((n + 1)/2) is asym_lg1), then its double series'
         # Gamma(-n1 + alpha) and Gamma(-n1 - alpha)
@@ -238,14 +233,19 @@ class _Grid:
 
 
 @functools.lru_cache(maxsize=8)
-def _grid(n_max: int, n2_start: int, n2_stop: int) -> _Grid:
-    """The _Grid of one truncation shape, memoised on the shape alone.
+def _grid(n_max: int) -> _Grid:
+    """The _Grid of one max_order, memoised on max_order alone, so a strike
+    slice misses once, whatever its parameters."""
+    return _Grid(n_max)
 
-    The series at one max_order use three shapes (n2 from 0, n2 from 1, and
-    the cash digital's n2 = 0 column), so a strike slice misses at most
-    three times, whatever its parameters.
-    """
-    return _Grid(n_max, n2_start, n2_stop)
+
+@functools.lru_cache(maxsize=16)
+def _diagonals(rows: int, cols: int):
+    """(np.bincount index, counts) of the anti-diagonals n1 + column of a
+    rows x cols term block: a double series' n1 + n2 - n2_start, and a
+    single series' column index n, whose every diagonal holds one term."""
+    index = (np.arange(rows)[:, None] + np.arange(cols)).ravel()
+    return _frozen(index), tuple(np.bincount(index).tolist())
 
 
 @functools.lru_cache(maxsize=16)
@@ -253,20 +253,21 @@ def _alpha_block(kind: str, n_max: int, alpha: float):
     """The alpha-dependent coefficients of one series kind, memoised per (kind, max_order, alpha).
 
     kind names the _Grid recipe that holds the series' log-Gamma arguments:
-    "sym" (the double series), "atm", "asym" (both series of the drifted
-    digital) or "log_call".  Each block is built on n2 from 0, and the
-    shapes that start later or stop sooner slice it, so the asset digital,
-    the call and the cash digital share one "sym" block.  The block is log
-    Gamma(alpha + 1/2) for the prefactor, followed by the series' (log,
-    sign) coefficients, stacked as (part, n1, n2) arrays, and the
-    coefficients of its powers that involve alpha ("asym" holds the single
-    series' four arrays, then the double series' five); the Gammas in alpha
-    come from one log-Gamma call, the alpha-free ones from _HALF_GAMMA.
-    The arrays are the same expressions a price would evaluate, so values
-    do not depend on the memo or the slicing; they are read-only, and a
-    Gamma pole raises and is not stored.
+    "sym" (the double series), "asym" (both series of the drifted digital)
+    or "log_call".  Each block is built on the grid's full n2 row, and the
+    series that start later or stop sooner slice it: the asset digital, the
+    call and the cash digital share one "sym" block, and the collapsed ATM
+    series is its row n1 = 0 of part 1.  The block is log Gamma(alpha +
+    1/2) for the prefactor, followed by the series' (log, sign)
+    coefficients, stacked as (part, n1, n2) arrays, and the coefficients of
+    its powers that involve alpha ("asym" holds the single series' four
+    arrays, then the double series' five); the Gammas in alpha come from
+    one log-Gamma call, the alpha-free ones from _HALF_GAMMA.  The arrays
+    are the same expressions a price would evaluate, so values do not
+    depend on the memo or the slicing; they are read-only, and a Gamma
+    pole raises and is not stored.
     """
-    g = _grid(n_max, 0, n_max + 1)
+    g = _grid(n_max)
     (*pairs, (lg_half, s_half)), pole = _log_gammas(getattr(g, kind), alpha)
     if kind == "sym":
         g_j, g_m, g_rows = pairs
@@ -276,8 +277,6 @@ def _alpha_block(kind: str, n_max: int, alpha: float):
         log, sign = np.concatenate((ratio[0], g_m[0], ratio[1], g_m[1]))[g.sym_gather]
         _gamma_ratio_log((log[1], sign[1]), g_rows, pole)
         block = (log, sign, g.sym_power + alpha * _TWO_IN_PART_2)
-    elif kind == "atm":
-        block = _gamma_ratio_log(*pairs, g.atm_den, pole)
     elif kind == "asym":
         (lg2, sg2), (lg, sg) = pairs
         # the divisors -(2 n1 + n2 + 1) and -(2 n1 + n2 + 1 + 2 alpha) are both
@@ -376,13 +375,14 @@ def _kahan_diagonal_sum(diag_values, diag_counts, tail_tol):
     return total, terms, max(last, previous), converged
 
 
-def _residue_sum(log_terms, signs, diag, tail_tol):
+def _residue_sum(log_terms, signs, tail_tol):
     """The one summation kernel: sum of signs * exp(log_terms) over the parts.
 
     Both arrays stack one or two parts on their leading axis.  Terms are
-    added per index (n1 + n2 for a double series, n for a single one)
-    through the grid's (np.bincount index, counts) pair diag, and the
-    per-index sums are accumulated in ascending index by _kahan_diagonal_sum.
+    added per anti-diagonal of their (rows, cols) block (n1 + n2 - n2_start
+    for a double series, n for a single one, whose block is one row) through
+    the (np.bincount index, counts) pair of _diagonals, and the per-diagonal
+    sums are accumulated in ascending order by _kahan_diagonal_sum.
     """
     with np.errstate(invalid="ignore", over="ignore"):
         terms = signs * np.exp(log_terms)
@@ -390,7 +390,7 @@ def _residue_sum(log_terms, signs, diag, tail_tol):
     # time on arrays this small; a single part needs no add
     if len(terms) == 2:
         terms = terms[0] + terms[1]
-    index, counts = diag
+    index, counts = _diagonals(*terms.shape[-2:])
     return _kahan_diagonal_sum(np.bincount(index, weights=terms.ravel()), counts, tail_tol)
 
 
@@ -432,20 +432,20 @@ def _double_series(
     if not ratio > 0.0:
         raise InvalidParameters("series requires -moneyness/volatility > 0")
     log_ratio = math.log(ratio)
-    g = _grid(n_max, n2.start, n2.stop)
+    g = _grid(n_max)
     lg_half, log_coef, sign_coef, ratio_power = _alpha_block("sym", n_max, alpha)
-    # the block is built on n2 from 0; the call and the cash digital slice it
+    # the grid and the block run n2 from 0; the call and the cash digital slice them
     cells = np.s_[..., n2.start : n2.stop]
-    log_coef, sign_coef = log_coef[cells], sign_coef[cells]
+    log_coef, sign_coef, n2_row = log_coef[cells], sign_coef[cells], g.n2[cells]
     log_prefactor = log_amount - lg_half
     heads = np.array((log_prefactor, log_prefactor + _LOG2))[_PARTS]
     # part 1 takes s^n2 and part 2 (-k)^n2; -k/s > 0, so both have the sign of s^n2
-    powers = g.n2 * np.array((math.log(abs(s_val)), math.log(abs(k_val))))[_PARTS]
+    powers = n2_row * np.array((math.log(abs(s_val)), math.log(abs(k_val))))[_PARTS]
     log_terms = heads + log_coef + ratio_power * log_ratio + powers
     if power_mult != 1.0:
-        log_terms += g.n2 * math.log(power_mult)
+        log_terms += n2_row * math.log(power_mult)
     log_terms -= g.log_fact
-    return _residue_sum(log_terms, sign_coef * g.branch_sign(s_val), g.diag, tail_tol)
+    return _residue_sum(log_terms, sign_coef * g.branch_sign(s_val)[cells], tail_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -543,12 +543,13 @@ def _sym_series_price(derived, diagnostics, ctrl, k_val, n2_start, power_mult, p
     log_amount = math.log(derived.forward_strike) - _LOG2
     n2 = range(n2_start, ctrl.max_order + 1)
     if branch == "atm":
-        g = _grid(ctrl.max_order, n2.start, n2.stop)
-        # the call's collapsed series (n2 from 1) is the asset digital's without n2 = 0
-        lg_half, lr, sr = _alpha_block("atm", ctrl.max_order, derived.alpha)
-        lr, sr = lr[..., n2.start:], sr[..., n2.start:]
-        log_terms = log_amount - lg_half + lr + g.n2 * math.log(power_mult * derived.sigma_nu)
-        value, terms, tail, conv = _residue_sum(log_terms, sr, g.line, ctrl.tail_tol)
+        # at k = 0, (-k/s)^n1 leaves only row n1 = 0 of the double series' part 1,
+        # and part 2 vanishes; the call's series is the asset digital's without n2 = 0
+        lg_half, log_coef, sign_coef, _ = _alpha_block("sym", ctrl.max_order, derived.alpha)
+        row = np.s_[:1, :1, n2.start :]
+        powers = _grid(ctrl.max_order).n2[n2.start :] * math.log(power_mult * derived.sigma_nu)
+        log_terms = log_amount - lg_half + log_coef[row] + powers
+        value, terms, tail, conv = _residue_sum(log_terms, sign_coef[row], ctrl.tail_tol)
     else:
         value, terms, tail, conv = _otm_or_parity(
             branch,
@@ -767,7 +768,7 @@ def log_call(
         value = discount / math.sqrt(math.pi) * math.exp(float(lg_num) - lg_shape) * s_nu
         return _finalize(value, 1, 0.0, True, "atm", diagnostics)
     log_pref = -derived.rate_effective * market.tau - 0.5 * math.log(math.pi) - lg_shape
-    g = _grid(ctrl.max_order, 0, ctrl.max_order + 1)
+    g = _grid(ctrl.max_order)
     head = s_a1 * math.exp(log_pref + lg_a1 + math.log(s_nu)) + (
         -math.sqrt(math.pi) / 2.0 * s_shape * math.exp(log_pref + lg_shape + math.log(-k))
     )
@@ -776,7 +777,7 @@ def log_call(
     log_terms = (
         log_pref + log_coef - log_divisor + shifted_2 * log_mk - shifted_1 * log_2s - g.n2_log_fact
     )
-    series, terms, tail, conv = _residue_sum(log_terms, sign_coef, g.line, ctrl.tail_tol)
+    series, terms, tail, conv = _residue_sum(log_terms, sign_coef, ctrl.tail_tol)
     return _finalize(head + series, terms + 2, tail, conv, derived.branch, diagnostics)
 
 
@@ -796,47 +797,35 @@ def _asym_log_front(derived: DerivedQuantities, tau: float) -> float:
     )
 
 
-def _asym_single_series(
-    log_front: float,
-    alpha: float,
-    q_factor: float,
-    theta_sigma: float,
-    n_max: int,
-    tail_tol: float,
-):
-    """sum_n G((n+1)/2) G((n+1)/2 + a) q^{-(n+1)/2 - a} theta_sigma^n / n!"""
-    g = _grid(n_max, 0, n_max + 1)
-    log_q = math.log(q_factor)
-    lg_half, lg1, lg2, sg2, q_power = _alpha_block("asym", n_max, alpha)[:5]
-    log_terms = (
-        log_front - lg_half + lg1 + lg2 + q_power * log_q + _power_log(theta_sigma, g.n2)
-        - g.n2_log_fact
-    )
+def _asym_series(derived, log_front, ctrl, sign):
+    """The drifted digital's series, from one "asym" block, with the drift
+    ratio and the moneyness times sign: the single series
+
+        sum_n G((n+1)/2) G((n+1)/2 + a) q^{-(n+1)/2 - a} theta_sigma^n / n!
+
+    alone at the money, and otherwise plus the paired double series in the
+    (negative) moneyness, from the poles of both Bessel factors.
+    """
+    g = _grid(ctrl.max_order)
+    lg_half, lg1, lg2, sg2, q_power, *double = _alpha_block("asym", ctrl.max_order, derived.alpha)
+    theta_sigma = sign * derived.theta_sigma
+    log_q = math.log(derived.q_factor)
+    theta_power = _power_log(theta_sigma, g.n2)
+    log_terms = log_front - lg_half + lg1 + lg2 + q_power * log_q + theta_power - g.n2_log_fact
     signs = sg2 * (g.n2_sign if theta_sigma < 0.0 else 1.0)
-    return _residue_sum(log_terms, signs, g.line, tail_tol)
-
-
-def _asym_double_series(
-    log_front: float,
-    alpha: float,
-    q_factor: float,
-    k_val: float,
-    theta_sigma: float,
-    n_max: int,
-    tail_tol: float,
-):
-    """The paired double series of the drifted digital (poles of both Bessel factors)."""
+    single = _residue_sum(log_terms, signs, ctrl.tail_tol)
+    if derived.branch == "atm":
+        return single
+    k_val = sign * derived.rn_moneyness
     if not k_val < 0.0:
         raise InvalidParameters("asymmetric series requires negative moneyness")
-    g = _grid(n_max, 0, n_max + 1)
-    block = _alpha_block("asym", n_max, alpha)
-    lg_half = block[0]
-    log_coef, sign_coef, log_divisor, divisor, q_power = block[5:]
-    log_q = math.log(q_factor)
-    log_mk = math.log(-k_val)
-    base = log_front - lg_half + _LOG2 + _power_log(theta_sigma, g.n2) - g.log_fact_2
-    log_terms = base + log_coef - log_divisor + divisor * log_mk + q_power * log_q
-    return _residue_sum(log_terms, sign_coef * g.branch_sign(theta_sigma), g.diag, tail_tol)
+    log_coef, sign_coef, log_divisor, divisor, q_power = double
+    base = log_front - lg_half + _LOG2 + theta_power - g.log_fact_2
+    log_terms = base + log_coef - log_divisor + divisor * math.log(-k_val) + q_power * log_q
+    signs = sign_coef * g.branch_sign(theta_sigma)
+    v1, t1, tail1, c1 = single
+    v2, t2, tail2, c2 = _residue_sum(log_terms, signs, ctrl.tail_tol)
+    return v1 + v2, t1 + t2, tail1 + tail2, c1 and c2
 
 
 def asym_cash_or_nothing(
@@ -854,26 +843,10 @@ def asym_cash_or_nothing(
             "asym_cash_or_nothing requires theta != 0; use cash_or_nothing instead"
         )
     params, derived, diagnostics = _apply_alpha_policy(params, market, ctrl)
-    log_front = _asym_log_front(derived, market.tau)
-    discount = math.exp(-derived.rate_effective * market.tau)
-
-    def otm_value(sign):
-        theta_sigma = sign * derived.theta_sigma
-        v1, t1, tail1, c1 = _asym_single_series(
-            log_front, derived.alpha, derived.q_factor, theta_sigma,
-            ctrl.max_order, ctrl.tail_tol,
-        )
-        v2, t2, tail2, c2 = _asym_double_series(
-            log_front, derived.alpha, derived.q_factor, sign * derived.rn_moneyness,
-            theta_sigma, ctrl.max_order, ctrl.tail_tol,
-        )
-        return v1 + v2, t1 + t2, tail1 + tail2, c1 and c2
-
+    series = functools.partial(_asym_series, derived, _asym_log_front(derived, market.tau), ctrl)
     if derived.branch == "atm":
-        value, terms, tail, conv = _asym_single_series(
-            log_front, derived.alpha, derived.q_factor, derived.theta_sigma,
-            ctrl.max_order, ctrl.tail_tol,
-        )
+        value, terms, tail, conv = series(1.0)
     else:
-        value, terms, tail, conv = _otm_or_parity(derived.branch, otm_value, lambda: discount)
+        discount = math.exp(-derived.rate_effective * market.tau)
+        value, terms, tail, conv = _otm_or_parity(derived.branch, series, lambda: discount)
     return _finalize(value, terms, tail, conv, derived.branch, diagnostics)

@@ -157,42 +157,31 @@ def _table_six() -> list[dict]:
 
 
 def _table_seven(seed: int) -> list[dict]:
+    params, drifted = base_params(), base_params(-0.1)
+    # the reference asym_cn ATM row was evaluated at the two-decimal rounded
+    # spot, which lands a hair off the exact branch point; keep that convention
+    blocks = (
+        ("european", params,
+         (("S=4500", 4500.0), ("ATM", atm_spot(params, 2.0)), ("S=3500", 3500.0)),
+         series.european, "european"),
+        ("asym_cn", drifted,
+         (("S=4500", 4500.0), ("ATM", round(atm_spot(drifted, 2.0), 2)), ("S=3000", 3000.0)),
+         series.asym_cash_or_nothing, "cash_or_nothing"),
+    )
     rows = []
-    params = base_params()
-    mc_sizes = (("1e2", 100), ("1e3", 1000), ("1e4", 10000))
-    for label, spot in (
-        ("S=4500", 4500.0),
-        ("ATM", atm_spot(params, 2.0)),
-        ("S=3500", 3500.0),
-    ):
-        market = _market(spot, 2.0)
-        cells = {
-            f"series_max={m}": _series_cell(series.european, params, market, m)
-            for m in (5, 10, 15)
-        }
-        for size_label, n in mc_sizes:
-            cfg = montecarlo.McConfig(n_paths=n, seed=seed)
-            cells[f"mc_n={size_label}"] = montecarlo.mc_price(
-                "european", params, market, cfg
-            ).value
-        rows.append({"row_label": f"european,{label}", "cells": cells})
-    params = base_params(-0.1)
-    # the reference ATM row was evaluated at the two-decimal rounded spot,
-    # which lands a hair off the exact branch point; keep that convention
-    rounded_atm = round(atm_spot(params, 2.0), 2)
-    for label, spot in (("S=4500", 4500.0), ("ATM", rounded_atm), ("S=3000", 3000.0)):
-        market = _market(spot, 2.0)
-        row_label = f"asym_cn,{label}"
-        cells = {
-            f"series_max={m}": _series_cell(series.asym_cash_or_nothing, params, market, m)
-            for m in (5, 10, 15)
-        }
-        for size_label, n in mc_sizes:
-            cfg = montecarlo.McConfig(n_paths=n, seed=seed)
-            cells[f"mc_n={size_label}"] = montecarlo.mc_price(
-                "cash_or_nothing", params, market, cfg
-            ).value
-        rows.append({"row_label": row_label, "cells": cells})
+    for prefix, block_params, spots, pricer, payoff in blocks:
+        for label, spot in spots:
+            market = _market(spot, 2.0)
+            cells = {
+                f"series_max={m}": _series_cell(pricer, block_params, market, m)
+                for m in (5, 10, 15)
+            }
+            for size_label, n in (("1e2", 100), ("1e3", 1000), ("1e4", 10000)):
+                cfg = montecarlo.McConfig(n_paths=n, seed=seed)
+                cells[f"mc_n={size_label}"] = montecarlo.mc_price(
+                    payoff, block_params, market, cfg
+                ).value
+            rows.append({"row_label": f"{prefix},{label}", "cells": cells})
     return rows
 
 
@@ -222,11 +211,10 @@ def build_table(table_id: str, seed: int = 0) -> list[dict]:
         "4": _table_four,
         "5": _table_five,
         "6": _table_six,
+        "7": lambda: _table_seven(seed),
         "8": _table_gl,
         "gl": _table_gl,
     }
-    if table_id == "7":
-        return _table_seven(seed)
     if table_id not in builders:
         raise ValueError(f"unknown table id {table_id!r}; expected one of {TABLE_IDS}")
     return builders[table_id]()

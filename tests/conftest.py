@@ -20,6 +20,7 @@ def cold_memos():
     memos, so no hit or miss count depends on which tests ran before it."""
     series._grid.cache_clear()
     series._alpha_block.cache_clear()
+    series._diagonals.cache_clear()
     montecarlo._memo_increments.cache_clear()
     specfun._laguerre_rule.cache_clear()
 

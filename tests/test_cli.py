@@ -333,6 +333,24 @@ class TestDensityCommand:
             assert xs[0] == float(lo) and xs[-1] == float(hi)
 
 
+    @pytest.mark.parametrize("points", [2**20 + 1, 10**13])
+    def test_points_above_the_ceiling_rejected(self, capsys, points, monkeypatch):
+        """A count above 2^20 is a JSON usage error with exit code 1, raised
+        before the grid is allocated."""
+
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("density allocated its grid before checking --points")
+
+        monkeypatch.setattr(np, "linspace", no_allocation)
+        code, out, err = run_cli(
+            capsys, "density", "--sigma", "0.2", "--nu", "0.85", "--points", str(points),
+        )
+        assert code == 1 and not out
+        (line,) = err.splitlines()
+        assert json.loads(line) == {
+            "error": f"--points must be at most 2^20 = 1048576, got {points}", "type": "usage"
+        }
+
     def test_overflowing_density_is_a_typed_error(self, capsys):
         """At t/nu far below 1/2 the density at x = 1e-320 exceeds double
         precision; that is a JSON error with exit code 2, not a traceback."""

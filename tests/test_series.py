@@ -678,6 +678,24 @@ class TestCoefficientCost:
         assert pricer(VgParams(sigma=0.2, nu=0.85, theta=theta), market).branch == "otm"
         assert len(calls) == 1
 
+    def test_atm_prices_read_the_otm_block(self, bench_params, monkeypatch):
+        """The collapsed ATM series is row n1 = 0 of the double series' part
+        1, so an ATM call and an ATM asset digital after a cold OTM call at
+        the same (sigma, nu, tau) make no log-Gamma call of their own."""
+        calls = []
+        log_gamma = specfun._log_gamma_signed
+
+        def counting(x):
+            calls.append(np.size(x))
+            return log_gamma(x)
+
+        monkeypatch.setattr(specfun, "_log_gamma_signed", counting)
+        assert european(bench_params, make_market(3000.0, 0.5)).branch == "otm"
+        atm = make_market(atm_spot(bench_params, 0.5), 0.5)
+        assert european(bench_params, atm).branch == "atm"
+        assert asset_or_nothing(bench_params, atm).branch == "atm"
+        assert len(calls) == 1
+
 
 class TestResultTypes:
     @pytest.mark.parametrize("kind", list(_GOLDEN_KINDS))
@@ -744,7 +762,7 @@ def _memo_arrays(value):
 
 
 class TestGridMemo:
-    """series._grid holds the input-free part of each truncation shape."""
+    """series._grid holds the input-free part of each max_order."""
 
     def test_bounded_over_every_order(self):
         for order in range(1, 201):
@@ -755,20 +773,23 @@ class TestGridMemo:
             assert info.currsize <= info.maxsize == 8
             info = series._alpha_block.cache_info()
             assert info.currsize <= info.maxsize <= 16
+            info = series._diagonals.cache_info()
+            assert info.currsize <= info.maxsize <= 16
 
     def test_arrays_are_read_only(self):
-        for shape in ((25, 0, 26), (25, 1, 26), (25, 0, 1)):
-            arrays = list(_memo_arrays(series._grid(*shape)))
-            assert len(arrays) >= 25
-            for kind in ("sym", "atm", "asym", "log_call"):
-                block = series._alpha_block(kind, shape[0], 0.3)
-                assert block is series._alpha_block(kind, shape[0], 0.3)
-                arrays += list(_memo_arrays(block))
-            for array in arrays:
-                with pytest.raises(ValueError):
-                    array[...] = 0
+        arrays = list(_memo_arrays(series._grid(25)))
+        assert len(arrays) >= 20
+        for kind in ("sym", "asym", "log_call"):
+            block = series._alpha_block(kind, 25, 0.3)
+            assert block is series._alpha_block(kind, 25, 0.3)
+            arrays += list(_memo_arrays(block))
+        for shape in ((26, 26), (26, 25), (26, 1), (1, 26), (1, 25)):
+            arrays += list(_memo_arrays(series._diagonals(*shape)))
+        for array in arrays:
+            with pytest.raises(ValueError):
+                array[...] = 0
 
-    def test_a_strike_slice_misses_at_most_three_times(self):
+    def test_a_strike_slice_misses_the_grid_once(self):
         sigma, nu, theta, tau, rate, div = _GOLDEN_SETS["B"]
         for i in range(41):
             target = -3.0 + 6.0 * i / 40
@@ -778,10 +799,10 @@ class TestGridMemo:
                     None if pricer == "european_atmf" else target,
                 )
                 _price_record(pricer, *contract, 30)
-        assert series._grid.cache_info().misses <= 3
-        # one alpha: the double series' block, which its three shapes slice,
-        # the ATM series, the drifted digital and the log call
-        assert series._alpha_block.cache_info().misses <= 4
+        assert series._grid.cache_info().misses == 1
+        # one alpha: the double series' block, which its three shapes and the
+        # ATM series slice, the drifted digital and the log call
+        assert series._alpha_block.cache_info().misses <= 3
 
     def test_a_gamma_pole_raises_on_every_call(self):
         """At integral alpha part 1's numerator hits a pole where its
