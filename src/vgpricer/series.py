@@ -17,22 +17,23 @@ and n1 for a double series), in one call per series, and gathered onto the
 held on one leading axis, as (part, n1, n2) stacks, so a price makes one
 numpy call per step for both parts; a 1-D series is a stack of one part with
 one n1 row.  Everything that depends only on max_order (the indices and
-gathers, log n!, the branch signs (-1)^n1 and (-1)^(n1+n2), and the
-alpha-free part of every log-Gamma argument) is built once per max_order by
-_grid, on n1 and n2 over 0..max_order, and the alpha-free Gammas come from
-one import-time table, so a price pays only for the arithmetic in alpha,
-the moneyness and the volatility.  The alpha-dependent part (the stacked
-log-Gamma coefficients and their signs, the powers and divisors that
-involve alpha, and the prefactor's log Gamma(alpha + 1/2) from the same
-log-Gamma call) is memoised per (kind, max_order, alpha) by _alpha_block,
-bounded at 16 entries.  Every series slices the grid and its block: the
-double series' three shapes (n2 from 0, from 1, and the n2 = 0 column) take
-their columns, and the collapsed ATM series, the k -> 0 limit of the double
-series, is row n1 = 0 of part 1.  So a gap's two digitals and the ATM and
-OTM prices of one alpha share a block, and the drifted digital's two series
-share another.  Each stacked element takes the same operations in the same
-order as its part did on its own, so values do not depend on the stacking
-or the slicing.
+gathers, log n!, the signs (-1)^n, and the alpha-free part of every
+log-Gamma argument) is built once per max_order by _grid, on n1 and n2 over
+0..max_order, and the alpha-free Gammas come from one import-time table, so
+a price pays only for the arithmetic in alpha, the moneyness and the
+volatility.  The alpha-dependent part (the stacked log-Gamma coefficients
+and their signs, the powers and divisors that involve alpha, and the
+prefactor's log Gamma(alpha + 1/2) from the same log-Gamma call) is memoised
+per (kind, max_order, alpha) by _alpha_block, bounded at 16 entries; its
+signs carry each double-series term's (-1)^n1, so only a series whose n2
+power has a negative base (the ITM mirror, or theta < 0) multiplies them, by
+(-1)^n2.  Every series slices the grid and its block: the double series'
+three shapes (n2 from 0, from 1, and the n2 = 0 column) take their columns,
+and the collapsed ATM series, the k -> 0 limit of the double series, is row
+n1 = 0 of part 1.  So a gap's two digitals and the ATM and OTM prices of one
+alpha share a block, and the drifted digital's two series share another.
+Each stacked element takes the same operations in the same order as its part
+did on its own, so values do not depend on the stacking or the slicing.
 Every series goes through one kernel, _residue_sum, which exponentiates the
 stack once, adds its parts and accumulates the anti-diagonals n1 + n2 =
 const of the block's shape in ascending order with compensated (Kahan)
@@ -183,11 +184,6 @@ class _Grid:
         n1 = n[:, None]
         self.n1 = n1 * 1.0
         self.n2 = n * 1.0
-        self.n2_sign = (-1.0) ** n
-        # the sign (-1)^n1 x^n2 of a double-series term, for x > 0 and x < 0, on
-        # the full block so that a shape can take its columns
-        self.sign_pos = np.broadcast_to((-1.0) ** n1, (n_max + 1, n_max + 1))
-        self.sign_neg = self.sign_pos * self.n2_sign
         self.log_fact = _LOG_FACT[n1]
         self.n2_log_fact = _LOG_FACT[n]
         self.log_fact_2 = _LOG_FACT[n1] + _LOG_FACT[n]
@@ -203,9 +199,10 @@ class _Grid:
         self.sym = _args(((j + 1) / 2.0, 1.0), (-m - 1.0, -2.0), (-n1 + 0.5, -1.0), half)
         self.sym_den = _half_gamma(j + 2)
         # each (log or sign, part, n1, n) cell's place in the concatenation of
-        # part 1's ratio over j, log Gamma over m, and the signs of both
+        # part 1's ratio over j, log Gamma over m, their signs and the negated
+        # signs, which odd n1 take for the (-1)^n1 of every term
         logs = np.stack((n - n1 - j[0], 2 * n1 + n + len(j)))
-        self.sym_gather = np.stack((logs, logs + len(j) + len(m)))
+        self.sym_gather = np.stack((logs, logs + (len(j) + len(m)) * (1 + n1 % 2)))
         # the parts' powers of -k/s, with 2 alpha still to add to part 2's
         self.sym_power = np.stack((self.n1, 2.0 * n1 + 1.0))
         # the drifted digital: its single series' Gamma((n + 1)/2 + alpha) (the
@@ -216,20 +213,19 @@ class _Grid:
         )
         self.asym_lg1 = _half_gamma(n[None, None] + 1)[0]
         self.neg_half_n_1 = -(n + 1) / 2.0
+        # the double series' minus and the (-1)^n1 of each of its terms
+        self.asym_sign = -((-1.0) ** n1)
         self.m_1 = 2.0 * n1 + n + 1.0
         self.log_call = _args(
             (np.array([1.0]), 1.0), (np.stack((-n, -n))[:, None], np.array([1.0, -1.0])[_PARTS]),
             half,
         )
+        # the sign of x^n for x < 0
         self.n_sign = (-1.0) ** n
         self.two_n = 2.0 * n
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 _frozen(value)
-
-    def branch_sign(self, base: float) -> np.ndarray:
-        """The sign (-1)^n1 base^n2 of a double-series term."""
-        return self.sign_neg if base < 0.0 else self.sign_pos
 
 
 @functools.lru_cache(maxsize=8)
@@ -257,15 +253,15 @@ def _alpha_block(kind: str, n_max: int, alpha: float):
     or "log_call".  Each block is built on the grid's full n2 row, and the
     series that start later or stop sooner slice it: the asset digital, the
     call and the cash digital share one "sym" block, and the collapsed ATM
-    series is its row n1 = 0 of part 1.  The block is log Gamma(alpha +
-    1/2) for the prefactor, followed by the series' (log, sign)
-    coefficients, stacked as (part, n1, n2) arrays, and the coefficients of
-    its powers that involve alpha ("asym" holds the single series' four
-    arrays, then the double series' five); the Gammas in alpha come from
-    one log-Gamma call, the alpha-free ones from _HALF_GAMMA.  The arrays
-    are the same expressions a price would evaluate, so values do not
-    depend on the memo or the slicing; they are read-only, and a Gamma
-    pole raises and is not stored.
+    series is its row n1 = 0 of part 1.  The block is log Gamma(alpha + 1/2)
+    for the prefactor, followed by the series' (log, sign) coefficients,
+    stacked as (part, n1, n2) arrays (a double series' signs with the
+    (-1)^n1 of each term), and the coefficients of its powers that involve
+    alpha ("asym" holds the single series' four arrays, then the double
+    series' five); the Gammas in alpha come from one log-Gamma call, the
+    alpha-free ones from _HALF_GAMMA.  The arrays are the same expressions a
+    price would evaluate, so values do not depend on the memo or the
+    slicing; they are read-only, and a Gamma pole raises and is not stored.
     """
     g = _grid(n_max)
     (*pairs, (lg_half, s_half)), pole = _log_gammas(getattr(g, kind), alpha)
@@ -274,7 +270,8 @@ def _alpha_block(kind: str, n_max: int, alpha: float):
         # every j occurs on the grid, so part 1's ratio is taken over j; part 2's
         # pole rule sees only the grid, so a pole at an unused m is never raised
         ratio = _gamma_ratio_log(g_j, g.sym_den, pole)
-        log, sign = np.concatenate((ratio[0], g_m[0], ratio[1], g_m[1]))[g.sym_gather]
+        signs = np.concatenate((ratio[1], g_m[1]))
+        log, sign = np.concatenate((ratio[0], g_m[0], signs, -signs))[g.sym_gather]
         _gamma_ratio_log((log[1], sign[1]), g_rows, pole)
         block = (log, sign, g.sym_power + alpha * _TWO_IN_PART_2)
     elif kind == "asym":
@@ -284,7 +281,7 @@ def _alpha_block(kind: str, n_max: int, alpha: float):
         divisor = g.m_1 + alpha * _TWO_IN_PART_2
         block = (
             g.asym_lg1, lg2, sg2, g.neg_half_n_1 - alpha,
-            lg, -sg, np.log(divisor), divisor, g.n1 - alpha * _ONE_IN_PART_1,
+            lg, sg * g.asym_sign, np.log(divisor), divisor, g.n1 - alpha * _ONE_IN_PART_1,
         )
     else:  # "log_call", whose head takes Gamma(1 + alpha) and the sign of Gamma(alpha + 1/2)
         (lg_a1, s_a1), (log, sign) = pairs
@@ -337,7 +334,7 @@ def _gamma_ratio_log(num, den, pole):
 
 def _power_log(base: float, n):
     """n * log|base| for integer exponents n, with 0^0 = 1; the sign of base^n
-    comes from a _Grid's branch signs."""
+    comes from the grid's n_sign."""
     if base == 0.0:
         return np.where(n == 0.0, 0.0, -np.inf)
     return n * math.log(abs(base))
@@ -445,7 +442,9 @@ def _double_series(
     if power_mult != 1.0:
         log_terms += n2_row * math.log(power_mult)
     log_terms -= g.log_fact
-    return _residue_sum(log_terms, sign_coef * g.branch_sign(s_val)[cells], tail_tol)
+    # the block's signs hold (-1)^n1; s^n2 adds (-1)^n2 on the ITM branch
+    signs = sign_coef * g.n_sign[cells] if s_val < 0.0 else sign_coef
+    return _residue_sum(log_terms, signs, tail_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -812,7 +811,7 @@ def _asym_series(derived, log_front, ctrl, sign):
     log_q = math.log(derived.q_factor)
     theta_power = _power_log(theta_sigma, g.n2)
     log_terms = log_front - lg_half + lg1 + lg2 + q_power * log_q + theta_power - g.n2_log_fact
-    signs = sg2 * (g.n2_sign if theta_sigma < 0.0 else 1.0)
+    signs = sg2 * (g.n_sign if theta_sigma < 0.0 else 1.0)
     single = _residue_sum(log_terms, signs, ctrl.tail_tol)
     if derived.branch == "atm":
         return single
@@ -822,7 +821,7 @@ def _asym_series(derived, log_front, ctrl, sign):
     log_coef, sign_coef, log_divisor, divisor, q_power = double
     base = log_front - lg_half + _LOG2 + theta_power - g.log_fact_2
     log_terms = base + log_coef - log_divisor + divisor * math.log(-k_val) + q_power * log_q
-    signs = sign_coef * g.branch_sign(theta_sigma)
+    signs = sign_coef * g.n_sign if theta_sigma < 0.0 else sign_coef
     v1, t1, tail1, c1 = single
     v2, t2, tail2, c2 = _residue_sum(log_terms, signs, ctrl.tail_tol)
     return v1 + v2, t1 + t2, tail1 + tail2, c1 and c2
