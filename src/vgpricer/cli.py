@@ -9,6 +9,9 @@ Subcommands:
 * ``converge`` series-truncation vs Fourier-truncation convergence race,
 * ``bench``    cross-method comparison of a single contract.
 
+Each subcommand's handler returns its rows, and ``main`` alone formats them
+(json lines or csv, each command with its default) and writes them.
+
 Exit codes: 0 success, 1 usage error, 2 domain error, 3 non-convergence.
 Errors are written to stderr as a single JSON line.
 """
@@ -109,7 +112,7 @@ def _build_parser() -> _Parser:
     and each parse_args call returns a fresh Namespace."""
     parser = _Parser(prog="vgpricer", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, required, groups, _) in _COMMANDS.items():
+    for name, (help_text, required, groups, *_) in _COMMANDS.items():
         command = sub.add_parser(name, help=help_text)
         if required:
             command.add_argument(required[0], **required[1])
@@ -258,10 +261,6 @@ def _price_record(payoff: str, method: str, resolved: dict) -> dict:
     return record
 
 
-def _methods_for(payoff: str) -> list[str]:
-    return [method for method, supported in _ENGINES if supported == payoff]
-
-
 # ---------------------------------------------------------------------------
 # output helpers
 # ---------------------------------------------------------------------------
@@ -281,8 +280,6 @@ def _flatten(record: dict) -> dict:
 
 
 def _rows_to_csv(rows: list[dict]) -> str:
-    if not rows:
-        return ""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     header: list[str] = []
@@ -296,24 +293,17 @@ def _rows_to_csv(rows: list[dict]) -> str:
     return buffer.getvalue()
 
 
-def _emit(text: str, output: Optional[str]) -> None:
-    if output:
-        with open(output, "w", encoding="utf-8") as handle:
+def _emit_rows(rows: list[dict], resolved: dict, default_format: str) -> None:
+    """Write rows to --output or stdout: one JSON line per row, or one csv table."""
+    if (resolved["format"] or default_format) == "json":
+        text = "".join(json.dumps(row) + "\n" for row in rows)
+    else:
+        text = _rows_to_csv([_flatten(row) for row in rows])
+    if resolved["output"]:
+        with open(resolved["output"], "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _emit_rows(rows: list[dict], resolved: dict, default_format: str) -> None:
-    fmt = resolved["format"] or default_format
-    if fmt == "json":
-        if resolved["stream"] or len(rows) > 1:
-            text = "".join(json.dumps(row) + "\n" for row in rows)
-        else:
-            text = json.dumps(rows[0]) + "\n"
-    else:
-        text = _rows_to_csv([_flatten(row) for row in rows])
-    _emit(text, resolved["output"])
 
 
 # ---------------------------------------------------------------------------
@@ -321,29 +311,27 @@ def _emit_rows(rows: list[dict], resolved: dict, default_format: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_price(resolved: dict) -> int:
+def _cmd_price(resolved: dict) -> list[dict]:
     payoff = resolved["payoff"]
     method = resolved["method"]
-    methods = _methods_for(payoff) if method == "all" else [method]
-    rows = [_price_record(payoff, m, resolved) for m in methods]
-    _emit_rows(rows, resolved, "json")
-    return 0
+    if method == "all":
+        methods = [m for m, supported in _ENGINES if supported == payoff]
+    else:
+        methods = [method]
+    return [_price_record(payoff, m, resolved) for m in methods]
 
 
-def _cmd_table(resolved: dict) -> int:
+def _cmd_table(resolved: dict) -> list[dict]:
     table_id = resolved["table_id"]
     if resolved["compare"]:
-        rows = tables.compare_table(table_id, seed=resolved["seed"])
-    else:
-        rows = [
-            {"row_label": row["row_label"], **row["cells"]}
-            for row in tables.build_table(table_id, seed=resolved["seed"])
-        ]
-    _emit_rows(rows, resolved, "csv")
-    return 0
+        return tables.compare_table(table_id, seed=resolved["seed"])
+    return [
+        {"row_label": row["row_label"], **row["cells"]}
+        for row in tables.build_table(table_id, seed=resolved["seed"])
+    ]
 
 
-def _cmd_density(resolved: dict) -> int:
+def _cmd_density(resolved: dict) -> list[dict]:
     params = _build(VgParams, resolved)
     t = resolved["t"]
     n = resolved["gl_order"]
@@ -358,18 +346,15 @@ def _cmd_density(resolved: dict) -> int:
         xs = np.concatenate([-positive[::-1], [0.0] if points % 2 else [], positive])
     else:
         xs = np.linspace(lo, hi, points)
-    rows = []
-    for x in xs:
-        rows.append(
-            {
-                "x": float(x),
-                "closed_form": model.density(params, float(x), t),
-                "mixture": model.mixture_density(params, float(x), t),
-                f"gauss_laguerre_{n}": quadrature.gl_density(params, float(x), t, n),
-            }
-        )
-    _emit_rows(rows, resolved, "csv")
-    return 0
+    return [
+        {
+            "x": float(x),
+            "closed_form": model.density(params, float(x), t),
+            "mixture": model.mixture_density(params, float(x), t),
+            f"gauss_laguerre_{n}": quadrature.gl_density(params, float(x), t, n),
+        }
+        for x in xs
+    ]
 
 
 def _comma_list(resolved: dict, key: str, kind) -> list:
@@ -383,7 +368,7 @@ def _comma_list(resolved: dict, key: str, kind) -> list:
         raise _UsageError(f"{flag} takes comma-separated {kind.__name__}s, got {text!r}") from None
 
 
-def _cmd_converge(resolved: dict) -> int:
+def _cmd_converge(resolved: dict) -> list[dict]:
     params = _build(VgParams, resolved)
     market = _build(MarketInputs, resolved)
     max_orders = _comma_list(resolved, "max_orders", int)
@@ -394,10 +379,12 @@ def _cmd_converge(resolved: dict) -> int:
         ref_ctrl = series.SeriesControl(max_order=min(200, max(max_orders) + 20))
         reference = series.european(params, market, ref_ctrl).value
     else:
+        if not max_orders and not u_maxes:
+            raise _UsageError("converge needs an order in --max-orders or a point in --u-max-list")
         reference = fourier.carr_madan_european(
             params, market, _build(fourier.FourierConfig, resolved)
         ).value
-    rows = []
+    races = []  # (kind, parameter, value)
     for m in max_orders:
         try:
             value = series.european(
@@ -405,62 +392,50 @@ def _cmd_converge(resolved: dict) -> int:
             ).value
         except NonConvergenceError as err:
             value = err.result.value
-        rows.append(
-            {
-                "kind": "series_max",
-                "parameter": m,
-                "value": value,
-                "abs_error_vs_reference": abs(value - reference),
-            }
-        )
+        races.append(("series_max", m, value))
     for u_max in u_maxes:
         cfg = dataclasses.replace(_build(fourier.FourierConfig, resolved), u_max=u_max)
         value = fourier.carr_madan_european(params, market, cfg).value
-        rows.append(
-            {
-                "kind": "carr_madan_umax",
-                "parameter": u_max,
-                "value": value,
-                "abs_error_vs_reference": abs(value - reference),
-            }
-        )
-    _emit_rows(rows, resolved, "csv")
-    return 0
+        races.append(("carr_madan_umax", u_max, value))
+    return [
+        {
+            "kind": kind,
+            "parameter": parameter,
+            "value": value,
+            "abs_error_vs_reference": abs(value - reference),
+        }
+        for kind, parameter, value in races
+    ]
 
 
-def _cmd_bench(resolved: dict) -> int:
-    payoff = resolved["payoff"]
-    rows = []
-    series_value = None
-    for method in _methods_for(payoff):
-        record = _price_record(payoff, method, resolved)
-        if method == "series":
-            series_value = record["value"]
-        rows.append(
-            {
-                "method": record["method"],
-                "value": record["value"],
-                "runtime_ms": record["runtime_ms"],
-                "abs_dev_vs_series": abs(record["value"] - series_value)
-                if series_value is not None
-                else "",
-            }
-        )
-    _emit_rows(rows, resolved, "csv")
-    return 0
+def _cmd_bench(resolved: dict) -> list[dict]:
+    """price --method all in brief: every payoff has a series engine, listed
+    first in _ENGINES, so row 0 is the series value."""
+    records = _cmd_price({**resolved, "method": "all"})
+    return [
+        {
+            "method": record["method"],
+            "value": record["value"],
+            "runtime_ms": record["runtime_ms"],
+            "abs_dev_vs_series": abs(record["value"] - records[0]["value"]),
+        }
+        for record in records
+    ]
 
 
-# subcommand: (help, its required flag, the flag groups it takes, handler)
+# subcommand: (help, its required flag, the flag groups it takes, handler,
+# default output format)
 _COMMANDS = {
     "price": ("price a single contract", _PAYOFF,
-              ("price", "model", "market", "engine", "output"), _cmd_price),
-    "table": ("reproduce a reference table", _TABLE_ID, ("table", "engine", "output"), _cmd_table),
+              ("price", "model", "market", "engine", "output"), _cmd_price, "json"),
+    "table": ("reproduce a reference table", _TABLE_ID,
+              ("table", "engine", "output"), _cmd_table, "csv"),
     "density": ("density samples as CSV/JSON", None,
-                ("density", "model", "engine", "output"), _cmd_density),
+                ("density", "model", "engine", "output"), _cmd_density, "csv"),
     "converge": ("series vs Fourier convergence race", None,
-                 ("converge", "model", "market", "engine", "output"), _cmd_converge),
+                 ("converge", "model", "market", "engine", "output"), _cmd_converge, "csv"),
     "bench": ("price one contract with every engine", _PAYOFF,
-              ("model", "market", "engine", "output"), _cmd_bench),
+              ("model", "market", "engine", "output"), _cmd_bench, "csv"),
 }
 
 
@@ -469,8 +444,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         resolved = _resolve(args)
-        *_, handler = _COMMANDS[resolved["command"]]
-        return handler(resolved)
+        *_, handler, default_format = _COMMANDS[resolved["command"]]
+        _emit_rows(handler(resolved), resolved, default_format)
+        return 0
     except _UsageError as err:
         sys.stderr.write(json.dumps({"error": str(err), "type": "usage"}) + "\n")
         return 1

@@ -71,6 +71,7 @@ _GROWTH = 1.5  # width ratio of consecutive panels
 _CAP_PERIODS = 4  # widest panel, in periods of e^{iuk}
 _CHUNK_NODES = 2**16
 _CHUNK_PANELS = _CHUNK_NODES // len(_GL_NODES)  # panels evaluated at once: at most 2^16 nodes
+_MAX_PANELS = 2**20  # first-pass panels at a finite u_max; the tables need at most 284
 _SQRT2 = math.sqrt(2.0)
 _STEP = 0.2  # first trapezoid step in y on the contour
 _Y_LIMIT = 600.0  # keeps b sinh(y) finite
@@ -86,7 +87,8 @@ class FourierConfig:
     contour; a finite u_max truncates the real-axis integral there.  panels
     applies to the finite path only: it is a floor on the number of panels in
     the first pass, where the graded layout alone needs from a few tens to a
-    few hundred at u_max = 1e4.
+    few hundred at u_max = 1e4.  A finite price whose first pass would take
+    more than 2^20 panels raises InvalidParameters before anything is built.
     """
 
     u_max: float = math.inf
@@ -103,12 +105,17 @@ class FourierConfig:
             raise InvalidParameters(f"abs_tol must be positive, got {self.abs_tol!r}")
 
 
-def _graded_edges(lo: float, hi: float, osc_scale: float, width_cap: float) -> np.ndarray:
-    """Panel edges on [lo, hi], each panel 1.5x wider than the one before.
+def _graded_edges(
+    lo: float, hi: float, osc_scale: float, width_cap: float, floor: int
+) -> tuple[np.ndarray, int]:
+    """Panel edges on [lo, hi], each panel 1.5x wider than the one before, and
+    the splits of each interval that give the first pass at least floor panels.
 
     The first panel resolves the oscillation near the origin; widths stop
     growing at _CAP_PERIODS periods of e^{iuk}, and the rest of the range is
     split evenly at that width.  Without oscillation (k = 0) they never stop.
+    A first pass of more than _MAX_PANELS panels is refused before the edges
+    are built: its cost grows linearly with hi.
     """
     width = min(math.pi / (2.0 * abs(osc_scale) + 1.0), width_cap)
     cap = 2.0 * math.pi * _CAP_PERIODS / abs(osc_scale) if osc_scale else math.inf
@@ -117,7 +124,14 @@ def _graded_edges(lo: float, hi: float, osc_scale: float, width_cap: float) -> n
         edges.append(edges[-1] + width)
         width = min(_GROWTH * width, cap)
     n_tail = max(1, math.ceil((hi - edges[-1]) / width))
-    return np.concatenate([edges[:-1], np.linspace(edges[-1], hi, n_tail + 1)])
+    intervals = len(edges) - 1 + n_tail
+    splits = -(-floor // intervals)
+    if splits * intervals > _MAX_PANELS:
+        raise InvalidParameters(
+            f"u_max = {hi!r} with panels = {floor} needs {splits * intervals} first-pass"
+            f" panels, more than 2^20 = {_MAX_PANELS}; lower u_max or panels"
+        )
+    return np.concatenate([edges[:-1], np.linspace(edges[-1], hi, n_tail + 1)]), splits
 
 
 def _panel_integral(f, edges: np.ndarray, splits: int, n_panels: int) -> float:
@@ -155,8 +169,7 @@ def _integrate(g, k: float, lo: float, width_cap: float, decay: float, derived, 
     def f(u):
         return np.real(np.exp(1j * u * k) * g(u))
 
-    edges = _graded_edges(lo, cfg.u_max, k, width_cap)
-    splits = -(-cfg.panels // (len(edges) - 1))
+    edges, splits = _graded_edges(lo, cfg.u_max, k, width_cap, cfg.panels)
     n_panels = splits * (len(edges) - 1)
     value = _panel_integral(f, edges, splits, n_panels)
     evals = n_panels * len(_GL_NODES)

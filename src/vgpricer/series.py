@@ -518,13 +518,14 @@ def _finalize(
 
 
 def _otm_or_parity(branch: str, otm_series, parity):
-    """The OTM series, or on the ITM branch parity() minus the mirrored series.
+    """The OTM series, or on the ITM branch parity() minus the mirrored series;
+    the ATM branch takes the OTM series too.
 
     otm_series(sign) sums the OTM series with its mirrored argument (the
     rescaled volatility, or the moneyness and the drift ratio) times sign.
     parity() is taken first, so its own checks run before the series.
     """
-    if branch == "otm":
+    if branch != "itm":
         return otm_series(1.0)
     complement = parity()
     series, terms, tail, conv = otm_series(-1.0)
@@ -760,12 +761,13 @@ def log_call(
         raise UnsupportedBranchError(
             "no closed series for the in-the-money log call; use the Monte Carlo engine"
         )
+    if derived.branch == "atm":
+        # log Gamma(alpha + 1/2) at the block's argument, and Gamma(alpha + 1)
+        (lg_shape, lg_num), _ = specfun._log_gamma_signed([0.5 + alpha, 0.5 + (alpha + 0.5)])
+        value = discount / math.sqrt(math.pi) * math.exp(float(lg_num) - float(lg_shape)) * s_nu
+        return _finalize(value, 1, 0.0, True, "atm", diagnostics)
     block = _alpha_block("log_call", ctrl.max_order, alpha)
     lg_shape, lg_a1, s_a1, s_shape, log_coef, sign_coef, log_divisor, shifted_2, shifted_1 = block
-    if derived.branch == "atm":
-        lg_num, _ = specfun._log_gamma_signed(0.5 + (alpha + 0.5))
-        value = discount / math.sqrt(math.pi) * math.exp(float(lg_num) - lg_shape) * s_nu
-        return _finalize(value, 1, 0.0, True, "atm", diagnostics)
     log_pref = -derived.rate_effective * market.tau - 0.5 * math.log(math.pi) - lg_shape
     g = _grid(ctrl.max_order)
     head = s_a1 * math.exp(log_pref + lg_a1 + math.log(s_nu)) + (
@@ -843,9 +845,6 @@ def asym_cash_or_nothing(
         )
     params, derived, diagnostics = _apply_alpha_policy(params, market, ctrl)
     series = functools.partial(_asym_series, derived, _asym_log_front(derived, market.tau), ctrl)
-    if derived.branch == "atm":
-        value, terms, tail, conv = series(1.0)
-    else:
-        discount = math.exp(-derived.rate_effective * market.tau)
-        value, terms, tail, conv = _otm_or_parity(derived.branch, series, lambda: discount)
+    discount = math.exp(-derived.rate_effective * market.tau)
+    value, terms, tail, conv = _otm_or_parity(derived.branch, series, lambda: discount)
     return _finalize(value, terms, tail, conv, derived.branch, diagnostics)

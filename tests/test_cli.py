@@ -3,10 +3,12 @@
 import contextlib
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -424,6 +426,22 @@ class TestConvergeCommand:
         assert json.loads(line)["type"] == "usage"
         assert "--" + key.replace("_", "-") in json.loads(line)["error"]
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_empty_fourier_race_is_a_usage_error(self, capsys, fmt):
+        """--reference fourier with no order and no truncation point races
+        nothing: it exits 1 with one JSON usage line, in either format."""
+        code, out, err = run_cli(
+            capsys, "converge", "--reference", "fourier", "--max-orders", "",
+            "--u-max-list", "", "--format", fmt, "--sigma", "0.2", "--nu", "0.85",
+            "--spot", "3000", "--strike", "4000", "--tau", "2",
+        )
+        assert (code, out) == (1, "")
+        (line,) = err.splitlines()
+        assert json.loads(line) == {
+            "error": "converge needs an order in --max-orders or a point in --u-max-list",
+            "type": "usage",
+        }
+
 
 class TestBenchCommand:
     def test_all_methods_reported(self, capsys):
@@ -563,6 +581,24 @@ class TestOutputPlumbing:
         assert json.loads(line)["type"] == "InvalidParameters"
         assert "n_paths" in json.loads(line)["error"]
 
+    def test_truncation_above_the_panel_ceiling_is_a_typed_error(self, capsys, monkeypatch):
+        """u_max = 1e12 would need about 4.6e9 first-pass panels (34 GiB of
+        edges): it exits 2 with one JSON line before anything is allocated."""
+
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("the panel edges were built before the count was checked")
+
+        monkeypatch.setattr(np, "linspace", no_allocation)
+        code, out, err = run_cli(
+            capsys, "price", "--payoff", "european", "--method", "fourier", "--u-max", "1e12",
+            "--spot", "100", "--strike", "110", "--tau", "1", "--sigma", "0.2", "--nu", "0.3",
+        )
+        assert (code, out) == (2, "")
+        (line,) = err.splitlines()
+        error = json.loads(line)
+        assert error["type"] == "InvalidParameters"
+        assert "u_max" in error["error"] and "panels" in error["error"]
+
     @pytest.mark.parametrize(
         "text, key",
         [
@@ -654,6 +690,32 @@ def test_any_config_exits_with_a_typed_status(tmp_path_factory, payoff, config, 
         assert out.getvalue() and not err.getvalue()
 
 
+_LIST_TOKENS = ("3", "25", "0", "-1", "x", "1e2", "1e5", "inf", "nan", "")
+
+
+@given(
+    max_orders=st.lists(st.sampled_from(_LIST_TOKENS), max_size=3).map(",".join),
+    u_maxes=st.lists(st.sampled_from(_LIST_TOKENS), max_size=3).map(",".join),
+    reference=st.sampled_from(["series", "fourier"]),
+    fmt=st.sampled_from(["csv", "json"]),
+)
+def test_any_converge_lists_exit_with_a_typed_status(max_orders, u_maxes, reference, fmt):
+    """Any comma lists of orders and truncation points, empty or not, race or
+    exit 1, 2 or 3 with exactly one JSON line on stderr, in either format."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([
+            "converge", f"--max-orders={max_orders}", f"--u-max-list={u_maxes}",
+            "--reference", reference, "--format", fmt, *_BASE_FLAGS, "--spot", "3000",
+        ])
+    assert code in (0, 1, 2, 3)
+    if code:
+        (line,) = err.getvalue().splitlines()
+        assert set(json.loads(line)) == {"error", "type"}
+    else:
+        assert out.getvalue() and not err.getvalue()
+
+
 def test_import_leaves_scipy_integrate_unloaded():
     """scipy.integrate takes a fresh process about 0.2 s to load, and only
     model.mixture_density uses it; a one-shot CLI process must not pay for it."""
@@ -736,3 +798,102 @@ class TestBenchmarkTracer:
         for layer in ("montecarlo", "montecarlo.payoff"):
             assert [call["spans"].get(layer) for call in calls] == [1, 1, 1], layer
         assert traced["counts"]["montecarlo.paths"] == 3000
+
+
+# ---------------------------------------------------------------------------
+# byte digest over a fixed CLI corpus
+# ---------------------------------------------------------------------------
+
+_DIGEST_CONTRACT = [
+    "--strike", "4000", "--trigger-strike", "3900", "--rate", "0.01", "--tau", "2",
+    "--power", "1.1", "--sigma", "0.2", "--nu", "0.85", "--paths", "2000",
+]
+_DIGEST_SPOTS = ("3000", "4000", "4200")  # OTM, at the money and ITM for a call
+
+
+def _digest_corpus():
+    """The argv of each call: every (payoff, spot, method) price in json, csv
+    and json lines, the drifted digital, bench, density, converge with both
+    references in both formats, and usage, domain and convergence errors."""
+    for payoff in cli._PAYOFFS:
+        for spot in _DIGEST_SPOTS:
+            for method in cli._METHODS:
+                price = ["price", "--payoff", payoff, "--method", method, "--spot", spot]
+                for output in (["--format", "json"], ["--format", "csv"], ["--stream"]):
+                    yield [*price, *_DIGEST_CONTRACT, *output]
+            yield ["bench", "--payoff", payoff, "--spot", spot, *_DIGEST_CONTRACT]
+        yield ["bench", "--payoff", payoff, "--spot", "4000", *_DIGEST_CONTRACT, "--format", "json"]
+    for spot in _DIGEST_SPOTS:
+        for method in ("series", "all"):
+            yield [
+                "price", "--payoff", "cash-or-nothing", "--method", method, "--spot", spot,
+                "--theta", "-0.1", *_DIGEST_CONTRACT,
+            ]
+    for extra in ([], ["--format", "json"], ["--stream", "--format", "json"], ["--x-min=-0.5"]):
+        yield ["density", "--sigma", "0.2", "--nu", "0.85", "--points", "9", *extra]
+    for reference in ("series", "fourier"):
+        for lists in ([], ["--max-orders", "3,10"], ["--u-max-list", "1e2"], ["--max-orders", "5", "--u-max-list", ""]):
+            for fmt in ("csv", "json"):
+                yield [
+                    "converge", "--spot", "3000", *_DIGEST_CONTRACT, "--reference", reference,
+                    *lists, "--format", fmt,
+                ]
+    contract = ["--spot", "4200", *_DIGEST_CONTRACT]
+    yield from (
+        ["price", "--payoff", "european"],
+        ["price", "--payoff", "straddle", *contract],
+        ["price", "--payoff", "european", "--method", "quadrature", *contract, "--sigma", "-0.2"],
+        ["price", "--payoff", "european", "--method", "series", "--max-order", "2", *contract],
+        ["price", "--payoff", "european", "--method", "mc", *contract, "--paths", "0"],
+        ["price", "--payoff", "gap", "--method", "series", *contract, "--tau", "0"],
+        ["density", "--sigma", "0.2", "--nu", "0.85", "--points", "1"],
+        ["converge", "--spot", "3000", *_DIGEST_CONTRACT, "--max-orders", ""],
+        ["converge", "--spot", "3000", *_DIGEST_CONTRACT, "--u-max-list", "1e2,y"],
+        ["bench", "--payoff", "european", "--spot", "3000"],
+        ["table", "--id", "99"],
+    )
+
+
+def _masked(text):
+    """text with every runtime_ms value set to 0, in json records and in a csv column."""
+    if text.startswith("{"):
+        return re.sub(r'"runtime_ms": [^,}]+', '"runtime_ms": 0', text)
+    rows = list(csv.reader(io.StringIO(text)))
+    if rows and "runtime_ms" in rows[0]:
+        column = rows[0].index("runtime_ms")
+        for row in rows[1:]:
+            row[column] = "0"
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
+
+
+def _cli_digest():
+    """(call count, sha256 hex digest) of (argv, exit code, masked stdout,
+    stderr) over the corpus, each call made in process."""
+    digest = hashlib.sha256()
+    count = 0
+    for argv in _digest_corpus():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        digest.update(repr((argv, code, _masked(out.getvalue()), err.getvalue())).encode() + b"\n")
+        count += 1
+    return count, digest.hexdigest()
+
+
+class TestCliDigest:
+    def test_corpus_is_byte_identical(self):
+        """Every call of the corpus prints its recorded stdout, stderr and
+        exit code, runtime_ms aside.  `PYTHONPATH=src python tests/test_cli.py
+        --digest` prints the hash; a change meant to move CLI bytes restates it."""
+        assert _cli_digest() == (331, "e225e1a1b87f710f59c74ab003b48fc9efa50badd2e7440156605555ab2136ec")
+
+
+if __name__ == "__main__":
+    # PYTHONPATH=src python tests/test_cli.py --digest
+    if sys.argv[1:] != ["--digest"]:
+        sys.exit("usage: test_cli.py --digest")
+    count, sha256 = _cli_digest()
+    print(f"records {count}")
+    print(f"sha256 {sha256}")

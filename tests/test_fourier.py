@@ -5,6 +5,7 @@ import math
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -125,6 +126,21 @@ class TestGradedQuadrature:
             tracemalloc.stop()
         assert result.diagnostics["tolerance_met"]
         assert peak < 16e6
+
+    @pytest.mark.parametrize(
+        "pricer", [carr_madan_european, lewis_cash_or_nothing, lewis_asset_or_nothing]
+    )
+    def test_first_pass_above_the_ceiling_rejected(self, bench_params, monkeypatch, pricer):
+        """A panel floor above 2^20 is refused with InvalidParameters naming
+        u_max and panels, before the panel edges are built."""
+
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("the panel edges were built before the count was checked")
+
+        monkeypatch.setattr(np, "linspace", no_allocation)
+        cfg = FourierConfig(u_max=1e4, panels=2**20 + 1)
+        with pytest.raises(InvalidParameters, match=r"u_max = 10000.0 with panels = 1048577"):
+            pricer(bench_params, make_market(4200.0, 0.5), cfg)
 
 
 class TestFourierDiagnostics:

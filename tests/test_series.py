@@ -696,6 +696,21 @@ class TestCoefficientCost:
         assert asset_or_nothing(bench_params, atm).branch == "atm"
         assert len(calls) == 1
 
+    def test_a_cold_atm_log_call_takes_one_call(self, bench_params, monkeypatch):
+        """The ATM log call needs only Gamma(alpha + 1/2) and Gamma(alpha + 1):
+        one 2-point log-Gamma call, not the series' whole alpha block."""
+        calls = []
+        log_gamma = specfun._log_gamma_signed
+
+        def counting(x):
+            calls.append(np.size(x))
+            return log_gamma(x)
+
+        monkeypatch.setattr(specfun, "_log_gamma_signed", counting)
+        atm = make_market(atm_spot(bench_params, 2.0), 2.0)
+        assert log_call(bench_params, atm).branch == "atm"
+        assert calls == [2]
+
 
 class TestResultTypes:
     @pytest.mark.parametrize("kind", list(_GOLDEN_KINDS))
