@@ -832,7 +832,10 @@ def _digest_corpus():
     for extra in ([], ["--format", "json"], ["--stream", "--format", "json"], ["--x-min=-0.5"]):
         yield ["density", "--sigma", "0.2", "--nu", "0.85", "--points", "9", *extra]
     for reference in ("series", "fourier"):
-        for lists in ([], ["--max-orders", "3,10"], ["--u-max-list", "1e2"], ["--max-orders", "5", "--u-max-list", ""]):
+        for lists in (
+            [], ["--max-orders", "3,10"], ["--u-max-list", "1e2"],
+            ["--max-orders", "5", "--u-max-list", ""],
+        ):
             for fmt in ("csv", "json"):
                 yield [
                     "converge", "--spot", "3000", *_DIGEST_CONTRACT, "--reference", reference,
@@ -877,7 +880,8 @@ def _cli_digest():
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
-        digest.update(repr((argv, code, _masked(out.getvalue()), err.getvalue())).encode() + b"\n")
+        record = (argv, code, _masked(out.getvalue()), err.getvalue())
+        digest.update(repr(record).encode() + b"\n")
         count += 1
     return count, digest.hexdigest()
 
@@ -887,7 +891,9 @@ class TestCliDigest:
         """Every call of the corpus prints its recorded stdout, stderr and
         exit code, runtime_ms aside.  `PYTHONPATH=src python tests/test_cli.py
         --digest` prints the hash; a change meant to move CLI bytes restates it."""
-        assert _cli_digest() == (331, "e225e1a1b87f710f59c74ab003b48fc9efa50badd2e7440156605555ab2136ec")
+        count, sha256 = _cli_digest()
+        assert count == 331
+        assert sha256 == "e225e1a1b87f710f59c74ab003b48fc9efa50badd2e7440156605555ab2136ec"
 
 
 if __name__ == "__main__":
