@@ -11,6 +11,8 @@ three branches selected by the sign of the risk-neutral moneyness:
 * ATM  (moneyness = 0): a single collapsed series (or a closed form).
 
 Numerics: every Gamma ratio is evaluated as exp(sum of signed log-Gammas).
+A pole of a Gamma in alpha raises (_log_gammas), a pole of an alpha-free
+denominator zeroes its term, and a sum that is not finite raises (_finalize).
 The log-Gammas are taken on short 1-D index arrays (n, or n2 - n1, 2 n1 + n2
 and n1 for a double series), in one call per series, and gathered onto the
 (n1, n2) grid.  The two parts of a double series (and of the log call) are
@@ -261,18 +263,19 @@ def _alpha_block(kind: str, n_max: int, alpha: float):
     series' five); the Gammas in alpha come from one log-Gamma call, the
     alpha-free ones from _HALF_GAMMA.  The arrays are the same expressions a
     price would evaluate, so values do not depend on the memo or the
-    slicing; they are read-only, and a Gamma pole raises and is not stored.
+    slicing; they are read-only, and a block with a pole in alpha raises.
     """
     g = _grid(n_max)
-    (*pairs, (lg_half, s_half)), pole = _log_gammas(getattr(g, kind), alpha)
+    *pairs, (lg_half, s_half) = _log_gammas(getattr(g, kind), alpha)
     if kind == "sym":
-        g_j, g_m, g_rows = pairs
-        # every j occurs on the grid, so part 1's ratio is taken over j; part 2's
-        # pole rule sees only the grid, so a pole at an unused m is never raised
-        ratio = _gamma_ratio_log(g_j, g.sym_den, pole)
-        signs = np.concatenate((ratio[1], g_m[1]))
-        log, sign = np.concatenate((ratio[0], g_m[0], signs, -signs))[g.sym_gather]
-        _gamma_ratio_log((log[1], sign[1]), g_rows, pole)
+        (lg_j, sg_j), g_m, (lg_rows, sg_rows) = pairs
+        # part 1's ratio over j, all on the grid; a denominator pole gives log -inf, sign 0
+        lg_j -= g.sym_den[0]
+        sg_j *= g.sym_den[1]
+        signs = np.concatenate((sg_j, g_m[1]))
+        log, sign = np.concatenate((lg_j, g_m[0], signs, -signs))[g.sym_gather]
+        log[1] -= lg_rows
+        sign[1] *= sg_rows
         block = (log, sign, g.sym_power + alpha * _TWO_IN_PART_2)
     elif kind == "asym":
         (lg2, sg2), (lg, sg) = pairs
@@ -299,37 +302,11 @@ def _alpha_block(kind: str, n_max: int, alpha: float):
 
 def _log_gammas(args: _Args, alpha: float):
     """(log|Gamma|, sign) pairs of each piece of args at alpha, in the piece's
-    shape, from one log-Gamma call, and whether that call met a pole."""
+    shape, from one log-Gamma call; a pole (sign 0) raises DegenerateAlphaError."""
     log_abs, sign = specfun._log_gamma_signed(args.base + alpha * args.coef)
-    pairs = [(log_abs[cut].reshape(shape), sign[cut].reshape(shape)) for cut, shape in args.pieces]
-    # a pole is the one place the sign is 0
-    return pairs, np.count_nonzero(sign) < sign.size
-
-
-def _gamma_ratio_log(num, den, pole):
-    """(log |Gamma(a)/Gamma(b)|, sign) from the (log|Gamma|, sign) pairs of a
-    and b, written over num's arrays.
-
-    The numerator carries the full shape.  A denominator pole gives the
-    ratio 0 (log -inf, sign +-0).  A pole in the numerator means the series
-    itself is degenerate; that is excluded upstream by the alpha guard, so
-    it raises if it ever happens.  pole says whether the log-Gamma call
-    behind the alpha-dependent Gammas met a pole; without one the numerator
-    is finite, so the plain difference already gives -inf at a denominator
-    pole, and the masked rule is skipped.
-    """
-    log_n, sign_n = num
-    log_d, sign_d = den
-    if pole:
-        finite = sign_d != 0.0
-        if ((sign_n == 0.0) & finite).any():
-            raise DegenerateAlphaError("series coefficient hit a Gamma pole")
-        np.subtract(log_n, log_d, out=log_n, where=finite)
-        np.copyto(log_n, -np.inf, where=~finite)
-    else:
-        log_n -= log_d
-    sign_n *= sign_d
-    return num
+    if not sign.all():
+        raise DegenerateAlphaError("series coefficient hit a Gamma pole")
+    return [(log_abs[cut].reshape(shape), sign[cut].reshape(shape)) for cut, shape in args.pieces]
 
 
 def _power_log(base: float, n):
@@ -379,14 +356,15 @@ def _residue_sum(log_terms, signs, tail_tol):
     added per anti-diagonal of their (rows, cols) block (n1 + n2 - n2_start
     for a double series, n for a single one, whose block is one row) through
     the (np.bincount index, counts) pair of _diagonals, and the per-diagonal
-    sums are accumulated in ascending order by _kahan_diagonal_sum.
+    sums are accumulated in ascending order by _kahan_diagonal_sum.  Terms
+    that overflow give an inf or NaN sum, for _finalize to raise on.
     """
     with np.errstate(invalid="ignore", over="ignore"):
         terms = signs * np.exp(log_terms)
-    # one add of the two parts rounds as terms.sum(axis=0) would, in half the
-    # time on arrays this small; a single part needs no add
-    if len(terms) == 2:
-        terms = terms[0] + terms[1]
+        # one add of the two parts rounds as terms.sum(axis=0) would, in half the
+        # time on arrays this small; a single part needs no add
+        if len(terms) == 2:
+            terms = terms[0] + terms[1]
     index, counts = _diagonals(*terms.shape[-2:])
     return _kahan_diagonal_sum(np.bincount(index, weights=terms.ravel()), counts, tail_tol)
 
@@ -499,7 +477,9 @@ def _finalize(
     branch: str,
     diagnostics: dict,
 ) -> PriceResult:
-    diagnostics["converged"] = converged or tail <= _CONVERGENCE_LIMIT * abs(value)
+    """The price if finite with a tail of at most 1e-6 |value|, else NonConvergenceError."""
+    finite = math.isfinite(value)
+    diagnostics["converged"] = finite and (converged or tail <= _CONVERGENCE_LIMIT * abs(value))
     result = PriceResult(
         value=value,
         method="series",
@@ -508,7 +488,9 @@ def _finalize(
         branch=branch,
         diagnostics=diagnostics,
     )
-    if tail > _CONVERGENCE_LIMIT * abs(value):
+    if not finite:
+        raise NonConvergenceError(f"series value {value} is not finite", result=result)
+    if not tail <= _CONVERGENCE_LIMIT * abs(value):
         raise NonConvergenceError(
             f"series tail estimate {tail:.3g} exceeds 1e-6 of |value| = {abs(value):.3g}; "
             "increase max_order",
@@ -622,8 +604,7 @@ def european_atmf(
     if leading_only:
         # single Gamma ratio, no series: the degenerate-alpha guard is moot
         shape = market.tau / params.nu
-        lg_num, _ = specfun._log_gamma_signed(0.5 + shape)
-        lg_den, _ = specfun._log_gamma_signed(shape)
+        (lg_num, lg_den), _ = specfun._log_gamma_signed([0.5 + shape, shape])
         value = (
             spot
             / math.sqrt(2.0 * math.pi)
@@ -657,8 +638,7 @@ def implied_atmf_vol(
     if not nu > 0.0:
         raise InvalidParameters("nu must be positive")
     shape = tau / nu
-    lg_num, _ = specfun._log_gamma_signed(shape)
-    lg_den, _ = specfun._log_gamma_signed(0.5 + shape)
+    (lg_num, lg_den), _ = specfun._log_gamma_signed([shape, 0.5 + shape])
     return (
         math.sqrt(2.0 * math.pi / nu)
         * math.exp(float(lg_num) - float(lg_den))

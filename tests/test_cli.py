@@ -105,6 +105,34 @@ class TestPriceCommand:
         assert code == 3
         assert json.loads(err)["type"] == "NonConvergenceError"
 
+    @pytest.mark.parametrize("argv, expected", [
+        # alpha = 2^27 - 1 + 2^-26 passes the guard, but a coefficient hits a pole
+        ((
+            "--payoff", "log-call", "--spot", "100", "--strike", "110",
+            "--tau", "0.12499999953433873", "--sigma", "0.2", "--nu", "9.313225746154785e-10",
+        ), (2, "DegenerateAlphaError")),
+        # the terms overflow at the default order
+        ((
+            "--payoff", "power-asset-or-nothing", "--spot", "100",
+            "--strike", "106.31288319942654", "--tau", "0.4741366027393947",
+            "--sigma", "0.044122071583074136", "--nu", "0.0014285313477900407",
+            "--rate", "0.02", "--power", "1.3",
+        ), (3, "NonConvergenceError")),
+        # the two parts add inf and -inf
+        ((
+            "--payoff", "cash-or-nothing", "--theta", "-0.35395137211584793", "--spot", "100",
+            "--strike", "87.00860751462221", "--tau", "8.991860496323925",
+            "--sigma", "0.0427377886882928", "--nu", "1.1967877073654591", "--rate", "0.02",
+            "--max-order", "200",
+        ), (3, "NonConvergenceError")),
+    ], ids=["log-call-pole", "power-digital-overflow", "drifted-digital-inf-minus-inf"])
+    def test_a_series_price_that_is_not_finite_is_an_error(self, capsys, argv, expected):
+        """A series sum that is not finite exits with a typed error, not a
+        NaN price with exit 0."""
+        code, out, err = run_cli(capsys, "price", *argv)
+        (line,) = err.splitlines()
+        assert (code, json.loads(line)["type"]) == expected and out == ""
+
     def test_out_of_bounds_fourier_price_is_flagged_not_raised(self, capsys):
         """The u_max truncation drives this Lewis cash digital below zero; the
         price is still printed, with exit code 0, so `--method all` keeps the

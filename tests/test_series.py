@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from vgpricer import fourier, montecarlo, series, specfun
@@ -263,6 +263,16 @@ class TestDiagnostics:
         params = VgParams(sigma=0.2, nu=1.0)
         with pytest.raises(DegenerateAlphaError):
             cash_or_nothing(params, make_market(4200.0, 2.0))
+
+    @pytest.mark.parametrize("pricer, theta", [(log_call, 0.0), (asym_cash_or_nothing, 0.01)])
+    def test_a_coefficient_pole_past_the_guard_raises(self, pricer, theta):
+        # alpha = 2^27 - 1 + 2^-26 passes the 1e-8 guard, but -n1 - alpha rounds
+        # to a pole once its magnitude reaches 2^27; the pricers returned nan
+        nu = 2.0**-30
+        tau = (2.0**27 - 0.5 + 2.0**-26) * nu
+        market = MarketInputs(spot=100.0, strike=110.0, rate=0.0, tau=tau)
+        with pytest.raises(DegenerateAlphaError, match="hit a Gamma pole"):
+            pricer(VgParams(sigma=0.2, nu=nu, theta=theta), market)
 
     def test_theta_rejected_by_symmetric_ops(self):
         params = VgParams(sigma=0.2, nu=0.85, theta=0.05)
@@ -711,6 +721,23 @@ class TestCoefficientCost:
         assert log_call(bench_params, atm).branch == "atm"
         assert calls == [2]
 
+    def test_the_atmf_gamma_ratio_takes_one_call(self, bench_params, monkeypatch):
+        """The leading ATM-forward term and its implied-vol inverse each take
+        Gamma(tau/nu) and Gamma(tau/nu + 1/2) from one 2-point call."""
+        calls = []
+        log_gamma = specfun._log_gamma_signed
+
+        def counting(x):
+            calls.append(np.size(x))
+            return log_gamma(x)
+
+        monkeypatch.setattr(specfun, "_log_gamma_signed", counting)
+        market = make_market(4000.0 * math.exp(-0.02), 2.0)
+        price = european_atmf(bench_params, market, leading_only=True).value
+        assert calls == [2]
+        implied_atmf_vol(price, market.spot, 2.0, 0.85)
+        assert calls == [2, 2]
+
 
 class TestResultTypes:
     @pytest.mark.parametrize("kind", list(_GOLDEN_KINDS))
@@ -819,12 +846,17 @@ class TestGridMemo:
         # ATM series slice, the drifted digital and the log call
         assert series._alpha_block.cache_info().misses <= 3
 
-    def test_a_gamma_pole_raises_on_every_call(self):
-        """At integral alpha part 1's numerator hits a pole where its
-        denominator does not; the error is raised again, never stored."""
+    @pytest.mark.parametrize("kind, alpha", [
+        ("sym", 1.0), ("sym", 1.5), ("asym", 1.0), ("log_call", 1.0),
+    ])
+    def test_a_gamma_pole_raises_on_every_call(self, kind, alpha):
+        """A Gamma in alpha that hits a pole raises, whichever kind's block
+        holds it and whatever its denominator does there (at alpha = 1.5 the
+        double series' part 2 has poles over poles); the error is raised
+        again, never stored."""
         for _ in range(2):
-            with pytest.raises(DegenerateAlphaError):
-                series._alpha_block("sym", 10, 1.0)
+            with pytest.raises(DegenerateAlphaError, match="hit a Gamma pole"):
+                series._alpha_block(kind, 10, alpha)
         assert series._alpha_block.cache_info().currsize == 0
 
 
@@ -885,6 +917,74 @@ class TestAlphaMemoProperty:
             _price_record(unrelated, *_contract(unrelated, **other), max_order)
         assert series._alpha_block.cache_info().hits > 0
         assert _price_record(pricer, *_contract(pricer, **contract), max_order) == cold
+
+
+
+_SERIES_PRICERS = {name: fn for name, fn in _GOLDEN_PRICERS.items() if name != "european_atmf"}
+
+
+@st.composite
+def _scan_draws(draw):
+    """Raw inputs over a wide domain: sigma, nu and tau log-uniform, the
+    strike at log-moneyness z sigma sqrt(tau) with |z| <= 40, the spot 100."""
+    sigma = 10.0 ** draw(st.floats(-1.6, 0.1))
+    tau = 10.0 ** draw(st.floats(-3.0, 1.2))
+    z = draw(st.floats(-40.0, 40.0))
+    return {
+        "pricer": draw(st.sampled_from(sorted(_SERIES_PRICERS))),
+        "sigma": sigma,
+        "nu": 10.0 ** draw(st.floats(-3.5, 0.6)),
+        "theta": draw(st.floats(-0.5, 0.5)),
+        "tau": tau,
+        "strike": 100.0 * math.exp(z * sigma * math.sqrt(tau)),
+        "rate": draw(st.sampled_from([0.0, 0.02])),
+        "power": draw(st.floats(1.0, 2.0)),
+        "max_order": draw(st.sampled_from([25, 60, 200])),
+        "alpha_policy": draw(st.sampled_from(["error", "nudge"])),
+    }
+
+
+def _scan_example(pricer, sigma, nu, tau, strike, rate, theta=0.0, power=1.0, max_order=25):
+    return {
+        "pricer": pricer, "sigma": sigma, "nu": nu, "theta": theta, "tau": tau,
+        "strike": strike, "rate": rate, "power": power, "max_order": max_order,
+        "alpha_policy": "error",
+    }
+
+
+class TestFinitePrices:
+    @given(draw=_scan_draws())
+    # an ITM power digital whose terms overflow at the default order
+    @example(draw=_scan_example(
+        "power_asset_or_nothing", 0.044122071583074136, 0.0014285313477900407,
+        0.4741366027393947, 106.31288319942654, 0.02, power=1.3,
+    ))
+    # a drifted digital whose two parts add inf and -inf
+    @example(draw=_scan_example(
+        "asym_cash_or_nothing", 0.0427377886882928, 1.1967877073654591, 8.991860496323925,
+        87.00860751462221, 0.02, theta=-0.35395137211584793, max_order=200,
+    ))
+    # alpha = 2^27 - 1 + 2^-26, past the guard, puts a coefficient on a pole
+    @example(draw=_scan_example(
+        "log_call", 0.2, 2.0**-30, (2.0**27 - 0.5 + 2.0**-26) * 2.0**-30, 110.0, 0.0,
+    ))
+    def test_a_price_is_finite_or_a_typed_error(self, draw):
+        """Every series pricer returns a finite value and tail, or raises a
+        VgError; a raw numpy RuntimeWarning fails the test too."""
+        pricer = draw["pricer"]
+        theta = draw["theta"] if pricer == "asym_cash_or_nothing" else 0.0
+        params = VgParams(sigma=draw["sigma"], nu=draw["nu"], theta=theta)
+        extra = {"trigger_strike": 1.05 * draw["strike"]} if pricer == "gap" else {}
+        market = MarketInputs(
+            spot=100.0, strike=draw["strike"], rate=draw["rate"], tau=draw["tau"],
+            power=draw["power"] if pricer == "power_asset_or_nothing" else 1.0, **extra,
+        )
+        ctrl = SeriesControl(max_order=draw["max_order"], alpha_policy=draw["alpha_policy"])
+        try:
+            result = _SERIES_PRICERS[pricer](params, market, ctrl)
+        except VgError:
+            return
+        assert math.isfinite(result.value) and math.isfinite(result.truncation_estimate)
 
 
 # ---------------------------------------------------------------------------
