@@ -919,7 +919,6 @@ class TestAlphaMemoProperty:
         assert _price_record(pricer, *_contract(pricer, **contract), max_order) == cold
 
 
-
 _SERIES_PRICERS = {name: fn for name, fn in _GOLDEN_PRICERS.items() if name != "european_atmf"}
 
 
@@ -953,34 +952,35 @@ def _scan_example(pricer, sigma, nu, tau, strike, rate, theta=0.0, power=1.0, ma
 
 
 class TestFinitePrices:
-    @given(draw=_scan_draws())
+    @given(inputs=_scan_draws())
     # an ITM power digital whose terms overflow at the default order
-    @example(draw=_scan_example(
+    @example(inputs=_scan_example(
         "power_asset_or_nothing", 0.044122071583074136, 0.0014285313477900407,
         0.4741366027393947, 106.31288319942654, 0.02, power=1.3,
     ))
     # a drifted digital whose two parts add inf and -inf
-    @example(draw=_scan_example(
+    @example(inputs=_scan_example(
         "asym_cash_or_nothing", 0.0427377886882928, 1.1967877073654591, 8.991860496323925,
         87.00860751462221, 0.02, theta=-0.35395137211584793, max_order=200,
     ))
     # alpha = 2^27 - 1 + 2^-26, past the guard, puts a coefficient on a pole
-    @example(draw=_scan_example(
+    @example(inputs=_scan_example(
         "log_call", 0.2, 2.0**-30, (2.0**27 - 0.5 + 2.0**-26) * 2.0**-30, 110.0, 0.0,
     ))
-    def test_a_price_is_finite_or_a_typed_error(self, draw):
+    def test_a_price_is_finite_or_a_typed_error(self, inputs):
         """Every series pricer returns a finite value and tail, or raises a
         VgError; a raw numpy RuntimeWarning fails the test too."""
-        pricer = draw["pricer"]
-        theta = draw["theta"] if pricer == "asym_cash_or_nothing" else 0.0
-        params = VgParams(sigma=draw["sigma"], nu=draw["nu"], theta=theta)
-        extra = {"trigger_strike": 1.05 * draw["strike"]} if pricer == "gap" else {}
-        market = MarketInputs(
-            spot=100.0, strike=draw["strike"], rate=draw["rate"], tau=draw["tau"],
-            power=draw["power"] if pricer == "power_asset_or_nothing" else 1.0, **extra,
-        )
-        ctrl = SeriesControl(max_order=draw["max_order"], alpha_policy=draw["alpha_policy"])
+        pricer = inputs["pricer"]
+        theta = inputs["theta"] if pricer == "asym_cash_or_nothing" else 0.0
+        extra = {"trigger_strike": 1.05 * inputs["strike"]} if pricer == "gap" else {}
+        ctrl = SeriesControl(max_order=inputs["max_order"], alpha_policy=inputs["alpha_policy"])
         try:
+            # the parameters themselves may be out of the model's domain
+            params = VgParams(sigma=inputs["sigma"], nu=inputs["nu"], theta=theta)
+            market = MarketInputs(
+                spot=100.0, strike=inputs["strike"], rate=inputs["rate"], tau=inputs["tau"],
+                power=inputs["power"] if pricer == "power_asset_or_nothing" else 1.0, **extra,
+            )
             result = _SERIES_PRICERS[pricer](params, market, ctrl)
         except VgError:
             return
