@@ -373,29 +373,28 @@ def _cmd_converge(resolved: dict) -> list[dict]:
     market = _build(MarketInputs, resolved)
     max_orders = _comma_list(resolved, "max_orders", int)
     u_maxes = _comma_list(resolved, "u_max_list", float)
+    # every race entry and the reference vary one field of the resolved configs
+    ctrl = _CONFIGS["series"](resolved)
+    cfg = _CONFIGS["fourier"](resolved)
     if resolved["reference"] == "series":
         if not max_orders:
             raise _UsageError("--max-orders must name an order for --reference series")
-        ref_ctrl = series.SeriesControl(max_order=min(200, max(max_orders) + 20))
+        ref_ctrl = dataclasses.replace(ctrl, max_order=min(200, max(max_orders) + 20))
         reference = series.european(params, market, ref_ctrl).value
     else:
         if not max_orders and not u_maxes:
             raise _UsageError("converge needs an order in --max-orders or a point in --u-max-list")
-        reference = fourier.carr_madan_european(
-            params, market, _build(fourier.FourierConfig, resolved)
-        ).value
+        reference = fourier.carr_madan_european(params, market, cfg).value
     races = []  # (kind, parameter, value)
     for m in max_orders:
         try:
-            value = series.european(
-                params, market, series.SeriesControl(max_order=m)
-            ).value
+            value = series.european(params, market, dataclasses.replace(ctrl, max_order=m)).value
         except NonConvergenceError as err:
             value = err.result.value
         races.append(("series_max", m, value))
     for u_max in u_maxes:
-        cfg = dataclasses.replace(_build(fourier.FourierConfig, resolved), u_max=u_max)
-        value = fourier.carr_madan_european(params, market, cfg).value
+        cfg_u = dataclasses.replace(cfg, u_max=u_max)
+        value = fourier.carr_madan_european(params, market, cfg_u).value
         races.append(("carr_madan_umax", u_max, value))
     return [
         {

@@ -10,8 +10,9 @@ the measure shift: 1 for the asset digital (scale S), 0 for the cash digital
 (scale e^{-r tau}).  European calls use the damped integral:
 the call price in log-strike is multiplied by e^{a k_L} to make it
 integrable, priced through the characteristic function of log S_T, and the
-damping removed afterwards.  The damping factor must stay below the
-square-integrability bound (a_max for the symmetric model).
+damping removed afterwards.  For every theta the damping a is admitted when
+a > 0 and (1 + a) nu mu_+ < 1, that is while the damped line Im u = -(1 + a)
+stays above the branch point i eta_-, eta_- = -1/(nu mu_+), of Phi.
 
 The default, u_max = inf, prices the untruncated integrals on a
 sinh-deformed contour xi(y) = i w1 + b sinh(i w + y) (Boyarchenko and
@@ -54,7 +55,7 @@ from typing import Optional
 import numpy as np
 
 from . import model
-from .errors import BranchCutError, DampingOutOfRangeError, InvalidParameters
+from .errors import DampingOutOfRangeError, InvalidParameters
 from .model import MarketInputs, PriceResult, VgParams
 
 __all__ = [
@@ -296,8 +297,14 @@ def _branch_points(params: VgParams) -> tuple[float, float]:
     """(eta_-, eta_+): Phi(xi) is analytic for eta_- < Im xi < eta_+.
 
     See model._log_characteristic_fn for the factored form they come from.
+    A rate that rounds to 0 leaves no branch point to place the contour by.
     """
     gd = model.gamma_decomposition(params)
+    if not (gd.mu_plus > 0.0 and gd.mu_minus > 0.0):
+        raise InvalidParameters(
+            f"Gamma rates mu_+ = {gd.mu_plus!r} and mu_- = {gd.mu_minus!r} must both be positive"
+            " for the contour; pass a finite u_max"
+        )
     return -1.0 / (params.nu * gd.mu_plus), 1.0 / (params.nu * gd.mu_minus)
 
 
@@ -360,13 +367,13 @@ def lewis_cash_or_nothing(
 def a_max(params: VgParams) -> float:
     """Square-integrability bound for the damping factor, symmetric model only.
 
-    a_max = sqrt(2/nu)/sigma - 1.  For theta != 0 no closed bound is exposed;
-    probe integrability directly through characteristic_fn at -(a+1)i.
+    a_max = sqrt(2/nu)/sigma - 1, which is 1/(nu mu_+) - 1 at theta = 0.
+    For every theta, carr_madan_european admits a > 0 with (1 + a) nu mu_+ < 1.
     """
     if params.theta != 0.0:
         raise InvalidParameters(
             "a_max is only available for the symmetric model (theta = 0); "
-            "verify integrability via characteristic_fn(-(a+1)i, tau) instead"
+            "for any theta a damping a is admissible when a > 0 and (1 + a) nu mu_+ < 1"
         )
     return math.sqrt(2.0 / params.nu) / params.sigma - 1.0
 
@@ -387,26 +394,20 @@ def carr_madan_european(
     branch point i eta_-.  In the money it bends up over both poles, whose
     residues add the forward intrinsic value S - K e^{-r tau}, with its apex
     between 0 and i eta_+, at most half-way.
+
+    For every theta the damping a is admitted when a > 0 and (1 + a) nu mu_+ < 1,
+    while the damped line Im u = -(1 + a) stays above eta_- = -1/(nu mu_+); a
+    product, as mu_+ rounds to 0 at tiny sigma with theta < 0.
     """
     cfg = cfg or FourierConfig()
     a = cfg.damping_a
     derived = model.derive(params, market)
     tau = market.tau
-    if params.theta == 0.0:
-        bound = a_max(params)
-        if not 0.0 < a < bound:
-            raise DampingOutOfRangeError(
-                f"damping factor a = {a!r} outside (0, a_max = {bound:.6g})"
-            )
-    elif not a > 0.0:
-        raise DampingOutOfRangeError(f"damping factor a = {a!r} must be positive")
-    else:
-        try:
-            model.characteristic_fn(params, -(a + 1.0) * 1j, tau)
-        except BranchCutError as exc:
-            raise DampingOutOfRangeError(
-                f"damping factor a = {a!r} violates integrability: {exc}"
-            ) from exc
+    reach = (1.0 + a) * params.nu * model.gamma_decomposition(params).mu_plus
+    if not (a > 0.0 and reach < 1.0):
+        raise DampingOutOfRangeError(
+            f"damping factor a = {a!r} must be positive with (1 + a) nu mu_+ = {reach:.6g} below 1"
+        )
     discounted_strike = market.strike * math.exp(-derived.rate_effective * tau)
     intrinsic = market.spot - discounted_strike
     bounds = (max(0.0, intrinsic), market.spot)

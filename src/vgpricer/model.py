@@ -58,6 +58,10 @@ class VgParams:
             raise InvalidParameters(f"sigma must be positive, got {self.sigma!r}")
         if not self.nu > 0.0:
             raise InvalidParameters(f"nu must be positive, got {self.nu!r}")
+        if not self.sigma**2 * self.nu > 0.0:
+            raise InvalidParameters(
+                f"sigma^2 * nu underflows to 0 at sigma = {self.sigma!r}, nu = {self.nu!r}"
+            )
         if not self.martingale_argument > 0.0:
             raise InvalidParameters(
                 "martingale adjustment undefined: "
@@ -216,12 +220,8 @@ def martingale_adjustment(params: VgParams) -> float:
     """omega = (1/nu) ln(1 - theta nu - sigma^2 nu / 2).
 
     Tends to the Gaussian adjustment -sigma^2/2 as nu -> 0 (theta = 0).
+    VgParams has already checked that the log argument is positive.
     """
-    arg = params.martingale_argument
-    if not arg > 0.0:
-        raise InvalidParameters(
-            f"martingale adjustment undefined: log argument {arg:.6g} <= 0"
-        )
     # log1p keeps precision in the small-nu (Gaussian) limit
     return math.log1p(-params.theta * params.nu - 0.5 * params.sigma**2 * params.nu) / params.nu
 

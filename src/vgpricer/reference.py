@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
-__all__ = ["ReferenceCell", "load_reference", "table_rows", "printed_tolerance"]
+__all__ = ["ReferenceCell", "load_reference", "printed_tolerance"]
 
 
 @dataclass(frozen=True)
@@ -61,8 +61,3 @@ def load_reference() -> dict[tuple[str, str, str], ReferenceCell]:
             )
             cells[(cell.table, cell.row_label, cell.col_label)] = cell
     return cells
-
-
-def table_rows(table: str) -> list[ReferenceCell]:
-    """All cells of one table, in file order."""
-    return [cell for key, cell in load_reference().items() if key[0] == str(table)]

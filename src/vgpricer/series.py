@@ -259,14 +259,14 @@ def _alpha_block(kind: str, n_max: int, alpha: float):
     for the prefactor, followed by the series' (log, sign) coefficients,
     stacked as (part, n1, n2) arrays (a double series' signs with the
     (-1)^n1 of each term), and the coefficients of its powers that involve
-    alpha ("asym" holds the single series' four arrays, then the double
+    alpha ("asym" holds the single series' three arrays, then the double
     series' five); the Gammas in alpha come from one log-Gamma call, the
     alpha-free ones from _HALF_GAMMA.  The arrays are the same expressions a
     price would evaluate, so values do not depend on the memo or the
     slicing; they are read-only, and a block with a pole in alpha raises.
     """
     g = _grid(n_max)
-    *pairs, (lg_half, s_half) = _log_gammas(getattr(g, kind), alpha)
+    *pairs, (lg_half, _) = _log_gammas(getattr(g, kind), alpha)
     if kind == "sym":
         (lg_j, sg_j), g_m, (lg_rows, sg_rows) = pairs
         # part 1's ratio over j, all on the grid; a denominator pole gives log -inf, sign 0
@@ -278,21 +278,22 @@ def _alpha_block(kind: str, n_max: int, alpha: float):
         sign[1] *= sg_rows
         block = (log, sign, g.sym_power + alpha * _TWO_IN_PART_2)
     elif kind == "asym":
-        (lg2, sg2), (lg, sg) = pairs
+        # Gamma((n + 1)/2 + alpha) > 0 because alpha > -1/2, so its sign is dropped
+        (lg2, _), (lg, sg) = pairs
         # the divisors -(2 n1 + n2 + 1) and -(2 n1 + n2 + 1 + 2 alpha) are both
         # negative, because alpha > -1/2; the signs carry the series' minus
         divisor = g.m_1 + alpha * _TWO_IN_PART_2
         block = (
-            g.asym_lg1, lg2, sg2, g.neg_half_n_1 - alpha,
+            g.asym_lg1, lg2, g.neg_half_n_1 - alpha,
             lg, sg * g.asym_sign, np.log(divisor), divisor, g.n1 - alpha * _ONE_IN_PART_1,
         )
-    else:  # "log_call", whose head takes Gamma(1 + alpha) and the sign of Gamma(alpha + 1/2)
-        (lg_a1, s_a1), (log, sign) = pairs
-        # 2 n + 2 alpha + 1 > 0 because alpha > -1/2, so both factors are positive
+    else:  # "log_call": alpha > -1/2 makes its head's Gamma(1 + alpha) and
+        # Gamma(alpha + 1/2), and the factors 2 n + 2 alpha + 1 and + 2, positive
+        (lg_a1, _), (log, sign) = pairs
         shifted = g.two_n + alpha * _TWO_IN_PART_2
         shifted_2, shifted_1 = shifted + 2.0, shifted + 1.0
         return (
-            lg_half.item(), lg_a1.item(), s_a1.item(), s_half.item(),
+            lg_half.item(), lg_a1.item(),
             *map(_frozen, (
                 log, g.n_sign * sign, np.log(shifted_2 * shifted_1), shifted_2, shifted_1
             )),
@@ -318,11 +319,13 @@ def _power_log(base: float, n):
 
 
 def _kahan_diagonal_sum(diag_values, diag_counts, tail_tol):
-    """Compensated sum of per-diagonal contributions with the two-small stop rule.
+    """Compensated sum of per-diagonal contributions: (total, terms, tail).
 
-    The tail estimate spans the last two diagonals: every second coefficient
-    of the digital series vanishes through a denominator Gamma pole, so a
-    single-diagonal magnitude is a structurally unreliable signal.
+    Summation stops once two consecutive diagonals each add less than
+    tail_tol of the running sum; the rule only stops, and _finalize alone
+    judges convergence.  The tail estimate spans the last two diagonals:
+    every second coefficient of the digital series vanishes through a
+    denominator Gamma pole, so one diagonal's magnitude is no signal.
     """
     total = 0.0
     comp = 0.0
@@ -330,7 +333,6 @@ def _kahan_diagonal_sum(diag_values, diag_counts, tail_tol):
     last = 0.0
     previous = 0.0
     terms = 0
-    converged = False
     for value, count in zip(diag_values.tolist(), diag_counts):
         y = value - comp
         t = total + y
@@ -342,11 +344,10 @@ def _kahan_diagonal_sum(diag_values, diag_counts, tail_tol):
         if last < tail_tol * abs(total):
             small_run += 1
             if small_run >= 2:
-                converged = True
                 break
         else:
             small_run = 0
-    return total, terms, max(last, previous), converged
+    return total, terms, max(last, previous)
 
 
 def _residue_sum(log_terms, signs, tail_tol):
@@ -356,8 +357,9 @@ def _residue_sum(log_terms, signs, tail_tol):
     added per anti-diagonal of their (rows, cols) block (n1 + n2 - n2_start
     for a double series, n for a single one, whose block is one row) through
     the (np.bincount index, counts) pair of _diagonals, and the per-diagonal
-    sums are accumulated in ascending order by _kahan_diagonal_sum.  Terms
-    that overflow give an inf or NaN sum, for _finalize to raise on.
+    sums are accumulated in ascending order by _kahan_diagonal_sum, whose
+    (value, terms, tail) it returns for _finalize to judge.  Terms that
+    overflow give an inf or NaN sum, for _finalize to raise on.
     """
     with np.errstate(invalid="ignore", over="ignore"):
         terms = signs * np.exp(log_terms)
@@ -469,17 +471,12 @@ def _require_symmetric(params: VgParams, op_name: str) -> None:
         )
 
 
-def _finalize(
-    value: float,
-    terms: int,
-    tail: float,
-    converged: bool,
-    branch: str,
-    diagnostics: dict,
-) -> PriceResult:
-    """The price if finite with a tail of at most 1e-6 |value|, else NonConvergenceError."""
+def _finalize(value: float, terms: int, tail: float, branch: str, diagnostics: dict) -> PriceResult:
+    """The one verdict on a series price: its PriceResult if the value is finite with a
+    tail of at most 1e-6 |value|, else NonConvergenceError carrying it, with
+    diagnostics["converged"] True on the first and False on the second."""
     finite = math.isfinite(value)
-    diagnostics["converged"] = finite and (converged or tail <= _CONVERGENCE_LIMIT * abs(value))
+    diagnostics["converged"] = converged = finite and tail <= _CONVERGENCE_LIMIT * abs(value)
     result = PriceResult(
         value=value,
         method="series",
@@ -490,7 +487,7 @@ def _finalize(
     )
     if not finite:
         raise NonConvergenceError(f"series value {value} is not finite", result=result)
-    if not tail <= _CONVERGENCE_LIMIT * abs(value):
+    if not converged:
         raise NonConvergenceError(
             f"series tail estimate {tail:.3g} exceeds 1e-6 of |value| = {abs(value):.3g}; "
             "increase max_order",
@@ -510,8 +507,8 @@ def _otm_or_parity(branch: str, otm_series, parity):
     if branch != "itm":
         return otm_series(1.0)
     complement = parity()
-    series, terms, tail, conv = otm_series(-1.0)
-    return complement - series, terms, tail, conv
+    series, terms, tail = otm_series(-1.0)
+    return complement - series, terms, tail
 
 
 def _sym_series_price(derived, diagnostics, ctrl, k_val, n2_start, power_mult, parity):
@@ -531,9 +528,9 @@ def _sym_series_price(derived, diagnostics, ctrl, k_val, n2_start, power_mult, p
         row = np.s_[:1, :1, n2.start :]
         powers = _grid(ctrl.max_order).n2[n2.start :] * math.log(power_mult * derived.sigma_nu)
         log_terms = log_amount - lg_half + log_coef[row] + powers
-        value, terms, tail, conv = _residue_sum(log_terms, sign_coef[row], ctrl.tail_tol)
+        value, terms, tail = _residue_sum(log_terms, sign_coef[row], ctrl.tail_tol)
     else:
-        value, terms, tail, conv = _otm_or_parity(
+        value, terms, tail = _otm_or_parity(
             branch,
             lambda sign: _double_series(
                 log_amount, derived.alpha, k_val, sign * derived.sigma_nu,
@@ -541,7 +538,7 @@ def _sym_series_price(derived, diagnostics, ctrl, k_val, n2_start, power_mult, p
             ),
             parity,
         )
-    return _finalize(value, terms, tail, conv, branch, diagnostics)
+    return _finalize(value, terms, tail, branch, diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -612,14 +609,14 @@ def european_atmf(
             * params.sigma
             * math.sqrt(params.nu)
         )
-        return _finalize(value, 1, 0.0, True, "atm", {"leading_only": True})
+        return _finalize(value, 1, 0.0, "atm", {"leading_only": True})
     params, derived, diagnostics = _apply_alpha_policy(params, market, ctrl)
     k_eff = -0.5 * params.sigma**2 * market.tau  # omega tau under omega ~ -sigma^2/2
-    value, terms, tail, conv = _double_series(
+    value, terms, tail = _double_series(
         math.log(spot) - _LOG2, derived.alpha, k_eff, derived.sigma_nu,
         ctrl.max_order, ctrl.tail_tol, range(1, ctrl.max_order + 1),
     )
-    return _finalize(value, terms, tail, conv, "atm", diagnostics)
+    return _finalize(value, terms, tail, "atm", diagnostics)
 
 
 def implied_atmf_vol(
@@ -660,9 +657,9 @@ def cash_or_nothing(
     params, derived, diagnostics = _apply_alpha_policy(params, market, ctrl)
     discount = math.exp(-derived.rate_effective * market.tau)
     if derived.branch == "atm":
-        return _finalize(0.5 * discount, 0, 0.0, True, "atm", diagnostics)
+        return _finalize(0.5 * discount, 0, 0.0, "atm", diagnostics)
     log_amount = math.log(discount) - _LOG2
-    value, terms, tail, conv = _otm_or_parity(
+    value, terms, tail = _otm_or_parity(
         derived.branch,
         lambda sign: _double_series(
             log_amount, derived.alpha, derived.rn_moneyness, sign * derived.sigma_nu,
@@ -670,7 +667,7 @@ def cash_or_nothing(
         ),
         lambda: discount,
     )
-    return _finalize(value, terms, tail, conv, derived.branch, diagnostics)
+    return _finalize(value, terms, tail, derived.branch, diagnostics)
 
 
 def gap(
@@ -745,21 +742,21 @@ def log_call(
         # log Gamma(alpha + 1/2) at the block's argument, and Gamma(alpha + 1)
         (lg_shape, lg_num), _ = specfun._log_gamma_signed([0.5 + alpha, 0.5 + (alpha + 0.5)])
         value = discount / math.sqrt(math.pi) * math.exp(float(lg_num) - float(lg_shape)) * s_nu
-        return _finalize(value, 1, 0.0, True, "atm", diagnostics)
+        return _finalize(value, 1, 0.0, "atm", diagnostics)
     block = _alpha_block("log_call", ctrl.max_order, alpha)
-    lg_shape, lg_a1, s_a1, s_shape, log_coef, sign_coef, log_divisor, shifted_2, shifted_1 = block
+    lg_shape, lg_a1, log_coef, sign_coef, log_divisor, shifted_2, shifted_1 = block
     log_pref = -derived.rate_effective * market.tau - 0.5 * math.log(math.pi) - lg_shape
     g = _grid(ctrl.max_order)
-    head = s_a1 * math.exp(log_pref + lg_a1 + math.log(s_nu)) + (
-        -math.sqrt(math.pi) / 2.0 * s_shape * math.exp(log_pref + lg_shape + math.log(-k))
+    head = math.exp(log_pref + lg_a1 + math.log(s_nu)) + (
+        -math.sqrt(math.pi) / 2.0 * math.exp(log_pref + lg_shape + math.log(-k))
     )
     log_mk = math.log(-k)
     log_2s = math.log(2.0 * s_nu)
     log_terms = (
         log_pref + log_coef - log_divisor + shifted_2 * log_mk - shifted_1 * log_2s - g.n2_log_fact
     )
-    series, terms, tail, conv = _residue_sum(log_terms, sign_coef, ctrl.tail_tol)
-    return _finalize(head + series, terms + 2, tail, conv, derived.branch, diagnostics)
+    series, terms, tail = _residue_sum(log_terms, sign_coef, ctrl.tail_tol)
+    return _finalize(head + series, terms + 2, tail, derived.branch, diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -788,25 +785,23 @@ def _asym_series(derived, log_front, ctrl, sign):
     (negative) moneyness, from the poles of both Bessel factors.
     """
     g = _grid(ctrl.max_order)
-    lg_half, lg1, lg2, sg2, q_power, *double = _alpha_block("asym", ctrl.max_order, derived.alpha)
+    lg_half, lg1, lg2, q_power, *double = _alpha_block("asym", ctrl.max_order, derived.alpha)
     theta_sigma = sign * derived.theta_sigma
     log_q = math.log(derived.q_factor)
     theta_power = _power_log(theta_sigma, g.n2)
     log_terms = log_front - lg_half + lg1 + lg2 + q_power * log_q + theta_power - g.n2_log_fact
-    signs = sg2 * (g.n_sign if theta_sigma < 0.0 else 1.0)
-    single = _residue_sum(log_terms, signs, ctrl.tail_tol)
+    single = _residue_sum(log_terms, g.n_sign if theta_sigma < 0.0 else 1.0, ctrl.tail_tol)
     if derived.branch == "atm":
         return single
+    # negative on both branches: OTM has k_rn < 0 and sign 1, ITM k_rn > 0 and sign -1
     k_val = sign * derived.rn_moneyness
-    if not k_val < 0.0:
-        raise InvalidParameters("asymmetric series requires negative moneyness")
     log_coef, sign_coef, log_divisor, divisor, q_power = double
     base = log_front - lg_half + _LOG2 + theta_power - g.log_fact_2
     log_terms = base + log_coef - log_divisor + divisor * math.log(-k_val) + q_power * log_q
     signs = sign_coef * g.n_sign if theta_sigma < 0.0 else sign_coef
-    v1, t1, tail1, c1 = single
-    v2, t2, tail2, c2 = _residue_sum(log_terms, signs, ctrl.tail_tol)
-    return v1 + v2, t1 + t2, tail1 + tail2, c1 and c2
+    v1, t1, tail1 = single
+    v2, t2, tail2 = _residue_sum(log_terms, signs, ctrl.tail_tol)
+    return v1 + v2, t1 + t2, tail1 + tail2
 
 
 def asym_cash_or_nothing(
@@ -826,5 +821,5 @@ def asym_cash_or_nothing(
     params, derived, diagnostics = _apply_alpha_policy(params, market, ctrl)
     series = functools.partial(_asym_series, derived, _asym_log_front(derived, market.tau), ctrl)
     discount = math.exp(-derived.rate_effective * market.tau)
-    value, terms, tail, conv = _otm_or_parity(derived.branch, series, lambda: discount)
-    return _finalize(value, terms, tail, conv, derived.branch, diagnostics)
+    value, terms, tail = _otm_or_parity(derived.branch, series, lambda: discount)
+    return _finalize(value, terms, tail, derived.branch, diagnostics)

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from vgpricer import cli, fourier, model, montecarlo, series, tables
 from vgpricer.cli import main
 from vgpricer.model import MarketInputs, VgParams
+from vgpricer.reference import printed_tolerance
 
 _BASE_FLAGS = [
     "--spot", "4200", "--strike", "4000", "--rate", "0.01", "--tau", "2",
@@ -132,6 +133,22 @@ class TestPriceCommand:
         code, out, err = run_cli(capsys, "price", *argv)
         (line,) = err.splitlines()
         assert (code, json.loads(line)["type"]) == expected and out == ""
+
+    @pytest.mark.parametrize("argv", [
+        # sigma^2 underflows to 0, and the drift ratio theta / sigma^2 divided by it
+        ("--method", "all", "--sigma", "1e-170"),
+        # mu_- rounds to 0, which puts the contour's upper branch point at infinity
+        ("--method", "fourier", "--theta", "0.1", "--sigma", "1e-10"),
+    ], ids=["sigma-squared-underflows", "mu-minus-rounds-to-zero"])
+    def test_a_vanishing_scale_is_a_domain_error(self, capsys, argv):
+        """These ended in a ZeroDivisionError traceback; they exit 2 with one
+        InvalidParameters line."""
+        code, out, err = run_cli(
+            capsys, "price", "--payoff", "european", "--spot", "100", "--strike", "100",
+            "--tau", "1", "--nu", "0.3", *argv,
+        )
+        (line,) = err.splitlines()
+        assert (code, json.loads(line)["type"], out) == (2, "InvalidParameters", "")
 
     def test_out_of_bounds_fourier_price_is_flagged_not_raised(self, capsys):
         """The u_max truncation drives this Lewis cash digital below zero; the
@@ -288,6 +305,14 @@ class TestTableCommand:
         ]
         by_label = {r["row_label"]: r for r in rows}
         assert float(by_label["tau=2,S=4200"]["max=15"]) == pytest.approx(0.5373, abs=5e-4)
+
+    def test_unknown_table_id_rejected(self):
+        with pytest.raises(ValueError, match="unknown table id"):
+            tables.build_table("99")
+
+    @pytest.mark.parametrize("printed, tolerance", [("0.5373", 5e-5), ("1.5e-3", 5e-5)])
+    def test_printed_tolerance_is_half_a_last_place(self, printed, tolerance):
+        assert printed_tolerance(printed) == pytest.approx(tolerance, rel=1e-12)
 
     def test_quadrature_rule_table(self, capsys):
         code, out, _ = run_cli(capsys, "table", "--id", "gl")
@@ -453,6 +478,26 @@ class TestConvergeCommand:
         (line,) = err.splitlines()
         assert json.loads(line)["type"] == "usage"
         assert "--" + key.replace("_", "-") in json.loads(line)["error"]
+
+    def test_series_flags_reach_every_race_entry(self, capsys):
+        """--alpha-policy and --tail-tol apply to the race and its reference:
+        alpha = 0.5 prices when nudged, and a loose tail_tol stops every
+        series early."""
+        code, out, _ = run_cli(
+            capsys, "converge", "--spot", "100", "--strike", "110", "--tau", "0.85",
+            "--sigma", "0.2", "--nu", "0.85", "--alpha-policy", "nudge",
+            "--max-orders", "5,10", "--u-max-list", "",
+        )
+        assert code == 0 and [r["parameter"] for r in parse_csv(out)] == ["5", "10"]
+        flags = (
+            "converge", "--spot", "3000", "--strike", "4000", "--tau", "0.5", "--sigma", "0.2",
+            "--nu", "0.85", "--rate", "0.01", "--max-orders", "60", "--u-max-list", "",
+            "--reference", "fourier",
+        )
+        _, tight, _ = run_cli(capsys, *flags)
+        _, loose, _ = run_cli(capsys, *flags, "--tail-tol", "1e-2")
+        assert parse_csv(tight)[0]["value"] == "15.0867419714"
+        assert parse_csv(loose)[0]["value"] == "15.0866102346"
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_empty_fourier_race_is_a_usage_error(self, capsys, fmt):

@@ -181,6 +181,14 @@ class TestFourierDiagnostics:
         assert inside.diagnostics["tolerance_met"] is True
         assert "warning" not in inside.diagnostics
 
+    def test_unmet_abs_tol_is_flagged(self, bench_params):
+        """abs_tol 1e-300 is out of reach of five refinements: the price is
+        returned with tolerance_met False and a warning."""
+        market = make_market(4200.0, 1 / 360)
+        result = lewis_cash_or_nothing(bench_params, market, FourierConfig(u_max=1e4, abs_tol=1e-300))
+        assert result.diagnostics["tolerance_met"] is False
+        assert "abs_tol not reached" in result.diagnostics["warning"]
+
     def test_results_carry_python_scalars(self, bench_params):
         """Values are plain floats and the tolerance flag a plain bool."""
         for spot in (3000.0, 4200.0):
@@ -299,6 +307,8 @@ class TestCarrMadan:
             FourierConfig(u_max=-1.0)
         with pytest.raises(InvalidParameters):
             FourierConfig(panels=0)
+        with pytest.raises(InvalidParameters):
+            FourierConfig(abs_tol=0)
 
 
 @st.composite
@@ -414,10 +424,35 @@ class TestContour:
             assert result.diagnostics["tolerance_met"] is met
 
     def test_damping_outside_the_strip_rejected_for_drifted_model(self):
+        """a is admitted while a > 0 and (1 + a) nu mu_+ < 1, that is below
+        1/(nu mu_+) - 1, which is a_max at theta = 0."""
         params = VgParams(sigma=0.2, nu=0.85, theta=-0.1)
-        for a in (0.0, -0.5, 20.0):
+        market = make_market(4200.0, 2.0)
+        bound = 1.0 / (params.nu * model.gamma_decomposition(params).mu_plus) - 1.0
+        for a in (0.0, -0.5, 20.0, bound * (1.0 + 1e-9)):
             with pytest.raises(DampingOutOfRangeError):
-                carr_madan_european(params, make_market(4200.0, 2.0), FourierConfig(damping_a=a))
+                carr_madan_european(params, market, FourierConfig(damping_a=a))
+        inside = carr_madan_european(params, market, FourierConfig(damping_a=bound * (1.0 - 1e-9)))
+        assert math.isfinite(inside.value)
+        symmetric = VgParams(sigma=0.2, nu=0.85)
+        mu_plus = model.gamma_decomposition(symmetric).mu_plus
+        assert 1.0 / (symmetric.nu * mu_plus) - 1.0 == pytest.approx(a_max(symmetric), rel=1e-14)
+
+    def test_a_vanishing_mu_plus_admits_every_damping(self):
+        """At theta < 0 and sigma 1e-10, mu_+ rounds to 0; the product form of
+        the damping rule admits a and the truncated integral prices."""
+        params = VgParams(sigma=1e-10, nu=0.3, theta=-0.1)
+        assert model.gamma_decomposition(params).mu_plus == 0.0
+        market = MarketInputs(spot=100.0, strike=100.0, rate=0.0, tau=1.0)
+        result = carr_madan_european(params, market, FourierConfig(u_max=100.0))
+        assert result.value == 2.1003622144729017
+
+    @pytest.mark.parametrize("theta", [0.1, -0.1])
+    def test_a_vanishing_gamma_rate_is_a_typed_error_on_the_contour(self, theta):
+        params = VgParams(sigma=1e-10, nu=0.3, theta=theta)
+        market = MarketInputs(spot=100.0, strike=100.0, rate=0.0, tau=1.0)
+        with pytest.raises(InvalidParameters, match="finite u_max"):
+            carr_madan_european(params, market)
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,19 @@ class TestParams:
         with pytest.raises(InvalidParameters, match="martingale adjustment undefined"):
             VgParams(sigma=0.2, nu=0.85, theta=1.2)
 
+    @pytest.mark.parametrize("build", [
+        lambda: VgParams(sigma=1e-170, nu=0.3),
+        lambda: MarketInputs(spot=100.0, strike=0.0, rate=0.0, tau=1.0),
+        lambda: MarketInputs(spot=100.0, strike=100.0, rate=0.0, tau=1.0, trigger_strike=0.0),
+    ], ids=["sigma-squared-nu-underflows", "zero-strike", "zero-trigger"])
+    def test_degenerate_inputs_rejected(self, build):
+        with pytest.raises(InvalidParameters):
+            build()
+
+    def test_is_symmetric_reads_theta(self):
+        assert VgParams(0.2, 0.85).is_symmetric
+        assert not VgParams(0.2, 0.85, theta=0.1).is_symmetric
+
     def test_market_validation(self):
         with pytest.raises(InvalidParameters):
             MarketInputs(spot=-1.0, strike=100.0, rate=0.0, tau=1.0)
@@ -136,6 +149,10 @@ class TestDensity:
             assert density(bench_params, x, t) == pytest.approx(
                 mixture_density(bench_params, x, t), abs=1e-8
             )
+
+    def test_far_tail_underflows_to_zero(self, bench_params):
+        """At x = 100, t = 0.1 kv underflows to 0, and so does the density."""
+        assert density(bench_params, 100.0, 0.1) == 0.0
 
     def test_tiny_argument_meets_the_origin_limit(self, bench_params):
         """At x = 1e-30 the Bessel factor is about 1e30 (K_1(z) ~ 1/z); the
@@ -325,6 +342,14 @@ class TestCharacteristicFunction:
         # far enough up the imaginary axis the base becomes a negative real
         with pytest.raises(BranchCutError):
             characteristic_fn(bench_params, 9.0j, 1.0)
+
+    @pytest.mark.parametrize("u, t, error", [
+        (1.0, 0.0, InvalidParameters),
+        (np.array([0.0, 10j]), 1.0, BranchCutError),
+    ], ids=["zero-horizon", "array-point-on-the-cut"])
+    def test_domain_errors(self, bench_params, u, t, error):
+        with pytest.raises(error):
+            characteristic_fn(bench_params, u, t)
 
     def test_fourier_inversion_recovers_density(self, bench_params):
         t = 2.0

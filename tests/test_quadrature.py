@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from vgpricer import quadrature, specfun
+from vgpricer.errors import InvalidParameters
 from vgpricer.model import VgParams, density, martingale_adjustment
 from vgpricer.quadrature import gl_density, gl_european, gl_omega, gl_weights
 from vgpricer.reference import load_reference
@@ -22,6 +23,15 @@ class TestMixtureWeights:
         gl = gl_weights(n, shape)
         assert np.all(gl.p_weights >= 0.0)
         assert gl.p_weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("call", [
+        lambda params: gl_weights(5, 0.0),
+        lambda params: gl_density(params, 0.1, 0.0, 5),
+        lambda params: gl_omega(params, 0.0, 5),
+    ], ids=["gl_weights", "gl_density", "gl_omega"])
+    def test_nonpositive_shape_or_horizon_rejected(self, bench_params, call):
+        with pytest.raises(InvalidParameters):
+            call(bench_params)
 
     def test_order_one_degenerates(self):
         gl = gl_weights(1, 3.7)

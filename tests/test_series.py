@@ -230,6 +230,15 @@ class TestDiagnostics:
             tails.append(result.truncation_estimate)
         assert tails[0] > tails[1] > tails[2]
 
+    def test_an_early_stop_claims_no_convergence(self, bench_params):
+        """Under tail_tol 0.01 the stop rule ends the sum after 91 terms with a
+        tail above 1e-6 |value|; _finalize raises, and its result says so."""
+        market = make_market(3000.0, 0.5)
+        with pytest.raises(NonConvergenceError) as excinfo:
+            european(bench_params, market, SeriesControl(tail_tol=0.01))
+        assert excinfo.value.result.terms_evaluated == 91
+        assert excinfo.value.result.diagnostics["converged"] is False
+
     def test_non_convergence_carries_partial_result(self, bench_params):
         with pytest.raises(NonConvergenceError) as excinfo:
             asset_or_nothing(bench_params, make_market(3000.0, 2.0), SeriesControl(max_order=3))
@@ -323,6 +332,14 @@ class TestAtmForward:
         with pytest.raises(InvalidParameters):
             european_atmf(bench_params, make_market(4200.0, 2.0))
 
+    def test_rejects_a_moneyness_that_rounds_to_zero(self):
+        """At sigma 1e-160 and tau 1e-5, -sigma^2 tau / 2 rounds to 0, and the
+        series needs -moneyness/volatility > 0."""
+        params = VgParams(sigma=1e-160, nu=1.0)
+        market = MarketInputs(spot=100.0, strike=100.0, rate=0.0, tau=1e-5)
+        with pytest.raises(InvalidParameters, match="moneyness"):
+            european_atmf(params, market)
+
     def test_implied_vol_round_trip(self, bench_params):
         spot = 4000.0 * math.exp(-0.02)
         market = make_market(spot, 2.0)
@@ -354,6 +371,10 @@ class TestAtmForward:
             implied_atmf_vol(-1.0, 4000.0, 1.0, 0.85)
         with pytest.raises(InvalidParameters):
             implied_atmf_vol(100.0, 4000.0, 0.0, 0.85)
+        with pytest.raises(InvalidParameters):
+            implied_atmf_vol(100.0, 0.0, 1.0, 0.85)
+        with pytest.raises(InvalidParameters):
+            implied_atmf_vol(100.0, 4000.0, 1.0, 0.0)
 
 
 class TestGap:
@@ -512,6 +533,13 @@ class TestAsymmetricDigital:
     def test_zero_drift_rejected(self, bench_params):
         with pytest.raises(InvalidParameters):
             asym_cash_or_nothing(bench_params, make_market(4200.0, 2.0))
+
+    def test_a_drift_ratio_that_rounds_to_zero_prices(self):
+        """theta = 5e-324 over sigma^2 = 4 rounds to 0, so the single series'
+        powers theta_sigma^n have a zero base (0^0 = 1)."""
+        params = VgParams(sigma=2.0, nu=0.1, theta=5e-324)
+        market = MarketInputs(spot=100.0, strike=110.0, rate=0.0, tau=1.03)
+        assert asym_cash_or_nothing(params, market).value == 0.11489760080858213
 
     def test_atm_branch(self):
         params = base_params(0.1)
@@ -939,6 +967,7 @@ def _scan_draws(draw):
         "rate": draw(st.sampled_from([0.0, 0.02])),
         "power": draw(st.floats(1.0, 2.0)),
         "max_order": draw(st.sampled_from([25, 60, 200])),
+        "tail_tol": draw(st.sampled_from([1e-10, 1e-2])),
         "alpha_policy": draw(st.sampled_from(["error", "nudge"])),
     }
 
@@ -947,7 +976,7 @@ def _scan_example(pricer, sigma, nu, tau, strike, rate, theta=0.0, power=1.0, ma
     return {
         "pricer": pricer, "sigma": sigma, "nu": nu, "theta": theta, "tau": tau,
         "strike": strike, "rate": rate, "power": power, "max_order": max_order,
-        "alpha_policy": "error",
+        "tail_tol": 1e-10, "alpha_policy": "error",
     }
 
 
@@ -969,11 +998,15 @@ class TestFinitePrices:
     ))
     def test_a_price_is_finite_or_a_typed_error(self, inputs):
         """Every series pricer returns a finite value and tail, or raises a
-        VgError; a raw numpy RuntimeWarning fails the test too."""
+        VgError; a raw numpy RuntimeWarning fails the test too.  converged is
+        True on every returned price and False on every NonConvergenceError."""
         pricer = inputs["pricer"]
         theta = inputs["theta"] if pricer == "asym_cash_or_nothing" else 0.0
         extra = {"trigger_strike": 1.05 * inputs["strike"]} if pricer == "gap" else {}
-        ctrl = SeriesControl(max_order=inputs["max_order"], alpha_policy=inputs["alpha_policy"])
+        ctrl = SeriesControl(
+            max_order=inputs["max_order"], tail_tol=inputs["tail_tol"],
+            alpha_policy=inputs["alpha_policy"],
+        )
         try:
             # the parameters themselves may be out of the model's domain
             params = VgParams(sigma=inputs["sigma"], nu=inputs["nu"], theta=theta)
@@ -982,9 +1015,13 @@ class TestFinitePrices:
                 power=inputs["power"] if pricer == "power_asset_or_nothing" else 1.0, **extra,
             )
             result = _SERIES_PRICERS[pricer](params, market, ctrl)
+        except NonConvergenceError as err:
+            assert err.result.diagnostics["converged"] is False
+            return
         except VgError:
             return
         assert math.isfinite(result.value) and math.isfinite(result.truncation_estimate)
+        assert result.diagnostics["converged"] is True
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,10 @@ class TestLogGamma:
         with pytest.raises(PoleError):
             log_gamma(x)
 
+    def test_nan_rejected(self):
+        with pytest.raises(InvalidParameters, match="NaN"):
+            log_gamma(math.nan)
+
 
 class TestSignedLogGammaKernel:
     """specfun._log_gamma_signed, which the series take their coefficients from."""
@@ -180,6 +184,10 @@ class TestBesselK:
             bessel_k(1.0, 0.0)
         with pytest.raises(InvalidParameters):
             bessel_k(1.0, -2.0)
+
+    def test_overflow_reported(self):
+        with pytest.raises(GammaOverflowError):
+            bessel_k(200.0, 1e-10)
 
     def test_large_argument_underflows_to_zero(self):
         assert 0.0 <= bessel_k(0.3, 705.0) < 1e-300
@@ -349,6 +357,11 @@ class TestLaguerreRule:
         for array in (second.nodes, second.weights):
             with pytest.raises(ValueError):
                 array[0] = 1.0
+
+    def test_rule_arrays_must_match_the_order(self):
+        rule = laguerre_rule(3)
+        with pytest.raises(InvalidParameters):
+            specfun.QuadratureRule(order=4, nodes=rule.nodes, weights=rule.weights)
 
     @pytest.mark.parametrize("n", [0, -3, 65, 2.5])
     def test_order_bounds(self, n):
