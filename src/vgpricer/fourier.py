@@ -55,7 +55,7 @@ from typing import Optional
 import numpy as np
 
 from . import model
-from .errors import DampingOutOfRangeError, InvalidParameters
+from .errors import DampingOutOfRangeError, InvalidParameters, NonConvergenceError
 from .model import MarketInputs, PriceResult, VgParams
 
 __all__ = [
@@ -268,7 +268,8 @@ def _contour_integral(
 
 def _result(value, truncation, bounds, evals, tolerance_met, derived, floor=0.0, **extra):
     """A Fourier PriceResult; a value outside its no-arbitrage bounds is flagged, not changed,
-    unless it is within its rounding floor of them: then it is set to the bound it crossed."""
+    unless it is within its rounding floor of them: then it is set to the bound it crossed.
+    A value that is not finite raises NonConvergenceError carrying the result."""
     lower, upper = bounds
     if lower - floor <= value <= upper + floor:
         value = min(max(value, lower), upper)
@@ -283,7 +284,7 @@ def _result(value, truncation, bounds, evals, tolerance_met, derived, floor=0.0,
     diagnostics = {"tolerance_met": tolerance_met, **extra}
     if warnings:
         diagnostics["warning"] = "; ".join(warnings)
-    return PriceResult(
+    result = PriceResult(
         value=value,
         method="fourier",
         terms_evaluated=evals,
@@ -291,6 +292,9 @@ def _result(value, truncation, bounds, evals, tolerance_met, derived, floor=0.0,
         branch=derived.branch,
         diagnostics=diagnostics,
     )
+    if not math.isfinite(value):
+        raise NonConvergenceError(f"fourier value {value} is not finite", result=result)
+    return result
 
 
 def _branch_points(params: VgParams) -> tuple[float, float]:
@@ -416,7 +420,8 @@ def carr_madan_european(
 
         def F(xi):
             log_phi = model._log_characteristic_fn(params, xi, tau)
-            return np.exp(log_phi - 1j * xi * x1) / (-xi * (xi + 1j))
+            with np.errstate(over="ignore", invalid="ignore"):  # sigma < 1e-153: _result raises
+                return np.exp(log_phi - 1j * xi * x1) / (-xi * (xi + 1j))
 
         eta_minus, eta_plus = _branch_points(params)
         if x1 < 0.0:

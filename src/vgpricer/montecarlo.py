@@ -13,9 +13,14 @@ maturities routinely give t/nu.
 Strike, spot and rate enter only after the increments, so the payoffs and
 strikes of one contract share them: a request of up to 2^18 path units keeps
 its (theta G, sigma sqrt(G) Z) pairs, read-only, in a one-entry memo keyed by
-(seed, shape, n_units, nu, sigma, theta) and theta's sign.  Each price adds
-its drift to them.  A sweep over sigma, theta or nu at a fixed seed and shape
-draws again.
+(seed, shape, n_units, nu, sigma, theta) and theta's sign.  The entry also
+keeps, read-only, the terminal prices S_T last made from them (one float64 per
+path unit, two when antithetic), keyed by (drift, spot, antithetic), so a
+payoff or strike of the same contract only evaluates, discounts and averages;
+a new spot or rate makes new S_T, and a sweep over sigma, theta or nu draws
+again.  Up to 2^18 units the samples go to a buffer kept per thread, and the
+standard error is taken in place on it; no price writes what another thread
+reads, so mc_price may run in several threads at once.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,9 +40,10 @@ from .model import MarketInputs, VgParams
 __all__ = ["McConfig", "McEstimate", "sample_vg", "mc_price", "PAYOFF_NAMES"]
 
 _CHUNK = 1 << 20
-_MEMO_UNITS = 1 << 18  # 4 MB of draws per memo entry
+_MEMO_UNITS = 1 << 18  # 4 MB of draws and 2 or 4 MB of S_T per memo entry
 _MAX_PATHS = 1 << 27
 _Z95 = 1.96
+_local = threading.local()  # buffer: mc_price's samples, reused up to _MEMO_UNITS
 
 PAYOFF_NAMES = (
     "european",
@@ -88,11 +95,21 @@ class McEstimate:
 
     @classmethod
     def from_samples(cls, samples: np.ndarray) -> "McEstimate":
-        value = float(samples.mean())
-        if samples.size > 1:
-            std_error = float(samples.std(ddof=1) / math.sqrt(samples.size))
-        else:
-            std_error = 0.0
+        """The estimate of samples, read as float64 and left as they are."""
+        return cls._from_scratch(np.array(samples, dtype=np.float64))
+
+    @classmethod
+    def _from_scratch(cls, samples: np.ndarray) -> "McEstimate":
+        """samples.mean() and samples.std(ddof=1) / sqrt(n) to the bit, in numpy's own
+        steps (_var), but squaring the deviations in place over the float64 samples."""
+        n = samples.size
+        mean = np.add.reduce(samples, axis=None, keepdims=True)
+        mean /= n
+        value = mean.item()
+        std_error = 0.0
+        if n > 1:
+            np.square(np.subtract(samples, mean, out=samples), out=samples)
+            std_error = math.sqrt(np.add.reduce(samples, axis=None).item() / (n - 1)) / math.sqrt(n)
         ci_low = value - _Z95 * std_error
         ci_high = value + _Z95 * std_error
         ratio = (ci_high - ci_low) / abs(value) if value != 0.0 else 0.0
@@ -112,17 +129,6 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 
-def _increment_chunk(
-    rng: np.random.Generator, shape: float, m: int, nu: float, sigma: float, theta: float
-) -> tuple:
-    clock = _gamma_marsaglia_tsang(rng, shape, m)
-    clock *= nu
-    diffusion = np.sqrt(clock)
-    diffusion *= sigma
-    diffusion *= rng.standard_normal(m)
-    return np.multiply(clock, theta, out=clock), diffusion
-
-
 def _draw_increments(
     seed: int, shape: float, n_units: int, nu: float, sigma: float, theta: float
 ):
@@ -130,8 +136,14 @@ def _draw_increments(
     _rng(seed), one per chunk of at most _CHUNK units, the clock block drawn
     first."""
     rng = _rng(seed)
-    sizes = (min(_CHUNK, n_units - start) for start in range(0, n_units, _CHUNK))
-    return (_increment_chunk(rng, shape, m, nu, sigma, theta) for m in sizes)
+    for start in range(0, n_units, _CHUNK):
+        m = min(_CHUNK, n_units - start)
+        clock = _gamma_marsaglia_tsang(rng, shape, m)
+        clock *= nu
+        diffusion = np.sqrt(clock)
+        diffusion *= sigma
+        diffusion *= rng.standard_normal(m)
+        yield np.multiply(clock, theta, out=clock), diffusion
 
 
 def _increments(seed: int, shape: float, n_units: int, nu: float, sigma: float, theta: float):
@@ -142,14 +154,23 @@ def _increments(seed: int, shape: float, n_units: int, nu: float, sigma: float, 
     return _draw_increments(seed, shape, n_units, nu, sigma, theta)
 
 
-@functools.lru_cache(maxsize=1)
-def _memo_increments(
-    seed: int, shape: float, n_units: int, nu: float, sigma: float, theta: float, theta_sign: float
-) -> tuple:
-    chunks = tuple(_draw_increments(seed, shape, n_units, nu, sigma, theta))
+class _Draw(tuple):
+    """Increment chunks, with terminal = (key, terminal price chunks) last made from them."""
+
+    terminal = (None, ())
+
+
+def _read_only(chunks: tuple) -> tuple:
     for array in itertools.chain.from_iterable(chunks):
         array.flags.writeable = False
     return chunks
+
+
+@functools.lru_cache(maxsize=1)
+def _memo_increments(
+    seed: int, shape: float, n_units: int, nu: float, sigma: float, theta: float, theta_sign: float
+) -> _Draw:
+    return _Draw(_read_only(tuple(_draw_increments(seed, shape, n_units, nu, sigma, theta))))
 
 
 def sample_vg(params: VgParams, t: float, n: int, seed: int) -> np.ndarray:
@@ -195,6 +216,41 @@ def _terminal_payoff(
     raise InvalidParameters(f"unknown payoff {payoff!r}; expected one of {PAYOFF_NAMES}")
 
 
+def _terminal_prices(chunks, drift: float, spot: float, antithetic: bool):
+    """Per increment chunk, S exp((theta G + sigma sqrt(G) Z) + drift) and, when
+    antithetic, S exp((theta G + drift) - sigma sqrt(G) Z)."""
+    for shift, diffusion in chunks:
+        legs = [np.add(shift, diffusion)]
+        legs[0] += drift
+        if antithetic:
+            legs.append(np.add(shift, drift))
+            legs[1] -= diffusion
+        yield tuple(np.multiply(np.exp(x, out=x), spot, out=x) for x in legs)
+
+
+def _terminal(chunks, drift: float, spot: float, antithetic: bool):
+    """_terminal_prices of the chunks; a memo entry's are made once per key and kept."""
+    if not isinstance(chunks, _Draw):
+        return _terminal_prices(chunks, drift, spot, antithetic)
+    key, kept = (drift, spot, antithetic), chunks.terminal  # one read: threads may replace it
+    if kept[0] != key:
+        prices = _read_only(tuple(_terminal_prices(chunks, drift, spot, antithetic)))
+        kept = chunks.terminal = (key, prices)
+    return kept[1]
+
+
+def _workspace(n_units: int, antithetic: bool) -> tuple:
+    """(samples, room for one chunk of the down leg's payoff): views of this
+    thread's kept buffer up to _MEMO_UNITS units, fresh arrays above."""
+    size = n_units + (min(n_units, _CHUNK) if antithetic else 0)
+    buffer = getattr(_local, "buffer", None)
+    if n_units > _MEMO_UNITS:
+        buffer = np.empty(size)
+    elif buffer is None or buffer.size < size:
+        buffer = _local.buffer = np.empty(size)
+    return buffer[:n_units], buffer[n_units:size]
+
+
 def mc_price(
     payoff: str, params: VgParams, market: MarketInputs, cfg: McConfig
 ) -> McEstimate:
@@ -209,21 +265,16 @@ def mc_price(
     discount = math.exp(-derived.rate_effective * tau)
     drift = (derived.rate_effective + derived.omega) * tau
     n_units = cfg.n_paths // 2 if cfg.antithetic else cfg.n_paths
-    samples = np.empty(n_units)
+    samples, spare = _workspace(n_units, cfg.antithetic)
     chunks = _increments(cfg.seed, tau / params.nu, n_units, params.nu, params.sigma, params.theta)
-    for start, (shift, diffusion) in zip(range(0, n_units, _CHUNK), chunks):
-        x_up = np.add(shift, diffusion)
-        x_up += drift
-        s_t = np.multiply(np.exp(x_up, out=x_up), market.spot, out=x_up)
-        block = _terminal_payoff(payoff, s_t, market, samples[start : start + shift.size])
+    prices = _terminal(chunks, drift, market.spot, cfg.antithetic)
+    for start, legs in zip(range(0, n_units, _CHUNK), prices):
+        m = legs[0].size
+        block = _terminal_payoff(payoff, legs[0], market, samples[start : start + m])
         block *= discount
         if cfg.antithetic:
-            x_dn = np.add(shift, drift)
-            x_dn -= diffusion
-            s_t_dn = np.multiply(np.exp(x_dn, out=x_dn), market.spot, out=x_dn)
-            # s_t is spent, so the down leg's payoff takes its place
-            down = _terminal_payoff(payoff, s_t_dn, market, s_t)
+            down = _terminal_payoff(payoff, legs[1], market, spare[:m])
             down *= discount
             block += down
             block *= 0.5
-    return McEstimate.from_samples(samples)
+    return McEstimate._from_scratch(samples)

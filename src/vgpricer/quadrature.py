@@ -81,7 +81,10 @@ def _gl_omega(params: VgParams, t: float, gl: GlWeights) -> float:
     theta nu + sigma^2 nu / 2 < 1, so no exponent exceeds the largest node, 234.8."""
     u = gl.rule.nodes
     exponents = params.theta * params.nu * u + 0.5 * params.sigma**2 * params.nu * u
-    return -math.log(float(np.sum(gl.p_weights * np.exp(exponents)))) / t
+    total = float(np.sum(gl.p_weights * np.exp(exponents)))
+    if total == 0.0:  # a large negative theta
+        raise InvalidParameters("every exp((theta nu + sigma^2 nu / 2) u_i) underflows to 0")
+    return -math.log(total) / t
 
 
 def gl_european(params: VgParams, market: MarketInputs, n: int) -> PriceResult:

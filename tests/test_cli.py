@@ -150,6 +150,32 @@ class TestPriceCommand:
         (line,) = err.splitlines()
         assert (code, json.loads(line)["type"], out) == (2, "InvalidParameters", "")
 
+    def test_an_underflowing_martingale_adjustment_is_a_domain_error(self, capsys):
+        """At theta = -1e6 every Gauss-Laguerre term of the martingale
+        adjustment underflows to 0; this ended in a math domain error
+        traceback and exits 2 with one InvalidParameters line naming it."""
+        code, out, err = run_cli(
+            capsys, "price", "--payoff", "european", "--method", "quadrature", "--spot", "100",
+            "--strike", "100", "--tau", "1", "--sigma", "0.2", "--nu", "0.3", "--theta=-1e6",
+        )
+        (line,) = err.splitlines()
+        record = json.loads(line)
+        assert (code, record["type"], out) == (2, "InvalidParameters", "")
+        assert "underflows" in record["error"]
+
+    @pytest.mark.parametrize("command", [("price", "--method", "fourier"), ("bench",)])
+    def test_a_fourier_price_that_is_not_finite_is_an_error(self, capsys, command):
+        """At sigma 4e-154 the contour's call integrand overflows to NaN, which
+        printed "value": NaN with exit 0 and two raw RuntimeWarnings; it exits
+        3 with one NonConvergenceError line, while sigma 1e-150 still prices."""
+        contract = ("--payoff", "european", "--spot", "100", "--strike", "100", "--tau", "1",
+                    "--nu", "0.3")
+        code, out, err = run_cli(capsys, *command, *contract, "--sigma", "4e-154")
+        (line,) = err.splitlines()
+        assert (code, json.loads(line)["type"], out) == (3, "NonConvergenceError", "")
+        code, out, err = run_cli(capsys, *command, *contract, "--sigma", "1e-150")
+        assert (code, err) == (0, "") and "NaN" not in out
+
     def test_out_of_bounds_fourier_price_is_flagged_not_raised(self, capsys):
         """The u_max truncation drives this Lewis cash digital below zero; the
         price is still printed, with exit code 0, so `--method all` keeps the

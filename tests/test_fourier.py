@@ -455,6 +455,18 @@ class TestContour:
         with pytest.raises(InvalidParameters, match="finite u_max"):
             carr_madan_european(params, market)
 
+    def test_a_price_that_is_not_finite_raises_with_its_result(self):
+        """At sigma 4e-154 |xi|^2 overflows on the contour and the call sums
+        to NaN: it raises, with the result attached, and warns nothing."""
+        params = VgParams(sigma=4e-154, nu=0.3)
+        market = MarketInputs(spot=100.0, strike=100.0, rate=0.0, tau=1.0)
+        with pytest.raises(NonConvergenceError, match="not finite") as caught:
+            carr_madan_european(params, market)
+        result = caught.value.result
+        assert math.isnan(result.value) and result.diagnostics["tolerance_met"] is False
+        small = carr_madan_european(VgParams(sigma=1e-150, nu=0.3), market)
+        assert math.isfinite(small.value) and small.diagnostics["tolerance_met"] is True
+
 
 # ---------------------------------------------------------------------------
 # bit-identity golden file

@@ -3,6 +3,8 @@
 import csv
 import hashlib
 import math
+import sys
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -438,6 +440,175 @@ class TestDrawMemoProperty:
         assert montecarlo._memo_increments.cache_info() == before
         assert before.currsize == 1
 
+
+
+def _counting_terminal_prices():
+    """A patch that counts the calls that make terminal prices from increments."""
+    return mock.patch.object(
+        montecarlo, "_terminal_prices", side_effect=montecarlo._terminal_prices
+    )
+
+
+def _in_new_thread(fn):
+    """fn() run in a thread of its own, which starts with no sample buffer."""
+    out = []
+    thread = threading.Thread(target=lambda: out.append(fn()))
+    thread.start()
+    thread.join()
+    (result,) = out
+    return result
+
+
+class TestSharedTerminalPrices:
+    @given(
+        tau=st.sampled_from(_MC_TAUS),
+        theta=_MC_THETAS,
+        antithetic=st.booleans(),
+        seed=st.integers(0, 2**64 - 1),
+        n_units=st.integers(1, 2000),
+        strikes=st.lists(_MC_STRIKES_DRAWN, min_size=2, max_size=3),
+        moved=st.sampled_from(("spot", "rate")),
+    )
+    def test_every_payoff_and_strike_prices_from_one_set_of_terminal_prices(
+        self, tau, theta, antithetic, seed, n_units, strikes, moved
+    ):
+        """Warm prices equal their cold prices to the bit for every payoff and
+        strike of one contract, which makes its terminal prices once; another
+        spot or rate makes its own from the same increments and prices as it
+        does cold; the kept terminal prices cannot be written in place."""
+        n_paths = 2 * n_units if antithetic else n_units
+        case = dict(tau=tau, theta=theta, antithetic=antithetic, seed=seed, n_paths=n_paths)
+        moved_case = {**case, moved: {"spot": 95.0, "rate": 0.04}[moved]}
+        prices = [
+            (contract, payoff, strike)
+            for contract in (case, moved_case)
+            for payoff in montecarlo.PAYOFF_NAMES
+            for strike in strikes
+        ]
+        cold = {}
+        for contract, payoff, strike in prices:
+            montecarlo._memo_increments.cache_clear()
+            cold[id(contract), payoff, strike] = _estimate_hex(payoff, strike=strike, **contract)
+        montecarlo._memo_increments.cache_clear()
+        with _counting_terminal_prices() as made:
+            for contract, payoff, strike in prices:
+                warm = _estimate_hex(payoff, strike=strike, **contract)
+                assert warm == cold[id(contract), payoff, strike]
+        assert made.call_count == 2
+        info = montecarlo._memo_increments.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+        draw = montecarlo._memo_increments(
+            seed, tau / _MC_NU, n_units, _MC_NU, 0.2, theta, math.copysign(1.0, theta)
+        )
+        ((key, chunks),) = [draw.terminal]
+        assert key[2] is antithetic and len(chunks) == 1
+        ((*legs,),) = chunks
+        assert len(legs) == (2 if antithetic else 1)
+        for array in legs:
+            assert array.size == n_units
+            with pytest.raises(ValueError):
+                array *= 2.0
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    def test_prices_above_the_cap_make_their_terminal_prices_per_call(self):
+        """Above the memo cap nothing is kept, so every price makes its own."""
+        case = ("european", _MC_TAUS[1], -0.15, 100.0, True, 5, 2 * 40)
+        with mock.patch.object(montecarlo, "_MEMO_UNITS", 39), _counting_terminal_prices() as made:
+            first = _estimate_hex(*case)
+            assert _estimate_hex(*case) == first
+        assert made.call_count == 2
+        assert montecarlo._memo_increments.cache_info().currsize == 0
+
+    def test_threads_pricing_at_once_get_serial_bits(self):
+        """Four threads on two cores price two contracts at two spots or
+        rates each, so they evict each other's memo entry and replace each
+        other's terminal prices; each gets the bits of its prices made one at
+        a time, as long as no thread reads another's samples or prices."""
+        contract_a = dict(tau=0.5, theta=0.0, antithetic=False, seed=3, n_paths=40_000)
+        contract_b = dict(tau=2.5, theta=-0.15, antithetic=True, seed=11, n_paths=60_000)
+        work = [
+            [(payoff, strike, contract) for payoff in payoffs for strike in (90.0, 110.0)]
+            for payoffs, contract in (
+                (("european", "cash_or_nothing"), contract_a),
+                (("asset_or_nothing", "gap"), {**contract_a, "spot": 95.0}),
+                (("log_call", "european"), contract_b),
+                (("cash_or_nothing", "power_asset_or_nothing"), {**contract_b, "rate": 0.04}),
+            )
+        ]
+        serial = [
+            [_estimate_hex(payoff, strike=strike, **contract) for payoff, strike, contract in cases]
+            for cases in work
+        ]
+        start = threading.Barrier(len(work))
+        concurrent = [None] * len(work)
+
+        def run(index):
+            start.wait()
+            concurrent[index] = [
+                _estimate_hex(payoff, strike=strike, **contract)
+                for _ in range(3) for payoff, strike, contract in work[index]
+            ]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(index,)) for index in range(len(work))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert concurrent == [values * 3 for values in serial]
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    def test_a_price_above_the_cap_keeps_nothing_of_its_size(self, antithetic):
+        """A thread keeps a sample buffer only for prices within the memo cap,
+        so a price above it leaves neither a buffer nor a memo entry of its size."""
+        n_units = montecarlo._MEMO_UNITS + 1
+        market = MarketInputs(spot=100.0, strike=100.0, rate=0.02, tau=_MC_TAUS[1])
+        params = VgParams(sigma=0.2, nu=_MC_NU)
+
+        def price(n_units):
+            n_paths = 2 * n_units if antithetic else n_units
+            mc_price("european", params, market, McConfig(n_paths, seed=1, antithetic=antithetic))
+            return getattr(montecarlo._local, "buffer", None)
+
+        assert _in_new_thread(lambda: price(n_units)) is None
+        assert montecarlo._memo_increments.cache_info().currsize == 0
+        small = _in_new_thread(lambda: (price(1000), price(n_units))[1])
+        assert small.size == (2000 if antithetic else 1000)
+        before = montecarlo._memo_increments.cache_info()
+        montecarlo._memo_increments(1, _MC_TAUS[1] / _MC_NU, 1000, _MC_NU, 0.2, 0.0, 1.0)
+        after = montecarlo._memo_increments.cache_info()
+        assert (after.hits, after.misses, after.currsize) == (before.hits + 1, before.misses, 1)
+
+
+class TestEstimateInPlace:
+    @given(
+        n=st.integers(1, 5000),
+        kind=st.sampled_from(("gaussian", "indicator", "call")),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_numpy_mean_and_std_to_the_bit(self, n, kind, seed):
+        """The estimate taken in place is samples.mean() and samples.std(ddof=1)
+        over sqrt(n) to the bit; from_samples leaves its argument as it was."""
+        rng = np.random.default_rng(seed)
+        samples = rng.standard_normal(n) * 30.0 + 7.0
+        if kind == "indicator":
+            samples = (samples > 10.0).astype(np.float64)
+        elif kind == "call":
+            samples = np.maximum(samples, 0.0)
+        before = samples.copy()
+        estimate = McEstimate.from_samples(samples)
+        assert samples.tobytes() == before.tobytes()
+        std_error = float(samples.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+        assert (float.hex(estimate.value), float.hex(estimate.std_error)) == (
+            float.hex(float(samples.mean())), float.hex(std_error)
+        )
+        assert McEstimate._from_scratch(before) == estimate
 
 _VG_GOLDEN = Path(__file__).resolve().parent / "golden" / "sample_vg_values.csv"
 _VG_GOLDEN_FIELDS = ["t", "theta", "seed", "n", "first", "last", "sha256"]

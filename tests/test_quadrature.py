@@ -33,6 +33,16 @@ class TestMixtureWeights:
         with pytest.raises(InvalidParameters):
             call(bench_params)
 
+    @pytest.mark.parametrize("call", [
+        lambda params: gl_omega(params, 1.0, 15),
+        lambda params: gl_european(params, make_market(100.0, 1.0, strike=100.0), 15),
+    ], ids=["gl_omega", "gl_european"])
+    def test_an_underflowing_adjustment_is_invalid(self, call):
+        """At theta = -1e6 every exp((theta nu + sigma^2 nu / 2) u_i) rounds to
+        0, so the log of their weighted sum has no value."""
+        with pytest.raises(InvalidParameters, match="underflows"):
+            call(VgParams(sigma=0.2, nu=0.3, theta=-1e6))
+
     def test_order_one_degenerates(self):
         gl = gl_weights(1, 3.7)
         assert gl.p_weights == pytest.approx([1.0])
