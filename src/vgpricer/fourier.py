@@ -29,17 +29,15 @@ intrinsic value for a call.  Phi is taken in factored form
 contour.  The step halves until the change is below abs_tol, and that
 change, plus a rounding floor, is the truncation_estimate.
 
-An explicit finite u_max keeps the real-axis integral truncated there.  Its
-quadrature is composite 32-point Gauss-Legendre on graded panels.  The
-first panel resolves the e^{iuk} oscillation near the origin (width
-min(pi/(2|k| + 1), cap)); each next panel is 1.5x wider, up to four periods
-of e^{iuk}, since the integrands decay like a power of u.  Every pass splits
-all panels in two until the change is below abs_tol, and evaluates its nodes
-in bounded chunks.  The panels change only the quadrature: each price is the
-same integral truncated at u_max.  Its truncation_estimate adds what that
-integral drops, the tail past u_max and, for a digital, the head [0, 1e-10]
-below its first panel, to the last refinement's change, each times the
-price's scale over pi.
+An explicit finite u_max keeps the integral from 0 to u_max: the contour
+price minus the tail past u_max, times the price's scale over pi.  Every
+singularity of the integrands lies on the imaginary axis, so the tail turns
+onto the vertical ray from u_max, up when k_rn > 0 and down otherwise, where
+e^{-i xi x1} decays.  Near the money the ray decays only like a power, so it
+is integrated in a variable in which both decays are double-exponential, on
+Gauss-Legendre panels whose count does not grow with u_max.  The estimate
+adds the tail's size and the ray's last change; a ray short of abs_tol
+flags the price.
 
 Either way a price outside its no-arbitrage bounds by more than the
 contour's rounding floor is returned unchanged but with tolerance_met False
@@ -68,11 +66,13 @@ __all__ = [
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 _MAX_REFINEMENTS = 5
-_GROWTH = 1.5  # width ratio of consecutive panels
-_CAP_PERIODS = 4  # widest panel, in periods of e^{iuk}
 _CHUNK_NODES = 2**16
 _CHUNK_PANELS = _CHUNK_NODES // len(_GL_NODES)  # panels evaluated at once: at most 2^16 nodes
-_MAX_PANELS = 2**20  # first-pass panels at a finite u_max; the tables need at most 284
+_MAX_PANELS = 2**20  # ceiling on FourierConfig.panels
+_RAY_PANEL = 1.0  # widest first-pass tail panel: in u on the real line, in y on the ray
+_RAY_T_MAX = 1e150  # farthest point of the ray from U
+_LINE_PANELS = 2**12  # most first-pass panels on the real line before the ray
+_HALF_PI = 0.5 * math.pi
 _SQRT2 = math.sqrt(2.0)
 _STEP = 0.2  # first trapezoid step in y on the contour
 _Y_LIMIT = 600.0  # keeps b sinh(y) finite
@@ -85,11 +85,10 @@ class FourierConfig:
     """Integration controls: truncation point, panel floor, damping, tolerance.
 
     u_max = inf (the default) prices the untruncated integral on a deformed
-    contour; a finite u_max truncates the real-axis integral there.  panels
-    applies to the finite path only: it is a floor on the number of panels in
-    the first pass, where the graded layout alone needs from a few tens to a
-    few hundred at u_max = 1e4.  A finite price whose first pass would take
-    more than 2^20 panels raises InvalidParameters before anything is built.
+    contour; a finite u_max subtracts the integral's tail past u_max, taken
+    on a vertical ray.  panels, for a finite u_max only, floors the first
+    pass of the tail's Gauss-Legendre panels, about ten once u_max is past a
+    few branch-point distances; above 2^20 it raises InvalidParameters there.
     """
 
     u_max: float = math.inf
@@ -106,42 +105,13 @@ class FourierConfig:
             raise InvalidParameters(f"abs_tol must be positive, got {self.abs_tol!r}")
 
 
-def _graded_edges(
-    lo: float, hi: float, osc_scale: float, width_cap: float, floor: int
-) -> tuple[np.ndarray, int]:
-    """Panel edges on [lo, hi], each panel 1.5x wider than the one before, and
-    the splits of each interval that give the first pass at least floor panels.
-
-    The first panel resolves the oscillation near the origin; widths stop
-    growing at _CAP_PERIODS periods of e^{iuk}, and the rest of the range is
-    split evenly at that width.  Without oscillation (k = 0) they never stop.
-    A first pass of more than _MAX_PANELS panels is refused before the edges
-    are built: its cost grows linearly with hi.
-    """
-    width = min(math.pi / (2.0 * abs(osc_scale) + 1.0), width_cap)
-    cap = 2.0 * math.pi * _CAP_PERIODS / abs(osc_scale) if osc_scale else math.inf
-    edges = [lo]
-    while edges[-1] + width < hi and width < cap:
-        edges.append(edges[-1] + width)
-        width = min(_GROWTH * width, cap)
-    n_tail = max(1, math.ceil((hi - edges[-1]) / width))
-    intervals = len(edges) - 1 + n_tail
-    splits = -(-floor // intervals)
-    if splits * intervals > _MAX_PANELS:
-        raise InvalidParameters(
-            f"u_max = {hi!r} with panels = {floor} needs {splits * intervals} first-pass"
-            f" panels, more than 2^20 = {_MAX_PANELS}; lower u_max or panels"
-        )
-    return np.concatenate([edges[:-1], np.linspace(edges[-1], hi, n_tail + 1)]), splits
-
-
 def _panel_integral(f, edges: np.ndarray, splits: int, n_panels: int) -> float:
     """32-point Gauss-Legendre sum over n_panels panels.
 
     Each interval between consecutive edges is split into `splits` equal
     panels, n_panels = splits * (len(edges) - 1).  Nodes are built and
     evaluated _CHUNK_PANELS panels at a time, so memory stays bounded for
-    any u_max.  (vgbench/trace.py reads n_panels as positional argument 3.)
+    any panel count.  (vgbench/trace.py reads n_panels as positional argument 3.)
     """
     total = 0.0
     for first in range(0, n_panels, _CHUNK_PANELS):
@@ -154,23 +124,63 @@ def _panel_integral(f, edges: np.ndarray, splits: int, n_panels: int) -> float:
     return total
 
 
-def _integrate(g, k: float, lo: float, width_cap: float, decay: float, derived, cfg: FourierConfig):
-    """int_lo^u_max Re[e^{iuk} g(u)] du on graded panels, refined by splitting every panel in two.
+def _ray_tail(F, line: float, x1: float, decay: float, heights, near: float, cfg: FourierConfig):
+    """(1/pi) int_U^inf Re F(u + i line) du, U = u_max: on the real line to U0, then on a ray.
 
-    Returns the integral, the evaluation count, whether abs_tol was met, and
-    the size of what it leaves out: the last refinement's change, the head
-    [0, lo], about lo |f(lo)| (a digital's integrand tends to a constant
-    there), and the tail past u_max.  There the integrand oscillates like
-    e^{iu k_rn} and |g| falls like u^-decay; one integration by parts bounds
-    the tail by |g(u_max)| / |k_rn|, and near the money, where that diverges,
-    the power decay alone by |g(u_max)| u_max / (decay - 1).  The smaller of
-    the two is taken.
+    F's singularities lie on the imaginary axis, at the heights given, so
+    past U0 >= U the integral turns onto the ray xi = U0 + i line + i s t,
+    t >= 0, as -(s/pi) int_0^inf Im F(xi) dt, with s = 1 (up) when
+    x1 = -k_rn < 0 and -1 otherwise, where |e^{-i xi x1}| = e^{-|x1| t}.
+    From U0 >= near, twice the distance of Phi's nearer branch point, |Phi|
+    <= 1 on the ray; closer in it reaches (near / U)^(tau/nu) and cancels, so
+    [U, U0] stays on the real line, in at most _LINE_PANELS panels narrower
+    than _RAY_PANEL, a quarter period of e^{iu k_rn} and the nearest singularity.
+
+    |F| also falls like t^-(1 + decay) past R, the farthest height.  In y,
+    t = L exp((pi/2) sinh y), L = 1/(|x1| + 1/U0), both decays are double-
+    exponential; y runs from t = L e^-D to where e^{-|x1| t} or (R / t)^decay
+    is e^-D, D = ln(1/abs_tol) + 25, and t stops at _RAY_T_MAX.  What a ray cut
+    there drops, about |F| t / decay, is added to the change, and abs_tol is
+    not met.  A larger u_max is taken as _RAY_T_MAX: past it the integrand
+    is below 1/u and oscillates at rate |k_rn|, or falls like u^-2 at k_rn = 0.
+
+    32-point Gauss-Legendre panels, at least cfg.panels, are split in two
+    until the change is below abs_tol.  Returns the integral, its last
+    change, the evaluation count and whether abs_tol was met.
     """
+    if cfg.panels > _MAX_PANELS:
+        raise InvalidParameters(
+            f"u_max = {cfg.u_max!r} with panels = {cfg.panels} asks for more than"
+            f" 2^20 = {_MAX_PANELS} first-pass panels; lower panels"
+        )
+    toward = 1.0 if x1 < 0.0 else -1.0
+    gaps = [abs(h - line) for h in heights if math.isfinite(h) and h != line]
+    u_lo = min(cfg.u_max, _RAY_T_MAX)
+    width = min(_RAY_PANEL, 0.5 * math.pi / abs(x1) if x1 else math.inf, *gaps)
+    n_line = min(math.ceil(max(0.0, near - u_lo) / width), _LINE_PANELS)
+    u0 = u_lo + n_line * width
+    length = 1.0 / (abs(x1) + 1.0 / u0)
+    log_drop = math.log(1.0 / cfg.abs_tol) + 25.0
+    z_end = max(0.0, math.log(max(gaps) / length)) + log_drop / decay
+    if x1:
+        z_end = min(z_end, math.log(log_drop / (abs(x1) * length)))
+    z_cap = math.log(_RAY_T_MAX / length)
+    y_lo, y_hi = -math.asinh(log_drop / _HALF_PI), math.asinh(min(z_end, z_cap) / _HALF_PI)
+    ray_edges = np.linspace(0.0, y_hi - y_lo, math.ceil((y_hi - y_lo) / _RAY_PANEL) + 1)
+    edges = np.concatenate([width * np.arange(-n_line, 0), ray_edges])
 
-    def f(u):
-        return np.real(np.exp(1j * u * k) * g(u))
+    def f(p):
+        """Re F(u0 + p + i line) for p < 0, then the ray at y = y_lo + p."""
+        values = np.empty_like(p)
+        on_line = p < 0.0
+        values[on_line] = F(u0 + p[on_line] + 1j * line).real / math.pi
+        y = y_lo + p[~on_line]
+        t = length * np.exp(_HALF_PI * np.sinh(y))
+        ray = F(u0 + 1j * (line + toward * t)).imag * t * _HALF_PI * np.cosh(y)
+        values[~on_line] = (-toward / math.pi) * ray
+        return values
 
-    edges, splits = _graded_edges(lo, cfg.u_max, k, width_cap, cfg.panels)
+    splits = -(-cfg.panels // (len(edges) - 1))
     n_panels = splits * (len(edges) - 1)
     value = _panel_integral(f, edges, splits, n_panels)
     evals = n_panels * len(_GL_NODES)
@@ -183,13 +193,17 @@ def _integrate(g, k: float, lo: float, width_cap: float, decay: float, derived, 
         value = refined
         if change <= cfg.abs_tol:
             break
-    head = lo * float(abs(f(lo)))
-    tail = float(abs(g(cfg.u_max))) / max(abs(derived.rn_moneyness), (decay - 1.0) / cfg.u_max)
-    return value, evals, change <= cfg.abs_tol, change + head + tail
+    met = change <= cfg.abs_tol
+    if z_end > z_cap:
+        end = F(u0 + 1j * (line + toward * _RAY_T_MAX))
+        change += float(abs(end)) * _RAY_T_MAX / (decay * math.pi)
+        evals, met = evals + 1, False
+    return value, change, evals, met
 
 
 def _contour_integral(
-    F, pole, branch, decay, residue, scale, bounds, derived, cfg, apex=None, **extra
+    F, pole, branch, decay, residue, scale, bounds, derived, cfg, heights, near, apex=None,
+    line=0.0, **extra,
 ) -> PriceResult:
     """The price scale (residue + (1/2pi) int F(xi) dxi), xi(y) = i w1 + b sinh(i w + y), y real.
 
@@ -218,14 +232,21 @@ def _contour_integral(
     The PriceResult counts the evaluations of F, and its truncation_estimate
     is the last change plus a rounding floor: _ROUNDING times the sum of the
     magnitudes added, within which a price past its bounds is clamped.
+
+    The integral is (1/pi) int_0^inf Re F(u + i line) du plus the residues
+    passed.  A finite u_max subtracts the part past u_max (_ray_tail) and adds
+    its size, by which the price differs from the untruncated one, and its
+    last change to the truncation_estimate.  There a Gamma rate that rounds
+    to 0 may put the branch at infinity: the apex is then searched from 1/2.
     """
     x1 = -derived.rn_moneyness
     evals = 0
-    if apex is None:
-        v = pole + 0.5 * (branch - pole) * np.geomspace(1.0, 1e-3, _APEX_GRID)
-        apex = float(v[np.argmin(np.abs(F(1j * v)))])
-        evals = _APEX_GRID
     toward = math.copysign(1.0, branch - pole)
+    if apex is None:
+        reach = branch - pole if math.isfinite(branch) else toward
+        v = pole + 0.5 * reach * np.geomspace(1.0, 1e-3, _APEX_GRID)
+        apex = float(v[np.argmin(np.abs(F(1j * v)))])
+        evals += _APEX_GRID
     b = min(_SQRT2 * abs(apex - pole), abs(branch - apex) / (1.0 - 1.0 / _SQRT2))
     w = toward * math.pi / 4.0
     w1 = apex - toward * b / _SQRT2
@@ -260,9 +281,14 @@ def _contour_integral(
         if change <= cfg.abs_tol:
             break
     floor = _ROUNDING * (abs(residue) + magnitude)
+    met = change <= cfg.abs_tol
+    if math.isfinite(cfg.u_max):
+        tail, tail_change, tail_evals, tail_met = _ray_tail(F, line, x1, decay, heights, near, cfg)
+        value, change = value - tail, change + abs(tail) + tail_change
+        evals, met = evals + tail_evals, met and tail_met
     return _result(
-        scale * (residue + value), scale * (change + floor), bounds, evals,
-        change <= cfg.abs_tol, derived, floor=scale * floor, u_max=cfg.u_max, **extra,
+        scale * (residue + value), scale * (change + floor), bounds, evals, met, derived,
+        floor=scale * floor, u_max=cfg.u_max, **extra,
     )
 
 
@@ -297,19 +323,22 @@ def _result(value, truncation, bounds, evals, tolerance_met, derived, floor=0.0,
     return result
 
 
-def _branch_points(params: VgParams) -> tuple[float, float]:
+def _branch_points(params: VgParams, cfg: FourierConfig) -> tuple[float, float]:
     """(eta_-, eta_+): Phi(xi) is analytic for eta_- < Im xi < eta_+.
 
     See model._log_characteristic_fn for the factored form they come from.
-    A rate that rounds to 0 leaves no branch point to place the contour by.
+    A rate that rounds to 0 puts its branch point at infinity: the untruncated
+    price refuses it, and a finite u_max prices it.
     """
     gd = model.gamma_decomposition(params)
-    if not (gd.mu_plus > 0.0 and gd.mu_minus > 0.0):
+    if math.isinf(cfg.u_max) and not (gd.mu_plus > 0.0 and gd.mu_minus > 0.0):
         raise InvalidParameters(
             f"Gamma rates mu_+ = {gd.mu_plus!r} and mu_- = {gd.mu_minus!r} must both be positive"
             " for the contour; pass a finite u_max"
         )
-    return -1.0 / (params.nu * gd.mu_plus), 1.0 / (params.nu * gd.mu_minus)
+    eta_minus = -1.0 / (params.nu * gd.mu_plus) if gd.mu_plus > 0.0 else -math.inf
+    eta_plus = 1.0 / (params.nu * gd.mu_minus) if gd.mu_minus > 0.0 else math.inf
+    return eta_minus, eta_plus
 
 
 def _digital(shift: float, params, market, cfg) -> PriceResult:
@@ -327,30 +356,18 @@ def _digital(shift: float, params, market, cfg) -> PriceResult:
     derived = model.derive(params, market)
     tau = market.tau
     scale = market.spot if shift else math.exp(-derived.rate_effective * tau)
-    decay = 2.0 * tau / params.nu
-    if math.isinf(cfg.u_max):
-        x1 = -derived.rn_moneyness
-        log_norm = shift * derived.omega * tau
+    x1 = -derived.rn_moneyness
+    log_norm = shift * derived.omega * tau
 
-        def F(xi):
-            log_psi = model._log_characteristic_fn(params, xi - 1j * shift, tau)
-            return np.exp(log_psi + log_norm - 1j * xi * x1) / (1j * xi)
+    def F(xi):
+        log_psi = model._log_characteristic_fn(params, xi - 1j * shift, tau)
+        return np.exp(log_psi + log_norm - 1j * xi * x1) / (1j * xi)
 
-        eta_minus, eta_plus = _branch_points(params)
-        branch, residue = (eta_plus + shift, 1.0) if x1 < 0.0 else (eta_minus + shift, 0.0)
-        return _contour_integral(F, 0.0, branch, decay, residue, scale, (0.0, scale), derived, cfg)
-
-    def g(u):
-        z = u - 1j * shift
-        phi = model.characteristic_fn(params, z, tau)
-        return np.exp(1j * z * tau * derived.omega) * phi / (1j * u)
-
-    integral, evals, ok, dropped = _integrate(
-        g, derived.log_fwd_moneyness, 1e-10, 2.0, 1.0 + decay, derived, cfg
-    )
-    return _result(
-        scale * (0.5 + integral / math.pi), scale * dropped / math.pi, (0.0, scale), evals, ok,
-        derived, u_max=cfg.u_max,
+    eta_minus, eta_plus = _branch_points(params, cfg)
+    branch, residue = (eta_plus + shift, 1.0) if x1 < 0.0 else (eta_minus + shift, 0.0)
+    return _contour_integral(
+        F, 0.0, branch, 2.0 * tau / params.nu, residue, scale, (0.0, scale), derived, cfg,
+        (eta_minus + shift, eta_plus + shift), 2.0 * min(-eta_minus, eta_plus),
     )
 
 
@@ -415,38 +432,20 @@ def carr_madan_european(
     discounted_strike = market.strike * math.exp(-derived.rate_effective * tau)
     intrinsic = market.spot - discounted_strike
     bounds = (max(0.0, intrinsic), market.spot)
-    if math.isinf(cfg.u_max):
-        x1 = -derived.rn_moneyness
+    x1 = -derived.rn_moneyness
 
-        def F(xi):
-            log_phi = model._log_characteristic_fn(params, xi, tau)
-            with np.errstate(over="ignore", invalid="ignore"):  # sigma < 1e-153: _result raises
-                return np.exp(log_phi - 1j * xi * x1) / (-xi * (xi + 1j))
+    def F(xi):
+        log_phi = model._log_characteristic_fn(params, xi, tau)
+        with np.errstate(over="ignore", invalid="ignore"):  # sigma < 1e-153: _result raises
+            return np.exp(log_phi - 1j * xi * x1) / (-xi * (xi + 1j))
 
-        eta_minus, eta_plus = _branch_points(params)
-        if x1 < 0.0:
-            pole, branch, residue, apex = 0.0, eta_plus, intrinsic / discounted_strike, None
-        else:
-            pole, branch, residue, apex = -1.0, eta_minus, 0.0, -(1.0 + a)
-        return _contour_integral(
-            F, pole, branch, 1.0 + 2.0 * tau / params.nu, residue, discounted_strike, bounds,
-            derived, cfg, apex, damping_a=a,
-        )
-
-    def g(u):
-        z = u - (a + 1.0) * 1j
-        denom = a * a + a - u * u + 1j * (2.0 * a + 1.0) * u
-        return model.characteristic_fn(params, z, tau) / denom
-
-    integral, evals, ok, dropped = _integrate(
-        g, derived.rn_moneyness, 0.0, 1.0, 2.0 + 2.0 * tau / params.nu, derived, cfg
-    )
-    scale = math.exp(
-        -a * math.log(market.strike)
-        - derived.rate_effective * tau
-        + (a + 1.0) * (math.log(market.spot) + (derived.rate_effective + derived.omega) * tau)
-    )
-    return _result(
-        scale * integral / math.pi, scale * dropped / math.pi, bounds, evals, ok, derived,
-        u_max=cfg.u_max, damping_a=a,
+    eta_minus, eta_plus = _branch_points(params, cfg)
+    if x1 < 0.0:
+        pole, branch, residue, apex = 0.0, eta_plus, intrinsic / discounted_strike, None
+    else:
+        pole, branch, residue, apex = -1.0, eta_minus, 0.0, -(1.0 + a)
+    return _contour_integral(
+        F, pole, branch, 1.0 + 2.0 * tau / params.nu, residue, discounted_strike, bounds,
+        derived, cfg, (eta_minus, -1.0, 0.0, eta_plus), 2.0 * min(-eta_minus, eta_plus), apex,
+        line=-(1.0 + a), damping_a=a,
     )

@@ -232,9 +232,7 @@ def compare_table(table_id: str, seed: int = 0) -> list[dict]:
     records = []
     for row in build_table(table_id, seed):
         for col_label, computed in row["cells"].items():
-            cell = reference.get((table_key, row["row_label"], col_label))
-            if cell is None:
-                continue
+            cell = reference[(table_key, row["row_label"], col_label)]
             records.append(
                 {
                     "table": table_key,

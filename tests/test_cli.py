@@ -680,23 +680,22 @@ class TestOutputPlumbing:
         assert json.loads(line)["type"] == "InvalidParameters"
         assert "n_paths" in json.loads(line)["error"]
 
-    def test_truncation_above_the_panel_ceiling_is_a_typed_error(self, capsys, monkeypatch):
-        """u_max = 1e12 would need about 4.6e9 first-pass panels (34 GiB of
-        edges): it exits 2 with one JSON line before anything is allocated."""
-
-        def no_allocation(*args, **kwargs):
-            raise AssertionError("the panel edges were built before the count was checked")
-
-        monkeypatch.setattr(np, "linspace", no_allocation)
-        code, out, err = run_cli(
-            capsys, "price", "--payoff", "european", "--method", "fourier", "--u-max", "1e12",
+    def test_far_truncation_prices_in_bounded_work(self, capsys):
+        """u_max = 1e7 and 1e12 price with exit 0 and no more evaluations than
+        at u_max = 1e4: the tail past u_max is taken on a vertical ray, whose
+        cost does not grow with u_max."""
+        contract = (
             "--spot", "100", "--strike", "110", "--tau", "1", "--sigma", "0.2", "--nu", "0.3",
         )
-        assert (code, out) == (2, "")
-        (line,) = err.splitlines()
-        error = json.loads(line)
-        assert error["type"] == "InvalidParameters"
-        assert "u_max" in error["error"] and "panels" in error["error"]
+        counts = []
+        for u_max in ("1e4", "1e7", "1e12"):
+            code, out, err = run_cli(
+                capsys, "price", "--payoff", "european", "--method", "fourier", "--u-max", u_max,
+                *contract,
+            )
+            assert (code, err) == (0, "")
+            counts.append(json.loads(out)["terms_evaluated"])
+        assert max(counts[1:]) <= counts[0]
 
     @pytest.mark.parametrize(
         "text, key",
@@ -992,7 +991,7 @@ class TestCliDigest:
         --digest` prints the hash; a change meant to move CLI bytes restates it."""
         count, sha256 = _cli_digest()
         assert count == 331
-        assert sha256 == "e225e1a1b87f710f59c74ab003b48fc9efa50badd2e7440156605555ab2136ec"
+        assert sha256 == "6a7438c854c9ac44e52fc22355e6d5f93e92ff668918ba8f0e047c3121d82715"
 
 
 if __name__ == "__main__":

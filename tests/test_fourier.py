@@ -55,16 +55,39 @@ def _lewis_cells(table: str):
     ]
 
 
-def _lewis_integral(params: VgParams, market, u_max: float, shift: float) -> float:
-    """Lewis digital integral truncated at u_max, evaluated from its definition.
+def _qawo_integral(psi, freq: float, u_max: float) -> float:
+    """int_0^u_max Re[e^{iu freq} psi(u)] du by QUADPACK, from its definition.
 
-    int_0^u_max Re[e^{iuk} e^{i z omega tau} Phi(z) / (iu)] du with z = u - i shift
-    (shift 0: cash digital, 1: asset digital) and Phi(z) = (1 - i theta nu z +
-    sigma^2 nu z^2/2)^{-tau/nu} the closed-form characteristic function.  The
-    phases combine to e^{iu k_rn}, which QUADPACK's QAWO cos/sin weights
-    handle on [1, u_max]; the 1/u factor is singular at 0, so the head
-    [1e-10, 1] integrates the regular product directly.  Nothing here shares
-    code with the engine's panel quadrature.
+    The head [0, min(1, u_max)] integrates the real part directly; past it, QAWO's
+    cos/sin weights take the oscillation on each decade [10^j, 10^(j+1)]
+    up to u_max, so no single interval hides the integrand's bulk near its
+    start.  Nothing here shares code with the engine's quadrature.
+    """
+
+    def head_integrand(u):
+        return (complex(math.cos(u * freq), math.sin(u * freq)) * psi(u)).real
+
+    total, _ = quad(head_integrand, 0.0, min(1.0, u_max), epsabs=1e-14, limit=200)
+    qawo = dict(wvar=freq, epsabs=1e-14, limit=4000)
+    lo = 1.0
+    while lo < u_max:
+        hi = min(10.0 * lo, u_max)
+        re, _ = quad(lambda u: psi(u).real, lo, hi, weight="cos", **qawo)
+        im, _ = quad(lambda u: psi(u).imag, lo, hi, weight="sin", **qawo)
+        total += re - im
+        lo = hi
+    return total
+
+
+def _lewis_price(params: VgParams, market, u_max: float, shift: float) -> float:
+    """Lewis digital truncated at u_max, evaluated from its definition.
+
+    scale (1/2 + (1/pi) int_0^u_max Re[e^{iuk} e^{i z omega tau} Phi(z) / (iu)] du)
+    with z = u - i shift (shift 0: cash digital, scale e^{-r tau}; 1: asset
+    digital, scale S) and Phi(z) = (1 - i theta nu z + sigma^2 nu z^2/2)^{-tau/nu}
+    the closed-form characteristic function.  The phases combine to
+    e^{iu k_rn}; the 1/u factor makes the integrand tend to a constant at 0,
+    which QUADPACK's head rule never evaluates.
     """
     sigma, nu, theta, tau = params.sigma, params.nu, params.theta, market.tau
     omega = math.log(1.0 - theta * nu - 0.5 * sigma**2 * nu) / nu
@@ -75,35 +98,90 @@ def _lewis_integral(params: VgParams, market, u_max: float, shift: float) -> flo
         phi = (1.0 - 1j * theta * nu * z + 0.5 * sigma**2 * nu * z * z) ** (-tau / nu)
         return math.exp(shift * omega * tau) * phi / (1j * u)
 
-    def head_integrand(u):
-        return (complex(math.cos(u * k_rn), math.sin(u * k_rn)) * psi(u)).real
+    scale = market.spot if shift else math.exp(-market.rate * tau)
+    return scale * (0.5 + _qawo_integral(psi, k_rn, u_max) / math.pi)
 
-    head, _ = quad(head_integrand, 1e-10, 1.0, epsabs=1e-14, limit=200)
-    qawo = dict(wvar=k_rn, epsabs=1e-14, limit=4000)
-    re, _ = quad(lambda u: psi(u).real, 1.0, u_max, weight="cos", **qawo)
-    im, _ = quad(lambda u: psi(u).imag, 1.0, u_max, weight="sin", **qawo)
-    return head + re - im
+
+def _call_price(params: VgParams, market, u_max: float, a: float = 1.0) -> float:
+    """The damped call's defining price at u_max:
+    e^{-a ln K - r tau + (a + 1) m}/pi int_0^u_max Re[e^{iu k_rn} Phi(u - (a+1)i)
+    / (a^2 + a - u^2 + i(2a+1)u)] du, m the mean log-forward."""
+    sigma, nu, theta, tau = params.sigma, params.nu, params.theta, market.tau
+    omega = math.log(1.0 - theta * nu - 0.5 * sigma**2 * nu) / nu
+    m = math.log(market.spot) + (market.rate + omega) * tau
+    log_k = math.log(market.strike)
+
+    def psi(u):
+        z = u - (a + 1.0) * 1j
+        phi = (1.0 - 1j * theta * nu * z + 0.5 * sigma**2 * nu * z * z) ** (-tau / nu)
+        return phi / (a * a + a - u * u + 1j * (2.0 * a + 1.0) * u)
+
+    scale = math.exp(-a * log_k - market.rate * tau + (a + 1.0) * m)
+    return scale * _qawo_integral(psi, m - log_k, u_max) / math.pi
+
+
+# the tables' ATM rows (k_rn = 0), S 4200 at one day and the negative cash digital
+_QAWO_CONTRACTS = (
+    *((VgParams(0.2, 0.85), tau, None) for tau in (2.0, 0.5)),
+    *((VgParams(0.2, 0.85, theta), 2.0, None) for theta in (0.1, -0.1)),
+    (VgParams(0.2, 0.85), 1 / 360, 4200.0),
+    (VgParams(0.2, 0.85), _NEGATIVE_DIGITAL["tau"], _NEGATIVE_DIGITAL["spot"]),
+)
 
 
 class TestGradedQuadrature:
+    """A finite u_max: the untruncated contour price minus the tail past
+    u_max, taken on a vertical ray."""
+
     def test_lewis_digitals_match_defining_integral(self, bench_params):
-        """Both Lewis digitals reproduce their truncated integral to 1e-9 on a
-        5-maturity x 6-spot grid, with at most 40,000 evaluations per price
-        (uniform width-2 panels took 480,000 or more at u_max = 1e4)."""
+        """Both Lewis digitals reproduce their truncated integral, from 0, to
+        1e-9 on a 5-maturity x 6-spot grid, with at most 40,000 evaluations
+        per price (uniform width-2 panels took 480,000 or more at u_max = 1e4)."""
         for tau in _GRID_TAUS:
             for spot in _GRID_SPOTS:
                 market = make_market(spot, tau)
-                discount = math.exp(-market.rate * tau)
                 cash = lewis_cash_or_nothing(bench_params, market, _TRUNCATED)
                 asset = lewis_asset_or_nothing(bench_params, market, _TRUNCATED)
-                cash_integral = _lewis_integral(bench_params, market, 1e4, 0.0)
-                asset_integral = _lewis_integral(bench_params, market, 1e4, 1.0)
-                defining_cash = discount * (0.5 + cash_integral / math.pi)
-                defining_asset = spot * (0.5 + asset_integral / math.pi)
-                assert abs(cash.value - defining_cash) <= 1e-9, (tau, spot)
-                assert abs(asset.value - defining_asset) <= 1e-9, (tau, spot)
+                cash_error = abs(cash.value - _lewis_price(bench_params, market, 1e4, 0.0))
+                asset_error = abs(asset.value - _lewis_price(bench_params, market, 1e4, 1.0))
+                assert cash_error <= 1e-9, (tau, spot)
+                assert asset_error <= 1e-9, (tau, spot)
                 assert cash.terms_evaluated <= 40_000, (tau, spot)
                 assert asset.terms_evaluated <= 40_000, (tau, spot)
+
+    @staticmethod
+    def _assert_matches_qawo(params, market, u_max, tol):
+        """Each pricer within its truncation_estimate + abs_tol and within tol
+        of QAWO's evaluation of the same truncated integral, none flagged for
+        abs_tol."""
+        cfg = FourierConfig(u_max=u_max)
+        for pricer, reference in (
+            (lewis_cash_or_nothing, _lewis_price(params, market, u_max, 0.0)),
+            (lewis_asset_or_nothing, _lewis_price(params, market, u_max, 1.0)),
+            (carr_madan_european, _call_price(params, market, u_max)),
+        ):
+            result = pricer(params, market, cfg)
+            error = abs(result.value - reference)
+            assert "abs_tol" not in result.diagnostics.get("warning", ""), (pricer, market)
+            assert error <= result.truncation_estimate + cfg.abs_tol, (pricer, market)
+            assert error <= tol, (pricer, market)
+
+    @pytest.mark.parametrize("u_max", [1e2, 1e4, 1e7])
+    def test_truncated_prices_match_qawo(self, u_max):
+        """The tables' ATM rows, S 4200 at one day and the negative cash
+        digital, each to 1e-9."""
+        for params, tau, spot in _QAWO_CONTRACTS:
+            market = make_market(atm_spot(params, tau) if spot is None else spot, tau)
+            self._assert_matches_qawo(params, market, u_max, 1e-9)
+
+    @pytest.mark.parametrize("u_max", [0.5, 10.0, 30.0])
+    def test_a_truncation_inside_the_branch_points_matches_qawo(self, u_max):
+        """At nu 0.01 the branch points of Phi sit at +-70, and tau/nu = 200:
+        a ray starting at u_max would pass them at distance u_max, where |Phi|
+        reaches (70 / u_max)^200.  Up to twice that distance the tail stays on
+        the real line, so every pricer still matches QAWO to 1e-9 S."""
+        market = MarketInputs(spot=160.0, strike=130.0, rate=0.0, tau=2.0)
+        self._assert_matches_qawo(VgParams(sigma=0.2, nu=0.01), market, u_max, 160e-9)
 
     def test_panel_floor(self, bench_params):
         market = make_market(4200.0, 0.5)
@@ -116,7 +194,7 @@ class TestGradedQuadrature:
 
     def test_memory_bounded_for_large_truncation(self, bench_params):
         """Nodes are evaluated in bounded chunks: a 3e5 truncation point
-        (about 5e5 nodes in its last pass) stays under 16 MB."""
+        stays under 16 MB."""
         market = make_market(**_NEGATIVE_DIGITAL)
         tracemalloc.start()
         try:
@@ -152,16 +230,17 @@ class TestFourierDiagnostics:
         assert error == pytest.approx(3.31e-5, abs=5e-8)
         assert error <= lewis.truncation_estimate < 1.1 * error
 
-    def test_truncation_estimate_covers_the_skipped_head(self, bench_params):
+    def test_the_head_from_zero_is_priced(self, bench_params):
         """At S 2000, tau 2 the asset digital's integrand tends to about -0.63
-        at u = 0, so the head [0, 1e-10] the panels start after is worth
-        -4.0e-8 of the price: the estimate must cover it."""
+        at u = 0, so a head [0, 1e-10] is worth -4.0e-8 of the price.  The
+        truncated integral starts at 0: the price is within 1e-9 of the series
+        (whose tail past u_max = 1e4 is below 1e-15 here) and of its estimate."""
         market = make_market(2000.0, 2.0)
         lewis = lewis_asset_or_nothing(bench_params, market, _TRUNCATED)
         series_value = asset_or_nothing(bench_params, market, SeriesControl(max_order=120)).value
         error = abs(lewis.value - series_value)
-        assert error == pytest.approx(3.99e-8, abs=1e-10)
-        assert error <= lewis.truncation_estimate < 1.1 * error
+        assert error <= 1e-9
+        assert error <= lewis.truncation_estimate
 
     def test_truncation_estimate_reported_by_every_integrand(self, bench_params):
         market = make_market(3000.0, 1 / 12)
@@ -189,6 +268,24 @@ class TestFourierDiagnostics:
         result = lewis_cash_or_nothing(bench_params, market, cfg)
         assert result.diagnostics["tolerance_met"] is False
         assert "abs_tol not reached" in result.diagnostics["warning"]
+
+    def test_a_ray_cut_short_of_abs_tol_is_flagged(self):
+        """theta = -sigma^2/2 makes omega 0, so S = K at r = 0 is exactly at
+        the money and the digitals' ray decays only like t^-(1 + 2 tau/nu).
+        At tau 0.01 (2 tau/nu = 1/25) it has not fallen to abs_tol by 1e150:
+        the price is flagged, though the contour meets abs_tol, and its
+        estimate still covers its distance to the truncated integral."""
+        params = VgParams(sigma=0.5, nu=0.5, theta=-0.125)
+        market = MarketInputs(spot=100.0, strike=100.0, rate=0.0, tau=0.01)
+        assert model.derive(params, market).rn_moneyness == 0.0
+        cfg = FourierConfig(u_max=1e4)
+        for shift, pricer in ((0.0, lewis_cash_or_nothing), (1.0, lewis_asset_or_nothing)):
+            assert pricer(params, market).diagnostics["tolerance_met"] is True
+            result = pricer(params, market, cfg)
+            assert result.diagnostics["tolerance_met"] is False
+            assert "abs_tol not reached" in result.diagnostics["warning"]
+            error = abs(result.value - _lewis_price(params, market, 1e4, shift))
+            assert error <= result.truncation_estimate
 
     def test_results_carry_python_scalars(self, bench_params):
         """Values are plain floats and the tolerance flag a plain bool."""
@@ -446,7 +543,8 @@ class TestContour:
         assert model.gamma_decomposition(params).mu_plus == 0.0
         market = MarketInputs(spot=100.0, strike=100.0, rate=0.0, tau=1.0)
         result = carr_madan_european(params, market, FourierConfig(u_max=100.0))
-        assert result.value == 2.1003622144729017
+        assert result.value == pytest.approx(_call_price(params, market, 100.0), abs=1e-13)
+        assert result.diagnostics["tolerance_met"] is True
 
     @pytest.mark.parametrize("theta", [0.1, -0.1])
     def test_a_vanishing_gamma_rate_is_a_typed_error_on_the_contour(self, theta):
