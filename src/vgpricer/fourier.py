@@ -27,7 +27,8 @@ half-way to the nearest branch point of Phi.  Bending up over the pole at
 intrinsic value for a call.  Phi is taken in factored form
 (model._log_characteristic_fn), whose branch cuts point away from the
 contour.  The step halves until the change is below abs_tol, and that
-change, plus a rounding floor, is the truncation_estimate.
+change, plus a rounding floor and a bound on any arm cut at _Y_LIMIT, is the
+truncation_estimate.
 
 An explicit finite u_max keeps the integral from 0 to u_max: the contour
 price minus the tail past u_max, times the price's scale over pi.  Every
@@ -227,6 +228,9 @@ def _contour_integral(
     from the oscillation (about exp(-|x1| (b/2) e^y |sin w|)), and Phi is at
     most (sigma_nu |Re xi|)^-decay, a power decay exp(-decay y); y stops where
     either bound has fallen by e^-L, L = ln(1/abs_tol) + 25, or at _Y_LIMIT.
+    A stop at _Y_LIMIT adds the power bound on the arm it drops,
+    (1/pi) (sigma_nu |Re xi|)^-decay / decay there, to the truncation_estimate,
+    and a bound above abs_tol flags the price with a warning.
     The step starts at _STEP and halves, reusing the nodes, until the change
     is below abs_tol or the next pass would exceed _CHUNK_NODES nodes.
     The PriceResult counts the evaluations of F, and its truncation_estimate
@@ -253,10 +257,18 @@ def _contour_integral(
     log_drop = math.log(1.0 / cfg.abs_tol) + 25.0
     # |Phi| <= (sigma_nu |Re xi|)^-decay and |Re xi| = b sinh(y) / sqrt 2
     t = math.log(_SQRT2 / (derived.sigma_nu * b)) + (log_drop + math.log1p(1.0 / decay)) / decay
-    y_max = min(math.asinh(math.exp(t)) if t < 20.0 else t + math.log(2.0), _Y_LIMIT)
+    y_max = math.asinh(math.exp(t)) if t < 20.0 else t + math.log(2.0)
     oscillation = abs(x1) * b / _SQRT2
     if oscillation > 0.0:
         y_max = min(y_max, math.acosh(1.0 + log_drop / oscillation))
+    cut, notes = 0.0, []
+    if y_max > _Y_LIMIT:
+        # (1/pi) int_Y^inf (sigma_nu |Re xi|)^-decay dy, |Re xi(Y)| = b e^Y / (2 sqrt 2)
+        y_max = _Y_LIMIT
+        log_re = math.log(derived.sigma_nu * b / (2.0 * _SQRT2)) + _Y_LIMIT
+        cut = math.exp(-decay * log_re) / (decay * math.pi)
+        if cut > cfg.abs_tol:
+            notes.append(f"contour cut at y = {_Y_LIMIT:g} drops up to {scale * cut:.3g}")
 
     def f(y):
         z = 1j * w + y
@@ -287,27 +299,29 @@ def _contour_integral(
         value, change = value - tail, change + abs(tail) + tail_change
         evals, met = evals + tail_evals, met and tail_met
     return _result(
-        scale * (residue + value), scale * (change + floor), bounds, evals, met, derived,
-        floor=scale * floor, u_max=cfg.u_max, **extra,
+        scale * (residue + value), scale * (change + floor + cut), bounds, evals, met, derived,
+        floor=scale * floor, notes=notes, u_max=cfg.u_max, **extra,
     )
 
 
-def _result(value, truncation, bounds, evals, tolerance_met, derived, floor=0.0, **extra):
+def _result(
+    value, truncation, bounds, evals, tolerance_met, derived, floor=0.0, notes=(), **extra
+):
     """A Fourier PriceResult; a value outside its no-arbitrage bounds is flagged, not changed,
     unless it is within its rounding floor of them: then it is set to the bound it crossed.
-    A value that is not finite raises NonConvergenceError carrying the result."""
+    Any of notes, the reasons beyond the refinement budget that a price misses abs_tol,
+    flags it too.  A value that is not finite raises NonConvergenceError carrying the result."""
     lower, upper = bounds
     if lower - floor <= value <= upper + floor:
         value = min(max(value, lower), upper)
-    warnings = []
+    warnings = list(notes)
     if not tolerance_met:
-        warnings.append("abs_tol not reached within refinement budget")
+        warnings.insert(0, "abs_tol not reached within refinement budget")
     if not lower <= value <= upper:
-        tolerance_met = False
         warnings.append(
             f"price {value:.6g} outside its no-arbitrage bounds [{lower:.6g}, {upper:.6g}]"
         )
-    diagnostics = {"tolerance_met": tolerance_met, **extra}
+    diagnostics = {"tolerance_met": not warnings, **extra}
     if warnings:
         diagnostics["warning"] = "; ".join(warnings)
     result = PriceResult(

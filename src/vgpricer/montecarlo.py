@@ -10,17 +10,17 @@ consumed in fixed-size chunks (clock block, then normal block), so a given
 Generator.standard_gamma, which covers the shapes below one that short
 maturities routinely give t/nu.
 
-Strike, spot and rate enter only after the increments, so the payoffs and
-strikes of one contract share them: a request of up to 2^18 path units keeps
-its (theta G, sigma sqrt(G) Z) pairs, read-only, in a one-entry memo keyed by
-(seed, shape, n_units, nu, sigma, theta) and theta's sign.  The entry also
-keeps, read-only, the terminal prices S_T last made from them (one float64 per
-path unit, two when antithetic), keyed by (drift, spot, antithetic), so a
-payoff or strike of the same contract only evaluates, discounts and averages;
-a new spot or rate makes new S_T, and a sweep over sigma, theta or nu draws
-again.  Up to 2^18 units the samples go to a buffer kept per thread, and the
-standard error is taken in place on it; no price writes what another thread
-reads, so mc_price may run in several threads at once.
+Strike enters only after the terminal prices, so the payoffs and strikes of
+one contract share them: a request of up to 2^18 path units keeps its S_T
+(one float64 per path unit, two when antithetic), read-only, in a one-entry
+memo keyed by everything S_T depends on, (seed, shape, n_units, nu, sigma,
+theta, drift, spot, antithetic).  A payoff or strike of the same contract
+only evaluates, discounts and averages; a new spot, rate, sigma, theta or nu
+draws again.  theta = -0.0 shares the entry of 0.0: S_T passes through exp,
+which maps either zero to 1.  Up to 2^18 units the samples go to a buffer
+kept per thread, and the standard error is taken in place on it; no price
+writes what another thread reads, so mc_price may run in several threads at
+once.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .model import MarketInputs, VgParams
 __all__ = ["McConfig", "McEstimate", "sample_vg", "mc_price", "PAYOFF_NAMES"]
 
 _CHUNK = 1 << 20
-_MEMO_UNITS = 1 << 18  # 4 MB of draws and 2 or 4 MB of S_T per memo entry
+_MEMO_UNITS = 1 << 18  # 2 or 4 MB of S_T in the memo entry
 _MAX_PATHS = 1 << 27
 _Z95 = 1.96
 _local = threading.local()  # buffer: mc_price's samples, reused up to _MEMO_UNITS
@@ -146,33 +146,6 @@ def _draw_increments(
         yield np.multiply(clock, theta, out=clock), diffusion
 
 
-def _increments(seed: int, shape: float, n_units: int, nu: float, sigma: float, theta: float):
-    """The chunks of _draw_increments, memoised up to _MEMO_UNITS."""
-    if n_units <= _MEMO_UNITS:
-        # theta = -0.0 equals 0.0 as a key, but its sign reaches sample_vg's zeros
-        return _memo_increments(seed, shape, n_units, nu, sigma, theta, math.copysign(1.0, theta))
-    return _draw_increments(seed, shape, n_units, nu, sigma, theta)
-
-
-class _Draw(tuple):
-    """Increment chunks, with terminal = (key, terminal price chunks) last made from them."""
-
-    terminal = (None, ())
-
-
-def _read_only(chunks: tuple) -> tuple:
-    for array in itertools.chain.from_iterable(chunks):
-        array.flags.writeable = False
-    return chunks
-
-
-@functools.lru_cache(maxsize=1)
-def _memo_increments(
-    seed: int, shape: float, n_units: int, nu: float, sigma: float, theta: float, theta_sign: float
-) -> _Draw:
-    return _Draw(_read_only(tuple(_draw_increments(seed, shape, n_units, nu, sigma, theta))))
-
-
 def sample_vg(params: VgParams, t: float, n: int, seed: int) -> np.ndarray:
     """n independent increments X(t), deterministic given the seed; n runs
     from 1 to 2^27, the path ceiling of McConfig."""
@@ -181,7 +154,7 @@ def sample_vg(params: VgParams, t: float, n: int, seed: int) -> np.ndarray:
     if not 1 <= n <= _MAX_PATHS:
         raise InvalidParameters(f"sample_vg requires n in [1, 2^27 = {_MAX_PATHS}], got {n!r}")
     out = np.empty(n)
-    chunks = _increments(seed, t / params.nu, n, params.nu, params.sigma, params.theta)
+    chunks = _draw_increments(seed, t / params.nu, n, params.nu, params.sigma, params.theta)
     for start, (shift, diffusion) in zip(range(0, n, _CHUNK), chunks):
         np.add(shift, diffusion, out=out[start : start + shift.size])
     return out
@@ -216,10 +189,14 @@ def _terminal_payoff(
     raise InvalidParameters(f"unknown payoff {payoff!r}; expected one of {PAYOFF_NAMES}")
 
 
-def _terminal_prices(chunks, drift: float, spot: float, antithetic: bool):
-    """Per increment chunk, S exp((theta G + sigma sqrt(G) Z) + drift) and, when
-    antithetic, S exp((theta G + drift) - sigma sqrt(G) Z)."""
-    for shift, diffusion in chunks:
+def _terminal_prices(
+    seed: int, shape: float, n_units: int, nu: float, sigma: float, theta: float,
+    drift: float, spot: float, antithetic: bool,
+):
+    """Per chunk of _draw_increments, S exp((theta G + sigma sqrt(G) Z) + drift)
+    and, when antithetic, S exp((theta G + drift) - sigma sqrt(G) Z), each leg
+    a fresh array."""
+    for shift, diffusion in _draw_increments(seed, shape, n_units, nu, sigma, theta):
         legs = [np.add(shift, diffusion)]
         legs[0] += drift
         if antithetic:
@@ -228,15 +205,13 @@ def _terminal_prices(chunks, drift: float, spot: float, antithetic: bool):
         yield tuple(np.multiply(np.exp(x, out=x), spot, out=x) for x in legs)
 
 
-def _terminal(chunks, drift: float, spot: float, antithetic: bool):
-    """_terminal_prices of the chunks; a memo entry's are made once per key and kept."""
-    if not isinstance(chunks, _Draw):
-        return _terminal_prices(chunks, drift, spot, antithetic)
-    key, kept = (drift, spot, antithetic), chunks.terminal  # one read: threads may replace it
-    if kept[0] != key:
-        prices = _read_only(tuple(_terminal_prices(chunks, drift, spot, antithetic)))
-        kept = chunks.terminal = (key, prices)
-    return kept[1]
+@functools.lru_cache(maxsize=1)
+def _memo_terminal_prices(*key) -> tuple:
+    """The chunks of _terminal_prices(*key), read-only."""
+    chunks = tuple(_terminal_prices(*key))
+    for array in itertools.chain.from_iterable(chunks):
+        array.flags.writeable = False
+    return chunks
 
 
 def _workspace(n_units: int, antithetic: bool) -> tuple:
@@ -266,8 +241,11 @@ def mc_price(
     drift = (derived.rate_effective + derived.omega) * tau
     n_units = cfg.n_paths // 2 if cfg.antithetic else cfg.n_paths
     samples, spare = _workspace(n_units, cfg.antithetic)
-    chunks = _increments(cfg.seed, tau / params.nu, n_units, params.nu, params.sigma, params.theta)
-    prices = _terminal(chunks, drift, market.spot, cfg.antithetic)
+    key = (
+        cfg.seed, tau / params.nu, n_units, params.nu, params.sigma, params.theta,
+        drift, market.spot, cfg.antithetic,
+    )
+    prices = _memo_terminal_prices(*key) if n_units <= _MEMO_UNITS else _terminal_prices(*key)
     for start, legs in zip(range(0, n_units, _CHUNK), prices):
         m = legs[0].size
         block = _terminal_payoff(payoff, legs[0], market, samples[start : start + m])

@@ -490,7 +490,7 @@ def _finalize(value: float, terms: int, tail: float, branch: str, diagnostics: d
     if not converged:
         raise NonConvergenceError(
             f"series tail estimate {tail:.3g} exceeds 1e-6 of |value| = {abs(value):.3g}; "
-            "increase max_order",
+            "increase max_order or lower tail_tol",
             result=result,
         )
     return result

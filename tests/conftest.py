@@ -21,7 +21,7 @@ def cold_memos():
     series._grid.cache_clear()
     series._alpha_block.cache_clear()
     series._diagonals.cache_clear()
-    montecarlo._memo_increments.cache_clear()
+    montecarlo._memo_terminal_prices.cache_clear()
     specfun._laguerre_rule.cache_clear()
 
 

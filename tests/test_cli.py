@@ -840,7 +840,7 @@ for argv in json.loads(sys.argv[1]):
         code = cli.main(argv)
     spans = collections.Counter(name for _, _, name, _, _ in tracer.spans[first:])
     calls.append({"code": code, "spans": spans})
-memo = montecarlo._memo_increments.cache_info()._asdict()
+memo = montecarlo._memo_terminal_prices.cache_info()._asdict()
 print(json.dumps({"calls": calls, "counts": tracer.counts, "memo": memo}))
 """
 
@@ -884,8 +884,8 @@ class TestBenchmarkTracer:
         assert counts["montecarlo.paths"] == 1000
 
     def test_payoffs_of_one_contract_draw_the_gamma_clock_once(self):
-        """Three payoffs of one contract share their Monte Carlo increments:
-        only the first call draws Gamma clocks and builds the increments, the
+        """Three payoffs of one contract share their Monte Carlo terminal
+        prices: only the first call draws Gamma clocks and makes them, the
         later ones price from the memo, and every call still prices its 1,000
         paths."""
         traced = _traced(*map(_price_all, ("european", "cash-or-nothing", "asset-or-nothing")))
@@ -991,7 +991,7 @@ class TestCliDigest:
         --digest` prints the hash; a change meant to move CLI bytes restates it."""
         count, sha256 = _cli_digest()
         assert count == 331
-        assert sha256 == "6a7438c854c9ac44e52fc22355e6d5f93e92ff668918ba8f0e047c3121d82715"
+        assert sha256 == "ff488d2ec6c6d40818164260c9cb52299fc3a4a8db9ddb91e9bd8365beaa801e"
 
 
 if __name__ == "__main__":

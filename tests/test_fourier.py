@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 from scipy.integrate import quad
 
 from vgpricer import fourier, model
@@ -286,6 +287,57 @@ class TestFourierDiagnostics:
             assert "abs_tol not reached" in result.diagnostics["warning"]
             error = abs(result.value - _lewis_price(params, market, 1e4, shift))
             assert error <= result.truncation_estimate
+
+    @pytest.mark.parametrize("tau", [0.008, 0.006, 0.003])
+    def test_a_contour_cut_at_the_y_limit_is_flagged(self, tau):
+        """Exactly at the money with 2 tau/nu below 1/30, |Phi| falls so slowly
+        along the contour that y stops at _Y_LIMIT before its power bound is
+        met.  The bound on the dropped arm joins the estimate, which covers
+        the distance to the series price, and flags the price: at tau 0.008
+        the contour alone met abs_tol, 1e-9, but lies 1.2e-9 from the series."""
+        params = VgParams(sigma=0.5, nu=0.5, theta=-0.125)
+        market = MarketInputs(spot=100.0, strike=100.0, rate=0.0, tau=tau)
+        assert model.derive(params, market).rn_moneyness == 0.0
+        for pricer in (lewis_cash_or_nothing, lewis_asset_or_nothing):
+            result = pricer(params, market)
+            assert result.diagnostics["tolerance_met"] is False
+            assert "contour cut at y = 600" in result.diagnostics["warning"]
+        result = lewis_cash_or_nothing(params, market)
+        error = abs(result.value - asym_cash_or_nothing(params, market).value)
+        assert error <= result.truncation_estimate
+
+    @pytest.mark.parametrize("at_forward", [True, False])
+    def test_a_digital_within_rounding_of_the_money_prices_its_own_moneyness(
+        self, bench_params, at_forward
+    ):
+        """At tau 1/360 the clock G ~ nu Gamma(tau/nu) is below 1e-30 with
+        probability near 0.8, so X lies within 1e-16 of 0 that often, and the
+        cash digital moves from about 0.1 to 0.9 as k_rn crosses 0 by 1e-16.
+        The contour prices the k_rn it is given, met, to 1e-12 of
+        P(X > -k_rn) integrated over the clock; the series' atm branch gives
+        the k_rn = 0 price, near 0.5."""
+        strike, tau = 4000.0, 1.0 / 360.0
+        omega = model.derive(bench_params, make_market(strike, tau)).omega
+        if at_forward:  # S = K e^{-(r + omega) tau}
+            rate, spot = 0.01, strike * math.exp(-(0.01 + omega) * tau)
+        else:  # S = K with r = -omega
+            rate, spot = -omega, strike
+        market = make_market(spot, tau, rate=rate)
+        k_rn = model.derive(bench_params, market).rn_moneyness
+        assert 0.0 < abs(k_rn) < 1e-15 and (k_rn > 0.0) is at_forward
+        result = lewis_cash_or_nothing(bench_params, market)
+        assert result.diagnostics["tolerance_met"] is True
+        shape, scale = tau / bench_params.nu, bench_params.sigma * math.sqrt(bench_params.nu)
+
+        def density(s):  # of s = ln(G / nu) times P(sigma sqrt(G) Z > -k_rn)
+            tail = special.ndtr(k_rn / (scale * math.exp(0.5 * s)))
+            return math.exp(shape * s - math.exp(s) - special.gammaln(shape)) * tail
+
+        below = special.gammainc(shape, math.exp(-700.0)) * (k_rn > 0.0)
+        edges = np.arange(-700.0, 5.0, 5.0)
+        probability = below + sum(quad(density, lo, lo + 5.0, epsabs=1e-13)[0] for lo in edges)
+        assert result.value == pytest.approx(math.exp(-rate * tau) * probability, abs=1e-12)
+        assert abs(result.value - cash_or_nothing(bench_params, market).value) > 0.39
 
     def test_results_carry_python_scalars(self, bench_params):
         """Values are plain floats and the tolerance flag a plain bool."""

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import kv as bessel_kv, gammaln
 
-from vgpricer import montecarlo
+from vgpricer import model, montecarlo
 from vgpricer.errors import InvalidParameters
 from vgpricer.model import MarketInputs, VgParams
 from vgpricer.montecarlo import McConfig, McEstimate, mc_price, sample_vg
@@ -289,7 +289,7 @@ class TestMcGolden:
     def test_values_are_bit_identical(self):
         """mc_price reproduces tests/golden/mc_values.csv exactly: the same
         draws from the Philox stream and the same arithmetic on each path.
-        The increment memo is cleared before every record, so each one draws.
+        The terminal-price memo is cleared before every record, so each one draws.
 
         Regenerate with `PYTHONPATH=src python tests/test_montecarlo.py
         --write-golden` only for a change that is meant to move Monte Carlo
@@ -298,22 +298,22 @@ class TestMcGolden:
         golden = _read_mc_golden()
         records = []
         for case in _mc_golden_cases():
-            montecarlo._memo_increments.cache_clear()
+            montecarlo._memo_terminal_prices.cache_clear()
             records.append(_mc_case(*case))
         assert records == golden
-        assert montecarlo._memo_increments.cache_info().hits == 0
+        assert montecarlo._memo_terminal_prices.cache_info().hits == 0
 
     def test_values_from_shared_draws_are_bit_identical(self):
         """The same file in one pass with the memo kept, the records that
-        share (seed, shape, n_units, theta) in a row: 5 of each 6 such
-        records, one per payoff, take their increments from the memo, and
-        the two runs above its cap draw past it."""
+        differ only in payoff in a row: 5 of each 6 such records take their
+        terminal prices from the memo, and the two runs above its cap draw
+        past it."""
         golden = _read_mc_golden()
         cases = list(enumerate(_mc_golden_cases()))
         cases.sort(key=lambda item: item[1][1:])
         records = {index: _mc_case(*case) for index, case in cases}
         assert [records[index] for index in range(len(golden))] == golden
-        info = montecarlo._memo_increments.cache_info()
+        info = montecarlo._memo_terminal_prices.cache_info()
         assert (info.hits, info.misses, info.currsize) == (120, 24, 1)
 
 
@@ -335,6 +335,24 @@ def _estimate_hex(
     return float.hex(estimate.value), float.hex(estimate.std_error)
 
 
+def _memo_key(
+    tau, theta, antithetic, seed, n_units, spot=100.0, rate=0.02, sigma=0.2, nu=_MC_NU,
+    dividend_yield=0.01,
+):
+    """The terminal-price memo key mc_price makes, by default for _estimate_hex's contract."""
+    market = MarketInputs(
+        spot=spot, strike=100.0, rate=rate, tau=tau, dividend_yield=dividend_yield
+    )
+    derived = model.derive(VgParams(sigma=sigma, nu=nu, theta=theta), market)
+    drift = (derived.rate_effective + derived.omega) * tau
+    return seed, tau / nu, n_units, nu, sigma, theta, drift, spot, antithetic
+
+
+def _memo_misses(keys):
+    """The misses of a one-entry memo asked for keys in turn."""
+    return 1 + sum(key != last for last, key in zip(keys, keys[1:]))
+
+
 class TestDrawMemoProperty:
     @given(
         payoff=st.sampled_from(montecarlo.PAYOFF_NAMES),
@@ -354,32 +372,36 @@ class TestDrawMemoProperty:
     def test_cold_and_warm_prices_are_identical(
         self, payoff, tau, theta, strike, antithetic, seed, n_units, others, moved, step
     ):
-        """A price is the same to the bit whether its increments are fresh or
-        were made and used first by every payoff at other strikes, spots and
-        rates; a contract that differs only in sigma, theta or nu makes its
-        own and prices as it does cold; the memoised increments cannot be
-        written in place."""
+        """A price is the same to the bit whether its terminal prices are fresh
+        or come from the memo, before and after every payoff at other strikes,
+        spots and rates, each of which is a contract of its own; a contract
+        that differs only in sigma, theta or nu makes its own and prices as it
+        does cold; the memoised terminal prices cannot be written in place."""
         n_paths = 2 * n_units if antithetic else n_units
         case = dict(
             payoff=payoff, tau=tau, theta=theta, strike=strike, antithetic=antithetic,
             seed=seed, n_paths=n_paths,
         )
-        montecarlo._memo_increments.cache_clear()
+        montecarlo._memo_terminal_prices.cache_clear()
         cold = _estimate_hex(**case)
         for other_strike, spot, rate in others:
             for other in montecarlo.PAYOFF_NAMES:
                 _estimate_hex(
                     **{**case, "payoff": other, "strike": other_strike}, spot=spot, rate=rate
                 )
-        info = montecarlo._memo_increments.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (6 * len(others), 1, 1)
         assert _estimate_hex(**case) == cold
-        info = montecarlo._memo_increments.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (6 * len(others) + 1, 1, 1)
-        ((shift, diffusion),) = montecarlo._memo_increments(
-            seed, tau / _MC_NU, n_units, _MC_NU, 0.2, theta, math.copysign(1.0, theta)
+        assert _estimate_hex(**case) == cold
+        contracts = [(100.0, 0.02)]
+        contracts += [(spot, rate) for _, spot, rate in others for _ in montecarlo.PAYOFF_NAMES]
+        contracts += [(100.0, 0.02)] * 2
+        misses = _memo_misses(contracts)
+        info = montecarlo._memo_terminal_prices.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (len(contracts) - misses, misses, 1)
+        ((*legs,),) = montecarlo._memo_terminal_prices(
+            *_memo_key(tau, theta, antithetic, seed, n_units)
         )
-        for array in (shift, diffusion):
+        assert montecarlo._memo_terminal_prices.cache_info().misses == misses
+        for array in legs:
             with pytest.raises(ValueError):
                 array *= 2.0
             with pytest.raises(ValueError):
@@ -387,8 +409,8 @@ class TestDrawMemoProperty:
         defaults = {"sigma": 0.2, "theta": theta, "nu": _MC_NU}
         moved_case = {**case, moved: defaults[moved] + step}
         warm = _estimate_hex(**moved_case)
-        assert montecarlo._memo_increments.cache_info().misses == 2
-        montecarlo._memo_increments.cache_clear()
+        assert montecarlo._memo_terminal_prices.cache_info().misses == misses + 1
+        montecarlo._memo_terminal_prices.cache_clear()
         assert _estimate_hex(**moved_case) == warm
         assert _estimate_hex(**case) == cold
 
@@ -406,38 +428,63 @@ class TestDrawMemoProperty:
         above it the memo is left as it was; the price is the same either way."""
         n_paths = 2 * n_units if antithetic else n_units
         case = (payoff, _MC_TAUS[1], -0.15, 100.0, antithetic, seed, n_paths)
-        montecarlo._memo_increments.cache_clear()
+        montecarlo._memo_terminal_prices.cache_clear()
         with mock.patch.object(montecarlo, "_MEMO_UNITS", cap):
             value = _estimate_hex(*case)
-        assert montecarlo._memo_increments.cache_info().currsize == (1 if n_units <= cap else 0)
-        before = montecarlo._memo_increments.cache_info()
+        before = montecarlo._memo_terminal_prices.cache_info()
+        assert before.currsize == (1 if n_units <= cap else 0)
         with mock.patch.object(montecarlo, "_MEMO_UNITS", n_units - 1):
             assert _estimate_hex(*case) == value
-        assert montecarlo._memo_increments.cache_info() == before
+        assert montecarlo._memo_terminal_prices.cache_info() == before
 
     def test_memo_keeps_the_sign_of_a_zero_theta(self):
         """theta = -0.0 equals 0.0, but where the clock underflows to 0 and
-        Z < 0 a draw is theta's signed zero: increments made at theta = 0.0
-        must not serve a request at theta = -0.0."""
+        Z < 0 a draw is theta's signed zero: sample_vg draws afresh on every
+        call, so drawing at theta = 0.0 first leaves the bits at -0.0 as they
+        are, and it makes no memo entry."""
         def draws(theta):
             return sample_vg(VgParams(sigma=0.2, nu=0.85, theta=theta), 0.0085, 100_000, 1)
 
         cold = draws(-0.0)
         zeros = cold == 0.0
         assert (np.count_nonzero(zeros), np.count_nonzero(np.signbit(cold[zeros]))) == (64, 29)
-        montecarlo._memo_increments.cache_clear()
-        draws(0.0)
+        assert np.count_nonzero(np.signbit(draws(0.0)[zeros])) == 0
         assert draws(-0.0).tobytes() == cold.tobytes()
-        assert montecarlo._memo_increments.cache_info().misses == 2
+        assert montecarlo._memo_terminal_prices.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    def test_a_zero_theta_of_either_sign_shares_one_entry(self, antithetic):
+        """theta = 0.0 and -0.0 are one memo key.  Their increments differ in
+        the sign of the zeros above, but S_T passes through exp, which maps
+        either zero to 1, so S_T, and every price from it, has the same bits:
+        -0.0 priced from the entry 0.0 made equals -0.0 priced cold."""
+        case = dict(tau=0.0085, strike=100.0, antithetic=antithetic, seed=1, nu=0.85)
+        case["n_paths"] = 200_000 if antithetic else 100_000
+
+        def prices(theta):
+            return [_estimate_hex(name, theta=theta, **case) for name in montecarlo.PAYOFF_NAMES]
+
+        def terminal(theta):
+            key = _memo_key(0.0085, theta, antithetic, 1, 100_000, nu=0.85)
+            chunks = montecarlo._terminal_prices(*key)
+            return b"".join(leg.tobytes() for legs in chunks for leg in legs)
+
+        assert terminal(-0.0) == terminal(0.0)
+        cold = prices(-0.0)
+        montecarlo._memo_terminal_prices.cache_clear()
+        prices(0.0)
+        assert prices(-0.0) == cold
+        info = montecarlo._memo_terminal_prices.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (11, 1, 1)
 
     def test_request_above_the_real_cap_leaves_the_memo_alone(self):
         market = MarketInputs(spot=100.0, strike=100.0, rate=0.02, tau=_MC_TAUS[1])
         params = VgParams(sigma=0.2, nu=_MC_NU)
         mc_price("european", params, market, McConfig(n_paths=1000, seed=1))
-        before = montecarlo._memo_increments.cache_info()
+        before = montecarlo._memo_terminal_prices.cache_info()
         cfg = McConfig(n_paths=montecarlo._MEMO_UNITS + 1, seed=1)
         mc_price("cash_or_nothing", params, market, cfg)
-        assert montecarlo._memo_increments.cache_info() == before
+        assert montecarlo._memo_terminal_prices.cache_info() == before
         assert before.currsize == 1
 
 
@@ -474,11 +521,12 @@ class TestSharedTerminalPrices:
     ):
         """Warm prices equal their cold prices to the bit for every payoff and
         strike of one contract, which makes its terminal prices once; another
-        spot or rate makes its own from the same increments and prices as it
-        does cold; the kept terminal prices cannot be written in place."""
+        spot or rate is a contract of its own, which makes its own and prices
+        as it does cold; the kept terminal prices cannot be written in place."""
         n_paths = 2 * n_units if antithetic else n_units
+        moved_value = {"spot": 95.0, "rate": 0.04}[moved]
         case = dict(tau=tau, theta=theta, antithetic=antithetic, seed=seed, n_paths=n_paths)
-        moved_case = {**case, moved: {"spot": 95.0, "rate": 0.04}[moved]}
+        moved_case = {**case, moved: moved_value}
         prices = [
             (contract, payoff, strike)
             for contract in (case, moved_case)
@@ -487,22 +535,20 @@ class TestSharedTerminalPrices:
         ]
         cold = {}
         for contract, payoff, strike in prices:
-            montecarlo._memo_increments.cache_clear()
+            montecarlo._memo_terminal_prices.cache_clear()
             cold[id(contract), payoff, strike] = _estimate_hex(payoff, strike=strike, **contract)
-        montecarlo._memo_increments.cache_clear()
+        montecarlo._memo_terminal_prices.cache_clear()
         with _counting_terminal_prices() as made:
             for contract, payoff, strike in prices:
                 warm = _estimate_hex(payoff, strike=strike, **contract)
                 assert warm == cold[id(contract), payoff, strike]
         assert made.call_count == 2
-        info = montecarlo._memo_increments.cache_info()
-        assert (info.misses, info.currsize) == (1, 1)
-        draw = montecarlo._memo_increments(
-            seed, tau / _MC_NU, n_units, _MC_NU, 0.2, theta, math.copysign(1.0, theta)
+        info = montecarlo._memo_terminal_prices.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (len(prices) - 2, 2, 1)
+        ((*legs,),) = montecarlo._memo_terminal_prices(
+            *_memo_key(tau, theta, antithetic, seed, n_units, **{moved: moved_value})
         )
-        ((key, chunks),) = [draw.terminal]
-        assert key[2] is antithetic and len(chunks) == 1
-        ((*legs,),) = chunks
+        assert montecarlo._memo_terminal_prices.cache_info().misses == 2
         assert len(legs) == (2 if antithetic else 1)
         for array in legs:
             assert array.size == n_units
@@ -518,7 +564,7 @@ class TestSharedTerminalPrices:
             first = _estimate_hex(*case)
             assert _estimate_hex(*case) == first
         assert made.call_count == 2
-        assert montecarlo._memo_increments.cache_info().currsize == 0
+        assert montecarlo._memo_terminal_prices.cache_info().currsize == 0
 
     def test_threads_pricing_at_once_get_serial_bits(self):
         """Four threads on two cores price two contracts at two spots or
@@ -577,12 +623,13 @@ class TestSharedTerminalPrices:
             return getattr(montecarlo._local, "buffer", None)
 
         assert _in_new_thread(lambda: price(n_units)) is None
-        assert montecarlo._memo_increments.cache_info().currsize == 0
+        assert montecarlo._memo_terminal_prices.cache_info().currsize == 0
         small = _in_new_thread(lambda: (price(1000), price(n_units))[1])
         assert small.size == (2000 if antithetic else 1000)
-        before = montecarlo._memo_increments.cache_info()
-        montecarlo._memo_increments(1, _MC_TAUS[1] / _MC_NU, 1000, _MC_NU, 0.2, 0.0, 1.0)
-        after = montecarlo._memo_increments.cache_info()
+        before = montecarlo._memo_terminal_prices.cache_info()
+        key = _memo_key(_MC_TAUS[1], 0.0, antithetic, 1, 1000, dividend_yield=0.0)
+        montecarlo._memo_terminal_prices(*key)
+        after = montecarlo._memo_terminal_prices.cache_info()
         assert (after.hits, after.misses, after.currsize) == (before.hits + 1, before.misses, 1)
 
 

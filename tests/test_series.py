@@ -239,6 +239,17 @@ class TestDiagnostics:
         assert excinfo.value.result.terms_evaluated == 91
         assert excinfo.value.result.diagnostics["converged"] is False
 
+    def test_an_early_stop_names_both_remedies(self, bench_params):
+        """A larger max_order alone fails the same way after the same 91
+        terms, so the error names the looser tail_tol as well."""
+        market = make_market(3000.0, 0.5)
+        for max_order in (25, 200):
+            ctrl = SeriesControl(max_order=max_order, tail_tol=0.01)
+            with pytest.raises(NonConvergenceError, match="max_order or lower tail_tol") as excinfo:
+                european(bench_params, market, ctrl)
+            assert excinfo.value.result.terms_evaluated == 91
+        assert european(bench_params, market, SeriesControl(tail_tol=1e-8)).terms_evaluated > 91
+
     def test_non_convergence_carries_partial_result(self, bench_params):
         with pytest.raises(NonConvergenceError) as excinfo:
             asset_or_nothing(bench_params, make_market(3000.0, 2.0), SeriesControl(max_order=3))
