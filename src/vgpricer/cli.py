@@ -61,10 +61,12 @@ def _fmt(value) -> str:
 
 _FLOAT, _INT, _SWITCH = dict(type=float), dict(type=int), dict(action="store_true")
 
-# Every configurable key, in --help order: (flag group, default, argparse
-# keywords).  Its flag is --key with dashes and defaults to None, so _resolve
-# can tell a flag given from one left out; --config takes the same keys.
-# Engine defaults are read from the engines' config classes.
+# Every configurable key, in --help order: (the subcommands that read it,
+# default, argparse keywords).  Its flag is --key with dashes and defaults to
+# None, so _resolve can tell a flag given from one left out; --config takes
+# the same keys, for the same subcommands.  price and bench read every engine
+# key, because --method all runs every engine.  Engine defaults are read from
+# the engines' config classes.
 _FLAGS = {
     "method": ("price", "series", dict(choices=_METHODS)),
     "compare": ("table", False, _SWITCH),
@@ -77,30 +79,30 @@ _FLAGS = {
         "converge", "1e2,1e3,1e4", dict(help="comma-separated Fourier truncation points")
     ),
     "reference": ("converge", "series", dict(choices=("series", "fourier"))),
-    "sigma": ("model", None, _FLOAT),
-    "nu": ("model", None, _FLOAT),
-    "theta": ("model", VgParams.theta, _FLOAT),
-    "spot": ("market", None, _FLOAT),
-    "strike": ("market", None, _FLOAT),
-    "trigger_strike": ("market", MarketInputs.trigger_strike, _FLOAT),
-    "rate": ("market", 0.0, _FLOAT),
-    "dividend_yield": ("market", MarketInputs.dividend_yield, _FLOAT),
-    "tau": ("market", None, _FLOAT),
-    "power": ("market", MarketInputs.power, _FLOAT),
-    "max_order": ("engine", series.SeriesControl.max_order, _INT),
-    "tail_tol": ("engine", series.SeriesControl.tail_tol, _FLOAT),
-    "alpha_policy": ("engine", series.SeriesControl.alpha_policy, dict(choices=("error", "nudge"))),
-    "u_max": ("engine", fourier.FourierConfig.u_max, _FLOAT),
-    "panels": ("engine", fourier.FourierConfig.panels, _INT),
-    "damping_a": ("engine", fourier.FourierConfig.damping_a, _FLOAT),
-    "abs_tol": ("engine", fourier.FourierConfig.abs_tol, _FLOAT),
-    "gl_order": ("engine", 15, _INT),
-    "paths": ("engine", 100_000, _INT),
-    "seed": ("engine", montecarlo.McConfig.seed, _INT),
-    "antithetic": ("engine", montecarlo.McConfig.antithetic, _SWITCH),
-    "format": ("output", None, dict(choices=("json", "csv"))),
-    "output": ("output", None, {}),
-    "stream": ("output", False, _SWITCH),
+    "sigma": ("price density converge bench", None, _FLOAT),
+    "nu": ("price density converge bench", None, _FLOAT),
+    "theta": ("price density converge bench", VgParams.theta, _FLOAT),
+    "spot": ("price converge bench", None, _FLOAT),
+    "strike": ("price converge bench", None, _FLOAT),
+    "trigger_strike": ("price converge bench", MarketInputs.trigger_strike, _FLOAT),
+    "rate": ("price converge bench", 0.0, _FLOAT),
+    "dividend_yield": ("price converge bench", MarketInputs.dividend_yield, _FLOAT),
+    "tau": ("price converge bench", None, _FLOAT),
+    "power": ("price converge bench", MarketInputs.power, _FLOAT),
+    "max_order": ("price bench", series.SeriesControl.max_order, _INT),
+    "tail_tol": ("price converge bench", series.SeriesControl.tail_tol, _FLOAT),
+    "alpha_policy": (
+        "price converge bench", series.SeriesControl.alpha_policy, dict(choices=("error", "nudge"))
+    ),
+    "u_max": ("price converge bench", fourier.FourierConfig.u_max, _FLOAT),
+    "damping_a": ("price converge bench", fourier.FourierConfig.damping_a, _FLOAT),
+    "abs_tol": ("price converge bench", fourier.FourierConfig.abs_tol, _FLOAT),
+    "gl_order": ("price density bench", 15, _INT),
+    "paths": ("price bench", 100_000, _INT),
+    "seed": ("price table bench", montecarlo.McConfig.seed, _INT),
+    "antithetic": ("price bench", montecarlo.McConfig.antithetic, _SWITCH),
+    "format": ("price table density converge bench", None, dict(choices=("json", "csv"))),
+    "output": ("price table density converge bench", None, {}),
 }
 _PAYOFF = ("--payoff", dict(choices=_PAYOFFS, required=True))
 _TABLE_ID = ("--id", dict(dest="table_id", required=True, choices=tables.TABLE_IDS))
@@ -112,12 +114,13 @@ def _build_parser() -> _Parser:
     and each parse_args call returns a fresh Namespace."""
     parser = _Parser(prog="vgpricer", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, required, groups, *_) in _COMMANDS.items():
-        command = sub.add_parser(name, help=help_text)
+    for name, (help_text, required, *_) in _COMMANDS.items():
+        # no abbreviations: converge would read --max-order as --max-orders
+        command = sub.add_parser(name, help=help_text, allow_abbrev=False)
         if required:
             command.add_argument(required[0], **required[1])
-        for key, (group, _, kwargs) in _FLAGS.items():
-            if group in groups:
+        for key, (commands, _, kwargs) in _FLAGS.items():
+            if name in commands.split():
                 command.add_argument("--" + key.replace("_", "-"), default=None, **kwargs)
         command.add_argument("--config", default=None)
     return parser
@@ -148,9 +151,10 @@ def _resolve(args: argparse.Namespace) -> dict:
             raise _UsageError(f"cannot read --config {args.config}: {err}") from None
         if not isinstance(config, dict):
             raise _UsageError(f"--config {args.config} must hold a JSON object")
-        unknown = set(config) - set(_FLAGS)
+        taken = {key for key, (commands, *_) in _FLAGS.items() if args.command in commands.split()}
+        unknown = set(config) - taken
         if unknown:
-            raise _UsageError(f"unknown config keys: {sorted(unknown)}")
+            raise _UsageError(f"{args.command} does not take config keys: {sorted(unknown)}")
         for key, value in config.items():
             if not _takes(_FLAGS[key], value):
                 raise _UsageError(f"config key {key} cannot take {json.dumps(value)}")
@@ -422,19 +426,13 @@ def _cmd_bench(resolved: dict) -> list[dict]:
     ]
 
 
-# subcommand: (help, its required flag, the flag groups it takes, handler,
-# default output format)
+# subcommand: (help, its required flag, handler, default output format)
 _COMMANDS = {
-    "price": ("price a single contract", _PAYOFF,
-              ("price", "model", "market", "engine", "output"), _cmd_price, "json"),
-    "table": ("reproduce a reference table", _TABLE_ID,
-              ("table", "engine", "output"), _cmd_table, "csv"),
-    "density": ("density samples as CSV/JSON", None,
-                ("density", "model", "engine", "output"), _cmd_density, "csv"),
-    "converge": ("series vs Fourier convergence race", None,
-                 ("converge", "model", "market", "engine", "output"), _cmd_converge, "csv"),
-    "bench": ("price one contract with every engine", _PAYOFF,
-              ("model", "market", "engine", "output"), _cmd_bench, "csv"),
+    "price": ("price a single contract", _PAYOFF, _cmd_price, "json"),
+    "table": ("reproduce a reference table", _TABLE_ID, _cmd_table, "csv"),
+    "density": ("density samples as CSV/JSON", None, _cmd_density, "csv"),
+    "converge": ("series vs Fourier convergence race", None, _cmd_converge, "csv"),
+    "bench": ("price one contract with every engine", _PAYOFF, _cmd_bench, "csv"),
 }
 
 

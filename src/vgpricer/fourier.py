@@ -69,7 +69,6 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 _MAX_REFINEMENTS = 5
 _CHUNK_NODES = 2**16
 _CHUNK_PANELS = _CHUNK_NODES // len(_GL_NODES)  # panels evaluated at once: at most 2^16 nodes
-_MAX_PANELS = 2**20  # ceiling on FourierConfig.panels
 _RAY_PANEL = 1.0  # widest first-pass tail panel: in u on the real line, in y on the ray
 _RAY_T_MAX = 1e150  # farthest point of the ray from U
 _LINE_PANELS = 2**12  # most first-pass panels on the real line before the ray
@@ -83,25 +82,20 @@ _ROUNDING = 8.0 * 2.0**-52  # rounding floor per unit of summed magnitude
 
 @dataclass(frozen=True)
 class FourierConfig:
-    """Integration controls: truncation point, panel floor, damping, tolerance.
+    """Integration controls: truncation point, damping, tolerance.
 
     u_max = inf (the default) prices the untruncated integral on a deformed
     contour; a finite u_max subtracts the integral's tail past u_max, taken
-    on a vertical ray.  panels, for a finite u_max only, floors the first
-    pass of the tail's Gauss-Legendre panels, about ten once u_max is past a
-    few branch-point distances; above 2^20 it raises InvalidParameters there.
+    on a vertical ray.
     """
 
     u_max: float = math.inf
-    panels: int = 1
     damping_a: float = 1.0
     abs_tol: float = 1e-9
 
     def __post_init__(self):
         if not self.u_max > 0.0:
             raise InvalidParameters(f"u_max must be positive, got {self.u_max!r}")
-        if not self.panels >= 1:
-            raise InvalidParameters(f"panels must be >= 1, got {self.panels!r}")
         if not self.abs_tol > 0.0:
             raise InvalidParameters(f"abs_tol must be positive, got {self.abs_tol!r}")
 
@@ -145,15 +139,10 @@ def _ray_tail(F, line: float, x1: float, decay: float, heights, near: float, cfg
     not met.  A larger u_max is taken as _RAY_T_MAX: past it the integrand
     is below 1/u and oscillates at rate |k_rn|, or falls like u^-2 at k_rn = 0.
 
-    32-point Gauss-Legendre panels, at least cfg.panels, are split in two
-    until the change is below abs_tol.  Returns the integral, its last
+    32-point Gauss-Legendre panels, one per edge interval at first, are split
+    in two until the change is below abs_tol.  Returns the integral, its last
     change, the evaluation count and whether abs_tol was met.
     """
-    if cfg.panels > _MAX_PANELS:
-        raise InvalidParameters(
-            f"u_max = {cfg.u_max!r} with panels = {cfg.panels} asks for more than"
-            f" 2^20 = {_MAX_PANELS} first-pass panels; lower panels"
-        )
     toward = 1.0 if x1 < 0.0 else -1.0
     gaps = [abs(h - line) for h in heights if math.isfinite(h) and h != line]
     u_lo = min(cfg.u_max, _RAY_T_MAX)
@@ -181,8 +170,7 @@ def _ray_tail(F, line: float, x1: float, decay: float, heights, near: float, cfg
         values[~on_line] = (-toward / math.pi) * ray
         return values
 
-    splits = -(-cfg.panels // (len(edges) - 1))
-    n_panels = splits * (len(edges) - 1)
+    splits, n_panels = 1, len(edges) - 1
     value = _panel_integral(f, edges, splits, n_panels)
     evals = n_panels * len(_GL_NODES)
     for _ in range(_MAX_REFINEMENTS):

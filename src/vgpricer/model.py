@@ -83,8 +83,9 @@ class MarketInputs:
 
     ``trigger_strike`` is the gap-option trigger (the plain strike then acts
     as the payout strike).  ``power`` is the exponent of power payoffs.
-    A non-zero ``dividend_yield`` q is handled by the substitution
-    r -> r - q inside :func:`derive`; nothing else changes.
+    A non-zero ``dividend_yield`` q replaces r by r - q inside :func:`derive`,
+    in the drift and in the discount alike, so every engine's price is the
+    dividend-paying price, discounted at r, times e^{q tau}.
     """
 
     spot: float
@@ -172,8 +173,11 @@ class GammaDecomposition:
 
 
 def moneyness_branch(moneyness: float) -> str:
-    """'atm' within 1e-12 of zero, else 'otm' below zero and 'itm' above."""
-    if abs(moneyness) < 1e-12:
+    """'atm' within 2e-15 of zero, the rounding of k_rn = ln(S/F) + omega tau
+    (about 1e-16 to 1e-15); else 'otm' below zero and 'itm' above.  A wider
+    band misprices digitals where 2 tau / nu is small and the density, about
+    |x|^(2 tau/nu - 1), puts most of its mass within 1e-12 of zero."""
+    if abs(moneyness) < 2e-15:
         return "atm"
     return "otm" if moneyness < 0.0 else "itm"
 
@@ -326,9 +330,7 @@ def mixture_density(params: VgParams, x: float, t: float) -> float:
     lg_shape, _ = specfun.log_gamma(shape)
     log_norm = -shape * math.log(nu) - lg_shape - 0.5 * math.log(2.0 * math.pi) - math.log(sigma)
 
-    def integrand(y: float) -> float:
-        if y <= 0.0:
-            return 0.0
+    def integrand(y: float) -> float:  # quad takes interior nodes only: y > 0
         log_val = (
             log_norm
             - 0.5 * math.log(y)

@@ -555,6 +555,63 @@ class TestBenchCommand:
         assert float(rows[1]["abs_dev_vs_series"]) < 5e-3
 
 
+# a call that each subcommand runs, the flags it takes and the flags it does
+# not; --stream and --panels are taken by none
+_CALLS = {
+    "price": ["price", "--payoff", "european", *_BASE_FLAGS],
+    "table": ["table", "--id", "6"],
+    "density": ["density", "--sigma", "0.2", "--nu", "0.85", "--points", "3"],
+    "converge": ["converge", *_BASE_FLAGS, "--max-orders", "5", "--u-max-list", ""],
+    "bench": ["bench", "--payoff", "european", *_BASE_FLAGS],
+}
+_MODEL_FLAGS = "--sigma --nu --theta"
+_MARKET_FLAGS = "--spot --strike --trigger-strike --rate --dividend-yield --tau --power"
+_SERIES_FOURIER_FLAGS = "--tail-tol --alpha-policy --u-max --damping-a --abs-tol"
+_ENGINE_FLAGS = f"--max-order {_SERIES_FOURIER_FLAGS} --gl-order --paths --seed --antithetic"
+_OUTPUT_FLAGS = "--format --output --config"
+_TAKES = {
+    "price": f"--payoff --method {_MODEL_FLAGS} {_MARKET_FLAGS} {_ENGINE_FLAGS} {_OUTPUT_FLAGS}",
+    "table": f"--id --compare --seed {_OUTPUT_FLAGS}",
+    "density": f"--t --x-min --x-max --points {_MODEL_FLAGS} --gl-order {_OUTPUT_FLAGS}",
+    "converge": (
+        f"--max-orders --u-max-list --reference {_MODEL_FLAGS} {_MARKET_FLAGS}"
+        f" {_SERIES_FOURIER_FLAGS} {_OUTPUT_FLAGS}"
+    ),
+    "bench": f"--payoff {_MODEL_FLAGS} {_MARKET_FLAGS} {_ENGINE_FLAGS} {_OUTPUT_FLAGS}",
+}
+_DROPPED = [
+    (command, flag)
+    for command, takes in _TAKES.items()
+    for flag in f"{_ENGINE_FLAGS} --stream --panels".split()
+    if flag not in takes.split()
+]
+
+
+class TestFlagsPerSubcommand:
+    @pytest.mark.parametrize(
+        "command, count",
+        [("price", 25), ("table", 6), ("density", 11), ("converge", 21), ("bench", 24)],
+    )
+    def test_help_lists_the_flags_the_subcommand_reads(self, capsys, command, count):
+        with pytest.raises(SystemExit) as exited:
+            main([command, "--help"])
+        assert exited.value.code == 0
+        listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"}
+        assert listed == set(_TAKES[command].split()) and len(listed) == count
+
+    @pytest.mark.parametrize("command, flag", _DROPPED, ids=[" ".join(pair) for pair in _DROPPED])
+    def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(self, capsys, command, flag):
+        """A flag that would change nothing is refused: exit 1, nothing on
+        stdout and one JSON usage line naming it."""
+        value = {"--antithetic": [], "--stream": [], "--alpha-policy": ["nudge"]}.get(flag, ["1"])
+        code, out, err = run_cli(capsys, *_CALLS[command], flag, *value)
+        assert (code, out) == (1, "")
+        (line,) = err.splitlines()
+        assert json.loads(line) == {
+            "error": f"unrecognized arguments: {' '.join([flag, *value])}", "type": "usage"
+        }
+
+
 class TestOutputPlumbing:
     def test_byte_stable_csv(self, capsys):
         _, first, _ = run_cli(capsys, "table", "--id", "6")
@@ -576,15 +633,6 @@ class TestOutputPlumbing:
         code, out, _ = run_cli(capsys, "table", "--id", "6", "--output", str(target))
         assert code == 0 and out == ""
         assert len(parse_csv(target.read_text())) == 3
-
-    def test_stream_mode_json_lines(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "table", "--id", "6", "--format", "json", "--stream",
-        )
-        assert code == 0
-        lines = out.strip().splitlines()
-        assert len(lines) == 3
-        assert all(json.loads(line) for line in lines)
 
     def test_config_file_with_flag_override(self, capsys, tmp_path):
         config = tmp_path / "run.json"
@@ -639,6 +687,29 @@ class TestOutputPlumbing:
         )
         assert code == 1
         assert "spoot" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["table", "--id", "6"], "paths"),
+            (["density", "--sigma", "0.2", "--nu", "0.85"], "seed"),
+            (["converge", *_BASE_FLAGS], "max_order"),
+        ],
+        ids=["table-paths", "density-seed", "converge-max-order"],
+    )
+    def test_a_config_key_the_subcommand_does_not_take_is_rejected(
+        self, capsys, tmp_path, argv, key
+    ):
+        """--config takes the keys whose flags the subcommand takes: any other
+        key exits 1 with one JSON usage line naming it, and prints nothing."""
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({key: 5}))
+        code, out, err = run_cli(capsys, *argv, "--config", str(config))
+        assert (code, out) == (1, "")
+        (line,) = err.splitlines()
+        assert json.loads(line) == {
+            "error": f"{argv[0]} does not take config keys: ['{key}']", "type": "usage"
+        }
 
     @pytest.mark.parametrize("key", ["config", "payoff", "command", "table_id"])
     def test_command_line_only_keys_rejected_in_config(self, capsys, tmp_path, key):
@@ -741,11 +812,14 @@ _CONFIG_RANGES = {
     "sigma": (0.05, 1.0), "nu": (0.05, 1.0), "theta": (-0.3, 0.3), "spot": (50.0, 150.0),
     "strike": (50.0, 150.0), "trigger_strike": (50.0, 150.0), "rate": (0.0, 0.1),
     "dividend_yield": (0.0, 0.05), "tau": (0.02, 3.0), "power": (1.0, 2.0),
-    "paths": (-1, 10_000), "panels": (-1, 64), "max_order": (-1, 60), "gl_order": (-1, 40),
-    "seed": (-1, 2**64), "points": (-1, 50), "u_max": (-1.0, 1e4), "abs_tol": (-1e-9, 1e-3),
-    "tail_tol": (-1e-9, 1e-3),
+    "paths": (-1, 10_000), "max_order": (-1, 60), "gl_order": (-1, 40), "seed": (-1, 2**64),
+    "u_max": (-1.0, 1e4), "abs_tol": (-1e-9, 1e-3), "tail_tol": (-1e-9, 1e-3),
 }
-_CONFIG_KEYS = [key for key in cli._FLAGS if key != "output"]  # no files written
+# the keys price takes, but not output: no files written
+_CONFIG_KEYS = [
+    key for key, (commands, *_) in cli._FLAGS.items()
+    if "price" in commands.split() and key != "output"
+]
 _PRICE_KEYS = ("sigma", "nu", "spot", "strike", "tau")
 
 
@@ -772,7 +846,7 @@ def _well_typed(key):
     | st.dictionaries(st.sampled_from(_CONFIG_KEYS), _ANY_JSON, min_size=1, max_size=2),
 )
 def test_any_config_exits_with_a_typed_status(tmp_path_factory, payoff, config, noise):
-    """Any JSON object over the known keys prices or exits 1, 2 or 3 with
+    """Any JSON object over price's keys prices or exits 1, 2 or 3 with
     exactly one JSON line on stderr.  Well-typed values are mixed with up to
     two values of any JSON type."""
     path = tmp_path_factory.getbasetemp() / "property_config.json"
@@ -902,22 +976,23 @@ class TestBenchmarkTracer:
 # byte digest over a fixed CLI corpus
 # ---------------------------------------------------------------------------
 
-_DIGEST_CONTRACT = [
+_DIGEST_MARKET = [
     "--strike", "4000", "--trigger-strike", "3900", "--rate", "0.01", "--tau", "2",
-    "--power", "1.1", "--sigma", "0.2", "--nu", "0.85", "--paths", "2000",
+    "--power", "1.1", "--sigma", "0.2", "--nu", "0.85",
 ]
+_DIGEST_CONTRACT = [*_DIGEST_MARKET, "--paths", "2000"]
 _DIGEST_SPOTS = ("3000", "4000", "4200")  # OTM, at the money and ITM for a call
 
 
 def _digest_corpus():
-    """The argv of each call: every (payoff, spot, method) price in json, csv
-    and json lines, the drifted digital, bench, density, converge with both
-    references in both formats, and usage, domain and convergence errors."""
+    """The argv of each call: every (payoff, spot, method) price in json and
+    csv, the drifted digital, bench, density, converge with both references
+    in both formats, and usage, domain and convergence errors."""
     for payoff in cli._PAYOFFS:
         for spot in _DIGEST_SPOTS:
             for method in cli._METHODS:
                 price = ["price", "--payoff", payoff, "--method", method, "--spot", spot]
-                for output in (["--format", "json"], ["--format", "csv"], ["--stream"]):
+                for output in (["--format", "json"], ["--format", "csv"]):
                     yield [*price, *_DIGEST_CONTRACT, *output]
             yield ["bench", "--payoff", payoff, "--spot", spot, *_DIGEST_CONTRACT]
         yield ["bench", "--payoff", payoff, "--spot", "4000", *_DIGEST_CONTRACT, "--format", "json"]
@@ -927,7 +1002,7 @@ def _digest_corpus():
                 "price", "--payoff", "cash-or-nothing", "--method", method, "--spot", spot,
                 "--theta", "-0.1", *_DIGEST_CONTRACT,
             ]
-    for extra in ([], ["--format", "json"], ["--stream", "--format", "json"], ["--x-min=-0.5"]):
+    for extra in ([], ["--format", "json"], ["--x-min=-0.5"]):
         yield ["density", "--sigma", "0.2", "--nu", "0.85", "--points", "9", *extra]
     for reference in ("series", "fourier"):
         for lists in (
@@ -936,7 +1011,7 @@ def _digest_corpus():
         ):
             for fmt in ("csv", "json"):
                 yield [
-                    "converge", "--spot", "3000", *_DIGEST_CONTRACT, "--reference", reference,
+                    "converge", "--spot", "3000", *_DIGEST_MARKET, "--reference", reference,
                     *lists, "--format", fmt,
                 ]
     contract = ["--spot", "4200", *_DIGEST_CONTRACT]
@@ -948,10 +1023,15 @@ def _digest_corpus():
         ["price", "--payoff", "european", "--method", "mc", *contract, "--paths", "0"],
         ["price", "--payoff", "gap", "--method", "series", *contract, "--tau", "0"],
         ["density", "--sigma", "0.2", "--nu", "0.85", "--points", "1"],
-        ["converge", "--spot", "3000", *_DIGEST_CONTRACT, "--max-orders", ""],
-        ["converge", "--spot", "3000", *_DIGEST_CONTRACT, "--u-max-list", "1e2,y"],
+        ["converge", "--spot", "3000", *_DIGEST_MARKET, "--max-orders", ""],
+        ["converge", "--spot", "3000", *_DIGEST_MARKET, "--u-max-list", "1e2,y"],
+        ["converge", "--spot", "3000", *_DIGEST_CONTRACT],
+        ["converge", "--spot", "3000", *_DIGEST_MARKET, "--max-order", "60"],
         ["bench", "--payoff", "european", "--spot", "3000"],
+        ["bench", "--payoff", "european", *contract, "--panels", "4"],
         ["table", "--id", "99"],
+        ["table", "--id", "6", "--max-order", "60", "--stream"],
+        ["density", "--sigma", "0.2", "--nu", "0.85", "--points", "9", "--seed", "1"],
     )
 
 
@@ -990,8 +1070,8 @@ class TestCliDigest:
         exit code, runtime_ms aside.  `PYTHONPATH=src python tests/test_cli.py
         --digest` prints the hash; a change meant to move CLI bytes restates it."""
         count, sha256 = _cli_digest()
-        assert count == 331
-        assert sha256 == "ff488d2ec6c6d40818164260c9cb52299fc3a4a8db9ddb91e9bd8365beaa801e"
+        assert count == 245
+        assert sha256 == "a3062645e1363bb8a6724a8d53bee72392c6e841f194c27b8fc8785fbdcd7c75"
 
 
 if __name__ == "__main__":

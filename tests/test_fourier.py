@@ -184,15 +184,6 @@ class TestGradedQuadrature:
         market = MarketInputs(spot=160.0, strike=130.0, rate=0.0, tau=2.0)
         self._assert_matches_qawo(VgParams(sigma=0.2, nu=0.01), market, u_max, 160e-9)
 
-    def test_panel_floor(self, bench_params):
-        market = make_market(4200.0, 0.5)
-        default = lewis_cash_or_nothing(bench_params, market, _TRUNCATED)
-        floored = lewis_cash_or_nothing(
-            bench_params, market, FourierConfig(u_max=1e4, panels=4000)
-        )
-        assert floored.terms_evaluated >= 4000 * 32 > default.terms_evaluated
-        assert floored.value == pytest.approx(default.value, abs=1e-9)
-
     def test_memory_bounded_for_large_truncation(self, bench_params):
         """Nodes are evaluated in bounded chunks: a 3e5 truncation point
         stays under 16 MB."""
@@ -205,21 +196,6 @@ class TestGradedQuadrature:
             tracemalloc.stop()
         assert result.diagnostics["tolerance_met"]
         assert peak < 16e6
-
-    @pytest.mark.parametrize(
-        "pricer", [carr_madan_european, lewis_cash_or_nothing, lewis_asset_or_nothing]
-    )
-    def test_first_pass_above_the_ceiling_rejected(self, bench_params, monkeypatch, pricer):
-        """A panel floor above 2^20 is refused with InvalidParameters naming
-        u_max and panels, before the panel edges are built."""
-
-        def no_allocation(*args, **kwargs):
-            raise AssertionError("the panel edges were built before the count was checked")
-
-        monkeypatch.setattr(np, "linspace", no_allocation)
-        cfg = FourierConfig(u_max=1e4, panels=2**20 + 1)
-        with pytest.raises(InvalidParameters, match=r"u_max = 10000.0 with panels = 1048577"):
-            pricer(bench_params, make_market(4200.0, 0.5), cfg)
 
 
 class TestFourierDiagnostics:
@@ -339,6 +315,28 @@ class TestFourierDiagnostics:
         assert result.value == pytest.approx(math.exp(-rate * tau) * probability, abs=1e-12)
         assert abs(result.value - cash_or_nothing(bench_params, market).value) > 0.39
 
+    @pytest.mark.parametrize("k_rn", [-1e-13, -1e-14, 1e-14, 1e-13])
+    @pytest.mark.parametrize("tau", [1 / 360, 1 / 52], ids=["1d", "1w"])
+    def test_a_moneyness_past_rounding_is_not_at_the_money(self, bench_params, tau, k_rn):
+        """|k_rn| of 1e-14 or more is past the rounding of k_rn, so the series
+        prices its own moneyness and matches the contour to 1e-9 relative.  A
+        band of 1e-12 priced these at k_rn = 0: the cash digital at one day
+        and k_rn 1e-14 read 0.49999 against the contour's 0.91200."""
+        omega = model.derive(bench_params, make_market(4000.0, tau)).omega
+        market = make_market(4000.0 * math.exp(k_rn - (0.01 + omega) * tau), tau)
+        derived = model.derive(bench_params, market)
+        assert derived.rn_moneyness == pytest.approx(k_rn, abs=1e-15)
+        for series_pricer, contour_pricer in (
+            (cash_or_nothing, lewis_cash_or_nothing),
+            (asset_or_nothing, lewis_asset_or_nothing),
+            (european, carr_madan_european),
+        ):
+            contour = contour_pricer(bench_params, market)
+            assert contour.diagnostics["tolerance_met"] is True
+            value = series_pricer(bench_params, market).value
+            assert value == pytest.approx(contour.value, rel=1e-9), series_pricer.__name__
+        assert derived.branch == ("itm" if k_rn > 0.0 else "otm")
+
     def test_results_carry_python_scalars(self, bench_params):
         """Values are plain floats and the tolerance flag a plain bool."""
         for spot in (3000.0, 4200.0):
@@ -455,8 +453,6 @@ class TestCarrMadan:
     def test_config_validation(self):
         with pytest.raises(InvalidParameters):
             FourierConfig(u_max=-1.0)
-        with pytest.raises(InvalidParameters):
-            FourierConfig(panels=0)
         with pytest.raises(InvalidParameters):
             FourierConfig(abs_tol=0)
 
