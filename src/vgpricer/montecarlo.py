@@ -17,10 +17,9 @@ memo keyed by everything S_T depends on, (seed, shape, n_units, nu, sigma,
 theta, drift, spot, antithetic).  A payoff or strike of the same contract
 only evaluates, discounts and averages; a new spot, rate, sigma, theta or nu
 draws again.  theta = -0.0 shares the entry of 0.0: S_T passes through exp,
-which maps either zero to 1.  Up to 2^18 units the samples go to a buffer
-kept per thread, and the standard error is taken in place on it; no price
-writes what another thread reads, so mc_price may run in several threads at
-once.
+which maps either zero to 1.  Each price writes its samples into arrays of
+its own and takes the standard error in place on them; the memo entries are
+read-only, so mc_price may run in several threads at once.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +41,6 @@ _CHUNK = 1 << 20
 _MEMO_UNITS = 1 << 18  # 2 or 4 MB of S_T in the memo entry
 _MAX_PATHS = 1 << 27
 _Z95 = 1.96
-_local = threading.local()  # buffer: mc_price's samples, reused up to _MEMO_UNITS
 
 PAYOFF_NAMES = (
     "european",
@@ -59,10 +56,11 @@ PAYOFF_NAMES = (
 class McConfig:
     """Path count, Philox seed and antithetic pairing of one Monte Carlo price.
 
-    n_paths runs from 1 to 2^27 (134,217,728): a price keeps one float64
-    sample per path, so the ceiling holds the samples to 1 GiB, and a larger
-    count raises InvalidParameters before anything is allocated.  seed lies
-    in [0, 2^64), and antithetic pairing needs an even n_paths.
+    n_paths runs from 2 to 2^27 (134,217,728), two independent samples for a
+    standard error; a price keeps one float64 sample per path, so the ceiling
+    holds them to 1 GiB, and a larger count raises InvalidParameters before
+    anything is allocated.  seed lies in [0, 2^64).  Antithetic pairing needs
+    an even n_paths of at least 4, as a pair is one independent sample.
     """
 
     n_paths: int
@@ -78,6 +76,10 @@ class McConfig:
             raise InvalidParameters(f"seed must be in [0, 2^64), got {self.seed!r}")
         if self.antithetic and self.n_paths % 2 != 0:
             raise InvalidParameters("antithetic sampling needs an even n_paths")
+        if self.n_paths < (4 if self.antithetic else 2):
+            raise InvalidParameters(
+                f"n_paths {self.n_paths!r} gives 1 independent sample; a standard error needs 2"
+            )
 
 
 @dataclass(frozen=True)
@@ -95,8 +97,11 @@ class McEstimate:
 
     @classmethod
     def from_samples(cls, samples: np.ndarray) -> "McEstimate":
-        """The estimate of samples, read as float64 and left as they are."""
-        return cls._from_scratch(np.array(samples, dtype=np.float64))
+        """The estimate of at least two samples, read as float64 and left as they are."""
+        samples = np.array(samples, dtype=np.float64)
+        if samples.size < 2:
+            raise InvalidParameters(f"an estimate needs at least two samples, got {samples.size}")
+        return cls._from_scratch(samples)
 
     @classmethod
     def _from_scratch(cls, samples: np.ndarray) -> "McEstimate":
@@ -106,10 +111,8 @@ class McEstimate:
         mean = np.add.reduce(samples, axis=None, keepdims=True)
         mean /= n
         value = mean.item()
-        std_error = 0.0
-        if n > 1:
-            np.square(np.subtract(samples, mean, out=samples), out=samples)
-            std_error = math.sqrt(np.add.reduce(samples, axis=None).item() / (n - 1)) / math.sqrt(n)
+        np.square(np.subtract(samples, mean, out=samples), out=samples)
+        std_error = math.sqrt(np.add.reduce(samples, axis=None).item() / (n - 1)) / math.sqrt(n)
         ci_low = value - _Z95 * std_error
         ci_high = value + _Z95 * std_error
         ratio = (ci_high - ci_low) / abs(value) if value != 0.0 else 0.0
@@ -214,18 +217,6 @@ def _memo_terminal_prices(*key) -> tuple:
     return chunks
 
 
-def _workspace(n_units: int, antithetic: bool) -> tuple:
-    """(samples, room for one chunk of the down leg's payoff): views of this
-    thread's kept buffer up to _MEMO_UNITS units, fresh arrays above."""
-    size = n_units + (min(n_units, _CHUNK) if antithetic else 0)
-    buffer = getattr(_local, "buffer", None)
-    if n_units > _MEMO_UNITS:
-        buffer = np.empty(size)
-    elif buffer is None or buffer.size < size:
-        buffer = _local.buffer = np.empty(size)
-    return buffer[:n_units], buffer[n_units:size]
-
-
 def mc_price(
     payoff: str, params: VgParams, market: MarketInputs, cfg: McConfig
 ) -> McEstimate:
@@ -240,7 +231,7 @@ def mc_price(
     discount = math.exp(-derived.rate_effective * tau)
     drift = (derived.rate_effective + derived.omega) * tau
     n_units = cfg.n_paths // 2 if cfg.antithetic else cfg.n_paths
-    samples, spare = _workspace(n_units, cfg.antithetic)
+    samples = np.empty(n_units)
     key = (
         cfg.seed, tau / params.nu, n_units, params.nu, params.sigma, params.theta,
         drift, market.spot, cfg.antithetic,
@@ -251,7 +242,7 @@ def mc_price(
         block = _terminal_payoff(payoff, legs[0], market, samples[start : start + m])
         block *= discount
         if cfg.antithetic:
-            down = _terminal_payoff(payoff, legs[1], market, spare[:m])
+            down = _terminal_payoff(payoff, legs[1], market, np.empty(m))
             down *= discount
             block += down
             block *= 0.5

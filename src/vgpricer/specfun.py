@@ -10,7 +10,7 @@ The handful of special functions the pricing engines need:
   (``scipy.special.kv``, with explicit overflow reporting), and its log from
   log x alone where ``kv`` overflows or x is subnormal,
 * the standard normal CDF,
-* Gauss-Laguerre quadrature rules (nodes and weights for int_0^inf f(u) e^{-u} du).
+* Gauss-Laguerre rules for int_0^inf f(u) e^{-u} du (``scipy.special.roots_laguerre``).
 
 Everything here is pure and reentrant.
 """
@@ -23,7 +23,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc, gammaln, gammasgn, kv
+from scipy.special import erfc, gammaln, gammasgn, kv, roots_laguerre
 
 from .errors import GammaOverflowError, InvalidParameters, PoleError
 
@@ -171,22 +171,12 @@ class QuadratureRule:
             raise InvalidParameters("rule arrays must match the stated order")
 
 
-def _laguerre_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(L_{n-1}(x), L_n(x)) by the three-term recurrence."""
-    l_prev = np.ones_like(x)
-    l_curr = 1.0 - x
-    for j in range(1, n):
-        l_prev, l_curr = l_curr, ((2.0 * j + 1.0 - x) * l_curr - j * l_prev) / (j + 1.0)
-    return l_prev, l_curr
-
-
 def laguerre_rule(n: int) -> QuadratureRule:
     """Nodes and weights of the order-n Gauss-Laguerre rule, 1 <= n <= 64.
 
-    Eigenvalues of the Jacobi matrix seed Newton iteration on the Laguerre
-    recurrence; weights follow from w_i = u_i / ((n+1)^2 L_{n+1}(u_i)^2).
-    Each order is built once per process; its arrays are read-only, as every
-    caller shares them.
+    The rule is scipy.special.roots_laguerre(n), which is
+    roots_genlaguerre(n, 0.0) to the bit.  Each order is built once per
+    process; its arrays are read-only, as every caller shares them.
     """
     if not isinstance(n, (int, np.integer)) or not 1 <= n <= 64:
         raise InvalidParameters(f"laguerre_rule order must be in [1, 64], got {n!r}")
@@ -195,18 +185,7 @@ def laguerre_rule(n: int) -> QuadratureRule:
 
 @functools.lru_cache(maxsize=64)
 def _laguerre_rule(n: int) -> QuadratureRule:
-    jacobi = np.diag(2.0 * np.arange(n) + 1.0)
-    off = np.arange(1.0, n)
-    jacobi += np.diag(off, 1) + np.diag(off, -1)
-    nodes = np.linalg.eigvalsh(jacobi)
-
-    for _ in range(4):  # Newton polish; x L_n'(x) = n (L_n(x) - L_{n-1}(x))
-        l_nm1, l_n = _laguerre_pair(n, nodes)
-        deriv = n * (l_n - l_nm1) / nodes
-        nodes = nodes - l_n / deriv
-
-    _, l_np1 = _laguerre_pair(n + 1, nodes)
-    weights = nodes / ((n + 1.0) ** 2 * l_np1**2)
+    nodes, weights = roots_laguerre(n)
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return QuadratureRule(order=n, nodes=nodes, weights=weights)

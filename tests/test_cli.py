@@ -730,7 +730,7 @@ class TestOutputPlumbing:
         for config in (series.SeriesControl(), fourier.FourierConfig()):
             for field in dataclasses.fields(config):
                 assert resolved[field.name] == getattr(config, field.name), field.name
-        mc = montecarlo.McConfig(n_paths=1)
+        mc = montecarlo.McConfig(n_paths=2)
         assert (resolved["seed"], resolved["antithetic"]) == (mc.seed, mc.antithetic)
         assert resolved["theta"] == VgParams(sigma=0.2, nu=0.85).theta
         market = MarketInputs(spot=1.0, strike=1.0, rate=0.0, tau=1.0)
@@ -750,6 +750,18 @@ class TestOutputPlumbing:
         (line,) = err.splitlines()
         assert json.loads(line)["type"] == "InvalidParameters"
         assert "n_paths" in json.loads(line)["error"]
+
+    @pytest.mark.parametrize("paths", [["--paths", "1"], ["--antithetic", "--paths", "2"]])
+    def test_fewer_than_two_independent_samples_is_a_typed_error(self, capsys, paths):
+        """One path, or one antithetic pair, has no standard error: it exits 2
+        with one JSON line, not a zero-width interval."""
+        code, out, err = run_cli(
+            capsys, "price", "--payoff", "european", "--method", "mc", *paths, *_BASE_FLAGS,
+        )
+        assert (code, out) == (2, "")
+        (line,) = err.splitlines()
+        assert json.loads(line)["type"] == "InvalidParameters"
+        assert "independent sample" in json.loads(line)["error"]
 
     def test_far_truncation_prices_in_bounded_work(self, capsys):
         """u_max = 1e7 and 1e12 price with exit 0 and no more evaluations than
@@ -1071,7 +1083,7 @@ class TestCliDigest:
         --digest` prints the hash; a change meant to move CLI bytes restates it."""
         count, sha256 = _cli_digest()
         assert count == 245
-        assert sha256 == "a3062645e1363bb8a6724a8d53bee72392c6e841f194c27b8fc8785fbdcd7c75"
+        assert sha256 == "dea344afd0c7e30d57c85280930fdbcb1c72edc8a4faa7085eaecfd3e63b4382"
 
 
 if __name__ == "__main__":

@@ -218,6 +218,16 @@ class TestEstimator:
         with pytest.raises(InvalidParameters):
             McConfig(n_paths=10, seed=seed)
 
+    @pytest.mark.parametrize("n_paths, antithetic", [(1, False), (2, True)])
+    def test_fewer_than_two_independent_samples_rejected(self, n_paths, antithetic):
+        """One path, or one antithetic pair, gives no standard error."""
+        with pytest.raises(InvalidParameters, match="needs 2"):
+            McConfig(n_paths, antithetic=antithetic)
+
+    def test_estimate_of_one_sample_rejected(self):
+        with pytest.raises(InvalidParameters, match="at least two"):
+            McEstimate.from_samples([1.0])
+
     @pytest.mark.parametrize("n_paths", [2**27 + 1, 10**13])
     def test_path_count_above_the_ceiling_rejected(self, n_paths):
         """A count above 2^27 raises before any draw; 2^27 itself is a valid
@@ -361,7 +371,7 @@ class TestDrawMemoProperty:
         strike=_MC_STRIKES_DRAWN,
         antithetic=st.booleans(),
         seed=st.integers(0, 2**64 - 1),
-        n_units=st.integers(1, 3000),
+        n_units=st.integers(2, 3000),
         others=st.lists(
             st.tuples(_MC_STRIKES_DRAWN, st.floats(80.0, 125.0), st.floats(0.0, 0.05)),
             min_size=1, max_size=3,
@@ -418,7 +428,7 @@ class TestDrawMemoProperty:
         payoff=st.sampled_from(montecarlo.PAYOFF_NAMES),
         antithetic=st.booleans(),
         seed=st.integers(0, 2**64 - 1),
-        n_units=st.integers(1, 128),
+        n_units=st.integers(2, 128),
         cap=st.integers(0, 128),
     )
     def test_requests_above_the_cap_draw_past_the_memo(
@@ -496,23 +506,13 @@ def _counting_terminal_prices():
     )
 
 
-def _in_new_thread(fn):
-    """fn() run in a thread of its own, which starts with no sample buffer."""
-    out = []
-    thread = threading.Thread(target=lambda: out.append(fn()))
-    thread.start()
-    thread.join()
-    (result,) = out
-    return result
-
-
 class TestSharedTerminalPrices:
     @given(
         tau=st.sampled_from(_MC_TAUS),
         theta=_MC_THETAS,
         antithetic=st.booleans(),
         seed=st.integers(0, 2**64 - 1),
-        n_units=st.integers(1, 2000),
+        n_units=st.integers(2, 2000),
         strikes=st.lists(_MC_STRIKES_DRAWN, min_size=2, max_size=3),
         moved=st.sampled_from(("spot", "rate")),
     )
@@ -611,8 +611,8 @@ class TestSharedTerminalPrices:
 
     @pytest.mark.parametrize("antithetic", [False, True])
     def test_a_price_above_the_cap_keeps_nothing_of_its_size(self, antithetic):
-        """A thread keeps a sample buffer only for prices within the memo cap,
-        so a price above it leaves neither a buffer nor a memo entry of its size."""
+        """A price above the memo cap leaves no memo entry of its size, and
+        after a price within the cap it leaves that price's entry as it was."""
         n_units = montecarlo._MEMO_UNITS + 1
         market = MarketInputs(spot=100.0, strike=100.0, rate=0.02, tau=_MC_TAUS[1])
         params = VgParams(sigma=0.2, nu=_MC_NU)
@@ -620,12 +620,11 @@ class TestSharedTerminalPrices:
         def price(n_units):
             n_paths = 2 * n_units if antithetic else n_units
             mc_price("european", params, market, McConfig(n_paths, seed=1, antithetic=antithetic))
-            return getattr(montecarlo._local, "buffer", None)
 
-        assert _in_new_thread(lambda: price(n_units)) is None
+        price(n_units)
         assert montecarlo._memo_terminal_prices.cache_info().currsize == 0
-        small = _in_new_thread(lambda: (price(1000), price(n_units))[1])
-        assert small.size == (2000 if antithetic else 1000)
+        price(1000)
+        price(n_units)
         before = montecarlo._memo_terminal_prices.cache_info()
         key = _memo_key(_MC_TAUS[1], 0.0, antithetic, 1, 1000, dividend_yield=0.0)
         montecarlo._memo_terminal_prices(*key)
@@ -635,7 +634,7 @@ class TestSharedTerminalPrices:
 
 class TestEstimateInPlace:
     @given(
-        n=st.integers(1, 5000),
+        n=st.integers(2, 5000),
         kind=st.sampled_from(("gaussian", "indicator", "call")),
         seed=st.integers(0, 2**32 - 1),
     )
@@ -651,7 +650,7 @@ class TestEstimateInPlace:
         before = samples.copy()
         estimate = McEstimate.from_samples(samples)
         assert samples.tobytes() == before.tobytes()
-        std_error = float(samples.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+        std_error = float(samples.std(ddof=1) / math.sqrt(n))
         assert (float.hex(estimate.value), float.hex(estimate.std_error)) == (
             float.hex(float(samples.mean())), float.hex(std_error)
         )
