@@ -178,13 +178,15 @@ def _monte_carlo(payoff: str, params, market, cfg) -> PriceResult:
     """Monte Carlo as a PriceResult: paths as terms, with its standard error and 95% interval.
 
     The branch is labelled as the other engines label it: a gap at its
-    trigger K2, a power digital by its power moneyness.
+    trigger K2, a power digital by its power moneyness.  Samples that are
+    all equal give a standard error of 0, which is flagged with a warning.
     """
     estimate = montecarlo.mc_price(payoff.replace("-", "_"), params, market, cfg)
     if payoff == "gap":
         market = dataclasses.replace(market, strike=market.trigger_strike)
     derived = model.derive(params, market)
     power = payoff == "power-asset-or-nothing"
+    warning = "all samples are equal: std_error is 0 and the interval does not bound the error"
     return PriceResult(
         value=estimate.value,
         method="monte_carlo",
@@ -192,6 +194,7 @@ def _monte_carlo(payoff: str, params, market, cfg) -> PriceResult:
         branch=model.moneyness_branch(derived.power_moneyness) if power else derived.branch,
         std_error=estimate.std_error,
         ci=(estimate.ci_low, estimate.ci_high),
+        diagnostics={"warning": warning} if estimate.std_error == 0.0 else {},
     )
 
 
@@ -391,10 +394,8 @@ def _cmd_converge(resolved: dict) -> list[dict]:
         reference = fourier.carr_madan_european(params, market, cfg).value
     races = []  # (kind, parameter, value)
     for m in max_orders:
-        try:
-            value = series.european(params, market, dataclasses.replace(ctrl, max_order=m)).value
-        except NonConvergenceError as err:
-            value = err.result.value
+        ctrl_m = dataclasses.replace(ctrl, max_order=m)
+        value = tables._partial_sum(series.european, params, market, ctrl_m)
         races.append(("series_max", m, value))
     for u_max in u_maxes:
         cfg_u = dataclasses.replace(cfg, u_max=u_max)

@@ -68,9 +68,10 @@ class McConfig:
     antithetic: bool = False
 
     def __post_init__(self):
+        # 1 passes here, to be refused below with the reason that a standard error needs 2
         if not 1 <= self.n_paths <= _MAX_PATHS:
             raise InvalidParameters(
-                f"n_paths must be in [1, 2^27 = {_MAX_PATHS}], got {self.n_paths!r}"
+                f"n_paths must be in [2, 2^27 = {_MAX_PATHS}], got {self.n_paths!r}"
             )
         if not 0 <= self.seed < 2**64:
             raise InvalidParameters(f"seed must be in [0, 2^64), got {self.seed!r}")

@@ -1,12 +1,15 @@
 """Reproduction of the published benchmark tables.
 
-Each builder regenerates one reference grid (same rows, same columns) with
-the engines in this package.  The shared parameter set is K = 4000,
-r = 1%, sigma = 0.2, nu = 0.85; per-table variations are in the builders.
+Each table is one or more blocks of rows × columns.  A row is (label, params,
+spot, tau), priced at the shared strike K = 4000 and rate r = 1%; the shared
+model is sigma = 0.2, nu = 0.85 with the row's theta.  A column is (label,
+price(params, market)).  `_block` prices every row in every column, row by
+row, so each builder below only lists its rows and its columns.
 
 Truncated series cells intentionally include non-converged values (that is
-what the truncation columns demonstrate), so the builders catch the
-non-convergence error and keep the partial sum.
+what the truncation columns demonstrate), so a series column keeps the
+partial sum of a series stopped at its max_order (`_partial_sum`, which
+``vgpricer converge`` uses too).
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ _SIGMA = 0.2
 _NU = 0.85
 # the lewis columns keep the real-axis integral truncated at 1e4
 _LEWIS = fourier.FourierConfig(u_max=1e4)
+_TAUS = (("1/12", 1.0 / 12.0), ("1/52", 1.0 / 52.0), ("1/360", 1.0 / 360.0))
 
 
 def base_params(theta: float = 0.0) -> VgParams:
@@ -41,148 +45,70 @@ def atm_spot(params: VgParams, tau: float, strike: float = _STRIKE, rate: float 
     return strike * math.exp(-(rate + omega) * tau)
 
 
-def _market(spot: float, tau: float) -> MarketInputs:
-    return MarketInputs(spot=spot, strike=_STRIKE, rate=_RATE, tau=tau)
-
-
-def _series_cell(pricer: Callable, params, market, max_order: int) -> float:
+def _partial_sum(pricer: Callable, params, market, ctrl: series.SeriesControl) -> float:
+    """The series price under ctrl, or its partial sum where ctrl.max_order stops it short."""
     try:
-        return pricer(params, market, series.SeriesControl(max_order=max_order)).value
+        return pricer(params, market, ctrl).value
     except NonConvergenceError as err:
         return err.result.value
 
 
-def _digital_rows(pricer: Callable, lewis: Callable) -> list[dict]:
-    params = base_params()
-    rows = []
-    for tau in (2.0, 0.5):
-        spots = [
-            ("S=5000", 5000.0),
-            ("S=4200", 4200.0),
-            ("ATM", atm_spot(params, tau)),
-            ("S=3800", 3800.0),
-            ("S=3000", 3000.0),
-        ]
-        for label, spot in spots:
-            market = _market(spot, tau)
-            cells = {
-                f"max={m}": _series_cell(pricer, params, market, m)
-                for m in (3, 5, 10, 15)
-            }
-            cells["lewis"] = lewis(params, market, _LEWIS).value
-            rows.append({"row_label": f"tau={tau:g},{label}", "cells": cells})
-    return rows
+def _series(pricer: Callable, max_orders, label: str = "max") -> list:
+    """One column per max_order m, labelled label=m: the series' partial sum."""
+    return [
+        (f"{label}={m}", lambda p, mk, m=m: _partial_sum(pricer, p, mk, series.SeriesControl(m)))
+        for m in max_orders
+    ]
 
 
-def _table_one() -> list[dict]:
-    return _digital_rows(series.cash_or_nothing, fourier.lewis_cash_or_nothing)
+def _lewis(pricer: Callable) -> list:
+    return [("lewis", lambda p, mk: pricer(p, mk, _LEWIS).value)]
 
 
-def _table_two() -> list[dict]:
-    return _digital_rows(series.asset_or_nothing, fourier.lewis_asset_or_nothing)
+def _spots(prefix: str, params: VgParams, tau: float, spots, atm: Callable = atm_spot) -> list:
+    """Rows labelled prefix + S=spot at tau; a spot of None is the row ATM at atm(params, tau)."""
+    return [
+        (f"{prefix}S={s:g}", params, s, tau) if s is not None
+        else (f"{prefix}ATM", params, atm(params, tau), tau)
+        for s in spots
+    ]
 
 
-_TAU_LABELS = (("1/12", 1.0 / 12.0), ("1/52", 1.0 / 52.0), ("1/360", 1.0 / 360.0))
-
-
-def _table_three() -> list[dict]:
-    params = base_params()
-    rows = []
-    for spot, max_orders in ((3000.0, (5, 10, 20)), (2000.0, (10, 20, 30))):
-        for tau_label, tau in _TAU_LABELS:
-            market = _market(spot, tau)
-            cells = {
-                f"series_max={m}": _series_cell(series.european, params, market, m)
-                for m in max_orders
-            }
-            for umax_label, umax in (("1e2", 1e2), ("1e3", 1e3), ("1e4", 1e4)):
-                cfg = fourier.FourierConfig(u_max=umax, damping_a=1.0)
-                cells[f"cm_umax={umax_label}"] = fourier.carr_madan_european(
-                    params, market, cfg
-                ).value
-            rows.append({"row_label": f"S={spot:g},tau={tau_label}", "cells": cells})
-    return rows
-
-
-def _table_four() -> list[dict]:
-    rows = []
-    for theta, spots in ((0.1, (6000.0, None, 3000.0)), (-0.1, (5000.0, None, 2000.0))):
-        params = base_params(theta)
-        sign = "+" if theta > 0 else "-"
-        for spot in spots:
-            label = f"S={spot:g}" if spot is not None else "ATM"
-            spot_val = spot if spot is not None else atm_spot(params, 2.0)
-            market = _market(spot_val, 2.0)
-            cells = {
-                f"max={m}": _series_cell(series.asym_cash_or_nothing, params, market, m)
-                for m in (3, 5, 10, 15)
-            }
-            cells["lewis"] = fourier.lewis_cash_or_nothing(params, market, _LEWIS).value
-            rows.append({"row_label": f"theta={sign}0.1,{label}", "cells": cells})
-    return rows
-
-
-def _table_five() -> list[dict]:
-    rows = []
-    for theta in (0.1, -0.1):
-        params = base_params(theta)
-        sign = "+" if theta > 0 else "-"
-        for tau_label, tau in (("1/2", 0.5),) + _TAU_LABELS:
-            market = _market(4200.0, tau)
-            cells = {
-                f"max={m}": _series_cell(series.asym_cash_or_nothing, params, market, m)
-                for m in (3, 5, 10, 15)
-            }
-            rows.append({"row_label": f"theta={sign}0.1,tau={tau_label}", "cells": cells})
-    return rows
-
-
-def _table_six() -> list[dict]:
-    params = base_params()
-    rows = []
-    for label, spot in (
-        ("S=4500", 4500.0),
-        ("ATM", atm_spot(params, 2.0)),
-        ("S=3500", 3500.0),
-    ):
-        market = _market(spot, 2.0)
-        cells = {
-            f"series_max={m}": _series_cell(series.european, params, market, m)
-            for m in (5, 10, 15)
-        }
-        for n in (5, 10, 15):
-            cells[f"gl_n={n}"] = quadrature.gl_european(params, market, n).value
-        rows.append({"row_label": label, "cells": cells})
-    return rows
-
-
-def _table_seven(seed: int) -> list[dict]:
-    params, drifted = base_params(), base_params(-0.1)
+def _rounded_atm(params: VgParams, tau: float) -> float:
     # the reference asym_cn ATM row was evaluated at the two-decimal rounded
     # spot, which lands a hair off the exact branch point; keep that convention
-    blocks = (
-        ("european", params,
-         (("S=4500", 4500.0), ("ATM", atm_spot(params, 2.0)), ("S=3500", 3500.0)),
-         series.european, "european"),
-        ("asym_cn", drifted,
-         (("S=4500", 4500.0), ("ATM", round(atm_spot(drifted, 2.0), 2)), ("S=3000", 3000.0)),
-         series.asym_cash_or_nothing, "cash_or_nothing"),
-    )
-    rows = []
-    for prefix, block_params, spots, pricer, payoff in blocks:
-        for label, spot in spots:
-            market = _market(spot, 2.0)
-            cells = {
-                f"series_max={m}": _series_cell(pricer, block_params, market, m)
-                for m in (5, 10, 15)
-            }
-            for size_label, n in (("1e2", 100), ("1e3", 1000), ("1e4", 10000)):
-                cfg = montecarlo.McConfig(n_paths=n, seed=seed)
-                cells[f"mc_n={size_label}"] = montecarlo.mc_price(
-                    payoff, block_params, market, cfg
-                ).value
-            rows.append({"row_label": f"{prefix},{label}", "cells": cells})
-    return rows
+    return round(atm_spot(params, tau), 2)
+
+
+# engine columns; each looks its pricer up through the module at call time
+_CARR_MADAN = [
+    (f"cm_umax={label}", lambda p, mk, cfg=fourier.FourierConfig(u_max=u, damping_a=1.0): (
+        fourier.carr_madan_european(p, mk, cfg).value
+    ))
+    for label, u in (("1e2", 1e2), ("1e3", 1e3), ("1e4", 1e4))
+]
+_GAUSS_LAGUERRE = [
+    (f"gl_n={n}", lambda p, mk, n=n: quadrature.gl_european(p, mk, n).value) for n in (5, 10, 15)
+]
+
+
+def _monte_carlo(payoff: str, seed: int) -> list:
+    return [
+        (f"mc_n={label}", lambda p, mk, cfg=montecarlo.McConfig(n, seed=seed): (
+            montecarlo.mc_price(payoff, p, mk, cfg).value
+        ))
+        for label, n in (("1e2", 100), ("1e3", 1000), ("1e4", 10000))
+    ]
+
+
+def _block(columns: list, rows: list) -> list[dict]:
+    """Every row priced in every column, in row-major order, as {row_label, cells} rows."""
+    table = []
+    for label, params, spot, tau in rows:
+        market = MarketInputs(spot=spot, strike=_STRIKE, rate=_RATE, tau=tau)
+        cells = {col_label: price(params, market) for col_label, price in columns}
+        table.append({"row_label": label, "cells": cells})
+    return table
 
 
 def _table_gl() -> list[dict]:
@@ -201,23 +127,67 @@ def _table_gl() -> list[dict]:
     return rows
 
 
+def _blocks(table_id: str, seed: int) -> list[tuple[list, list]]:
+    """The (columns, rows) blocks of a priced table, in print order."""
+    base, up, down = base_params(), base_params(0.1), base_params(-0.1)
+    digital_rows = [
+        row
+        for tau in (2.0, 0.5)
+        for row in _spots(f"tau={tau:g},", base, tau, (5000.0, 4200.0, None, 3800.0, 3000.0))
+    ]
+    digital = (3, 5, 10, 15)
+    asym = _series(series.asym_cash_or_nothing, digital)
+    european = _series(series.european, (5, 10, 15), "series_max")
+    tables = {
+        "1": [(
+            _series(series.cash_or_nothing, digital) + _lewis(fourier.lewis_cash_or_nothing),
+            digital_rows,
+        )],
+        "2": [(
+            _series(series.asset_or_nothing, digital) + _lewis(fourier.lewis_asset_or_nothing),
+            digital_rows,
+        )],
+        "3": [
+            (
+                _series(series.european, max_orders, "series_max") + _CARR_MADAN,
+                [(f"S={spot:g},tau={label}", base, spot, tau) for label, tau in _TAUS],
+            )
+            for spot, max_orders in ((3000.0, (5, 10, 20)), (2000.0, (10, 20, 30)))
+        ],
+        "4": [(
+            asym + _lewis(fourier.lewis_cash_or_nothing),
+            _spots("theta=+0.1,", up, 2.0, (6000.0, None, 3000.0))
+            + _spots("theta=-0.1,", down, 2.0, (5000.0, None, 2000.0)),
+        )],
+        "5": [(asym, [
+            (f"theta={sign}0.1,tau={label}", params, 4200.0, tau)
+            for sign, params in (("+", up), ("-", down))
+            for label, tau in (("1/2", 0.5), *_TAUS)
+        ])],
+        "6": [(european + _GAUSS_LAGUERRE, _spots("", base, 2.0, (4500.0, None, 3500.0)))],
+        "7": [
+            (
+                european + _monte_carlo("european", seed),
+                _spots("european,", base, 2.0, (4500.0, None, 3500.0)),
+            ),
+            (
+                _series(series.asym_cash_or_nothing, (5, 10, 15), "series_max")
+                + _monte_carlo("cash_or_nothing", seed),
+                _spots("asym_cn,", down, 2.0, (4500.0, None, 3000.0), _rounded_atm),
+            ),
+        ],
+    }
+    return tables[table_id]
+
+
 def build_table(table_id: str, seed: int = 0) -> list[dict]:
     """Regenerate one reference table as a list of {row_label, cells} rows."""
     table_id = str(table_id)
-    builders = {
-        "1": _table_one,
-        "2": _table_two,
-        "3": _table_three,
-        "4": _table_four,
-        "5": _table_five,
-        "6": _table_six,
-        "7": lambda: _table_seven(seed),
-        "8": _table_gl,
-        "gl": _table_gl,
-    }
-    if table_id not in builders:
+    if table_id not in TABLE_IDS:
         raise ValueError(f"unknown table id {table_id!r}; expected one of {TABLE_IDS}")
-    return builders[table_id]()
+    if table_id in ("8", "gl"):
+        return _table_gl()
+    return [row for columns, rows in _blocks(table_id, seed) for row in _block(columns, rows)]
 
 
 def compare_table(table_id: str, seed: int = 0) -> list[dict]:

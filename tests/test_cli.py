@@ -20,8 +20,9 @@ from hypothesis import strategies as st
 
 from vgpricer import cli, fourier, model, montecarlo, series, tables
 from vgpricer.cli import main
+from vgpricer.errors import NonConvergenceError
 from vgpricer.model import MarketInputs, VgParams
-from vgpricer.reference import printed_tolerance
+from vgpricer.reference import load_reference, printed_tolerance
 
 _BASE_FLAGS = [
     "--spot", "4200", "--strike", "4000", "--rate", "0.01", "--tau", "2",
@@ -204,6 +205,30 @@ class TestPriceCommand:
         assert "warning" not in records["series"]
         assert list(records["fourier"])[6:8] == ["warning", "params"]
 
+    def test_monte_carlo_of_equal_samples_carries_a_warning(self, capsys):
+        """A cash digital far out of the money pays 0 on each of 1000 paths:
+        its std_error of 0 is flagged, as the interval does not bound the error."""
+        code, out, _ = run_cli(
+            capsys, "price", "--payoff", "cash-or-nothing", "--method", "mc", "--paths", "1000",
+            "--spot", "2000", "--strike", "4000", "--tau", "0.0192", "--sigma", "0.2",
+            "--nu", "0.85",
+        )
+        assert code == 0
+        record = json.loads(out)
+        assert (record["value"], record["std_error"], record["ci"]) == (0.0, 0.0, [0.0, 0.0])
+        assert "interval does not bound the error" in record["warning"]
+        assert list(record)[8:10] == ["warning", "params"]
+
+    def test_monte_carlo_of_spread_samples_has_no_warning(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "price", "--payoff", "cash-or-nothing", "--method", "mc", "--paths", "1000",
+            *_BASE_FLAGS,
+        )
+        assert code == 0
+        record = json.loads(out)
+        assert record["std_error"] > 0.0
+        assert "warning" not in record
+
     def test_default_fourier_is_untruncated(self, capsys):
         """At default settings the same contract prints the series' 1.858e-5,
         unflagged, from under 500 evaluations."""
@@ -335,6 +360,20 @@ class TestTableCommand:
     def test_unknown_table_id_rejected(self):
         with pytest.raises(ValueError, match="unknown table id"):
             tables.build_table("99")
+
+    def test_cells_are_the_reference_cells(self):
+        """Tables 1-8 make exactly the 294 (table, row, column) cells of the
+        reference file, none twice, and gl makes table 8's."""
+        cells = [
+            (table_id, row["row_label"], col_label)
+            for table_id in tables.TABLE_IDS
+            if table_id != "gl"
+            for row in tables.build_table(table_id)
+            for col_label in row["cells"]
+        ]
+        assert len(cells) == len(set(cells)) == 294
+        assert set(cells) == set(load_reference())
+        assert tables.build_table("gl") == tables.build_table("8")
 
     @pytest.mark.parametrize("printed, tolerance", [("0.5373", 5e-5), ("1.5e-3", 5e-5)])
     def test_printed_tolerance_is_half_a_last_place(self, printed, tolerance):
@@ -524,6 +563,24 @@ class TestConvergeCommand:
         _, loose, _ = run_cli(capsys, *flags, "--tail-tol", "1e-2")
         assert parse_csv(tight)[0]["value"] == "15.0867419714"
         assert parse_csv(loose)[0]["value"] == "15.0866102346"
+
+    def test_series_race_is_the_table_three_column(self, capsys):
+        """At table 3's S 3000, tau 1/12 the series race prints the table's
+        series_max= cells to the bit, the truncated one at 5 terms included."""
+        market = MarketInputs(spot=3000.0, strike=4000.0, rate=0.01, tau=1 / 12)
+        with pytest.raises(NonConvergenceError):
+            series.european(VgParams(sigma=0.2, nu=0.85), market, series.SeriesControl(5))
+        code, out, _ = run_cli(
+            capsys, "converge", "--spot", "3000", "--strike", "4000", "--rate", "0.01",
+            "--tau", repr(1 / 12), "--sigma", "0.2", "--nu", "0.85",
+            "--max-orders", "5,10,20", "--u-max-list", "", "--format", "json",
+        )
+        assert code == 0
+        (row,) = [r for r in tables.build_table("3") if r["row_label"] == "S=3000,tau=1/12"]
+        races = [json.loads(line) for line in out.splitlines()]
+        assert [(r["kind"], r["parameter"], r["value"]) for r in races] == [
+            ("series_max", m, row["cells"][f"series_max={m}"]) for m in (5, 10, 20)
+        ]
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_empty_fourier_race_is_a_usage_error(self, capsys, fmt):
@@ -1083,7 +1140,7 @@ class TestCliDigest:
         --digest` prints the hash; a change meant to move CLI bytes restates it."""
         count, sha256 = _cli_digest()
         assert count == 245
-        assert sha256 == "dea344afd0c7e30d57c85280930fdbcb1c72edc8a4faa7085eaecfd3e63b4382"
+        assert sha256 == "b9a3eb90341b1c0b3068ab0cbbe7c06d3f763c82fd238f0a6c4aa1721bdf22fb"
 
 
 if __name__ == "__main__":

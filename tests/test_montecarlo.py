@@ -224,6 +224,13 @@ class TestEstimator:
         with pytest.raises(InvalidParameters, match="needs 2"):
             McConfig(n_paths, antithetic=antithetic)
 
+    @pytest.mark.parametrize("n_paths", [0, 2**27 + 1])
+    def test_path_count_out_of_range_states_the_bounds(self, n_paths):
+        """The range message names the bounds the constructor enforces, 2 and 2^27."""
+        with pytest.raises(InvalidParameters) as info:
+            McConfig(n_paths=n_paths)
+        assert str(info.value) == f"n_paths must be in [2, 2^27 = 134217728], got {n_paths}"
+
     def test_estimate_of_one_sample_rejected(self):
         with pytest.raises(InvalidParameters, match="at least two"):
             McEstimate.from_samples([1.0])
