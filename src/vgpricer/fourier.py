@@ -98,6 +98,8 @@ class FourierConfig:
             raise InvalidParameters(f"u_max must be positive, got {self.u_max!r}")
         if not self.abs_tol > 0.0:
             raise InvalidParameters(f"abs_tol must be positive, got {self.abs_tol!r}")
+        if not self.abs_tol < 1.0:  # the contour's drop ln(1/abs_tol) + 25 must stay positive
+            raise InvalidParameters(f"abs_tol must be below 1, got {self.abs_tol!r}")
 
 
 def _panel_integral(f, edges: np.ndarray, splits: int, n_panels: int) -> float:

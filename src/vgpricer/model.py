@@ -67,6 +67,8 @@ class VgParams:
                 "martingale adjustment undefined: "
                 f"1 - theta*nu - sigma^2*nu/2 = {self.martingale_argument:.6g} <= 0"
             )
+        if not math.isfinite(self.theta):  # only -inf passes the check above
+            raise InvalidParameters(f"theta must be finite, got {self.theta!r}")
 
     @property
     def martingale_argument(self) -> float:
@@ -107,6 +109,13 @@ class MarketInputs:
             raise InvalidParameters("trigger_strike must be positive when given")
         if not self.power >= 1.0:
             raise InvalidParameters(f"power must be >= 1, got {self.power!r}")
+        # the sum is finite only if every field is (one that overflows falls through
+        # the loop); a check per field costs a pricing loop far more
+        if not math.isfinite(self.spot + self.strike + self.rate + self.tau + self.power
+                             + self.dividend_yield + (self.trigger_strike or 0.0)):
+            for name, value in vars(self).items():
+                if value is not None and not math.isfinite(value):
+                    raise InvalidParameters(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -230,6 +239,17 @@ def martingale_adjustment(params: VgParams) -> float:
     return math.log1p(-params.theta * params.nu - 0.5 * params.sigma**2 * params.nu) / params.nu
 
 
+def _clock_shape(name: str, t: float, nu: float) -> float:
+    """t/nu, the Gamma clock's shape at t, for every engine and every function of
+    a horizon; InvalidParameters unless t > 0 (naming the caller) and t/nu is finite."""
+    if not t > 0.0:
+        raise InvalidParameters(f"{name} requires t > 0, got {t!r}")
+    shape = t / nu
+    if not math.isfinite(shape):
+        raise InvalidParameters(f"the clock shape t/nu = {t!r}/{nu!r} is not finite")
+    return shape
+
+
 def derive(params: VgParams, market: MarketInputs) -> DerivedQuantities:
     """Populate every derived shorthand for one (params, market) pair."""
     omega = martingale_adjustment(params)
@@ -237,7 +257,7 @@ def derive(params: VgParams, market: MarketInputs) -> DerivedQuantities:
     forward_strike = market.strike * math.exp(-r_eff * market.tau)
     k = math.log(market.spot / forward_strike)
     sigma_nu = params.sigma * math.sqrt(params.nu / 2.0)
-    alpha = market.tau / params.nu - 0.5
+    alpha = _clock_shape("derive", market.tau, params.nu) - 0.5
     theta_sigma = params.theta / params.sigma**2
     q_factor = 1.0 / (2.0 * params.sigma**2 * params.nu) + (
         params.theta / (2.0 * params.sigma**2)
@@ -270,10 +290,8 @@ def density(params: VgParams, x: float, t: float) -> float:
     At x = 0 the Bessel small-argument limit is substituted analytically
     (finite only for t/nu > 1/2).
     """
-    if not t > 0.0:
-        raise InvalidParameters(f"density requires t > 0, got {t!r}")
     sigma, nu, theta = params.sigma, params.nu, params.theta
-    shape = t / nu
+    shape = _clock_shape("density", t, nu)
     order = shape - 0.5
     a2 = 2.0 * sigma**2 / nu + theta**2
     lg_shape, _ = specfun.log_gamma(shape)
@@ -321,10 +339,8 @@ def mixture_density(params: VgParams, x: float, t: float) -> float:
     NonConvergenceError when quad reports that it did not converge, and
     InvalidParameters at x = 0 for t/nu <= 1/2, where the density diverges.
     """
-    if not t > 0.0:
-        raise InvalidParameters(f"mixture_density requires t > 0, got {t!r}")
     sigma, nu, theta = params.sigma, params.nu, params.theta
-    shape = t / nu
+    shape = _clock_shape("mixture_density", t, nu)
     if x == 0.0 and shape <= 0.5:
         raise InvalidParameters("mixture density diverges at x = 0 for t/nu <= 1/2")
     lg_shape, _ = specfun.log_gamma(shape)
@@ -368,8 +384,7 @@ def characteristic_fn(params: VgParams, u, t: float):
     :class:`BranchCutError` when the base touches the cut, which is the
     relevant failure mode for damped (complex-shifted) arguments.
     """
-    if not t > 0.0:
-        raise InvalidParameters(f"characteristic_fn requires t > 0, got {t!r}")
+    shape = _clock_shape("characteristic_fn", t, params.nu)
     sigma, nu, theta = params.sigma, params.nu, params.theta
     u_arr = np.asarray(u, dtype=complex)
     base = 1.0 - 1j * theta * nu * u_arr + 0.5 * sigma**2 * nu * u_arr**2
@@ -379,7 +394,7 @@ def characteristic_fn(params: VgParams, u, t: float):
         bad = (np.abs(base.imag) < 1e-14) & (base.real <= 0.0)
         if np.any(bad):
             _check_branch(complex(base[bad][0]), np.asarray(u)[bad][0])
-    result = base ** (-t / nu)
+    result = base ** -shape
     return complex(result) if u_arr.ndim == 0 else result
 
 

@@ -69,11 +69,11 @@ class McConfig:
 
     def __post_init__(self):
         # 1 passes here, to be refused below with the reason that a standard error needs 2
-        if not 1 <= self.n_paths <= _MAX_PATHS:
+        if not (isinstance(self.n_paths, (int, np.integer)) and 1 <= self.n_paths <= _MAX_PATHS):
             raise InvalidParameters(
                 f"n_paths must be in [2, 2^27 = {_MAX_PATHS}], got {self.n_paths!r}"
             )
-        if not 0 <= self.seed < 2**64:
+        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2**64):
             raise InvalidParameters(f"seed must be in [0, 2^64), got {self.seed!r}")
         if self.antithetic and self.n_paths % 2 != 0:
             raise InvalidParameters("antithetic sampling needs an even n_paths")
@@ -153,12 +153,11 @@ def _draw_increments(
 def sample_vg(params: VgParams, t: float, n: int, seed: int) -> np.ndarray:
     """n independent increments X(t), deterministic given the seed; n runs
     from 1 to 2^27, the path ceiling of McConfig."""
-    if not t > 0.0:
-        raise InvalidParameters(f"sample_vg requires t > 0, got {t!r}")
+    shape = model._clock_shape("sample_vg", t, params.nu)
     if not 1 <= n <= _MAX_PATHS:
         raise InvalidParameters(f"sample_vg requires n in [1, 2^27 = {_MAX_PATHS}], got {n!r}")
     out = np.empty(n)
-    chunks = _draw_increments(seed, t / params.nu, n, params.nu, params.sigma, params.theta)
+    chunks = _draw_increments(seed, shape, n, params.nu, params.sigma, params.theta)
     for start, (shift, diffusion) in zip(range(0, n, _CHUNK), chunks):
         np.add(shift, diffusion, out=out[start : start + shift.size])
     return out
@@ -171,6 +170,7 @@ def _terminal_payoff(
 
     Each element takes the same operations as max(s_t - K, 0), 1{s_t > K},
     s_t 1{s_t > K} and so on, with no temporary larger than a boolean mask.
+    payoff is one of PAYOFF_NAMES, and a gap has its trigger: mc_price checks both.
     """
     k = market.strike
     if payoff == "european":
@@ -180,17 +180,13 @@ def _terminal_payoff(
     if payoff == "asset_or_nothing":
         return np.multiply(s_t, np.greater(s_t, k), out=out)
     if payoff == "gap":
-        if market.trigger_strike is None:
-            raise InvalidParameters("gap payoff requires trigger_strike")
         np.subtract(s_t, k, out=out)
         np.copyto(out, 0.0, where=s_t <= market.trigger_strike)
         return out
     if payoff == "power_asset_or_nothing":
         np.power(s_t, market.power, out=out)
         return np.multiply(out, np.greater(out, k), out=out)
-    if payoff == "log_call":
-        return np.maximum(np.log(np.divide(s_t, k, out=out), out=out), 0.0, out=out)
-    raise InvalidParameters(f"unknown payoff {payoff!r}; expected one of {PAYOFF_NAMES}")
+    return np.maximum(np.log(np.divide(s_t, k, out=out), out=out), 0.0, out=out)
 
 
 def _terminal_prices(
@@ -227,6 +223,10 @@ def mc_price(
     paths and the normal draw is mirrored; the standard error is computed on
     the pair averages, which are the independent units.
     """
+    if payoff not in PAYOFF_NAMES:
+        raise InvalidParameters(f"unknown payoff {payoff!r}; expected one of {PAYOFF_NAMES}")
+    if payoff == "gap" and market.trigger_strike is None:
+        raise InvalidParameters("gap payoff requires trigger_strike")
     derived = model.derive(params, market)
     tau = market.tau
     discount = math.exp(-derived.rate_effective * tau)

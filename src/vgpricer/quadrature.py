@@ -56,9 +56,7 @@ def gl_density(params: VgParams, x: float, t: float, n: int) -> float:
     Converges to model.density as the rule order grows; with n = 1 it is the
     single Gaussian phi(x; theta nu, sigma sqrt(nu)).
     """
-    if not t > 0.0:
-        raise InvalidParameters(f"gl_density requires t > 0, got {t!r}")
-    gl = gl_weights(n, t / params.nu)
+    gl = gl_weights(n, model._clock_shape("gl_density", t, params.nu))
     u = gl.rule.nodes
     mean = params.theta * params.nu * u
     std = params.sigma * np.sqrt(params.nu * u)
@@ -71,9 +69,7 @@ def gl_omega(params: VgParams, t: float, n: int) -> float:
 
     omega_bar = -(1/t) ln sum_i p(u_i, t/nu) e^{theta nu u_i + sigma^2 nu u_i / 2}.
     """
-    if not t > 0.0:
-        raise InvalidParameters(f"gl_omega requires t > 0, got {t!r}")
-    return _gl_omega(params, t, gl_weights(n, t / params.nu))
+    return _gl_omega(params, t, gl_weights(n, model._clock_shape("gl_omega", t, params.nu)))
 
 
 def _gl_omega(params: VgParams, t: float, gl: GlWeights) -> float:

@@ -2,12 +2,14 @@
 
 Each path-independent payoff below has a price that reduces to one or two
 rapidly convergent series in powers of the (risk-neutral) moneyness and the
-rescaled volatility, with Gamma-function coefficients.  The series come in
-three branches selected by the sign of the risk-neutral moneyness:
+rescaled volatility, with Gamma-function coefficients.  Every price starts in
+one _setup (model check, default control, alpha policy); the series come in
+three branches selected by the sign of the risk-neutral moneyness, assembled
+for the asset, power and cash digitals and the call by one _sym_series_price:
 
 * OTM  (moneyness < 0): direct series,
 * ITM  (moneyness > 0): parity against the complementary OTM series with the
-  rescaled-volatility argument sign-flipped,
+  rescaled-volatility argument sign-flipped (_otm_or_parity),
 * ATM  (moneyness = 0): a single collapsed series (or a closed form).
 
 Numerics: every Gamma ratio is evaluated as exp(sum of signed log-Gammas).
@@ -110,7 +112,7 @@ class SeriesControl:
     alpha_policy: str = "error"
 
     def __post_init__(self):
-        if not 1 <= self.max_order <= 200:
+        if not (isinstance(self.max_order, (int, np.integer)) and 1 <= self.max_order <= 200):
             raise InvalidParameters(
                 f"max_order must be in [1, 200], got {self.max_order!r}"
             )
@@ -432,19 +434,33 @@ def _double_series(
 # ---------------------------------------------------------------------------
 
 
-def _apply_alpha_policy(
-    params: VgParams, market: MarketInputs, ctrl: SeriesControl
-) -> tuple[VgParams, DerivedQuantities, dict]:
-    """Reject or nudge (half-)integral alpha = tau/nu - 1/2.
+def _check_model(name: str, params: VgParams) -> None:
+    """theta = 0 for the symmetric pricers, theta != 0 for the drifted digital."""
+    if name == "asym_cash_or_nothing" and params.theta == 0.0:
+        raise InvalidParameters(f"{name} requires theta != 0; use cash_or_nothing instead")
+    if name != "asym_cash_or_nothing" and params.theta != 0.0:
+        raise InvalidParameters(
+            f"{name} requires the symmetric model (theta = 0); "
+            "use asym_cash_or_nothing for drifted digitals"
+        )
 
-    Integral alpha degenerates the Bessel kernel; half-integral alpha makes
-    individual series coefficients hit Gamma poles (their pairwise limits
-    exist, but the printed series form does not apply).  Both are treated by
-    the same policy.
+
+def _setup(
+    name: str, params: VgParams, market: MarketInputs, ctrl: Optional[SeriesControl]
+) -> tuple[SeriesControl, VgParams, DerivedQuantities, dict]:
+    """The start of every series price: (ctrl, params, derived, diagnostics).
+
+    Checks the model, takes ctrl or the default, then rejects or nudges a
+    (half-)integral alpha = tau/nu - 1/2.  Integral alpha degenerates the
+    Bessel kernel; half-integral alpha makes individual series coefficients
+    hit Gamma poles (their pairwise limits exist, but the printed series form
+    does not apply).  Both are treated by the same policy.
     """
+    _check_model(name, params)
+    ctrl = ctrl or _DEFAULT_CONTROL
     diagnostics: dict = {}
     for nudges in range(_ALPHA_NUDGES + 1):
-        alpha = market.tau / params.nu - 0.5
+        alpha = model._clock_shape(name, market.tau, params.nu) - 0.5
         near_int = abs(alpha - round(alpha)) < _ALPHA_GUARD
         near_half = abs(2.0 * alpha - round(2.0 * alpha)) < 2.0 * _ALPHA_GUARD
         if not (near_int or near_half):
@@ -460,15 +476,7 @@ def _apply_alpha_policy(
     derived = model.derive(params, market)
     diagnostics["alpha"] = derived.alpha
     diagnostics["rn_moneyness"] = derived.rn_moneyness
-    return params, derived, diagnostics
-
-
-def _require_symmetric(params: VgParams, op_name: str) -> None:
-    if params.theta != 0.0:
-        raise InvalidParameters(
-            f"{op_name} requires the symmetric model (theta = 0); "
-            "use asym_cash_or_nothing for drifted digitals"
-        )
+    return ctrl, params, derived, diagnostics
 
 
 def _finalize(value: float, terms: int, tail: float, branch: str, diagnostics: dict) -> PriceResult:
@@ -511,16 +519,15 @@ def _otm_or_parity(branch: str, otm_series, parity):
     return complement - series, terms, tail
 
 
-def _sym_series_price(derived, diagnostics, ctrl, k_val, n2_start, power_mult, parity):
-    """The asset digital, the call or the power digital, on the branch of k_val.
+def _sym_series_price(derived, diagnostics, ctrl, k_val, amount, n2, power_mult, parity):
+    """The asset, power or cash digital, or the call, paying amount, on the branch of k_val.
 
     ATM sums the collapsed series sum_n G((n+1)/2 + a)/G(n/2 + 1) (p s)^n,
     OTM the double series, and ITM takes parity() minus the mirrored double
-    series; both index from n2_start.
+    series; both run over the payoff's n2 range.
     """
     branch = model.moneyness_branch(k_val)
-    log_amount = math.log(derived.forward_strike) - _LOG2
-    n2 = range(n2_start, ctrl.max_order + 1)
+    log_amount = math.log(amount) - _LOG2
     if branch == "atm":
         # at k = 0, (-k/s)^n1 leaves only row n1 = 0 of the double series' part 1,
         # and part 2 vanishes; the call's series is the asset digital's without n2 = 0
@@ -550,11 +557,10 @@ def asset_or_nothing(
     params: VgParams, market: MarketInputs, ctrl: Optional[SeriesControl] = None
 ) -> PriceResult:
     """Digital paying S_T when S_T > K, symmetric model."""
-    ctrl = ctrl or _DEFAULT_CONTROL
-    _require_symmetric(params, "asset_or_nothing")
-    params, derived, diagnostics = _apply_alpha_policy(params, market, ctrl)
+    ctrl, params, derived, diagnostics = _setup("asset_or_nothing", params, market, ctrl)
     return _sym_series_price(
-        derived, diagnostics, ctrl, derived.rn_moneyness, 0, 1.0, lambda: market.spot
+        derived, diagnostics, ctrl, derived.rn_moneyness, derived.forward_strike,
+        range(ctrl.max_order + 1), 1.0, lambda: market.spot,
     )
 
 
@@ -566,12 +572,10 @@ def european(
     Same series as the asset-or-nothing digital with the volatility-power
     index starting at 1; ITM branch adds the forward parity S - K e^{-r tau}.
     """
-    ctrl = ctrl or _DEFAULT_CONTROL
-    _require_symmetric(params, "european")
-    params, derived, diagnostics = _apply_alpha_policy(params, market, ctrl)
+    ctrl, params, derived, diagnostics = _setup("european", params, market, ctrl)
     return _sym_series_price(
-        derived, diagnostics, ctrl, derived.rn_moneyness, 1, 1.0,
-        lambda: market.spot - derived.forward_strike,
+        derived, diagnostics, ctrl, derived.rn_moneyness, derived.forward_strike,
+        range(1, ctrl.max_order + 1), 1.0, lambda: market.spot - derived.forward_strike,
     )
 
 
@@ -591,29 +595,27 @@ def european_atmf(
 
     which recovers the familiar ~0.4 S sigma sqrt(tau) estimate as nu -> 0.
     """
-    ctrl = ctrl or _DEFAULT_CONTROL
-    _require_symmetric(params, "european_atmf")
+    _check_model("european_atmf", params)
     if abs(math.log(market.spot / market.strike) + (market.rate - market.dividend_yield) * market.tau) > 1e-9:
         raise InvalidParameters(
             "european_atmf requires the at-the-money-forward configuration S = K e^(-r tau)"
         )
-    spot = market.spot
     if leading_only:
         # single Gamma ratio, no series: the degenerate-alpha guard is moot
-        shape = market.tau / params.nu
+        shape = model._clock_shape("european_atmf", market.tau, params.nu)
         (lg_num, lg_den), _ = specfun._log_gamma_signed([0.5 + shape, shape])
         value = (
-            spot
+            market.spot
             / math.sqrt(2.0 * math.pi)
             * math.exp(float(lg_num) - float(lg_den))
             * params.sigma
             * math.sqrt(params.nu)
         )
         return _finalize(value, 1, 0.0, "atm", {"leading_only": True})
-    params, derived, diagnostics = _apply_alpha_policy(params, market, ctrl)
+    ctrl, params, derived, diagnostics = _setup("european_atmf", params, market, ctrl)
     k_eff = -0.5 * params.sigma**2 * market.tau  # omega tau under omega ~ -sigma^2/2
     value, terms, tail = _double_series(
-        math.log(spot) - _LOG2, derived.alpha, k_eff, derived.sigma_nu,
+        math.log(market.spot) - _LOG2, derived.alpha, k_eff, derived.sigma_nu,
         ctrl.max_order, ctrl.tail_tol, range(1, ctrl.max_order + 1),
     )
     return _finalize(value, terms, tail, "atm", diagnostics)
@@ -634,7 +636,7 @@ def implied_atmf_vol(
         raise InvalidParameters("tau must be positive")
     if not nu > 0.0:
         raise InvalidParameters("nu must be positive")
-    shape = tau / nu
+    shape = model._clock_shape("implied_atmf_vol", tau, nu)
     (lg_num, lg_den), _ = specfun._log_gamma_signed([shape, 0.5 + shape])
     return (
         math.sqrt(2.0 * math.pi / nu)
@@ -652,22 +654,13 @@ def cash_or_nothing(
     The ATM price is exactly e^{-r tau}/2 (the terminal distribution median
     sits at the strike when the risk-neutral moneyness vanishes).
     """
-    ctrl = ctrl or _DEFAULT_CONTROL
-    _require_symmetric(params, "cash_or_nothing")
-    params, derived, diagnostics = _apply_alpha_policy(params, market, ctrl)
+    ctrl, params, derived, diagnostics = _setup("cash_or_nothing", params, market, ctrl)
     discount = math.exp(-derived.rate_effective * market.tau)
     if derived.branch == "atm":
         return _finalize(0.5 * discount, 0, 0.0, "atm", diagnostics)
-    log_amount = math.log(discount) - _LOG2
-    value, terms, tail = _otm_or_parity(
-        derived.branch,
-        lambda sign: _double_series(
-            log_amount, derived.alpha, derived.rn_moneyness, sign * derived.sigma_nu,
-            ctrl.max_order, ctrl.tail_tol, range(1),
-        ),
-        lambda: discount,
+    return _sym_series_price(
+        derived, diagnostics, ctrl, derived.rn_moneyness, discount, range(1), 1.0, lambda: discount
     )
-    return _finalize(value, terms, tail, derived.branch, diagnostics)
 
 
 def gap(
@@ -696,10 +689,8 @@ def power_asset_or_nothing(
     ITM branch applies parity against the discounted moment
     e^{-r tau} E[S_T^q], which requires q^2 sigma^2 nu / 2 < 1 to exist.
     """
-    ctrl = ctrl or _DEFAULT_CONTROL
-    _require_symmetric(params, "power_asset_or_nothing")
+    ctrl, params, derived, diagnostics = _setup("power_asset_or_nothing", params, market, ctrl)
     q_pow = market.power
-    params, derived, diagnostics = _apply_alpha_policy(params, market, ctrl)
     diagnostics["power_moneyness"] = derived.power_moneyness
 
     def moment():
@@ -715,7 +706,8 @@ def power_asset_or_nothing(
         )
 
     return _sym_series_price(
-        derived, diagnostics, ctrl, derived.power_moneyness, 0, q_pow, moment
+        derived, diagnostics, ctrl, derived.power_moneyness, derived.forward_strike,
+        range(ctrl.max_order + 1), q_pow, moment,
     )
 
 
@@ -727,9 +719,7 @@ def log_call(
     Only the OTM (and limiting ATM) branch has a closed series; ITM requests
     are rejected rather than improvising an unstated parity relation.
     """
-    ctrl = ctrl or _DEFAULT_CONTROL
-    _require_symmetric(params, "log_call")
-    params, derived, diagnostics = _apply_alpha_policy(params, market, ctrl)
+    ctrl, params, derived, diagnostics = _setup("log_call", params, market, ctrl)
     k = derived.rn_moneyness
     discount = math.exp(-derived.rate_effective * market.tau)
     alpha = derived.alpha
@@ -764,18 +754,7 @@ def log_call(
 # ---------------------------------------------------------------------------
 
 
-def _asym_log_front(derived: DerivedQuantities, tau: float) -> float:
-    """log of the drifted digital's prefactor times Gamma(alpha + 1/2); each
-    series divides by that Gamma from its own alpha block."""
-    return (
-        -derived.rate_effective * tau
-        - (2.0 + 2.0 * derived.alpha) * _LOG2
-        - 0.5 * math.log(math.pi)
-        - (1.0 + 2.0 * derived.alpha) * math.log(derived.sigma_nu)
-    )
-
-
-def _asym_series(derived, log_front, ctrl, sign):
+def _asym_series(derived, tau, ctrl, sign):
     """The drifted digital's series, from one "asym" block, with the drift
     ratio and the moneyness times sign: the single series
 
@@ -784,6 +763,14 @@ def _asym_series(derived, log_front, ctrl, sign):
     alone at the money, and otherwise plus the paired double series in the
     (negative) moneyness, from the poles of both Bessel factors.
     """
+    # log of the prefactor times Gamma(alpha + 1/2); each series divides by
+    # that Gamma from the alpha block
+    log_front = (
+        -derived.rate_effective * tau
+        - (2.0 + 2.0 * derived.alpha) * _LOG2
+        - 0.5 * math.log(math.pi)
+        - (1.0 + 2.0 * derived.alpha) * math.log(derived.sigma_nu)
+    )
     g = _grid(ctrl.max_order)
     lg_half, lg1, lg2, q_power, *double = _alpha_block("asym", ctrl.max_order, derived.alpha)
     theta_sigma = sign * derived.theta_sigma
@@ -813,13 +800,8 @@ def asym_cash_or_nothing(
     series in the moneyness; ITM applies parity with both the moneyness and
     the drift ratio sign-flipped; ATM keeps the single series alone.
     """
-    ctrl = ctrl or _DEFAULT_CONTROL
-    if params.theta == 0.0:
-        raise InvalidParameters(
-            "asym_cash_or_nothing requires theta != 0; use cash_or_nothing instead"
-        )
-    params, derived, diagnostics = _apply_alpha_policy(params, market, ctrl)
-    series = functools.partial(_asym_series, derived, _asym_log_front(derived, market.tau), ctrl)
+    ctrl, params, derived, diagnostics = _setup("asym_cash_or_nothing", params, market, ctrl)
+    series = functools.partial(_asym_series, derived, market.tau, ctrl)
     discount = math.exp(-derived.rate_effective * market.tau)
     value, terms, tail = _otm_or_parity(derived.branch, series, lambda: discount)
     return _finalize(value, terms, tail, derived.branch, diagnostics)

@@ -48,6 +48,35 @@ def parse_csv(text):
     return list(csv.DictReader(io.StringIO(text)))
 
 
+_CONTRACT = ("--strike", "4000", "--tau", "0.5", "--sigma", "0.2", "--nu", "0.85")
+_TINY_NU = ("--payoff", "european", "--spot", "100", "--strike", "100", "--tau", "1",
+            "--sigma", "1e100", "--nu", "5e-324")
+# (id, argv, a part of the error message) of calls whose inputs are not finite
+_NON_FINITE_CALLS = [
+    ("tau-inf", ("price", "--payoff", "european", "--method", "all", "--spot", "3000",
+                 *_CONTRACT, "--tau", "inf"), "tau must be finite"),
+    *(
+        (f"tau-over-nu-overflows-{method}", ("price", "--method", method, *_TINY_NU),
+         "t/nu = 1.0/5e-324 is not finite")
+        for method in ("series", "mc", "quadrature", "fourier")
+    ),
+    ("spot-inf", ("price", "--payoff", "european", "--spot", "inf", *_CONTRACT),
+     "spot must be finite"),
+    ("theta-minus-inf", ("price", "--payoff", "european", "--method", "mc", "--spot", "3000",
+                         *_CONTRACT, "--theta=-inf"), "theta must be finite"),
+    ("rate-nan", ("price", "--payoff", "european", "--spot", "3000", "--rate", "nan", *_CONTRACT),
+     "rate must be finite"),
+    ("density-t-inf", ("density", "--sigma", "0.2", "--nu", "0.85", "--t", "inf", "--points", "3"),
+     "t/nu = inf/0.85 is not finite"),
+    *(
+        (f"abs-tol-{abs_tol}", ("price", "--payoff", "european", "--method", "fourier",
+                                "--abs-tol", abs_tol, "--spot", "3000", *_CONTRACT),
+         "abs_tol must be below 1")
+        for abs_tol in ("1e300", "inf", "8e10")
+    ),
+]
+
+
 class TestPriceCommand:
     def test_reference_digital_price(self, capsys):
         code, out, err = run_cli(
@@ -163,6 +192,20 @@ class TestPriceCommand:
         record = json.loads(line)
         assert (code, record["type"], out) == (2, "InvalidParameters", "")
         assert "underflows" in record["error"]
+
+    @pytest.mark.parametrize(
+        "argv, message", [call[1:] for call in _NON_FINITE_CALLS],
+        ids=[call[0] for call in _NON_FINITE_CALLS],
+    )
+    def test_a_non_finite_input_is_a_domain_error(self, capsys, argv, message):
+        """These ended in an OverflowError, ZeroDivisionError or math domain
+        error traceback, printed "value": NaN with exit 0, or exited with a
+        misleading message; each exits 2 with one InvalidParameters line."""
+        code, out, err = run_cli(capsys, *argv)
+        (line,) = err.splitlines()
+        record = json.loads(line)
+        assert (code, record["type"], out) == (2, "InvalidParameters", "")
+        assert message in record["error"]
 
     @pytest.mark.parametrize("command", [("price", "--method", "fourier"), ("bench",)])
     def test_a_fourier_price_that_is_not_finite_is_an_error(self, capsys, command):

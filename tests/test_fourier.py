@@ -7,12 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import special
 from scipy.integrate import quad
 
-from vgpricer import fourier, model
+from vgpricer import fourier, model, montecarlo, quadrature
 from vgpricer.errors import (
     DampingOutOfRangeError,
     DegenerateAlphaError,
@@ -456,6 +456,14 @@ class TestCarrMadan:
         with pytest.raises(InvalidParameters):
             FourierConfig(abs_tol=0)
 
+    @pytest.mark.parametrize("abs_tol", [1.0, 8e10, 1e300, math.inf])
+    def test_an_abs_tol_of_one_or_more_is_rejected(self, abs_tol):
+        """At abs_tol >= e^25 the contour's drop ln(1/abs_tol) + 25 turned
+        negative and ended in a math domain error."""
+        with pytest.raises(InvalidParameters) as info:
+            FourierConfig(abs_tol=abs_tol)
+        assert str(info.value) == f"abs_tol must be below 1, got {abs_tol!r}"
+
 
 @st.composite
 def _crosscheck_contracts(draw):
@@ -612,6 +620,60 @@ class TestContour:
         assert math.isnan(result.value) and result.diagnostics["tolerance_met"] is False
         small = carr_madan_european(VgParams(sigma=1e-150, nu=0.3), market)
         assert math.isfinite(small.value) and small.diagnostics["tolerance_met"] is True
+
+
+
+@st.composite
+def _strike_triples(draw):
+    """A symmetric contract at three equally spaced strikes K - h, K, K + h:
+    sigma in [0.12, 0.35], nu in [0.08, 0.8], tau log-uniform in [1/52, 2],
+    alpha = tau/nu - 1/2 at least 0.01 from a multiple of 1/2, the middle
+    strike z sigma sqrt(tau) from the spot in log terms with |z| <= 2.5, and
+    h from 0.05 to 0.5 of sigma sqrt(tau) K."""
+    sigma = draw(st.floats(0.12, 0.35))
+    nu = draw(st.floats(0.08, 0.8))
+    tau = math.exp(draw(st.floats(math.log(1.0 / 52.0), math.log(2.0))))
+    two_alpha = 2.0 * tau / nu - 1.0
+    assume(abs(two_alpha - round(two_alpha)) >= 0.02)
+    rate = draw(st.floats(0.0, 0.05))
+    width = sigma * math.sqrt(tau)
+    strike = 100.0 * math.exp(draw(st.floats(-2.5, 2.5)) * width)
+    step = draw(st.floats(0.05, 0.5)) * width * strike
+    params = VgParams(sigma=sigma, nu=nu)
+    return params, [
+        MarketInputs(spot=100.0, strike=k, rate=rate, tau=tau)
+        for k in (strike - step, strike, strike + step)
+    ]
+
+
+# (engine, call price, tolerance relative to the spot); Monte Carlo prices the
+# three strikes from one seed, so they share their terminal prices
+_CALL_ENGINES = [
+    ("series", lambda params, market: european(params, market).value, 1e-9),
+    ("contour", lambda params, market: carr_madan_european(params, market).value, 1e-9),
+    ("quadrature", lambda params, market: quadrature.gl_european(params, market, 15).value, 1e-10),
+    ("monte_carlo", lambda params, market: montecarlo.mc_price(
+        "european", params, market, montecarlo.McConfig(n_paths=4000, seed=3)
+    ).value, 1e-12),
+]
+
+
+@given(_strike_triples())
+def test_calls_fall_and_are_convex_in_strike_on_every_engine(contract):
+    """On each engine C(K - h) >= C(K) >= C(K + h) and C(K - h) - 2 C(K) +
+    C(K + h) >= 0, within the engine's tolerance times the spot.  The series
+    is held to |k_rn|/sigma_nu <= 4: past that, its wing truncation can claim
+    convergence for a wrong price (sigma 0.3209, nu 0.0838, tau 0.8718,
+    S 100, K 182.4 prices at 184.5 > S)."""
+    params, markets = contract
+    wing = max(abs(model.derive(params, m).rn_moneyness) for m in markets)
+    for engine, price, rel in _CALL_ENGINES:
+        if engine == "series" and wing > 4.0 * model.derive(params, markets[0]).sigma_nu:
+            continue
+        low, mid, high = (price(params, market) for market in markets)
+        tol = rel * markets[0].spot
+        assert low - mid >= -tol and mid - high >= -tol, engine
+        assert low - 2.0 * mid + high >= -tol, engine
 
 
 # ---------------------------------------------------------------------------

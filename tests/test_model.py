@@ -9,7 +9,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import kv
 
-from vgpricer import specfun
+from vgpricer import montecarlo, quadrature, specfun
 from vgpricer.errors import (
     BranchCutError,
     GammaOverflowError,
@@ -45,6 +45,17 @@ class TestParams:
         with pytest.raises(InvalidParameters, match="martingale adjustment undefined"):
             VgParams(sigma=0.2, nu=0.85, theta=1.2)
 
+    @pytest.mark.parametrize("theta, message", [
+        (-math.inf, "theta must be finite, got -inf"),
+        (math.inf, "martingale adjustment undefined"),
+        (math.nan, "martingale adjustment undefined"),
+    ])
+    def test_theta_must_be_finite(self, theta, message):
+        """theta = -inf passed the martingale check, and a Monte Carlo price
+        of it printed "value": NaN with exit 0."""
+        with pytest.raises(InvalidParameters, match=message):
+            VgParams(sigma=0.2, nu=0.85, theta=theta)
+
     @pytest.mark.parametrize("build", [
         lambda: VgParams(sigma=1e-170, nu=0.3),
         lambda: MarketInputs(spot=100.0, strike=0.0, rate=0.0, tau=1.0),
@@ -65,6 +76,59 @@ class TestParams:
             MarketInputs(spot=100.0, strike=100.0, rate=0.0, tau=0.0)
         with pytest.raises(InvalidParameters):
             MarketInputs(spot=100.0, strike=100.0, rate=0.0, tau=1.0, power=0.5)
+
+    @pytest.mark.parametrize("field, value", [
+        ("spot", math.inf), ("strike", math.inf), ("rate", math.nan), ("rate", -math.inf),
+        ("tau", math.inf), ("trigger_strike", math.inf), ("dividend_yield", math.nan),
+        ("power", math.inf),
+    ])
+    def test_market_fields_must_be_finite(self, field, value):
+        fields = {**dict(spot=100.0, strike=100.0, rate=0.0, tau=1.0), field: value}
+        with pytest.raises(InvalidParameters) as info:
+            MarketInputs(**fields)
+        assert str(info.value) == f"{field} must be finite, got {value!r}"
+
+    def test_finite_fields_whose_sum_overflows_are_accepted(self):
+        market = MarketInputs(spot=1e308, strike=1e308, rate=0.0, tau=1.0, trigger_strike=1e308)
+        assert market.spot + market.strike == math.inf
+
+    @pytest.mark.parametrize("field", ["spot", "strike", "tau"])
+    def test_a_non_positive_infinity_keeps_its_message(self, field):
+        fields = {**dict(spot=100.0, strike=100.0, rate=0.0, tau=1.0), field: -math.inf}
+        with pytest.raises(InvalidParameters) as info:
+            MarketInputs(**fields)
+        assert str(info.value) == f"{field} must be positive, got -inf"
+
+
+# the six functions of a horizon t, each called at t
+_OF_HORIZON = {
+    "density": lambda params, t: density(params, 0.1, t),
+    "mixture_density": lambda params, t: mixture_density(params, 0.1, t),
+    "characteristic_fn": lambda params, t: characteristic_fn(params, 1.0, t),
+    "gl_density": lambda params, t: quadrature.gl_density(params, 0.1, t, 15),
+    "gl_omega": lambda params, t: quadrature.gl_omega(params, t, 15),
+    "sample_vg": lambda params, t: montecarlo.sample_vg(params, t, 3, seed=0),
+}
+
+
+class TestHorizon:
+    @pytest.mark.parametrize("name", sorted(_OF_HORIZON))
+    @pytest.mark.parametrize("sigma, nu, t", [(0.2, 0.85, math.inf), (1e100, 5e-324, 1.0)])
+    def test_a_clock_shape_that_is_not_finite_is_rejected(self, name, sigma, nu, t):
+        """t = inf ended in a scipy ValueError, nan or -0j; t/nu overflowing
+        at a subnormal nu is rejected by the same check."""
+        with pytest.raises(InvalidParameters, match="t/nu = .* is not finite"):
+            _OF_HORIZON[name](VgParams(sigma=sigma, nu=nu), t)
+
+    @pytest.mark.parametrize("name", sorted(_OF_HORIZON))
+    def test_a_non_positive_horizon_keeps_its_message(self, name):
+        with pytest.raises(InvalidParameters) as info:
+            _OF_HORIZON[name](VgParams(sigma=0.2, nu=0.85), -math.inf)
+        assert str(info.value) == f"{name} requires t > 0, got -inf"
+
+    def test_derive_rejects_a_clock_shape_that_is_not_finite(self):
+        with pytest.raises(InvalidParameters, match="t/nu = 1.0/5e-324 is not finite"):
+            derive(VgParams(sigma=1e100, nu=5e-324), make_market(100.0, 1.0))
 
 
 class TestMartingaleAdjustment:

@@ -231,6 +231,33 @@ class TestEstimator:
             McConfig(n_paths=n_paths)
         assert str(info.value) == f"n_paths must be in [2, 2^27 = 134217728], got {n_paths}"
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("n_paths", 2000.0, "n_paths must be in [2, 2^27 = 134217728], got 2000.0"),
+        ("seed", 1.5, "seed must be in [0, 2^64), got 1.5"),
+        ("seed", 1.0, "seed must be in [0, 2^64), got 1.0"),
+    ])
+    def test_a_count_that_is_not_an_integer_is_rejected(self, field, value, message):
+        """n_paths 2000.0 was accepted and then failed in numpy with a raw
+        TypeError; seed 1.5 priced as seed 1, so two seeds shared one stream."""
+        with pytest.raises(InvalidParameters) as info:
+            McConfig(**{"n_paths": 1000, field: value})
+        assert str(info.value) == message
+        assert McConfig(n_paths=np.int64(1000), seed=np.uint64(1)).seed == 1
+
+    @pytest.mark.parametrize("payoff, trigger", [("digital", 4000.0), ("gap", None)])
+    def test_a_refused_payoff_draws_nothing(self, bench_params, payoff, trigger):
+        """An unknown payoff, or a gap without a trigger, raises before any
+        draw, and the memo keeps the previous contract's terminal prices."""
+        market = make_market(4200.0, 2.0)
+        cfg = McConfig(n_paths=1000, seed=1)
+        mc_price("european", bench_params, market, cfg)
+        before = montecarlo._memo_terminal_prices.cache_info()
+        with pytest.raises(InvalidParameters):
+            mc_price(payoff, bench_params, make_market(4200.0, 2.0, trigger_strike=trigger), cfg)
+        assert montecarlo._memo_terminal_prices.cache_info() == before
+        mc_price("cash_or_nothing", bench_params, market, cfg)
+        assert montecarlo._memo_terminal_prices.cache_info().hits == before.hits + 1
+
     def test_estimate_of_one_sample_rejected(self):
         with pytest.raises(InvalidParameters, match="at least two"):
             McEstimate.from_samples([1.0])

@@ -307,6 +307,14 @@ class TestDiagnostics:
         with pytest.raises(InvalidParameters):
             SeriesControl(alpha_policy="panic")
 
+    @pytest.mark.parametrize("max_order", [25.0, 25.5, "25"])
+    def test_a_max_order_that_is_not_an_integer_is_rejected(self, max_order):
+        """25.0 was accepted and then failed in numpy with a raw TypeError."""
+        with pytest.raises(InvalidParameters) as info:
+            SeriesControl(max_order=max_order)
+        assert str(info.value) == f"max_order must be in [1, 200], got {max_order!r}"
+        assert SeriesControl(max_order=np.int64(25)).max_order == 25
+
 
 class TestAtmForward:
     def test_leading_term_value(self, bench_params):
@@ -386,6 +394,20 @@ class TestAtmForward:
             implied_atmf_vol(100.0, 0.0, 1.0, 0.85)
         with pytest.raises(InvalidParameters):
             implied_atmf_vol(100.0, 4000.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("price", [
+        lambda: implied_atmf_vol(100.0, 4000.0, math.inf, 0.85),
+        lambda: european_atmf(
+            VgParams(sigma=1e100, nu=5e-324), make_market(100.0, 1.0, strike=100.0, rate=0.0),
+            leading_only=True,
+        ),
+    ], ids=["implied-vol-tau-inf", "leading-term-tau-over-nu-overflows"])
+    def test_a_clock_shape_that_is_not_finite_is_rejected(self, price):
+        """log Gamma(tau/nu) minus log Gamma(1/2 + tau/nu) is inf - inf: the
+        implied vol returned NaN, and the leading term raised "series value nan
+        is not finite" as a NonConvergenceError."""
+        with pytest.raises(InvalidParameters, match="is not finite"):
+            price()
 
 
 class TestGap:
