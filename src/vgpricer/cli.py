@@ -187,14 +187,11 @@ def _monte_carlo(payoff: str, params, market, cfg) -> PriceResult:
     derived = model.derive(params, market)
     power = payoff == "power-asset-or-nothing"
     warning = "all samples are equal: std_error is 0 and the interval does not bound the error"
-    return PriceResult(
-        value=estimate.value,
-        method="monte_carlo",
-        terms_evaluated=cfg.n_paths,
-        branch=model.moneyness_branch(derived.power_moneyness) if power else derived.branch,
-        std_error=estimate.std_error,
-        ci=(estimate.ci_low, estimate.ci_high),
-        diagnostics={"warning": warning} if estimate.std_error == 0.0 else {},
+    return model._price_result(
+        "monte_carlo", estimate.value, cfg.n_paths, 0.0,
+        model.moneyness_branch(derived.power_moneyness) if power else derived.branch, {},
+        (warning,) if estimate.std_error == 0.0 else (),
+        std_error=estimate.std_error, ci=(estimate.ci_low, estimate.ci_high),
     )
 
 

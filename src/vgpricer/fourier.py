@@ -54,7 +54,7 @@ from typing import Optional
 import numpy as np
 
 from . import model
-from .errors import DampingOutOfRangeError, InvalidParameters, NonConvergenceError
+from .errors import DampingOutOfRangeError, InvalidParameters
 from .model import MarketInputs, PriceResult, VgParams
 
 __all__ = [
@@ -300,7 +300,7 @@ def _result(
     """A Fourier PriceResult; a value outside its no-arbitrage bounds is flagged, not changed,
     unless it is within its rounding floor of them: then it is set to the bound it crossed.
     Any of notes, the reasons beyond the refinement budget that a price misses abs_tol,
-    flags it too.  A value that is not finite raises NonConvergenceError carrying the result."""
+    flags it too.  model._price_result refuses a number that is not finite."""
     lower, upper = bounds
     if lower - floor <= value <= upper + floor:
         value = min(max(value, lower), upper)
@@ -311,20 +311,10 @@ def _result(
         warnings.append(
             f"price {value:.6g} outside its no-arbitrage bounds [{lower:.6g}, {upper:.6g}]"
         )
-    diagnostics = {"tolerance_met": not warnings, **extra}
-    if warnings:
-        diagnostics["warning"] = "; ".join(warnings)
-    result = PriceResult(
-        value=value,
-        method="fourier",
-        terms_evaluated=evals,
-        truncation_estimate=truncation,
-        branch=derived.branch,
-        diagnostics=diagnostics,
+    return model._price_result(
+        "fourier", value, evals, truncation, derived.branch,
+        {"tolerance_met": not warnings, **extra}, warnings,
     )
-    if not math.isfinite(value):
-        raise NonConvergenceError(f"fourier value {value} is not finite", result=result)
-    return result
 
 
 def _branch_points(params: VgParams, cfg: FourierConfig) -> tuple[float, float]:

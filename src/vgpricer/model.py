@@ -217,16 +217,27 @@ def gap_from_digitals(
         for leg, result in (("asset", an), ("cash", cn))
         if "warning" in result.diagnostics
     ]
+    return _price_result(
+        an.method, an.value - market.strike * cn.value, an.terms_evaluated + cn.terms_evaluated,
+        an.truncation_estimate + market.strike * cn.truncation_estimate, an.branch, diagnostics,
+        warnings,
+    )
+
+
+def _price_result(method, value, terms, estimate, branch, diagnostics, warnings=(), **interval):
+    """The one way every engine builds its PriceResult: warnings, if any, join into
+    diagnostics["warning"], and a value, truncation estimate, std_error or ci end
+    that is not finite raises NonConvergenceError carrying the result."""
     if warnings:
         diagnostics["warning"] = "; ".join(warnings)
-    return PriceResult(
-        value=an.value - market.strike * cn.value,
-        method=an.method,
-        terms_evaluated=an.terms_evaluated + cn.terms_evaluated,
-        truncation_estimate=an.truncation_estimate + market.strike * cn.truncation_estimate,
-        branch=an.branch,
-        diagnostics=diagnostics,
-    )
+    result = PriceResult(value, method, terms, estimate, branch, diagnostics, **interval)
+    numbers = [("value", value), ("truncation_estimate", estimate)]
+    if interval:
+        numbers += [("std_error", result.std_error), *(("ci", end) for end in result.ci)]
+    for name, x in numbers:
+        if not math.isfinite(x):
+            raise NonConvergenceError(f"{method} {name} {x} is not finite", result=result)
+    return result
 
 
 def martingale_adjustment(params: VgParams) -> float:
@@ -250,11 +261,26 @@ def _clock_shape(name: str, t: float, nu: float) -> float:
     return shape
 
 
+def _power_moment_base(params: VgParams, q: float) -> float:
+    """1 - theta nu q - sigma^2 nu q^2 / 2, the base of E[e^{q X(t)}] = base^(-t/nu);
+    InvalidParameters unless it is positive, that is, unless E[S_T^q] exists."""
+    base = 1.0 - params.theta * params.nu * q - 0.5 * (q * params.sigma) ** 2 * params.nu
+    if not base > 0.0:
+        raise InvalidParameters(f"the power moment E[S^{q}] does not exist for these parameters")
+    return base
+
+
 def derive(params: VgParams, market: MarketInputs) -> DerivedQuantities:
     """Populate every derived shorthand for one (params, market) pair."""
     omega = martingale_adjustment(params)
     r_eff = market.rate - market.dividend_yield
-    forward_strike = market.strike * math.exp(-r_eff * market.tau)
+    exponent = -r_eff * market.tau
+    forward_strike = market.strike * math.exp(exponent) if exponent < _LOG_MAX else math.inf
+    if not 0.0 < forward_strike < math.inf:
+        raise InvalidParameters(
+            f"the forward strike K e^(-(r - q) tau) = {market.strike!r} e^{exponent!r} leaves"
+            " the double range"
+        )
     k = math.log(market.spot / forward_strike)
     sigma_nu = params.sigma * math.sqrt(params.nu / 2.0)
     alpha = _clock_shape("derive", market.tau, params.nu) - 0.5

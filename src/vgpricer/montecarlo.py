@@ -221,12 +221,15 @@ def mc_price(
 
     With antithetic sampling the Gamma clock is shared between the paired
     paths and the normal draw is mirrored; the standard error is computed on
-    the pair averages, which are the independent units.
+    the pair averages, which are the independent units.  A power digital whose
+    moment E[S_T^q] does not exist raises InvalidParameters before any draw.
     """
     if payoff not in PAYOFF_NAMES:
         raise InvalidParameters(f"unknown payoff {payoff!r}; expected one of {PAYOFF_NAMES}")
     if payoff == "gap" and market.trigger_strike is None:
         raise InvalidParameters("gap payoff requires trigger_strike")
+    if payoff == "power_asset_or_nothing":
+        model._power_moment_base(params, market.power)
     derived = model.derive(params, market)
     tau = market.tau
     discount = math.exp(-derived.rate_effective * tau)
@@ -237,14 +240,16 @@ def mc_price(
         cfg.seed, tau / params.nu, n_units, params.nu, params.sigma, params.theta,
         drift, market.spot, cfg.antithetic,
     )
-    prices = _memo_terminal_prices(*key) if n_units <= _MEMO_UNITS else _terminal_prices(*key)
-    for start, legs in zip(range(0, n_units, _CHUNK), prices):
-        m = legs[0].size
-        block = _terminal_payoff(payoff, legs[0], market, samples[start : start + m])
-        block *= discount
-        if cfg.antithetic:
-            down = _terminal_payoff(payoff, legs[1], market, np.empty(m))
-            down *= discount
-            block += down
-            block *= 0.5
-    return McEstimate._from_scratch(samples)
+    # an overflow of S_T, a payoff or a square stays in the estimate as inf or nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        prices = _memo_terminal_prices(*key) if n_units <= _MEMO_UNITS else _terminal_prices(*key)
+        for start, legs in zip(range(0, n_units, _CHUNK), prices):
+            m = legs[0].size
+            block = _terminal_payoff(payoff, legs[0], market, samples[start : start + m])
+            block *= discount
+            if cfg.antithetic:
+                down = _terminal_payoff(payoff, legs[1], market, np.empty(m))
+                down *= discount
+                block += down
+                block *= 0.5
+        return McEstimate._from_scratch(samples)

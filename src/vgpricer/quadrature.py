@@ -112,16 +112,10 @@ def gl_european(params: VgParams, market: MarketInputs, n: int) -> PriceResult:
         * math.exp(-derived.rate_effective * tau)
         * float(np.sum(normal_cdf(d2) * gl.p_weights))
     )
-    diagnostics = {"omega_bar": omega_bar, "order": n}
-    if shape < 1.0:
-        diagnostics["warning"] = (
-            "tau/nu < 1: the Gamma clock density is singular at zero and the "
-            "plain Laguerre rule converges slowly"
-        )
-    return PriceResult(
-        value=value,
-        method="quadrature",
-        terms_evaluated=n,
-        branch=derived.branch,
-        diagnostics=diagnostics,
+    warnings = [
+        "tau/nu < 1: the Gamma clock density is singular at zero and the "
+        "plain Laguerre rule converges slowly"
+    ] if shape < 1.0 else []
+    return model._price_result(
+        "quadrature", value, n, 0.0, derived.branch, {"omega_bar": omega_bar, "order": n}, warnings
     )

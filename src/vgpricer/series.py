@@ -485,16 +485,7 @@ def _finalize(value: float, terms: int, tail: float, branch: str, diagnostics: d
     diagnostics["converged"] True on the first and False on the second."""
     finite = math.isfinite(value)
     diagnostics["converged"] = converged = finite and tail <= _CONVERGENCE_LIMIT * abs(value)
-    result = PriceResult(
-        value=value,
-        method="series",
-        terms_evaluated=terms,
-        truncation_estimate=tail,
-        branch=branch,
-        diagnostics=diagnostics,
-    )
-    if not finite:
-        raise NonConvergenceError(f"series value {value} is not finite", result=result)
+    result = model._price_result("series", value, terms, tail, branch, diagnostics)
     if not converged:
         raise NonConvergenceError(
             f"series tail estimate {tail:.3g} exceeds 1e-6 of |value| = {abs(value):.3g}; "
@@ -628,14 +619,12 @@ def implied_atmf_vol(
 
     sigma_I = sqrt(2 pi / nu) * Gamma(tau/nu)/Gamma(1/2 + tau/nu) * C0 / S.
     """
-    if not observed_price > 0.0:
-        raise InvalidParameters("observed_price must be positive")
-    if not spot > 0.0:
-        raise InvalidParameters("spot must be positive")
-    if not tau > 0.0:
-        raise InvalidParameters("tau must be positive")
-    if not nu > 0.0:
-        raise InvalidParameters("nu must be positive")
+    inputs = {"observed_price": observed_price, "spot": spot, "tau": tau, "nu": nu}
+    for name, value in inputs.items():
+        if not value > 0.0:
+            raise InvalidParameters(f"{name} must be positive")
+        if name != "tau" and value == math.inf:  # an infinite tau fails the clock shape
+            raise InvalidParameters(f"{name} must be finite, got {value!r}")
     shape = model._clock_shape("implied_atmf_vol", tau, nu)
     (lg_num, lg_den), _ = specfun._log_gamma_signed([shape, 0.5 + shape])
     return (
@@ -687,19 +676,17 @@ def power_asset_or_nothing(
     The OTM series is the asset-or-nothing series with the moneyness
     replaced by its power analogue and every term multiplied by q^{n2}; the
     ITM branch applies parity against the discounted moment
-    e^{-r tau} E[S_T^q], which requires q^2 sigma^2 nu / 2 < 1 to exist.
+    e^{-r tau} E[S_T^q].  Every branch requires q^2 sigma^2 nu / 2 < 1, for
+    without that moment the price is infinite.
     """
     ctrl, params, derived, diagnostics = _setup("power_asset_or_nothing", params, market, ctrl)
     q_pow = market.power
+    moment_base = model._power_moment_base(params, q_pow)
     diagnostics["power_moneyness"] = derived.power_moneyness
 
     def moment():
         """The discounted moment e^{-r tau} E[S_T^q] the ITM parity needs."""
-        if not 1.0 - 0.5 * (q_pow * params.sigma) ** 2 * params.nu > 0.0:
-            raise InvalidParameters(
-                f"the power moment E[S^{q_pow}] does not exist for these parameters"
-            )
-        omega_q = math.log(1.0 - 0.5 * (q_pow * params.sigma) ** 2 * params.nu) / params.nu
+        omega_q = math.log(moment_base) / params.nu
         return market.spot**q_pow * math.exp(
             (q_pow - 1.0) * derived.rate_effective * market.tau
             + (q_pow * derived.omega - omega_q) * market.tau

@@ -220,6 +220,71 @@ class TestPriceCommand:
         code, out, err = run_cli(capsys, *command, *contract, "--sigma", "1e-150")
         assert (code, err) == (0, "") and "NaN" not in out
 
+    @pytest.mark.parametrize("spot, sigma, nu, message", [
+        ("1e307", "1.4", "0.9", "monte_carlo value inf is not finite"),
+        ("1e160", "0.2", "0.85", "monte_carlo std_error inf is not finite"),
+    ], ids=["terminal-price-overflows", "squared-deviation-overflows"])
+    def test_a_monte_carlo_price_that_is_not_finite_is_an_error(self, capsys, spot, sigma, nu,
+                                                                message):
+        """S_T overflows at spot 1e307, and the squared deviations at 1e160: the
+        first printed "value": Infinity with "std_error": NaN, the second a finite
+        value with "std_error": Infinity, both after raw RuntimeWarnings and with
+        exit 0.  Each exits 3 with one NonConvergenceError line."""
+        code, out, err = run_cli(
+            capsys, "price", "--payoff", "european", "--method", "mc", "--spot", spot,
+            "--strike", spot, "--tau", "1", "--sigma", sigma, "--nu", nu,
+        )
+        (line,) = err.splitlines()
+        assert (code, out) == (3, "")
+        assert json.loads(line) == {"error": message, "type": "NonConvergenceError"}
+
+    @pytest.mark.parametrize("rate", ["1000", "-1000"])
+    @pytest.mark.parametrize("method", ["series", "fourier", "quadrature", "mc", "all"])
+    def test_a_discount_out_of_the_double_range_is_a_domain_error(self, capsys, method, rate):
+        """K e^(-r tau) underflows to 0 at r 1000 and overflows at r -1000.  derive,
+        every engine's first step, ended in a ZeroDivisionError or OverflowError
+        traceback with exit 1; it exits 2 with one InvalidParameters line."""
+        code, out, err = run_cli(
+            capsys, "price", "--payoff", "european", "--method", method, "--spot", "3000",
+            "--strike", "4000", "--tau", "1", "--sigma", "0.2", "--nu", "0.85", f"--rate={rate}",
+        )
+        (line,) = err.splitlines()
+        record = json.loads(line)
+        assert (code, record["type"], out) == (2, "InvalidParameters", "")
+        assert f"4000.0 e^{-float(rate)!r} leaves the double range" in record["error"]
+
+    def test_a_discount_near_the_double_range_still_prices(self, capsys):
+        """At r 700 K e^(-r tau) is 4e-301, a normal double: every engine prices,
+        and the call is worth the spot."""
+        code, out, err = run_cli(
+            capsys, "price", "--payoff", "european", "--method", "all", "--spot", "3000",
+            "--strike", "4000", "--tau", "1", "--sigma", "0.2", "--nu", "0.85", "--rate", "700",
+            "--paths", "1000",
+        )
+        records = [json.loads(line) for line in out.splitlines()]
+        assert (code, err, len(records)) == (0, "", 4)
+        assert records[0]["value"] == 3000.0
+        assert all(math.isfinite(record["value"]) for record in records)
+
+    @pytest.mark.parametrize("argv", [
+        ("--method", "all", "--spot", "100", "--strike", "1000", "--sigma", "1.45", "--nu", "0.9",
+         "--power", "1.2", "--max-order", "60"),
+        ("--method", "mc", "--spot", "3000", "--strike", "4000", "--sigma", "0.2", "--nu", "0.85",
+         "--power", "200"),
+    ], ids=["all-otm", "mc-overflows"])
+    def test_a_power_digital_without_its_moment_is_a_domain_error(self, capsys, argv):
+        """Past 1 - (q sigma)^2 nu / 2 = 0 the power digital is worth +inf: the
+        series returned 625417.23 as converged and Monte Carlo 185.1 +- 90.1 on
+        the first call, and Monte Carlo printed "value": Infinity on the second.
+        Both exit 2 with the moment's InvalidParameters line."""
+        code, out, err = run_cli(
+            capsys, "price", "--payoff", "power-asset-or-nothing", "--tau", "1", *argv
+        )
+        (line,) = err.splitlines()
+        record = json.loads(line)
+        assert (code, record["type"], out) == (2, "InvalidParameters", "")
+        assert "moment E[S^" in record["error"] and "does not exist" in record["error"]
+
     def test_out_of_bounds_fourier_price_is_flagged_not_raised(self, capsys):
         """The u_max truncation drives this Lewis cash digital below zero; the
         price is still printed, with exit code 0, so `--method all` keeps the
@@ -1161,19 +1226,29 @@ def _masked(text):
     return buffer.getvalue()
 
 
-def _cli_digest():
-    """(call count, sha256 hex digest) of (argv, exit code, masked stdout,
-    stderr) over the corpus, each call made in process."""
-    digest = hashlib.sha256()
-    count = 0
+def _corpus_calls():
+    """(argv, exit code, stdout, stderr) of each call of the corpus, made in process."""
     for argv in _digest_corpus():
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
-        record = (argv, code, _masked(out.getvalue()), err.getvalue())
+        yield argv, code, out.getvalue(), err.getvalue()
+
+
+def _cli_digest():
+    """(call count, sha256 hex digest) of (argv, exit code, masked stdout,
+    stderr) over the corpus."""
+    digest = hashlib.sha256()
+    count = 0
+    for argv, code, out, err in _corpus_calls():
+        record = (argv, code, _masked(out), err)
         digest.update(repr(record).encode() + b"\n")
         count += 1
     return count, digest.hexdigest()
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 class TestCliDigest:
@@ -1184,6 +1259,19 @@ class TestCliDigest:
         count, sha256 = _cli_digest()
         assert count == 245
         assert sha256 == "b9a3eb90341b1c0b3068ab0cbbe7c06d3f763c82fd238f0a6c4aa1721bdf22fb"
+
+    def test_corpus_writes_strict_json(self):
+        """Every JSON line of the corpus, the price records on stdout and the
+        error lines on stderr, parses without NaN, Infinity or -Infinity, which
+        json.dumps writes for a float that is not finite and strict JSON lacks."""
+        lines = {"stdout": 0, "stderr": 0}
+        for _, _, *streams in _corpus_calls():
+            for name, text in zip(lines, streams):
+                for line in text.splitlines():
+                    if line.startswith("{"):
+                        json.loads(line, parse_constant=_reject_constant)
+                        lines[name] += 1
+        assert lines == {"stdout": 181, "stderr": 63}
 
 
 if __name__ == "__main__":

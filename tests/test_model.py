@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import kv
 
-from vgpricer import montecarlo, quadrature, specfun
+from vgpricer import model, montecarlo, quadrature, specfun
 from vgpricer.errors import (
     BranchCutError,
     GammaOverflowError,
@@ -176,6 +177,42 @@ class TestDerive:
         assert with_div.rate_effective == pytest.approx(0.03, rel=1e-14)
         assert with_div.forward_strike == pytest.approx(plain.forward_strike, rel=1e-14)
         assert with_div.rn_moneyness == pytest.approx(plain.rn_moneyness, rel=1e-12)
+
+    @pytest.mark.parametrize("rate, strike, exponent", [
+        (1000.0, 4000.0, -1000.0), (-1000.0, 4000.0, 1000.0), (-700.0, 1e10, 700.0),
+    ], ids=["underflows", "exp-overflows", "product-overflows"])
+    def test_a_forward_strike_out_of_the_double_range_is_rejected(self, rate, strike, exponent):
+        """K e^(-r tau) of 0 divided by zero in ln(S/F), and e^1000 raised
+        OverflowError; each is InvalidParameters."""
+        market = make_market(3000.0, 1.0, strike=strike, rate=rate)
+        message = f"= {strike!r} e^{exponent!r} leaves the double range"
+        with pytest.raises(InvalidParameters, match=re.escape(message)):
+            derive(VgParams(0.2, 0.85), market)
+
+
+class TestPriceResultRule:
+    def test_warnings_join_last_into_the_diagnostics(self):
+        result = model._price_result("fourier", 1.0, 3, 0.5, "otm", {"a": 1}, ["x", "y"])
+        assert list(result.diagnostics.items()) == [("a", 1), ("warning", "x; y")]
+        assert (result.value, result.method, result.terms_evaluated) == (1.0, "fourier", 3)
+        assert (result.truncation_estimate, result.branch) == (0.5, "otm")
+        assert "warning" not in model._price_result("series", 1.0, 1, 0.0, "atm", {}).diagnostics
+
+    @pytest.mark.parametrize("numbers, message", [
+        ((math.nan, 0.0, 0.1, (0.0, 1.0)), "monte_carlo value nan is not finite"),
+        ((1.0, math.inf, 0.1, (0.0, 1.0)), "monte_carlo truncation_estimate inf is not finite"),
+        ((1.0, 0.0, math.inf, (0.0, 1.0)), "monte_carlo std_error inf is not finite"),
+        ((1.0, 0.0, 0.1, (-math.inf, 1.0)), "monte_carlo ci -inf is not finite"),
+        ((1.0, 0.0, 0.1, (0.0, math.nan)), "monte_carlo ci nan is not finite"),
+    ])
+    def test_a_number_that_is_not_finite_raises_with_the_result(self, numbers, message):
+        value, estimate, std_error, ci = numbers
+        with pytest.raises(NonConvergenceError) as raised:
+            model._price_result(
+                "monte_carlo", value, 10, estimate, "itm", {}, std_error=std_error, ci=ci
+            )
+        assert str(raised.value) == message
+        assert (raised.value.result.std_error, raised.value.result.ci) == (std_error, ci)
 
 
 class TestDensity:

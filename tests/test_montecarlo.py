@@ -120,6 +120,25 @@ class TestSampling:
             sample_vg(VgParams(sigma=0.2, nu=0.85), 1.0, n, seed=0)
 
 
+class TestPowerMoment:
+    def test_a_missing_moment_is_refused_before_any_path_is_drawn(self):
+        """At sigma 0.2, nu 0.85, theta 0.3 and q 3.5, 1 - theta nu q - (q sigma)^2 nu / 2
+        is -0.10, though its theta = 0 part 1 - (q sigma)^2 nu / 2 is 0.79."""
+        params = VgParams(sigma=0.2, nu=0.85, theta=0.3)
+        market = make_market(3000.0, 1.0, power=3.5)
+        with mock.patch.object(montecarlo, "_draw_increments", side_effect=AssertionError):
+            with pytest.raises(InvalidParameters, match=r"moment E\[S\^3.5\] does not exist"):
+                mc_price("power_asset_or_nothing", params, market, McConfig(n_paths=1000))
+
+    def test_a_negative_theta_keeps_the_moment(self):
+        """theta -0.5 lifts the base to 0.18 at sigma 1.45, nu 0.9 and q 1.2,
+        where theta 0 gives -0.36."""
+        params = VgParams(sigma=1.45, nu=0.9, theta=-0.5)
+        market = make_market(100.0, 1.0, strike=1000.0, power=1.2)
+        estimate = mc_price("power_asset_or_nothing", params, market, McConfig(n_paths=1000))
+        assert math.isfinite(estimate.value) and math.isfinite(estimate.std_error)
+
+
 class TestEstimator:
     def test_bit_reproducible(self, bench_params):
         market = make_market(4200.0, 2.0)

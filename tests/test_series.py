@@ -395,6 +395,16 @@ class TestAtmForward:
         with pytest.raises(InvalidParameters):
             implied_atmf_vol(100.0, 4000.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("name, inputs", [
+        ("observed_price", (math.inf, 100.0, 1.0, 0.3)),
+        ("spot", (1.0, math.inf, 1.0, 0.3)),
+        ("nu", (1.0, 100.0, 1.0, math.inf)),
+    ])
+    def test_an_infinite_input_is_rejected(self, name, inputs):
+        """These returned inf, 0.0 and NaN."""
+        with pytest.raises(InvalidParameters, match=f"^{name} must be finite, got inf$"):
+            implied_atmf_vol(*inputs)
+
     @pytest.mark.parametrize("price", [
         lambda: implied_atmf_vol(100.0, 4000.0, math.inf, 0.85),
         lambda: european_atmf(
@@ -512,6 +522,15 @@ class TestPowerDigital:
         market = make_market(9000.0, 2.0, strike=100.0, power=3.0)
         with pytest.raises(InvalidParameters):
             power_asset_or_nothing(params, market, SeriesControl(max_order=10))
+
+    def test_the_otm_branch_checks_the_moment_too(self):
+        """At sigma 1.45, nu 0.9 and q 1.2, 1 - (q sigma)^2 nu / 2 = -0.362 and
+        the price is +inf.  The OTM series returned 625417.23 with a tail of
+        4.9e-5, that is converged; only the ITM parity checked the moment."""
+        params = VgParams(sigma=1.45, nu=0.9)
+        market = make_market(100.0, 1.0, strike=1000.0, rate=0.0, power=1.2)
+        with pytest.raises(InvalidParameters, match=r"moment E\[S\^1.2\] does not exist"):
+            power_asset_or_nothing(params, market, SeriesControl(max_order=60))
 
 
 class TestLogCall:
