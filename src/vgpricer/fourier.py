@@ -5,14 +5,14 @@ Digitals use the inversion of the risk-neutral characteristic function
     asset-or-nothing: S  (1/2 + (1/pi) int_0^umax Re[e^{iuk} PhiRN(u-i, tau)/(iu)] du)
     cash-or-nothing:  e^{-r tau} (1/2 + (1/pi) int_0^umax Re[e^{iuk} PhiRN(u, tau)/(iu)] du)
 
-with k the log-forward moneyness.  One function prices both, parametrised by
-the measure shift: 1 for the asset digital (scale S), 0 for the cash digital
-(scale e^{-r tau}).  European calls use the damped integral:
-the call price in log-strike is multiplied by e^{a k_L} to make it
+with k the log-forward moneyness; the measure shift is 1 for the asset digital
+(scale S), 0 for the cash digital (scale e^{-r tau}).  Calls use the damped
+integral: the call price in log-strike is multiplied by e^{a k_L} to make it
 integrable, priced through the characteristic function of log S_T, and the
 damping removed afterwards.  For every theta the damping a is admitted when
 a > 0 and (1 + a) nu mu_+ < 1, that is while the damped line Im u = -(1 + a)
-stays above the branch point i eta_-, eta_- = -1/(nu mu_+), of Phi.
+stays above the branch point i eta_-, eta_- = -1/(nu mu_+), of Phi.  Each
+payoff only describes its integrand; _contour_integral builds and prices it.
 
 The default, u_max = inf, prices the untruncated integrals on a
 sinh-deformed contour xi(y) = i w1 + b sinh(i w + y) (Boyarchenko and
@@ -121,13 +121,16 @@ def _panel_integral(f, edges: np.ndarray, splits: int, n_panels: int) -> float:
     return total
 
 
-def _ray_tail(F, line: float, x1: float, decay: float, heights, near: float, cfg: FourierConfig):
+def _ray_tail(
+    F, line: float, x1: float, toward: float, decay: float, heights, near: float,
+    cfg: FourierConfig,
+):
     """(1/pi) int_U^inf Re F(u + i line) du, U = u_max: on the real line to U0, then on a ray.
 
     F's singularities lie on the imaginary axis, at the heights given, so
     past U0 >= U the integral turns onto the ray xi = U0 + i line + i s t,
-    t >= 0, as -(s/pi) int_0^inf Im F(xi) dt, with s = 1 (up) when
-    x1 = -k_rn < 0 and -1 otherwise, where |e^{-i xi x1}| = e^{-|x1| t}.
+    t >= 0, as -(s/pi) int_0^inf Im F(xi) dt, with s = toward, the contour's
+    bend (1 up, -1 down), where |e^{-i xi x1}| = e^{-|x1| t}.
     From U0 >= near, twice the distance of Phi's nearer branch point, |Phi|
     <= 1 on the ray; closer in it reaches (near / U)^(tau/nu) and cancels, so
     [U, U0] stays on the real line, in at most _LINE_PANELS panels narrower
@@ -145,7 +148,6 @@ def _ray_tail(F, line: float, x1: float, decay: float, heights, near: float, cfg
     in two until the change is below abs_tol.  Returns the integral, its last
     change, the evaluation count and whether abs_tol was met.
     """
-    toward = 1.0 if x1 < 0.0 else -1.0
     gaps = [abs(h - line) for h in heights if math.isfinite(h) and h != line]
     u_lo = min(cfg.u_max, _RAY_T_MAX)
     width = min(_RAY_PANEL, 0.5 * math.pi / abs(x1) if x1 else math.inf, *gaps)
@@ -193,20 +195,23 @@ def _ray_tail(F, line: float, x1: float, decay: float, heights, near: float, cfg
 
 
 def _contour_integral(
-    F, pole, branch, decay, residue, scale, bounds, derived, cfg, heights, near, apex=None,
-    line=0.0, **extra,
+    params, tau, derived, cfg, shift, denominator, poles, residue, decay, scale, bounds,
+    apex=None, line=0.0, **extra,
 ) -> PriceResult:
     """The price scale (residue + (1/2pi) int F(xi) dxi), xi(y) = i w1 + b sinh(i w + y), y real.
 
-    Every singularity of F lies on the imaginary axis, and i pole and
-    i branch are the two that enclose the contour's apex.  The contour bends
-    toward the branch point: down (w = -pi/4) when x1 = -k_rn >= 0, where
-    e^{-i xi x1} decays, and up (w = pi/4) when x1 < 0.  Unless it is given, the apex is
-    where |F| is least on the imaginary axis (the choice of Lord and Kahl
-    for the damping), searched on a geometric grid of _APEX_GRID points from
-    half-way to the branch point down to 1e-3 of that distance from the pole.
-    At long maturities the half-way point would put |F| up to (4/3)^(tau/nu)
-    on the contour, and the price would cancel from there.
+    F(xi) = e^{shift omega tau} Phi(xi - i shift) e^{-i xi x1} / denominator(xi),
+    x1 = -k_rn, is singular only on the imaginary axis, at i poles and at the
+    branch points i (eta_pm + shift).  Only here is the bend decided, toward
+    where e^{-i xi x1} decays: up (w = pi/4) when x1 < 0, over every pole and
+    adding the residue, from the highest pole toward the upper branch point;
+    otherwise down (w = -pi/4) from the lowest pole toward the lower one, at
+    the apex given.  Unless it is given, the apex is where |F| is least on the
+    imaginary axis (the choice of Lord and Kahl for the damping), searched on a
+    geometric grid of _APEX_GRID points from half-way to the branch point down
+    to 1e-3 of that distance from the pole.  At long maturities the half-way
+    point would put |F| up to (4/3)^(tau/nu) on the contour, and the price
+    would cancel from there.
 
     b is the largest value for which the hyperbolas at angles between 0
     and 2w, the images of the strip |Im y| < pi/4, cross the axis between
@@ -227,15 +232,27 @@ def _contour_integral(
     is the last change plus a rounding floor: _ROUNDING times the sum of the
     magnitudes added, within which a price past its bounds is clamped.
 
-    The integral is (1/pi) int_0^inf Re F(u + i line) du plus the residues
-    passed.  A finite u_max subtracts the part past u_max (_ray_tail) and adds
-    its size, by which the price differs from the untruncated one, and its
-    last change to the truncation_estimate.  There a Gamma rate that rounds
-    to 0 may put the branch at infinity: the apex is then searched from 1/2.
+    The integral is (1/pi) int_0^inf Re F(u + i line) du plus the residue.  A
+    finite u_max subtracts the part past u_max (_ray_tail, bent the same way)
+    and adds its size, by which the price differs from the untruncated one,
+    and its last change to the truncation_estimate.  There a Gamma rate that
+    rounds to 0 may put the branch at infinity: the apex is then searched from 1/2.
     """
     x1 = -derived.rn_moneyness
+    log_norm = shift * derived.omega * tau
+
+    def F(xi):
+        log_psi = model._log_characteristic_fn(params, xi - 1j * shift, tau)
+        with np.errstate(over="ignore", invalid="ignore"):  # sigma < 1e-153: _result raises
+            return np.exp(log_psi + log_norm - 1j * xi * x1) / denominator(xi)
+
+    eta_minus, eta_plus = _branch_points(params, cfg)
+    heights = (eta_minus + shift, *poles, eta_plus + shift)
+    if x1 < 0.0:
+        toward, pole, branch, apex = 1.0, max(poles), heights[-1], None
+    else:
+        toward, pole, branch, residue = -1.0, min(poles), heights[0], 0.0
     evals = 0
-    toward = math.copysign(1.0, branch - pole)
     if apex is None:
         reach = branch - pole if math.isfinite(branch) else toward
         v = pole + 0.5 * reach * np.geomspace(1.0, 1e-3, _APEX_GRID)
@@ -285,7 +302,9 @@ def _contour_integral(
     floor = _ROUNDING * (abs(residue) + magnitude)
     met = change <= cfg.abs_tol
     if math.isfinite(cfg.u_max):
-        tail, tail_change, tail_evals, tail_met = _ray_tail(F, line, x1, decay, heights, near, cfg)
+        tail, tail_change, tail_evals, tail_met = _ray_tail(
+            F, line, x1, toward, decay, heights, 2.0 * min(-eta_minus, eta_plus), cfg
+        )
         value, change = value - tail, change + abs(tail) + tail_change
         evals, met = evals + tail_evals, met and tail_met
     return _result(
@@ -340,28 +359,17 @@ def _digital(shift: float, params, market, cfg) -> PriceResult:
     Psi(xi) = e^{shift omega tau} Phi(xi - i shift): the share measure's X for shift 1.
 
     Shift 1 is the asset-or-nothing digital, worth between 0 and scale S;
-    shift 0 the cash-or-nothing digital, scale e^{-r tau}.  On the contour,
-    which bends down when x1 >= 0 and otherwise up over the pole at 0, adding
-    its residue Psi(0) = 1, the apex lies between the pole and the nearest
-    branch point of Psi, i (eta_pm + shift), at most half-way.  At a finite
-    u_max it is scale (1/2 + (1/pi) int_0^umax Re[e^{iu k_rn} Psi(u)/(iu)] du).
+    shift 0 the cash-or-nothing digital, scale e^{-r tau}.  Its one pole is
+    at 0, with residue Psi(0) = 1 when the contour bends up over it.  At a
+    finite u_max it is scale (1/2 + (1/pi) int_0^umax Re[e^{iu k_rn} Psi(u)/(iu)] du).
     """
     cfg = cfg or FourierConfig()
     derived = model.derive(params, market)
     tau = market.tau
     scale = market.spot if shift else math.exp(-derived.rate_effective * tau)
-    x1 = -derived.rn_moneyness
-    log_norm = shift * derived.omega * tau
-
-    def F(xi):
-        log_psi = model._log_characteristic_fn(params, xi - 1j * shift, tau)
-        return np.exp(log_psi + log_norm - 1j * xi * x1) / (1j * xi)
-
-    eta_minus, eta_plus = _branch_points(params, cfg)
-    branch, residue = (eta_plus + shift, 1.0) if x1 < 0.0 else (eta_minus + shift, 0.0)
     return _contour_integral(
-        F, 0.0, branch, 2.0 * tau / params.nu, residue, scale, (0.0, scale), derived, cfg,
-        (eta_minus + shift, eta_plus + shift), 2.0 * min(-eta_minus, eta_plus),
+        params, tau, derived, cfg, shift, lambda xi: 1j * xi, (0.0,), 1.0, 2.0 * tau / params.nu,
+        scale, (0.0, scale),
     )
 
 
@@ -404,11 +412,9 @@ def carr_madan_european(
     than on the ln K scale.
 
     On the contour it is K e^{-r tau} (1/2pi) int e^{-i xi x1} Phi(xi) / (-xi (xi + i)) dxi,
-    x1 = -k_rn.  Out of the money (x1 >= 0) the contour bends down from the
-    damped line's point -i(1 + a), between the poles at 0 and -i and the
-    branch point i eta_-.  In the money it bends up over both poles, whose
-    residues add the forward intrinsic value S - K e^{-r tau}, with its apex
-    between 0 and i eta_+, at most half-way.
+    x1 = -k_rn.  Its poles are at 0 and -i; over both, their residues add the
+    forward intrinsic value S - K e^{-r tau}.  Out of the money the contour
+    bends down from the damped line's point -i(1 + a).
 
     For every theta the damping a is admitted when a > 0 and (1 + a) nu mu_+ < 1,
     while the damped line Im u = -(1 + a) stays above eta_- = -1/(nu mu_+); a
@@ -423,23 +429,9 @@ def carr_madan_european(
         raise DampingOutOfRangeError(
             f"damping factor a = {a!r} must be positive with (1 + a) nu mu_+ = {reach:.6g} below 1"
         )
-    discounted_strike = market.strike * math.exp(-derived.rate_effective * tau)
-    intrinsic = market.spot - discounted_strike
-    bounds = (max(0.0, intrinsic), market.spot)
-    x1 = -derived.rn_moneyness
-
-    def F(xi):
-        log_phi = model._log_characteristic_fn(params, xi, tau)
-        with np.errstate(over="ignore", invalid="ignore"):  # sigma < 1e-153: _result raises
-            return np.exp(log_phi - 1j * xi * x1) / (-xi * (xi + 1j))
-
-    eta_minus, eta_plus = _branch_points(params, cfg)
-    if x1 < 0.0:
-        pole, branch, residue, apex = 0.0, eta_plus, intrinsic / discounted_strike, None
-    else:
-        pole, branch, residue, apex = -1.0, eta_minus, 0.0, -(1.0 + a)
+    intrinsic = market.spot - derived.forward_strike
     return _contour_integral(
-        F, pole, branch, 1.0 + 2.0 * tau / params.nu, residue, discounted_strike, bounds,
-        derived, cfg, (eta_minus, -1.0, 0.0, eta_plus), 2.0 * min(-eta_minus, eta_plus), apex,
-        line=-(1.0 + a), damping_a=a,
+        params, tau, derived, cfg, 0.0, lambda xi: -xi * (xi + 1j), (-1.0, 0.0),
+        intrinsic / derived.forward_strike, 1.0 + 2.0 * tau / params.nu, derived.forward_strike,
+        (max(0.0, intrinsic), market.spot), apex=-(1.0 + a), line=-(1.0 + a), damping_a=a,
     )

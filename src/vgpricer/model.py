@@ -281,6 +281,12 @@ def derive(params: VgParams, market: MarketInputs) -> DerivedQuantities:
             f"the forward strike K e^(-(r - q) tau) = {market.strike!r} e^{exponent!r} leaves"
             " the double range"
         )
+    power_strike = market.strike ** (1.0 / market.power)
+    for name, denominator in (("S/F", forward_strike), ("S/K^(1/p)", power_strike)):
+        if not 0.0 < market.spot / denominator < math.inf:
+            raise InvalidParameters(
+                f"the ratio {name} = {market.spot!r}/{denominator!r} leaves the double range"
+            )
     k = math.log(market.spot / forward_strike)
     sigma_nu = params.sigma * math.sqrt(params.nu / 2.0)
     alpha = _clock_shape("derive", market.tau, params.nu) - 0.5
@@ -289,7 +295,7 @@ def derive(params: VgParams, market: MarketInputs) -> DerivedQuantities:
         params.theta / (2.0 * params.sigma**2)
     ) ** 2
     power_moneyness = (
-        math.log(market.spot / market.strike ** (1.0 / market.power))
+        math.log(market.spot / power_strike)
         + (r_eff + omega) * market.tau
     )
     return DerivedQuantities(

@@ -617,7 +617,8 @@ def implied_atmf_vol(
 ) -> float:
     """Invert the leading-term ATM-forward estimate for the implied volatility.
 
-    sigma_I = sqrt(2 pi / nu) * Gamma(tau/nu)/Gamma(1/2 + tau/nu) * C0 / S.
+    sigma_I = sqrt(2 pi / nu) * Gamma(tau/nu)/Gamma(1/2 + tau/nu) * C0 / S; InvalidParameters
+    when it is 0 or not finite.
     """
     inputs = {"observed_price": observed_price, "spot": spot, "tau": tau, "nu": nu}
     for name, value in inputs.items():
@@ -627,12 +628,15 @@ def implied_atmf_vol(
             raise InvalidParameters(f"{name} must be finite, got {value!r}")
     shape = model._clock_shape("implied_atmf_vol", tau, nu)
     (lg_num, lg_den), _ = specfun._log_gamma_signed([shape, 0.5 + shape])
-    return (
+    vol = (
         math.sqrt(2.0 * math.pi / nu)
         * math.exp(float(lg_num) - float(lg_den))
         * observed_price
         / spot
     )
+    if not 0.0 < vol < math.inf:
+        raise InvalidParameters(f"the implied volatility {vol!r} leaves the double range")
+    return vol
 
 
 def cash_or_nothing(

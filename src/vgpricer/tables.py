@@ -8,8 +8,8 @@ row, so each builder below only lists its rows and its columns.
 
 Truncated series cells intentionally include non-converged values (that is
 what the truncation columns demonstrate), so a series column keeps the
-partial sum of a series stopped at its max_order (`_partial_sum`, which
-``vgpricer converge`` uses too).
+partial sum of a series stopped at its max_order, when that sum is finite
+(`_partial_sum`, which ``vgpricer converge`` uses too).
 """
 
 from __future__ import annotations
@@ -46,10 +46,13 @@ def atm_spot(params: VgParams, tau: float, strike: float = _STRIKE, rate: float 
 
 
 def _partial_sum(pricer: Callable, params, market, ctrl: series.SeriesControl) -> float:
-    """The series price under ctrl, or its partial sum where ctrl.max_order stops it short."""
+    """The series price under ctrl, or its partial sum where ctrl.max_order stops it short.
+    A partial sum that is not finite is no value: its NonConvergenceError is raised again."""
     try:
         return pricer(params, market, ctrl).value
     except NonConvergenceError as err:
+        if not math.isfinite(err.result.value):
+            raise
         return err.result.value
 
 

@@ -253,6 +253,28 @@ class TestPriceCommand:
         assert (code, record["type"], out) == (2, "InvalidParameters", "")
         assert f"4000.0 e^{-float(rate)!r} leaves the double range" in record["error"]
 
+    @pytest.mark.parametrize("payoff, method", [
+        *(("european", m) for m in ("series", "fourier", "quadrature", "mc", "all")),
+        *(("power-asset-or-nothing", m) for m in ("series", "mc", "all")),
+    ])
+    @pytest.mark.parametrize("rate, message", [
+        ("0", "the ratio S/F = 1e-300/1e+300 leaves the double range"),
+        ("700", "the ratio S/K^(1/p) = 1e-300/1e+300 leaves the double range"),
+    ], ids=["forward", "power-strike"])
+    def test_a_moneyness_ratio_out_of_the_double_range_is_a_domain_error(
+        self, capsys, payoff, method, rate, message
+    ):
+        """S/F underflows to 0 at S 1e-300, K 1e300, and so does S/K at r 700,
+        where F is 1e-4.  derive ended in a math domain error traceback with
+        exit 1; it exits 2 with one InvalidParameters line."""
+        code, out, err = run_cli(
+            capsys, "price", "--payoff", payoff, "--method", method, "--spot", "1e-300",
+            "--strike", "1e300", "--tau", "1", "--sigma", "0.2", "--nu", "0.85", "--rate", rate,
+        )
+        (line,) = err.splitlines()
+        assert (code, out) == (2, "")
+        assert json.loads(line) == {"error": message, "type": "InvalidParameters"}
+
     def test_a_discount_near_the_double_range_still_prices(self, capsys):
         """At r 700 K e^(-r tau) is 4e-301, a normal double: every engine prices,
         and the call is worth the spot."""
@@ -689,6 +711,24 @@ class TestConvergeCommand:
         assert [(r["kind"], r["parameter"], r["value"]) for r in races] == [
             ("series_max", m, row["cells"][f"series_max={m}"]) for m in (5, 10, 20)
         ]
+
+    def test_a_partial_sum_that_is_not_finite_is_an_error(self, capsys):
+        """At sigma 0.002 the order-200 partial sum is NaN, which printed
+        "value": NaN with exit 0; it exits 3 with one NonConvergenceError line.
+        At sigma 0.003 the finite -3.2e271 partial sum is still the race entry."""
+        flags = ("converge", "--spot", "1000", "--strike", "4000", "--tau", "0.5", "--nu", "0.85",
+                 "--rate", "0.01", "--max-orders", "200", "--u-max-list", "",
+                 "--reference", "fourier", "--format", "json")
+        code, out, err = run_cli(capsys, *flags, "--sigma", "0.002")
+        (line,) = err.splitlines()
+        assert (code, out) == (3, "")
+        assert json.loads(line) == {
+            "error": "series value nan is not finite", "type": "NonConvergenceError",
+        }
+        code, out, err = run_cli(capsys, *flags, "--sigma", "0.003")
+        (race,) = [json.loads(line) for line in out.splitlines()]
+        assert (code, err, race["kind"]) == (0, "", "series_max")
+        assert -1e272 < race["value"] < -1e271
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_empty_fourier_race_is_a_usage_error(self, capsys, fmt):

@@ -405,6 +405,14 @@ class TestAtmForward:
         with pytest.raises(InvalidParameters, match=f"^{name} must be finite, got inf$"):
             implied_atmf_vol(*inputs)
 
+    @pytest.mark.parametrize("inputs, vol", [
+        ((1e300, 1e-300, 1.0, 0.3), "inf"), ((1e-320, 1e300, 1.0, 0.3), "0.0"),
+    ], ids=["overflow", "underflow"])
+    def test_a_volatility_out_of_the_double_range_is_rejected(self, inputs, vol):
+        """Finite inputs whose ratio C0/S leaves the double range returned inf and 0.0."""
+        with pytest.raises(InvalidParameters, match=f"^the implied volatility {vol} leaves"):
+            implied_atmf_vol(*inputs)
+
     @pytest.mark.parametrize("price", [
         lambda: implied_atmf_vol(100.0, 4000.0, math.inf, 0.85),
         lambda: european_atmf(
