@@ -284,16 +284,13 @@ def _flatten(record: dict) -> dict:
 
 
 def _rows_to_csv(rows: list[dict]) -> str:
+    """One csv table whose header is the union of the rows' keys in first-seen
+    order (blocks may differ); a key a row lacks is an empty cell."""
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    header: list[str] = []
-    for row in rows:  # union of keys, first-seen order (blocks may differ)
-        for key in row:
-            if key not in header:
-                header.append(key)
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(row.get(key, "")) for key in header])
+    header = dict.fromkeys(key for row in rows for key in row)
+    writer = csv.DictWriter(buffer, header, restval="", lineterminator="\n")
+    writer.writeheader()
+    writer.writerows({key: _fmt(value) for key, value in row.items()} for row in rows)
     return buffer.getvalue()
 
 

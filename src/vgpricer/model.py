@@ -45,6 +45,15 @@ _TINY = np.finfo(float).tiny
 _LOG_MAX = math.log(np.finfo(float).max)
 
 
+def _pow(x: float, p: float) -> float:
+    """x**p for a positive result, or inf where it overflows: Python's float
+    power raises there, where numpy and the other float operations give inf."""
+    try:
+        return x**p
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class VgParams:
     """Model triple: scale sigma (per sqrt-year), kurtosis nu (years), asymmetry theta (per year)."""
@@ -58,7 +67,7 @@ class VgParams:
             raise InvalidParameters(f"sigma must be positive, got {self.sigma!r}")
         if not self.nu > 0.0:
             raise InvalidParameters(f"nu must be positive, got {self.nu!r}")
-        if not self.sigma**2 * self.nu > 0.0:
+        if not _pow(self.sigma, 2) * self.nu > 0.0:
             raise InvalidParameters(
                 f"sigma^2 * nu underflows to 0 at sigma = {self.sigma!r}, nu = {self.nu!r}"
             )
@@ -72,7 +81,7 @@ class VgParams:
 
     @property
     def martingale_argument(self) -> float:
-        return 1.0 - self.theta * self.nu - 0.5 * self.sigma**2 * self.nu
+        return 1.0 - self.theta * self.nu - 0.5 * _pow(self.sigma, 2) * self.nu
 
     @property
     def is_symmetric(self) -> bool:
@@ -264,7 +273,7 @@ def _clock_shape(name: str, t: float, nu: float) -> float:
 def _power_moment_base(params: VgParams, q: float) -> float:
     """1 - theta nu q - sigma^2 nu q^2 / 2, the base of E[e^{q X(t)}] = base^(-t/nu);
     InvalidParameters unless it is positive, that is, unless E[S_T^q] exists."""
-    base = 1.0 - params.theta * params.nu * q - 0.5 * (q * params.sigma) ** 2 * params.nu
+    base = 1.0 - params.theta * params.nu * q - 0.5 * _pow(q * params.sigma, 2) * params.nu
     if not base > 0.0:
         raise InvalidParameters(f"the power moment E[S^{q}] does not exist for these parameters")
     return base
@@ -291,9 +300,9 @@ def derive(params: VgParams, market: MarketInputs) -> DerivedQuantities:
     sigma_nu = params.sigma * math.sqrt(params.nu / 2.0)
     alpha = _clock_shape("derive", market.tau, params.nu) - 0.5
     theta_sigma = params.theta / params.sigma**2
-    q_factor = 1.0 / (2.0 * params.sigma**2 * params.nu) + (
-        params.theta / (2.0 * params.sigma**2)
-    ) ** 2
+    q_factor = 1.0 / (2.0 * params.sigma**2 * params.nu) + _pow(
+        params.theta / (2.0 * params.sigma**2), 2
+    )
     power_moneyness = (
         math.log(market.spot / power_strike)
         + (r_eff + omega) * market.tau
@@ -325,7 +334,7 @@ def density(params: VgParams, x: float, t: float) -> float:
     sigma, nu, theta = params.sigma, params.nu, params.theta
     shape = _clock_shape("density", t, nu)
     order = shape - 0.5
-    a2 = 2.0 * sigma**2 / nu + theta**2
+    a2 = 2.0 * sigma**2 / nu + _pow(theta, 2)
     lg_shape, _ = specfun.log_gamma(shape)
     log_front = (
         math.log(2.0)
@@ -342,7 +351,9 @@ def density(params: VgParams, x: float, t: float) -> float:
             )
         # limit of (x^2/a2)^{order/2} K_order(c|x|): Gamma(order)/2 * (2 sigma^2 / a2)^order
         lg_order, _ = specfun.log_gamma(order)
-        log_density = log_front - math.log(2.0) + lg_order + order * math.log(2.0 * sigma**2 / a2)
+        ratio = 2.0 * sigma**2 / a2  # 0 once theta^2 overflows, and so is the density
+        log_ratio = math.log(ratio) if ratio > 0.0 else -math.inf
+        log_density = log_front - math.log(2.0) + lg_order + order * log_ratio
     else:
         z = math.sqrt(a2) * abs(x) / sigma**2
         # log z without forming z, which loses bits once it is subnormal
@@ -382,7 +393,7 @@ def mixture_density(params: VgParams, x: float, t: float) -> float:
         log_val = (
             log_norm
             - 0.5 * math.log(y)
-            - (x - theta * y) ** 2 / (2.0 * sigma**2 * y)
+            - _pow(x - theta * y, 2) / (2.0 * sigma**2 * y)
             + (shape - 1.0) * math.log(y)
             - y / nu
         )
@@ -473,7 +484,7 @@ def levy_measure_density(params: VgParams, x: float) -> float:
     if x == 0.0:
         raise InvalidParameters("Levy measure density is undefined at x = 0")
     sigma, nu, theta = params.sigma, params.nu, params.theta
-    decay = math.sqrt(theta**2 / sigma**2 + 2.0 / nu) / sigma
+    decay = math.sqrt(_pow(theta, 2) / sigma**2 + 2.0 / nu) / sigma
     return math.exp(theta * x / sigma**2 - decay * abs(x)) / (nu * abs(x))
 
 
@@ -482,12 +493,12 @@ def gamma_decomposition(params: VgParams) -> GammaDecomposition:
 
     mu_pm = sqrt(theta^2 + 2 sigma^2 / nu)/2 +- theta/2, nu_pm = mu_pm^2 nu.
     """
-    root = 0.5 * math.sqrt(params.theta**2 + 2.0 * params.sigma**2 / params.nu)
+    root = 0.5 * math.sqrt(_pow(params.theta, 2) + 2.0 * params.sigma**2 / params.nu)
     mu_plus = root + 0.5 * params.theta
     mu_minus = root - 0.5 * params.theta
     return GammaDecomposition(
         mu_plus=mu_plus,
         mu_minus=mu_minus,
-        nu_plus=mu_plus**2 * params.nu,
-        nu_minus=mu_minus**2 * params.nu,
+        nu_plus=_pow(mu_plus, 2) * params.nu,
+        nu_minus=_pow(mu_minus, 2) * params.nu,
     )

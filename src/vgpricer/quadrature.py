@@ -17,8 +17,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import softmax
 
-from . import model, specfun
+from . import model
 from .errors import InvalidParameters
 from .model import MarketInputs, PriceResult, VgParams
 from .specfun import QuadratureRule, laguerre_rule, normal_cdf
@@ -36,17 +37,13 @@ class GlWeights:
 
 
 def gl_weights(n: int, shape: float) -> GlWeights:
-    """Mixture probabilities p(u_i, shape) for the order-n rule.
-
-    u_i^{shape-1} is taken on log scale so large orders do not overflow.
+    """Mixture probabilities p(u_i, shape) for the order-n rule: the softmax of
+    ln w_i + (shape - 1) ln u_i, so large orders do not overflow.
     """
     if not shape > 0.0:
         raise InvalidParameters(f"shape must be positive, got {shape!r}")
     rule = laguerre_rule(n)
-    log_p = np.log(rule.weights) + (shape - 1.0) * np.log(rule.nodes)
-    log_p -= log_p.max()
-    p = np.exp(log_p)
-    p /= p.sum()
+    p = softmax(np.log(rule.weights) + (shape - 1.0) * np.log(rule.nodes))
     return GlWeights(rule=rule, shape=shape, p_weights=p)
 
 
@@ -60,7 +57,8 @@ def gl_density(params: VgParams, x: float, t: float, n: int) -> float:
     u = gl.rule.nodes
     mean = params.theta * params.nu * u
     std = params.sigma * np.sqrt(params.nu * u)
-    gaussians = np.exp(-0.5 * ((x - mean) / std) ** 2) / (std * math.sqrt(2.0 * math.pi))
+    with np.errstate(over="ignore"):  # a square that overflows is a Gaussian of 0
+        gaussians = np.exp(-0.5 * ((x - mean) / std) ** 2) / (std * math.sqrt(2.0 * math.pi))
     return float(np.sum(gaussians * gl.p_weights))
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from decimal import Decimal
 from functools import lru_cache
 from importlib import resources
 
@@ -36,14 +37,9 @@ class ReferenceCell:
 
 
 def printed_tolerance(printed: str) -> float:
-    """Half a unit in the last printed decimal place."""
-    text = printed.strip().lower().lstrip("+-")
-    exponent = 0
-    if "e" in text:
-        text, exp_part = text.split("e", 1)
-        exponent = int(exp_part)
-    decimals = len(text.split(".", 1)[1]) if "." in text else 0
-    return 0.5 * 10.0 ** (exponent - decimals)
+    """Half a unit in the last printed decimal place, whose power of ten is the
+    exponent of the printed string read as a ``Decimal``."""
+    return 0.5 * 10.0 ** Decimal(printed).as_tuple().exponent
 
 
 @lru_cache(maxsize=1)

@@ -53,6 +53,7 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
+from scipy.special import xlogy
 
 from . import model, specfun
 from .errors import (
@@ -310,14 +311,6 @@ def _log_gammas(args: _Args, alpha: float):
     if not sign.all():
         raise DegenerateAlphaError("series coefficient hit a Gamma pole")
     return [(log_abs[cut].reshape(shape), sign[cut].reshape(shape)) for cut, shape in args.pieces]
-
-
-def _power_log(base: float, n):
-    """n * log|base| for integer exponents n, with 0^0 = 1; the sign of base^n
-    comes from the grid's n_sign."""
-    if base == 0.0:
-        return np.where(n == 0.0, 0.0, -np.inf)
-    return n * math.log(abs(base))
 
 
 def _kahan_diagonal_sum(diag_values, diag_counts, tail_tol):
@@ -628,12 +621,13 @@ def implied_atmf_vol(
             raise InvalidParameters(f"{name} must be finite, got {value!r}")
     shape = model._clock_shape("implied_atmf_vol", tau, nu)
     (lg_num, lg_den), _ = specfun._log_gamma_signed([shape, 0.5 + shape])
-    vol = (
-        math.sqrt(2.0 * math.pi / nu)
-        * math.exp(float(lg_num) - float(lg_den))
-        * observed_price
-        / spot
-    )
+    log_ratio = float(lg_num) - float(lg_den)
+    if log_ratio < model._LOG_MAX:
+        vol = math.sqrt(2.0 * math.pi / nu) * math.exp(log_ratio) * observed_price / spot
+    else:  # the Gamma ratio overflows at a subnormal tau/nu: form the product in logs
+        log_vol = 0.5 * math.log(2.0 * math.pi / nu) + log_ratio
+        log_vol += math.log(observed_price) - math.log(spot)
+        vol = math.exp(log_vol) if log_vol < model._LOG_MAX else math.inf
     if not 0.0 < vol < math.inf:
         raise InvalidParameters(f"the implied volatility {vol!r} leaves the double range")
     return vol
@@ -691,7 +685,7 @@ def power_asset_or_nothing(
     def moment():
         """The discounted moment e^{-r tau} E[S_T^q] the ITM parity needs."""
         omega_q = math.log(moment_base) / params.nu
-        return market.spot**q_pow * math.exp(
+        return model._pow(market.spot, q_pow) * math.exp(
             (q_pow - 1.0) * derived.rate_effective * market.tau
             + (q_pow * derived.omega - omega_q) * market.tau
         )
@@ -752,7 +746,9 @@ def _asym_series(derived, tau, ctrl, sign):
         sum_n G((n+1)/2) G((n+1)/2 + a) q^{-(n+1)/2 - a} theta_sigma^n / n!
 
     alone at the money, and otherwise plus the paired double series in the
-    (negative) moneyness, from the poles of both Bessel factors.
+    (negative) moneyness, from the poles of both Bessel factors.  theta_sigma^n
+    enters as xlogy(n, |theta_sigma|) = n log|theta_sigma|, with 0^0 = 1, and
+    its sign comes from the grid's n_sign.
     """
     # log of the prefactor times Gamma(alpha + 1/2); each series divides by
     # that Gamma from the alpha block
@@ -766,7 +762,7 @@ def _asym_series(derived, tau, ctrl, sign):
     lg_half, lg1, lg2, q_power, *double = _alpha_block("asym", ctrl.max_order, derived.alpha)
     theta_sigma = sign * derived.theta_sigma
     log_q = math.log(derived.q_factor)
-    theta_power = _power_log(theta_sigma, g.n2)
+    theta_power = xlogy(g.n2, abs(theta_sigma))
     log_terms = log_front - lg_half + lg1 + lg2 + q_power * log_q + theta_power - g.n2_log_fact
     single = _residue_sum(log_terms, g.n_sign if theta_sigma < 0.0 else 1.0, ctrl.tail_tol)
     if derived.branch == "atm":
@@ -792,6 +788,11 @@ def asym_cash_or_nothing(
     the drift ratio sign-flipped; ATM keeps the single series alone.
     """
     ctrl, params, derived, diagnostics = _setup("asym_cash_or_nothing", params, market, ctrl)
+    if not derived.q_factor < math.inf:  # (theta / (2 sigma^2))^2 overflows
+        raise InvalidParameters(
+            f"the drift factor 1/(2 sigma^2 nu) + (theta / (2 sigma^2))^2 = {derived.q_factor!r}"
+            " is not finite"
+        )
     series = functools.partial(_asym_series, derived, market.tau, ctrl)
     discount = math.exp(-derived.rate_effective * market.tau)
     value, terms, tail = _otm_or_parity(derived.branch, series, lambda: discount)

@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 _POLE_GUARD = 1e-12
+_TINY = np.finfo(float).tiny
 _SQRT2 = math.sqrt(2.0)
 _LOG_K_STEP = 0.025  # trapezoid step in t; above order 600 it shrinks like 1/sqrt(order)
 _LOG_K_WINDOW = 800.0  # nodes kept: log-integrand within this of its peak
@@ -58,6 +59,10 @@ def _log_gamma_signed(x) -> tuple[np.ndarray, np.ndarray]:
     # gammaln is +inf at every pole, so without an infinity there is none to mask
     if np.isinf(log_abs).any():
         pole = (x <= 0.0) & (x == np.floor(x))
+        # and below |x| ~ 5.6e-309, where ln|Gamma(x)| = -ln|x| - gamma x + ... and
+        # gamma |x| < 1e-307; gammasgn still gives the sign of x
+        small = np.isinf(log_abs) & (np.abs(x) < _TINY) & ~pole
+        log_abs[small] = -np.log(np.abs(x[small]))
         log_abs[pole] = np.inf
         sign[pole] = 0.0
     return log_abs, sign

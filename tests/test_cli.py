@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import dataclasses
+import decimal
 import hashlib
 import io
 import json
@@ -51,6 +52,19 @@ def parse_csv(text):
 _CONTRACT = ("--strike", "4000", "--tau", "0.5", "--sigma", "0.2", "--nu", "0.85")
 _TINY_NU = ("--payoff", "european", "--spot", "100", "--strike", "100", "--tau", "1",
             "--sigma", "1e100", "--nu", "5e-324")
+_MARTINGALE_INF = (
+    "InvalidParameters", "martingale adjustment undefined: 1 - theta*nu - sigma^2*nu/2 = -inf <= 0"
+)
+_DRIFT_FACTOR_INF = (
+    "InvalidParameters",
+    "the drift factor 1/(2 sigma^2 nu) + (theta / (2 sigma^2))^2 = inf is not finite",
+)
+_THETA_HUGE = ("--payoff", "european", "--spot", "100", "--strike", "100", "--tau", "1",
+               "--sigma", "0.2", "--nu", "0.5", "--theta=-1e200")
+_SIGMA_TINY = ("--payoff", "european", "--spot", "4000", "--strike", "4000", "--tau", "0.5",
+               "--sigma", "1e-150", "--nu", "0.5", "--theta=-0.2")
+_POWER_HUGE = ("--payoff", "power-asset-or-nothing", "--spot", "1e200", "--strike", "1e300",
+               "--tau", "1", "--sigma", "0.2", "--nu", "0.85", "--power", "2")
 # (id, argv, a part of the error message) of calls whose inputs are not finite
 _NON_FINITE_CALLS = [
     ("tau-inf", ("price", "--payoff", "european", "--method", "all", "--spot", "3000",
@@ -274,6 +288,63 @@ class TestPriceCommand:
         (line,) = err.splitlines()
         assert (code, out) == (2, "")
         assert json.loads(line) == {"error": message, "type": "InvalidParameters"}
+
+    @pytest.mark.parametrize("argv, code, error", [
+        (("price", "--payoff", "european", "--method", "series", "--spot", "100", "--strike",
+          "100", "--tau", "1", "--sigma", "1e200", "--nu", "0.5"), 2, _MARTINGALE_INF),
+        (("density", "--sigma", "1e200", "--nu", "0.5", "--points", "3"), 2, _MARTINGALE_INF),
+        (("price", "--method", "fourier", *_THETA_HUGE), 2, (
+            "DampingOutOfRangeError",
+            "damping factor a = 1.0 must be positive with (1 + a) nu mu_+ = inf below 1",
+        )),
+        (("price", "--method", "mc", *_THETA_HUGE), 0, None),
+        (("price", "--method", "quadrature", *_THETA_HUGE), 2, (
+            "InvalidParameters", "every exp((theta nu + sigma^2 nu / 2) u_i) underflows to 0",
+        )),
+        (("price", "--method", "series", *_THETA_HUGE, "--payoff", "cash-or-nothing", "--tau",
+          "0.7"), 2, _DRIFT_FACTOR_INF),
+        (("density", "--sigma", "0.2", "--nu", "0.5", "--theta=-1e200", "--points", "3"), 0, None),
+        (("price", "--method", "fourier", *_SIGMA_TINY), 2, (
+            "InvalidParameters", "Gamma rates mu_+ = 0.0 and mu_- = 0.2 must both be positive"
+            " for the contour; pass a finite u_max",
+        )),
+        (("price", "--method", "mc", *_SIGMA_TINY), 0, None),
+        (("price", "--method", "quadrature", *_SIGMA_TINY), 0, None),
+        (("price", "--method", "all", *_SIGMA_TINY, "--payoff", "cash-or-nothing", "--tau",
+          "0.7"), 2, _DRIFT_FACTOR_INF),
+        *((("price", "--method", method, *_POWER_HUGE), 3, (
+            "NonConvergenceError", "series value nan is not finite",
+        )) for method in ("series", "all")),
+        (("price", "--payoff", "power-asset-or-nothing", "--method", "mc", "--spot", "100",
+          "--strike", "100", "--tau", "1", "--sigma", "1e152", "--nu", "0.5", "--theta=-1e305",
+          "--power", "200"), 2, (
+            "InvalidParameters", "the power moment E[S^200.0] does not exist for these parameters",
+        )),
+    ], ids=[
+        "sigma-huge", "density-sigma-huge", "theta-huge-fourier", "theta-huge-mc",
+        "theta-huge-quadrature", "theta-huge-drifted-digital", "density-theta-huge",
+        "sigma-tiny-fourier", "sigma-tiny-mc", "sigma-tiny-quadrature",
+        "sigma-tiny-drifted-digital", "power-parity-series", "power-parity-all",
+        "power-moment-mc",
+    ])
+    def test_a_power_that_overflows_is_taken_as_inf(self, capsys, argv, code, error):
+        """Python's float ** raises OverflowError where numpy gives inf: sigma^2,
+        theta^2, (theta / (2 sigma^2))^2, (q sigma)^2 and S^q each ended the call in
+        that traceback with exit 1.  The power is now inf, and an existing check
+        refuses it with one JSON line, or the engine prices; no raw warning."""
+        result, out, err = run_cli(capsys, *argv)
+        assert result == code
+        if error is None:
+            assert err == ""
+            if argv[0] == "price":
+                values = [json.loads(line)["value"] for line in out.splitlines()]
+            else:
+                values = [float(v) for row in parse_csv(out) for v in row.values()]
+            assert values and all(math.isfinite(v) for v in values)
+        else:
+            (line,) = err.splitlines()
+            assert out == ""
+            assert json.loads(line) == {"error": error[1], "type": error[0]}
 
     def test_a_discount_near_the_double_range_still_prices(self, capsys):
         """At r 700 K e^(-r tau) is 4e-301, a normal double: every engine prices,
@@ -508,6 +579,10 @@ class TestTableCommand:
     @pytest.mark.parametrize("printed, tolerance", [("0.5373", 5e-5), ("1.5e-3", 5e-5)])
     def test_printed_tolerance_is_half_a_last_place(self, printed, tolerance):
         assert printed_tolerance(printed) == pytest.approx(tolerance, rel=1e-12)
+
+    def test_a_printed_value_that_is_not_a_number_is_refused(self):
+        with pytest.raises(decimal.InvalidOperation):
+            printed_tolerance("n/a")
 
     def test_quadrature_rule_table(self, capsys):
         code, out, _ = run_cli(capsys, "table", "--id", "gl")

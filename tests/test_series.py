@@ -1,6 +1,7 @@
 """Series-pricer tests: reference grids, parities, branch behavior."""
 
 import collections
+import contextlib
 import csv
 import hashlib
 import math
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, reject
 from hypothesis import strategies as st
 
 from vgpricer import fourier, montecarlo, series, specfun
@@ -412,6 +413,16 @@ class TestAtmForward:
         """Finite inputs whose ratio C0/S leaves the double range returned inf and 0.0."""
         with pytest.raises(InvalidParameters, match=f"^the implied volatility {vol} leaves"):
             implied_atmf_vol(*inputs)
+
+    def test_a_subnormal_clock_shape_gives_a_finite_volatility(self):
+        """At tau/nu = 5e-324, log Gamma(tau/nu) is 744.44: scipy's gammaln gave
+        inf, and then e^(743.87) overflows, so the product is formed in logs."""
+        log_vol = 0.5 * math.log(2.0) + 744.4400719213812 + math.log(1e-302)  # sqrt(2 pi / pi)
+        assert implied_atmf_vol(1e-300, 100.0, 5e-324, 1.0) == pytest.approx(
+            math.exp(log_vol), rel=1e-12
+        )
+        with pytest.raises(InvalidParameters, match="^the implied volatility inf leaves"):
+            implied_atmf_vol(1e300, 1e-300, 5e-324, 1.0)
 
     @pytest.mark.parametrize("price", [
         lambda: implied_atmf_vol(100.0, 4000.0, math.inf, 0.85),
@@ -981,6 +992,15 @@ class TestGridMemoProperty:
 _near_degenerate = st.one_of(st.none(), st.integers(0, 6))
 
 
+def _valid_contract(pricer, contract):
+    """_contract's (params, market), or no example where the nu set near a
+    degenerate alpha (up to 2 tau) leaves 1 - theta nu - sigma^2 nu / 2 <= 0."""
+    try:
+        return _contract(pricer, **contract)
+    except InvalidParameters:
+        reject()
+
+
 class TestAlphaMemoProperty:
     @given(
         pricer=st.sampled_from(sorted(_GOLDEN_PRICERS)),
@@ -998,11 +1018,12 @@ class TestAlphaMemoProperty:
         if near is not None:
             contract["nu"] = contract["tau"] / (0.5 + 0.5 * near + 1e-9)
         series._alpha_block.cache_clear()
-        cold = _price_record(pricer, *_contract(pricer, **contract), max_order)
+        cold = _price_record(pricer, *_valid_contract(pricer, contract), max_order)
         same_alpha = {**other, "tau": contract["tau"], "nu": contract["nu"]}
         for unrelated in _GOLDEN_PRICERS:
-            _price_record(unrelated, *_contract(unrelated, **same_alpha), max_order)
-            _price_record(unrelated, *_contract(unrelated, **other), max_order)
+            for draw in (same_alpha, other):
+                with contextlib.suppress(InvalidParameters):  # see _valid_contract
+                    _price_record(unrelated, *_contract(unrelated, **draw), max_order)
         assert series._alpha_block.cache_info().hits > 0
         assert _price_record(pricer, *_contract(pricer, **contract), max_order) == cold
 

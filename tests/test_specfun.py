@@ -112,6 +112,17 @@ class TestSignedLogGammaKernel:
             assert log_abs.shape == sign.shape == ()
             assert (float(log_abs), float(sign)) == pytest.approx(expected, rel=1e-15)
 
+    def test_a_subnormal_argument_gives_minus_its_log(self):
+        """gammaln is inf below |x| ~ 5.6e-309, where ln|Gamma(x)| = -ln|x| to within
+        1e-307; math.lgamma agrees, and the sign is the sign of x."""
+        x = np.array([5e-324, -5e-324, 1e-310, -1e-310, 3e-309, 1e-308, 1e307])
+        log_abs, sign = specfun._log_gamma_signed(x)
+        expected = [math.lgamma(v) for v in x[:-1]] + [np.inf]
+        np.testing.assert_allclose(log_abs, expected, rtol=1e-15)
+        np.testing.assert_array_equal(sign, np.sign(x))
+        for v in (5e-324, np.array(-1e-310)):  # 0-d
+            assert float(specfun._log_gamma_signed(v)[0]) == pytest.approx(-math.log(abs(v)))
+
 
 class TestGamma:
     def test_factorial(self):
