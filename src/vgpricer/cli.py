@@ -23,6 +23,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import sys
 import time
 from functools import lru_cache, partial
@@ -341,6 +342,8 @@ def _cmd_density(resolved: dict) -> list[dict]:
         raise _UsageError("--points must be at least 2")
     if points > _MAX_POINTS:
         raise _UsageError(f"--points must be at most 2^20 = {_MAX_POINTS}, got {points}")
+    if not math.isfinite(hi - lo):  # either end, or their distance, is not finite
+        raise _UsageError(f"--x-min and --x-max must span a finite range, got {lo!r} and {hi!r}")
     if lo == -hi:  # symmetric request: build an exactly symmetric grid
         # the positive half of linspace(lo, hi, points), spaced 2 hi / (points - 1)
         positive = np.linspace(hi * (1 + points % 2) / (points - 1), hi, points // 2)

@@ -151,11 +151,12 @@ def _ray_tail(
     gaps = [abs(h - line) for h in heights if math.isfinite(h) and h != line]
     u_lo = min(cfg.u_max, _RAY_T_MAX)
     width = min(_RAY_PANEL, 0.5 * math.pi / abs(x1) if x1 else math.inf, *gaps)
-    n_line = min(math.ceil(max(0.0, near - u_lo) / width), _LINE_PANELS)
+    # near is inf when both Gamma rates round to 0 and the branch points lie at infinity
+    n_line = math.ceil(min(max(0.0, near - u_lo) / width, _LINE_PANELS))
     u0 = u_lo + n_line * width
     length = 1.0 / (abs(x1) + 1.0 / u0)
     log_drop = math.log(1.0 / cfg.abs_tol) + 25.0
-    z_end = max(0.0, math.log(max(gaps) / length)) + log_drop / decay
+    z_end = math.log(max([length, *gaps]) / length) + log_drop / decay
     if x1:
         z_end = min(z_end, math.log(log_drop / (abs(x1) * length)))
     z_cap = math.log(_RAY_T_MAX / length)
@@ -194,6 +195,9 @@ def _ray_tail(
     return value, change, evals, met
 
 
+# every numpy evaluation of a price (F, its sums and the ray tail) may overflow
+# or give NaN, for instance at sigma < 1e-153: model._price_result refuses the result
+@np.errstate(over="ignore", invalid="ignore")
 def _contour_integral(
     params, tau, derived, cfg, shift, denominator, poles, residue, decay, scale, bounds,
     apex=None, line=0.0, **extra,
@@ -243,8 +247,7 @@ def _contour_integral(
 
     def F(xi):
         log_psi = model._log_characteristic_fn(params, xi - 1j * shift, tau)
-        with np.errstate(over="ignore", invalid="ignore"):  # sigma < 1e-153: _result raises
-            return np.exp(log_psi + log_norm - 1j * xi * x1) / denominator(xi)
+        return np.exp(log_psi + log_norm - 1j * xi * x1) / denominator(xi)
 
     eta_minus, eta_plus = _branch_points(params, cfg)
     heights = (eta_minus + shift, *poles, eta_plus + shift)

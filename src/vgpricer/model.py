@@ -17,7 +17,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import kv
 
 from . import specfun
 from .errors import BranchCutError, GammaOverflowError, InvalidParameters, NonConvergenceError
@@ -335,6 +334,11 @@ def density(params: VgParams, x: float, t: float) -> float:
     shape = _clock_shape("density", t, nu)
     order = shape - 0.5
     a2 = 2.0 * sigma**2 / nu + _pow(theta, 2)
+    # log a2 in logs where a2 is not a normal double (2 sigma^2/nu and theta^2 underflow)
+    log_a2 = math.log(a2) if a2 >= _TINY else float(np.logaddexp(
+        math.log(2.0) + 2.0 * math.log(sigma) - math.log(nu),
+        2.0 * math.log(abs(theta)) if theta else -math.inf,
+    ))
     lg_shape, _ = specfun.log_gamma(shape)
     log_front = (
         math.log(2.0)
@@ -351,23 +355,25 @@ def density(params: VgParams, x: float, t: float) -> float:
             )
         # limit of (x^2/a2)^{order/2} K_order(c|x|): Gamma(order)/2 * (2 sigma^2 / a2)^order
         lg_order, _ = specfun.log_gamma(order)
-        ratio = 2.0 * sigma**2 / a2  # 0 once theta^2 overflows, and so is the density
-        log_ratio = math.log(ratio) if ratio > 0.0 else -math.inf
+        if a2 >= _TINY:
+            ratio = 2.0 * sigma**2 / a2  # 0 once theta^2 overflows, and so is the density
+            log_ratio = math.log(ratio) if ratio > 0.0 else -math.inf
+        else:
+            log_ratio = math.log(2.0) + 2.0 * math.log(sigma) - log_a2
         log_density = log_front - math.log(2.0) + lg_order + order * log_ratio
     else:
         z = math.sqrt(a2) * abs(x) / sigma**2
         # log z without forming z, which loses bits once it is subnormal
-        log_z = 0.5 * math.log(a2) + math.log(abs(x)) - 2.0 * math.log(sigma)
-        bessel = float(kv(order, z)) if z >= _TINY else math.inf
-        if bessel == 0.0:
-            return 0.0
-        log_bessel = math.log(bessel) if bessel < math.inf else specfun._log_bessel_k(order, log_z)
-        if min(x * x, x * x / a2) < _TINY:  # x^2 is not a normal double
-            log_density = log_front + order * (math.log(abs(x)) - 0.5 * math.log(a2)) + log_bessel
+        log_z = 0.5 * log_a2 + math.log(abs(x)) - 2.0 * math.log(sigma)
+        log_bessel = specfun._log_k(order, z, log_z)
+        if a2 < _TINY or min(x * x, x * x / a2) < _TINY:  # x^2 or a2 is not a normal double
+            log_density = log_front + order * (math.log(abs(x)) - 0.5 * log_a2) + log_bessel
         else:
             log_density = log_front + (0.5 * order) * math.log(x * x / a2) + log_bessel
     if log_density > _LOG_MAX:
         raise GammaOverflowError(f"density({x!r}, {t!r}) overflows double precision")
+    if math.isnan(log_density):  # terms past the double range that cancel
+        raise GammaOverflowError(f"density({x!r}, {t!r}) leaves double precision")
     return math.exp(log_density)
 
 
@@ -390,13 +396,18 @@ def mixture_density(params: VgParams, x: float, t: float) -> float:
     log_norm = -shape * math.log(nu) - lg_shape - 0.5 * math.log(2.0 * math.pi) - math.log(sigma)
 
     def integrand(y: float) -> float:  # quad takes interior nodes only: y > 0
+        variance = 2.0 * sigma**2 * y
+        if not variance > 0.0:  # y or sigma^2 y rounds to 0: the kernel is a point mass
+            return 0.0
         log_val = (
             log_norm
             - 0.5 * math.log(y)
-            - _pow(x - theta * y, 2) / (2.0 * sigma**2 * y)
+            - _pow(x - theta * y, 2) / variance
             + (shape - 1.0) * math.log(y)
             - y / nu
         )
+        if log_val > _LOG_MAX:
+            raise GammaOverflowError(f"mixture_density({x!r}, {t!r}) overflows double precision")
         return math.exp(log_val)
 
     # imported here, not at module level: loading scipy.integrate costs a

@@ -240,8 +240,9 @@ def mc_price(
         cfg.seed, tau / params.nu, n_units, params.nu, params.sigma, params.theta,
         drift, market.spot, cfg.antithetic,
     )
-    # an overflow of S_T, a payoff or a square stays in the estimate as inf or nan
-    with np.errstate(over="ignore", invalid="ignore"):
+    # an overflow of S_T, a payoff or a square stays in the estimate as inf or nan, and
+    # the log of an S_T that underflows to 0 is -inf, which the log call's payoff clips
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         prices = _memo_terminal_prices(*key) if n_units <= _MEMO_UNITS else _terminal_prices(*key)
         for start, legs in zip(range(0, n_units, _CHUNK), prices):
             m = legs[0].size

@@ -57,8 +57,10 @@ def gl_density(params: VgParams, x: float, t: float, n: int) -> float:
     u = gl.rule.nodes
     mean = params.theta * params.nu * u
     std = params.sigma * np.sqrt(params.nu * u)
-    with np.errstate(over="ignore"):  # a square that overflows is a Gaussian of 0
+    # a square that overflows is a Gaussian of 0, and so is one whose std underflows to 0
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         gaussians = np.exp(-0.5 * ((x - mean) / std) ** 2) / (std * math.sqrt(2.0 * math.pi))
+    gaussians[std == 0.0] = 0.0
     return float(np.sum(gaussians * gl.p_weights))
 
 

@@ -23,13 +23,13 @@ numpy call per step for both parts; a 1-D series is a stack of one part with
 one n1 row.  Everything that depends only on max_order (the indices and
 gathers, log n!, the signs (-1)^n, and the alpha-free part of every
 log-Gamma argument) is built once per max_order by _grid, on n1 and n2 over
-0..max_order, and the alpha-free Gammas come from one import-time table, so
-a price pays only for the arithmetic in alpha, the moneyness and the
-volatility.  The alpha-dependent part (the stacked log-Gamma coefficients
-and their signs, the powers and divisors that involve alpha, and the
-prefactor's log Gamma(alpha + 1/2) from the same log-Gamma call) is memoised
-per (kind, max_order, alpha) by _alpha_block, bounded at 16 entries; its
-signs carry each double-series term's (-1)^n1, so only a series whose n2
+0..max_order, with its alpha-free Gammas from one log-Gamma call, so a price
+pays only for the arithmetic in alpha, the moneyness and the volatility.
+_alpha_block memoises the alpha-dependent part of the double series and the
+drifted digital (the stacked log-Gamma coefficients and signs, the powers and
+divisors in alpha, and log Gamma(alpha + 1/2)) per (kind, max_order, alpha),
+bounded at 16 entries; the log call forms its own.  A block's signs carry
+each double-series term's (-1)^n1, so only a series whose n2
 power has a negative base (the ITM mirror, or theta < 0) multiplies them, by
 (-1)^n2.  Every series slices the grid and its block: the double series'
 three shapes (n2 from 0, from 1, and the n2 = 0 column) take their columns,
@@ -82,11 +82,6 @@ _ALPHA_GUARD = 1e-8
 _ALPHA_NUDGES = 3  # relative nudges of nu by 1e-8 before a degenerate alpha is an error
 _CONVERGENCE_LIMIT = 1e-6
 _LOG2 = math.log(2.0)
-# (log|Gamma(k/2)|, sign) for k = -198..402: the alpha-free Gammas Gamma(j/2 + 1),
-# Gamma((n + 1)/2) and n! at every index SeriesControl allows
-_HALF_GAMMA = specfun._log_gamma_signed(np.arange(-198, 403) / 2.0)
-# log n! = log Gamma((2 n + 2)/2) for n = 0..200
-_LOG_FACT = _HALF_GAMMA[0][2 + 198 :: 2]
 # an index that turns a pair of per-part values into a (2, 1, 1) stack
 _PARTS = np.s_[:, None, None]
 # the coefficients of alpha in a two-part stack that adds 2 alpha to part 2,
@@ -165,11 +160,6 @@ def _args(*pieces) -> _Args:
     )
 
 
-def _half_gamma(k):
-    """(log|Gamma(k/2)|, sign) of integers k in [-198, 402], from _HALF_GAMMA."""
-    return tuple(_frozen(part[k + 198]) for part in _HALF_GAMMA)
-
-
 class _Grid:
     """The input-free arrays of one max_order, built once per max_order.
 
@@ -187,11 +177,17 @@ class _Grid:
     def __init__(self, n_max: int):
         n = np.arange(n_max + 1)
         n1 = n[:, None]
+        j = np.arange(-n_max, n_max + 1)
         self.n1 = n1 * 1.0
         self.n2 = n * 1.0
-        self.log_fact = _LOG_FACT[n1]
-        self.n2_log_fact = _LOG_FACT[n]
-        self.log_fact_2 = _LOG_FACT[n1] + _LOG_FACT[n]
+        # one log-Gamma call for Gamma(j/2 + 1) (a pole: log +inf, sign 0), Gamma((n + 1)/2), n!
+        gammas = specfun._log_gamma_signed(np.concatenate(((j + 2) / 2.0, (n + 1) / 2.0, n + 1.0)))
+        (lg_den, lg_half_n, log_fact), (sg_den, _, _) = (
+            np.split(_frozen(part), [len(j), len(j) + len(n)]) for part in gammas
+        )
+        self.log_fact = log_fact[n1]
+        self.n2_log_fact = log_fact
+        self.log_fact_2 = log_fact[n1] + log_fact
 
         # every series' arguments end with alpha + 1/2, for its prefactor, and a
         # 1-D series' pieces are stacks of one part with one n1 row
@@ -199,10 +195,9 @@ class _Grid:
         row = (n + 1)[None, None] / 2.0
         # _double_series: part 1's numerator over j = n2 - n1 (its denominator
         # Gamma(j/2 + 1) is alpha-free), part 2's over m = 2 n1 + n2 and n1
-        j = np.arange(-n_max, n_max + 1)
         m = np.arange(3 * n_max + 1)
         self.sym = _args(((j + 1) / 2.0, 1.0), (-m - 1.0, -2.0), (-n1 + 0.5, -1.0), half)
-        self.sym_den = _half_gamma(j + 2)
+        self.sym_den = (lg_den, sg_den)
         # each (log or sign, part, n1, n) cell's place in the concatenation of
         # part 1's ratio over j, log Gamma over m, their signs and the negated
         # signs, which odd n1 take for the (-1)^n1 of every term
@@ -216,7 +211,7 @@ class _Grid:
         self.asym = _args(
             (row, 1.0), (np.stack((-n1, -n1)), np.array([1.0, -1.0])[_PARTS]), half
         )
-        self.asym_lg1 = _half_gamma(n[None, None] + 1)[0]
+        self.asym_lg1 = lg_half_n[None, None]
         self.neg_half_n_1 = -(n + 1) / 2.0
         # the double series' minus and the (-1)^n1 of each of its terms
         self.asym_sign = -((-1.0) ** n1)
@@ -254,8 +249,8 @@ def _alpha_block(kind: str, n_max: int, alpha: float):
     """The alpha-dependent coefficients of one series kind, memoised per (kind, max_order, alpha).
 
     kind names the _Grid recipe that holds the series' log-Gamma arguments:
-    "sym" (the double series), "asym" (both series of the drifted digital)
-    or "log_call".  Each block is built on the grid's full n2 row, and the
+    "sym" (the double series) or "asym" (both series of the drifted
+    digital).  Each block is built on the grid's full n2 row, and the
     series that start later or stop sooner slice it: the asset digital, the
     call and the cash digital share one "sym" block, and the collapsed ATM
     series is its row n1 = 0 of part 1.  The block is log Gamma(alpha + 1/2)
@@ -264,7 +259,7 @@ def _alpha_block(kind: str, n_max: int, alpha: float):
     (-1)^n1 of each term), and the coefficients of its powers that involve
     alpha ("asym" holds the single series' three arrays, then the double
     series' five); the Gammas in alpha come from one log-Gamma call, the
-    alpha-free ones from _HALF_GAMMA.  The arrays are the same expressions a
+    alpha-free ones from the grid.  The arrays are the same expressions a
     price would evaluate, so values do not depend on the memo or the
     slicing; they are read-only, and a block with a pole in alpha raises.
     """
@@ -280,7 +275,7 @@ def _alpha_block(kind: str, n_max: int, alpha: float):
         log[1] -= lg_rows
         sign[1] *= sg_rows
         block = (log, sign, g.sym_power + alpha * _TWO_IN_PART_2)
-    elif kind == "asym":
+    else:  # "asym"
         # Gamma((n + 1)/2 + alpha) > 0 because alpha > -1/2, so its sign is dropped
         (lg2, _), (lg, sg) = pairs
         # the divisors -(2 n1 + n2 + 1) and -(2 n1 + n2 + 1 + 2 alpha) are both
@@ -289,17 +284,6 @@ def _alpha_block(kind: str, n_max: int, alpha: float):
         block = (
             g.asym_lg1, lg2, g.neg_half_n_1 - alpha,
             lg, sg * g.asym_sign, np.log(divisor), divisor, g.n1 - alpha * _ONE_IN_PART_1,
-        )
-    else:  # "log_call": alpha > -1/2 makes its head's Gamma(1 + alpha) and
-        # Gamma(alpha + 1/2), and the factors 2 n + 2 alpha + 1 and + 2, positive
-        (lg_a1, _), (log, sign) = pairs
-        shifted = g.two_n + alpha * _TWO_IN_PART_2
-        shifted_2, shifted_1 = shifted + 2.0, shifted + 1.0
-        return (
-            lg_half.item(), lg_a1.item(),
-            *map(_frozen, (
-                log, g.n_sign * sign, np.log(shifted_2 * shifted_1), shifted_2, shifted_1
-            )),
         )
     return (lg_half.item(), *map(_frozen, block))
 
@@ -454,8 +438,9 @@ def _setup(
     diagnostics: dict = {}
     for nudges in range(_ALPHA_NUDGES + 1):
         alpha = model._clock_shape(name, market.tau, params.nu) - 0.5
-        near_int = abs(alpha - round(alpha)) < _ALPHA_GUARD
-        near_half = abs(2.0 * alpha - round(2.0 * alpha)) < 2.0 * _ALPHA_GUARD
+        # the distances to the nearest integer and half-integer, exact without forming 2 alpha
+        near_int = abs(math.remainder(alpha, 1.0)) < _ALPHA_GUARD
+        near_half = abs(math.remainder(alpha, 0.5)) < _ALPHA_GUARD
         if not (near_int or near_half):
             break
         kind = "integer" if near_int else "half-integer"
@@ -718,17 +703,22 @@ def log_call(
         (lg_shape, lg_num), _ = specfun._log_gamma_signed([0.5 + alpha, 0.5 + (alpha + 0.5)])
         value = discount / math.sqrt(math.pi) * math.exp(float(lg_num) - float(lg_shape)) * s_nu
         return _finalize(value, 1, 0.0, "atm", diagnostics)
-    block = _alpha_block("log_call", ctrl.max_order, alpha)
-    lg_shape, lg_a1, log_coef, sign_coef, log_divisor, shifted_2, shifted_1 = block
-    log_pref = -derived.rate_effective * market.tau - 0.5 * math.log(math.pi) - lg_shape
+    # alpha > -1/2 makes the head's Gamma(1 + alpha) and Gamma(alpha + 1/2), and
+    # the factors 2 n + 2 alpha + 1 and + 2, positive
     g = _grid(ctrl.max_order)
+    (lg_a1, _), (log_coef, sign_coef), (lg_shape, _) = _log_gammas(g.log_call, alpha)
+    lg_a1, lg_shape, sign_coef = lg_a1.item(), lg_shape.item(), g.n_sign * sign_coef
+    shifted = g.two_n + alpha * _TWO_IN_PART_2
+    shifted_2, shifted_1 = shifted + 2.0, shifted + 1.0
+    log_pref = -derived.rate_effective * market.tau - 0.5 * math.log(math.pi) - lg_shape
     head = math.exp(log_pref + lg_a1 + math.log(s_nu)) + (
         -math.sqrt(math.pi) / 2.0 * math.exp(log_pref + lg_shape + math.log(-k))
     )
     log_mk = math.log(-k)
     log_2s = math.log(2.0 * s_nu)
     log_terms = (
-        log_pref + log_coef - log_divisor + shifted_2 * log_mk - shifted_1 * log_2s - g.n2_log_fact
+        log_pref + log_coef - np.log(shifted_2 * shifted_1) + shifted_2 * log_mk
+        - shifted_1 * log_2s - g.n2_log_fact
     )
     series, terms, tail = _residue_sum(log_terms, sign_coef, ctrl.tail_tol)
     return _finalize(head + series, terms + 2, tail, derived.branch, diagnostics)

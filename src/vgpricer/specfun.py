@@ -7,8 +7,8 @@ The handful of special functions the pricing engines need:
   poles mapped to a fixed convention),
 * Gamma itself, with explicit overflow reporting,
 * the modified Bessel function of the second kind K_a(x) for real order
-  (``scipy.special.kv``, with explicit overflow reporting), and its log from
-  log x alone where ``kv`` overflows or x is subnormal,
+  (``scipy.special.kv``, with explicit overflow reporting), and its log: from
+  ``kv``, from ``kve`` where ``kv`` underflows, and otherwise from log x alone,
 * the standard normal CDF,
 * Gauss-Laguerre rules for int_0^inf f(u) e^{-u} du (``scipy.special.roots_laguerre``).
 
@@ -23,7 +23,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc, gammaln, gammasgn, kv, roots_laguerre
+from scipy.special import erfc, gammaln, gammasgn, kv, kve, roots_laguerre
 
 from .errors import GammaOverflowError, InvalidParameters, PoleError
 
@@ -39,9 +39,11 @@ __all__ = [
 _POLE_GUARD = 1e-12
 _TINY = np.finfo(float).tiny
 _SQRT2 = math.sqrt(2.0)
-_LOG_K_STEP = 0.025  # trapezoid step in t; above order 600 it shrinks like 1/sqrt(order)
+_LOG_K_STEP = 0.025  # trapezoid step in t; above 600 it shrinks like 1/sqrt(max(order, z))
 _LOG_K_WINDOW = 800.0  # nodes kept: log-integrand within this of its peak
 _LOG_K_MAX_NODES = 2**15
+_LOG_K_MAX_SEARCH = 2**53  # node indices i that i * h takes exactly
+_LOG_MAX = math.log(np.finfo(float).max)
 
 
 def _log_gamma_signed(x) -> tuple[np.ndarray, np.ndarray]:
@@ -118,21 +120,41 @@ def bessel_k(order: float, x: float) -> float:
     return value
 
 
+def _log_k(order: float, z: float, log_z: float) -> float:
+    """log K_order(z), given z and log z: log kv where kv is a positive
+    double, log kve - z where kv underflows and kve is one, and otherwise
+    (kv overflows, z is subnormal, or the order or z is past scipy's range,
+    where kv or kve is NaN) _log_bessel_k from log z alone."""
+    if z >= _TINY:
+        bessel = float(kv(order, z))
+        if 0.0 < bessel < math.inf:
+            return math.log(bessel)
+        scaled = float(kve(order, z)) if bessel == 0.0 else math.nan
+        if 0.0 < scaled < math.inf:
+            return math.log(scaled) - z
+    return _log_bessel_k(order, log_z)
+
+
 def _log_bessel_k(order: float, log_z: float) -> float:
-    """log K_order(z) from log z alone, for where kv overflows or z is subnormal.
+    """log K_order(z) from log z alone, for where _log_k cannot use scipy.
 
     The trapezoid rule on K_v(z) = int_0^inf e^{-z cosh t} cosh(v t) dt (DLMF
     10.32.9), v = |order|, summed in log space, converges exponentially in 1/h
     for this even analytic integrand (Trefethen and Weideman, SIAM Review
     56(3), 2014).  At h = 0.025 log K is exact to about 3e-16 max(1, |log K|,
-    v + z); above order 600 the peak narrows like 1/sqrt(v), and h with it.
+    v + z); above 600 the peak narrows like 1/sqrt(max(v, z)), and h with it.
     Bisection on the nodes finds the log-integrand's one peak and the window
     within 800 of it, where the rule runs: at most 30,061 nodes for
     log z >= -744, where small orders are flat out to t = ln(2/z).  Past
-    _LOG_K_MAX_NODES nodes (log z below about -810) it raises GammaOverflowError.
+    _LOG_K_MAX_NODES nodes (log z below about -810), or past a search over
+    2^53 nodes (orders beyond about 1e28), it raises GammaOverflowError.  A z
+    past the double range gives -inf: there v < z, so K_v(z) <= K_z(z) < e^{-z/2}.
     """
     v = abs(order)
-    h = _LOG_K_STEP * min(1.0, math.sqrt(600.0 / max(v, 1.0)))
+    if not log_z < _LOG_MAX:
+        return -math.inf
+    z = math.exp(log_z)
+    h = _LOG_K_STEP * min(1.0, math.sqrt(600.0 / max(v, z, 1.0)))
 
     def log_f(t, xp=math):  # log(cosh(v t) e^{-z cosh t}), with z cosh t formed from log z
         return v * t + xp.log1p(xp.exp(-2.0 * v * t)) - math.log(2.0) - 0.5 * (
@@ -141,8 +163,13 @@ def _log_bessel_k(order: float, log_z: float) -> float:
 
     # past node n, z (cosh t - 1) >= z e^t / 4 >= v t + 800, so log_f is 800 below
     # log_f(0); first bounds v t + 800 by 2 (v + 800) e^{t/2}, and n sharpens it
-    first = 2.0 * (math.log(8.0 * (v + _LOG_K_WINDOW)) - log_z)
-    n = math.ceil(max(math.log(4.0), math.log(4.0 * (v * first + _LOG_K_WINDOW)) - log_z) / h)
+    first = 2.0 * max(0.0, math.log(8.0 * (v + _LOG_K_WINDOW)) - log_z)
+    end = max(math.log(4.0), math.log(4.0 * (v * first + _LOG_K_WINDOW)) - log_z)
+    if z > 1.0:  # z (cosh t - 1) >= z t^2 / 2 >= v t + 800 too, which is tighter at large z
+        end = min(end, v / z + math.sqrt((v / z) * (v / z) + 2.0 * _LOG_K_WINDOW / z))
+    if not end / h < _LOG_K_MAX_SEARCH:
+        raise GammaOverflowError(f"log K_{order!r}(e^{log_z!r}) needs a search past 2^53 nodes")
+    n = math.ceil(end / h)
     peak = bisect_left(range(n), True, key=lambda i: log_f((i + 1) * h) <= log_f(i * h))
     floor = log_f(peak * h) - _LOG_K_WINDOW
     lo = bisect_left(range(peak), True, key=lambda i: log_f(i * h) >= floor)

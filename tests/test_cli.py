@@ -12,11 +12,12 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vgpricer import cli, fourier, model, montecarlo, series, tables
@@ -1387,6 +1388,113 @@ class TestCliDigest:
                         json.loads(line, parse_constant=_reject_constant)
                         lines[name] += 1
         assert lines == {"stdout": 181, "stderr": 63}
+
+
+# Calls that once ended in a traceback, a raw numpy warning or a wrong 0, with
+# the exit code each ends in now
+_CONTRACT_REPROS = [
+    ("density-kv-underflows", 0,
+     "density --sigma 0.01 --nu 0.5 --theta=-0.2 --t 2 --points 3"),
+    ("density-order-past-kv", 2,
+     "density --sigma 0.85 --nu 1e-300 --theta=3 --t 4000 --x-min=2 --x-max=0.85 --points 3"),
+    ("density-z-past-the-node-bound", 0,
+     "density --sigma 1 --nu 1e-8 --theta=700 --t 4000 --x-min=1e-150 --x-max=1e10 --points 9"),
+    ("density-a2-underflows", 0,
+     "density --sigma 1e-150 --nu 1e300 --t 1e300 --x-min=3 --x-max=3 --points 2"),
+    ("density-a2-underflows-at-0", 0,
+     "density --sigma 1e-150 --nu 1e300 --t 1e300 --x-min=-3 --x-max=3 --points 3"),
+    ("mixture-overflows", 2,
+     "density --sigma 0.01 --nu 1e-300 --t 1e-300 --x-min=0.001 --x-max=5e-324 --points 9"),
+    ("series-alpha-1e308", 2,
+     "price --payoff european --method series --sigma 3 --nu 1e-8 --spot 0.2 --strike 1e-8"
+     " --tau 1e300"),
+    ("bench-alpha-1e308", 2,
+     "bench --payoff power-asset-or-nothing --sigma 3 --nu 1e-8 --spot 0.2 --strike 1e-8"
+     " --tau 1e300 --paths 10"),
+    ("density-x-max-inf", 1, "density --sigma 0.2 --nu 0.85 --x-min=-1 --x-max=inf --points 3"),
+    ("density-x-min-nan", 1, "density --sigma 0.2 --nu 0.85 --x-min=nan --points 3"),
+    ("fourier-charfn-overflows", 3,
+     "price --payoff asset-or-nothing --method fourier --sigma 1e10 --nu 1e-300 --spot 0.01"
+     " --strike 0.01 --tau 0.2 --rate=0"),
+    ("converge-panel-sum-nan", 3,
+     "converge --sigma 4000 --nu 1e-8 --theta=1e-300 --spot 1 --strike 4000 --tau 0.85"
+     " --rate=1e-300 --u-max 1 --max-orders= --u-max-list 10,1e4 --reference fourier"),
+    ("fourier-branch-points-at-infinity", 0,
+     "price --payoff cash-or-nothing --method fourier --sigma 1e-150 --nu 1e300 --spot 0.5"
+     " --strike 100 --tau 4000 --u-max 10"),
+    ("mc-log-call-spot-underflows", 0,
+     "price --payoff log-call --method mc --sigma 0.85 --nu 2 --spot 0.85 --strike 0.2"
+     " --tau 1e10 --paths 10"),
+]
+
+
+def _contract_call(argv):
+    """The exit code of main(argv), after checking the CLI's error contract:
+    an exit code 0-3, no exception and no warning of any kind, and at most
+    one stderr line, which parses as strict JSON."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2, 3), argv
+    lines = err.getvalue().splitlines()
+    assert len(lines) <= 1, (argv, lines)
+    for line in lines:
+        json.loads(line, parse_constant=_reject_constant)
+    return code
+
+
+# extreme flag values, and the values of the calls above
+_EXTREME_VALUES = ("0", "5e-324", "-5e-324", "1e300", "-1e300", "1e-300", "-1e-300", "inf",
+                   "-inf", "nan")
+_REPRO_VALUES = ("0.01", "0.2", "0.5", "0.85", "1", "2", "3", "100", "4000", "1e-8", "1e-150",
+                 "1e10", "700", "1.5")
+# an extreme value for about one flag in four, so that many calls price something
+_FLAG_VALUES = st.sampled_from(_EXTREME_VALUES + 3 * _REPRO_VALUES)
+
+
+@st.composite
+def _extreme_argv(draw):
+    """argv for price, bench, density or converge with every numeric flag
+    drawn from _FLAG_VALUES; Monte Carlo runs 10 paths."""
+    command = draw(st.sampled_from(["price", "bench", "density", "converge"]))
+    names = ["sigma", "nu", "theta"]
+    argv = [command]
+    if command == "density":
+        names += ["t", "x-min", "x-max"]
+        argv += ["--points", draw(st.sampled_from(["2", "3", "9"]))]
+    else:
+        names += ["spot", "strike", "tau", "rate", "u-max"]
+    if command in ("price", "bench"):
+        argv += ["--payoff", draw(st.sampled_from(cli._PAYOFFS)), "--paths", "10"]
+        names += ["power", "trigger-strike"]
+    if command == "price":
+        argv += ["--method", draw(st.sampled_from(["series", "fourier", "quadrature", "mc"]))]
+    if command == "converge":
+        argv += ["--max-orders", draw(st.sampled_from(["", "3"])),
+                 "--u-max-list", draw(st.sampled_from(["", "10,1e4"])),
+                 "--reference", draw(st.sampled_from(["series", "fourier"]))]
+    for name in names:
+        if name in ("power", "trigger-strike", "u-max") and not draw(st.booleans()):
+            continue
+        argv.append(f"--{name}={draw(_FLAG_VALUES)}")
+    return argv
+
+
+class TestErrorContract:
+    @pytest.mark.parametrize(
+        "code, call", [repro[1:] for repro in _CONTRACT_REPROS],
+        ids=[repro[0] for repro in _CONTRACT_REPROS],
+    )
+    def test_each_repro_keeps_the_contract(self, code, call):
+        assert _contract_call(call.split()) == code
+
+    # most draws are refused at once, so 300 examples take about a second
+    @settings(max_examples=300)
+    @given(argv=_extreme_argv())
+    def test_extreme_flag_values_keep_the_contract(self, argv):
+        _contract_call(argv)
 
 
 if __name__ == "__main__":

@@ -234,6 +234,36 @@ class TestDensity:
                     mixture_density(params, float(x), t), abs=1e-8
                 )
 
+    def test_where_kv_underflows(self):
+        """At sigma 0.01 and theta -0.2, K_3.5(3015) underflows while
+        e^{theta x / sigma^2} = e^3000 makes up for it: log K comes from kve."""
+        params = VgParams(sigma=0.01, nu=0.5, theta=-0.2)
+        value = density(params, -1.5, 2.0)
+        assert value == pytest.approx(0.0017544128671656, rel=1e-13)
+        assert value == pytest.approx(mixture_density(params, -1.5, 2.0), rel=1e-10)
+
+    def test_where_a2_underflows(self):
+        """At sigma 1e-150 and nu 1e300, 2 sigma^2 / nu underflows to 0: log a2
+        is taken from its logs, at x = 0 too."""
+        params = VgParams(sigma=1e-150, nu=1e300)
+        for x in (3.0, -3.0, 0.5):
+            assert density(params, x, 1e300) == pytest.approx(
+                mixture_density(params, x, 1e300), rel=1e-10
+            )
+        assert 0.0 < density(params, 0.0, 2e300) < math.inf
+
+    def test_terms_that_cancel_past_the_double_range_are_a_typed_error(self):
+        """At sigma 1e-150, x = 1e10: e^{theta x / sigma^2} overflows and z
+        passes the double range, so log K is -inf and the sum is NaN."""
+        with pytest.raises(GammaOverflowError, match="leaves double precision"):
+            density(VgParams(sigma=1e-150, nu=1.0, theta=0.5), 1e10, 1.0)
+
+    def test_mixture_on_a_subnormal_clock(self):
+        """At nu = t = 5e-324 the interval is subnormal and quad's nodes round
+        to 0, where the kernel is a point mass; the density there is 0."""
+        params = VgParams(sigma=3.0, nu=5e-324)
+        assert mixture_density(params, 2.0, 5e-324) == 0.0
+
     def test_normalization(self, bench_params):
         total, _ = quad(lambda x: density(bench_params, x, 1.0), -3.0, 3.0, limit=300)
         assert total == pytest.approx(1.0, abs=1e-6)

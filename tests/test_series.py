@@ -285,6 +285,13 @@ class TestDiagnostics:
         with pytest.raises(DegenerateAlphaError):
             cash_or_nothing(params, make_market(4200.0, 2.0))
 
+    def test_an_alpha_whose_double_overflows_is_integral(self):
+        """alpha = tau/nu - 1/2 of about 1e308 is an integer: the guard takes
+        its distance to a half-integer without forming 2 alpha, which overflows."""
+        market = MarketInputs(spot=0.2, strike=1e-8, rate=0.0, tau=1e300)
+        with pytest.raises(DegenerateAlphaError, match="of a integer value"):
+            european(VgParams(sigma=3.0, nu=1e-8), market)
+
     @pytest.mark.parametrize("pricer, theta", [(log_call, 0.0), (asym_cash_or_nothing, 0.01)])
     def test_a_coefficient_pole_past_the_guard_raises(self, pricer, theta):
         # alpha = 2^27 - 1 + 2^-26 passes the 1e-8 guard, but -n1 - alpha rounds
@@ -752,8 +759,9 @@ class TestCoefficientCost:
         assert sum(calls) <= 10 * 61
 
     def test_a_strike_slice_takes_its_coefficients_once(self, bench_params, monkeypatch):
-        """41 OTM calls at one maturity share alpha, so the slice makes the
-        one log-Gamma call of its first price and no more."""
+        """Building the grid makes one log-Gamma call, for its alpha-free
+        Gammas; 41 OTM calls at one maturity then share alpha, so the slice
+        makes the one log-Gamma call of its first price and no more."""
         calls = []
         log_gamma = specfun._log_gamma_signed
 
@@ -762,10 +770,12 @@ class TestCoefficientCost:
             return log_gamma(x)
 
         monkeypatch.setattr(specfun, "_log_gamma_signed", counting)
+        series._grid(25)
+        assert len(calls) == 1
         for i in range(41):
             market = make_market(3000.0 + 20.0 * i, 0.5)
             assert european(bench_params, market).branch == "otm"
-        assert len(calls) == 1
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("pricer, theta, market", [
         (gap, 0.0, make_market(3000.0, 0.5, trigger_strike=4000.0)),
@@ -773,9 +783,9 @@ class TestCoefficientCost:
     ])
     def test_a_cold_two_series_price_takes_one_call(self, pricer, theta, market, monkeypatch):
         """A gap's two digitals share one alpha block, and the drifted
-        digital's single and double series share another, so a cold OTM price
-        of either makes one log-Gamma call; the alpha-free Gammas come from an
-        import-time table."""
+        digital's single and double series share another, so once the grid
+        has made its one log-Gamma call (the alpha-free Gammas), a cold OTM
+        price of either makes one more."""
         calls = []
         log_gamma = specfun._log_gamma_signed
 
@@ -784,13 +794,16 @@ class TestCoefficientCost:
             return log_gamma(x)
 
         monkeypatch.setattr(specfun, "_log_gamma_signed", counting)
-        assert pricer(VgParams(sigma=0.2, nu=0.85, theta=theta), market).branch == "otm"
+        series._grid(25)
         assert len(calls) == 1
+        assert pricer(VgParams(sigma=0.2, nu=0.85, theta=theta), market).branch == "otm"
+        assert len(calls) == 2
 
     def test_atm_prices_read_the_otm_block(self, bench_params, monkeypatch):
         """The collapsed ATM series is row n1 = 0 of the double series' part
         1, so an ATM call and an ATM asset digital after a cold OTM call at
-        the same (sigma, nu, tau) make no log-Gamma call of their own."""
+        the same (sigma, nu, tau) make no log-Gamma call of their own: the
+        grid makes one, and the OTM call's alpha one more."""
         calls = []
         log_gamma = specfun._log_gamma_signed
 
@@ -799,11 +812,31 @@ class TestCoefficientCost:
             return log_gamma(x)
 
         monkeypatch.setattr(specfun, "_log_gamma_signed", counting)
+        series._grid(25)
+        assert len(calls) == 1
         assert european(bench_params, make_market(3000.0, 0.5)).branch == "otm"
+        assert len(calls) == 2
         atm = make_market(atm_spot(bench_params, 0.5), 0.5)
         assert european(bench_params, atm).branch == "atm"
         assert asset_or_nothing(bench_params, atm).branch == "atm"
+        assert len(calls) == 2
+
+    def test_each_otm_log_call_takes_one_call(self, bench_params, monkeypatch):
+        """The log call keeps no alpha block: after the grid's one log-Gamma
+        call, each OTM log call makes one of its own, at the same alpha too."""
+        calls = []
+        log_gamma = specfun._log_gamma_signed
+
+        def counting(x):
+            calls.append(np.size(x))
+            return log_gamma(x)
+
+        monkeypatch.setattr(specfun, "_log_gamma_signed", counting)
+        series._grid(25)
         assert len(calls) == 1
+        for i in range(3):
+            assert log_call(bench_params, make_market(3000.0 + 20.0 * i, 0.5)).branch == "otm"
+            assert len(calls) == 2 + i
 
     def test_a_cold_atm_log_call_takes_one_call(self, bench_params, monkeypatch):
         """The ATM log call needs only Gamma(alpha + 1/2) and Gamma(alpha + 1):
@@ -920,7 +953,7 @@ class TestGridMemo:
     def test_arrays_are_read_only(self):
         arrays = list(_memo_arrays(series._grid(25)))
         assert len(arrays) >= 20
-        for kind in ("sym", "asym", "log_call"):
+        for kind in ("sym", "asym"):
             block = series._alpha_block(kind, 25, 0.3)
             assert block is series._alpha_block(kind, 25, 0.3)
             arrays += list(_memo_arrays(block))
@@ -942,8 +975,8 @@ class TestGridMemo:
                 _price_record(pricer, *contract, 30)
         assert series._grid.cache_info().misses == 1
         # one alpha: the double series' block, which its three shapes and the
-        # ATM series slice, the drifted digital and the log call
-        assert series._alpha_block.cache_info().misses <= 3
+        # ATM series slice, and the drifted digital's
+        assert series._alpha_block.cache_info().misses <= 2
 
     @pytest.mark.parametrize("kind, alpha", [
         ("sym", 1.0), ("sym", 1.5), ("asym", 1.0), ("log_call", 1.0),
@@ -952,10 +985,14 @@ class TestGridMemo:
         """A Gamma in alpha that hits a pole raises, whichever kind's block
         holds it and whatever its denominator does there (at alpha = 1.5 the
         double series' part 2 has poles over poles); the error is raised
-        again, never stored."""
+        again, never stored.  The log call builds no block and takes its
+        Gammas from the grid's recipe directly."""
         for _ in range(2):
             with pytest.raises(DegenerateAlphaError, match="hit a Gamma pole"):
-                series._alpha_block(kind, 10, alpha)
+                if kind == "log_call":
+                    series._log_gammas(series._grid(10).log_call, alpha)
+                else:
+                    series._alpha_block(kind, 10, alpha)
         assert series._alpha_block.cache_info().currsize == 0
 
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import kv, roots_genlaguerre
+from scipy.special import kv, kve, roots_genlaguerre
 
 from vgpricer import specfun
 from vgpricer.errors import GammaOverflowError, InvalidParameters, PoleError
@@ -280,6 +280,59 @@ class TestLogBesselK:
     def test_order_symmetry(self):
         for order, log_z in ((0.3, -700.0), (37.0, 2.0), (600.0, -100.0)):
             assert specfun._log_bessel_k(-order, log_z) == specfun._log_bessel_k(order, log_z)
+
+    def test_agrees_with_kve_where_z_passes_the_order(self):
+        """Where z exceeds 8 (v + 800) the node bound's first step is 0, not a
+        negative time, and the step shrinks with z: log K agrees with
+        log kve - z wherever kve is a positive double."""
+        checked = 0
+        for order in (0.0, 0.5, 10.0, 1e3, 1e4, 1e5, 1e6):
+            for ratio in (1.5, 10.0, 100.0, 1e3, 1e4):
+                z = ratio * max(order, 700.0)
+                scaled = float(kve(order, z))
+                if not 0.0 < scaled < math.inf:
+                    continue
+                want = math.log(scaled) - z
+                got = specfun._log_bessel_k(order, math.log(z))
+                assert abs(got - want) <= _log_k_tolerance(order, math.log(z), want, 1e-14)
+                checked += 1
+        assert checked >= 25
+
+    def test_past_scipy_and_past_doubles(self):
+        """An order past 2^53 search nodes is a typed error, and a z past the
+        double range has log K of -inf (K_v(z) < e^{-z/2} there)."""
+        with pytest.raises(GammaOverflowError, match="past 2"):
+            specfun._log_bessel_k(4e303, 346.59)
+        assert specfun._log_bessel_k(0.5, 710.0) == -math.inf
+        assert specfun._log_bessel_k(1e300, math.inf) == -math.inf
+
+
+class TestLogK:
+    """specfun._log_k: log K from kv, from kve where kv underflows, else
+    from the log-space integral."""
+
+    def test_kv_where_it_is_a_positive_double(self):
+        for order, z in ((0.5, 1.0), (3.5, 600.0), (200.0, 30.0), (50.0, 100.0)):
+            assert specfun._log_k(order, z, math.log(z)) == math.log(kv(order, z))
+
+    def test_kve_where_kv_underflows(self):
+        for order, z in ((3.5, 3014.96), (0.5, 1e8), (1e3, 1e6)):
+            assert kv(order, z) == 0.0
+            want = math.log(kve(order, z)) - z
+            assert specfun._log_k(order, z, math.log(z)) == want
+
+    def test_the_integral_elsewhere(self):
+        """kv overflows, z is subnormal, kv is NaN (an order past about 1e9)
+        or kve is NaN (z past about 2e9): the integral from log z."""
+        cases = ((200.0, 1e-3), (0.3, 5e-324), (4e9, 1e5), (0.5, 3e9))
+        for order, z in cases:
+            log_z = math.log(z)
+            assert specfun._log_k(order, z, log_z) == specfun._log_bessel_k(order, log_z)
+        # K_v(z) ~ sqrt(pi / (2 z)) e^{-z} (1 + (4 v^2 - 1) / (8 z)) for z >> v^2
+        z = 3e9
+        assert specfun._log_k(0.5, z, math.log(z)) == pytest.approx(
+            0.5 * math.log(math.pi / (2.0 * z)) - z, rel=1e-15
+        )
 
 
 class TestNormalCdf:
