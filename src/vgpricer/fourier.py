@@ -24,10 +24,10 @@ point of least |integrand| on the imaginary axis (Lord and Kahl, "Optimal
 Fourier inversion in semi-analytical option pricing", 2007), no further than
 half-way to the nearest branch point of Phi.  Bending up over the pole at
 0 (and -i for the call) adds its residue: 1 for a digital, the forward
-intrinsic value for a call.  Phi is taken in factored form
-(model._log_characteristic_fn), whose branch cuts point away from the
-contour.  The step halves until the change is below abs_tol, and that
-change, plus a rounding floor and a bound on any arm cut at _Y_LIMIT, is the
+intrinsic value for a call.  Phi is exp(-(tau/nu) model._log_base), whose
+branch cuts, beyond model._branch_points, point away from the contour.  The
+step halves until the change is below abs_tol, and that change, plus a
+rounding floor and a bound on any arm cut at _Y_LIMIT, is the
 truncation_estimate.
 
 An explicit finite u_max keeps the integral from 0 to u_max: the contour
@@ -205,10 +205,11 @@ def _contour_integral(
     """The price scale (residue + (1/2pi) int F(xi) dxi), xi(y) = i w1 + b sinh(i w + y), y real.
 
     F(xi) = e^{shift omega tau} Phi(xi - i shift) e^{-i xi x1} / denominator(xi),
-    x1 = -k_rn, is singular only on the imaginary axis, at i poles and at the
-    branch points i (eta_pm + shift).  Only here is the bend decided, toward
-    where e^{-i xi x1} decays: up (w = pi/4) when x1 < 0, over every pole and
-    adding the residue, from the highest pole toward the upper branch point;
+    x1 = -k_rn, Phi from model._log_base, is singular only on the imaginary
+    axis, at i poles and at the branch points i (eta_pm + shift), eta_pm from
+    model._branch_points.  Only here is the bend decided, toward where
+    e^{-i xi x1} decays: up (w = pi/4) when x1 < 0, over every pole and adding
+    the residue, from the highest pole toward the upper branch point;
     otherwise down (w = -pi/4) from the lowest pole toward the lower one, at
     the apex given.  Unless it is given, the apex is where |F| is least on the
     imaginary axis (the choice of Lord and Kahl for the damping), searched on a
@@ -246,7 +247,7 @@ def _contour_integral(
     log_norm = shift * derived.omega * tau
 
     def F(xi):
-        log_psi = model._log_characteristic_fn(params, xi - 1j * shift, tau)
+        log_psi = -(tau / params.nu) * model._log_base(params, xi - 1j * shift)
         return np.exp(log_psi + log_norm - 1j * xi * x1) / denominator(xi)
 
     eta_minus, eta_plus = _branch_points(params, cfg)
@@ -340,21 +341,15 @@ def _result(
 
 
 def _branch_points(params: VgParams, cfg: FourierConfig) -> tuple[float, float]:
-    """(eta_-, eta_+): Phi(xi) is analytic for eta_- < Im xi < eta_+.
-
-    See model._log_characteristic_fn for the factored form they come from.
-    A rate that rounds to 0 puts its branch point at infinity: the untruncated
-    price refuses it, and a finite u_max prices it.
-    """
+    """model._branch_points, but a rate that rounds to 0, which puts its branch point
+    at infinity, is refused by the untruncated price; a finite u_max prices it."""
     gd = model.gamma_decomposition(params)
     if math.isinf(cfg.u_max) and not (gd.mu_plus > 0.0 and gd.mu_minus > 0.0):
         raise InvalidParameters(
             f"Gamma rates mu_+ = {gd.mu_plus!r} and mu_- = {gd.mu_minus!r} must both be positive"
             " for the contour; pass a finite u_max"
         )
-    eta_minus = -1.0 / (params.nu * gd.mu_plus) if gd.mu_plus > 0.0 else -math.inf
-    eta_plus = 1.0 / (params.nu * gd.mu_minus) if gd.mu_minus > 0.0 else math.inf
-    return eta_minus, eta_plus
+    return model._branch_points(params)
 
 
 def _digital(shift: float, params, market, cfg) -> PriceResult:
@@ -369,7 +364,7 @@ def _digital(shift: float, params, market, cfg) -> PriceResult:
     cfg = cfg or FourierConfig()
     derived = model.derive(params, market)
     tau = market.tau
-    scale = market.spot if shift else math.exp(-derived.rate_effective * tau)
+    scale = market.spot if shift else derived.discount
     return _contour_integral(
         params, tau, derived, cfg, shift, lambda xi: 1j * xi, (0.0,), 1.0, 2.0 * tau / params.nu,
         scale, (0.0, scale),

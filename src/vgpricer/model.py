@@ -5,7 +5,7 @@ a Gamma clock with unit mean rate and variance rate nu.  The exponential
 asset model is S_T = S exp((r + omega) tau + X(tau)) where omega is the
 martingale (convexity) adjustment making the discounted price a martingale.
 
-All quantities the pricing formulas keep re-using (forward strike,
+All quantities the pricing formulas keep re-using (discount, forward strike,
 log-forward moneyness, rescaled volatility, risk-neutral moneyness, ...) are
 collected once in :class:`DerivedQuantities`.
 """
@@ -130,7 +130,7 @@ class MarketInputs:
 class DerivedQuantities:
     """Shorthands shared by every pricer.
 
-    forward_strike   F = K e^{-r tau}
+    forward_strike   F = K e^{-r tau} = K discount
     log_fwd_moneyness k = ln(S / F)
     sigma_nu         rescaled volatility sigma sqrt(nu / 2)
     alpha            tau/nu - 1/2 (order of the Bessel density kernel)
@@ -140,6 +140,7 @@ class DerivedQuantities:
     q_factor         1/(2 sigma^2 nu) + (theta / (2 sigma^2))^2  (> 0)
     power_moneyness  ln(S / K^{1/power}) + (r + omega) tau
     rate_effective   r - q (dividend substitution happens here only)
+    discount         e^{-(r - q) tau}, the one discount every engine applies
     """
 
     forward_strike: float
@@ -152,6 +153,7 @@ class DerivedQuantities:
     q_factor: float
     power_moneyness: float
     rate_effective: float
+    discount: float
 
     @property
     def branch(self) -> str:
@@ -283,7 +285,8 @@ def derive(params: VgParams, market: MarketInputs) -> DerivedQuantities:
     omega = martingale_adjustment(params)
     r_eff = market.rate - market.dividend_yield
     exponent = -r_eff * market.tau
-    forward_strike = market.strike * math.exp(exponent) if exponent < _LOG_MAX else math.inf
+    discount = math.exp(exponent) if exponent < _LOG_MAX else math.inf
+    forward_strike = market.strike * discount
     if not 0.0 < forward_strike < math.inf:
         raise InvalidParameters(
             f"the forward strike K e^(-(r - q) tau) = {market.strike!r} e^{exponent!r} leaves"
@@ -317,6 +320,7 @@ def derive(params: VgParams, market: MarketInputs) -> DerivedQuantities:
         q_factor=q_factor,
         power_moneyness=power_moneyness,
         rate_effective=r_eff,
+        discount=discount,
     )
 
 
@@ -424,70 +428,75 @@ def mixture_density(params: VgParams, x: float, t: float) -> float:
     return value
 
 
-def _check_branch(base: complex, u) -> None:
-    if abs(base.imag) < 1e-14 and base.real <= 0.0:
+def _branch_points(params: VgParams) -> tuple[float, float]:
+    """(eta_-, eta_+) = (-1/(nu mu_+), 1/(nu mu_-)): Phi is analytic for eta_- < Im u < eta_+.
+    A rate that rounds to 0 puts its branch point at infinity."""
+    gd = gamma_decomposition(params)
+    eta_minus = -1.0 / (params.nu * gd.mu_plus) if gd.mu_plus > 0.0 else -math.inf
+    eta_plus = 1.0 / (params.nu * gd.mu_minus) if gd.mu_minus > 0.0 else math.inf
+    return eta_minus, eta_plus
+
+
+def _log_base(params: VgParams, u):
+    """log(1 - i theta nu u + sigma^2 nu u^2 / 2) as log(1 - i nu mu_+ u) + log(1 + i nu mu_- u),
+    whose cuts lie on the imaginary axis outside (eta_-, eta_+); u^2 is never formed."""
+    gd = gamma_decomposition(params)
+    nu = params.nu
+    u = np.asarray(u, dtype=complex)
+    return np.log(1.0 - 1j * nu * gd.mu_plus * u) + np.log(1.0 + 1j * nu * gd.mu_minus * u)
+
+
+def _off_the_cuts(name: str, params: VgParams, u, value):
+    """value(u, _log_base(params, u)), a complex at a scalar u: InvalidParameters at a u that
+    is not finite, BranchCutError on a cut, GammaOverflowError at a value that is not finite."""
+    u = np.asarray(u, dtype=complex)
+    bad = ~np.isfinite(u)
+    if bad.any():
+        raise InvalidParameters(f"{name} requires a finite u, got u = {complex(u[bad][0])!r}")
+    eta_minus, eta_plus = _branch_points(params)
+    bad = (u.real == 0.0) & ~((eta_minus < u.imag) & (u.imag < eta_plus))
+    if bad.any():
         raise BranchCutError(
-            f"characteristic function base lies on the branch cut at u = {u!r}"
+            f"characteristic function base lies on the branch cut at u = {complex(u[bad][0])!r}"
         )
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = value(u, _log_base(params, u))
+    bad = ~np.isfinite(result)
+    if bad.any():
+        raise GammaOverflowError(f"{name} at u = {complex(u[bad][0])!r} overflows double precision")
+    return complex(result) if u.ndim == 0 else result
 
 
 def characteristic_fn(params: VgParams, u, t: float):
-    """E[e^{i u X(t)}] = (1 - i theta nu u + sigma^2 nu u^2 / 2)^{-t/nu}.
+    """E[e^{i u X(t)}] = (1 - i theta nu u + sigma^2 nu u^2 / 2)^{-t/nu} = exp(-(t/nu) _log_base).
 
-    Principal branch; accepts complex scalars or arrays.  Raises
-    :class:`BranchCutError` when the base touches the cut, which is the
-    relevant failure mode for damped (complex-shifted) arguments.
+    Accepts complex scalars or arrays.  Raises :class:`BranchCutError` on the
+    cuts, the imaginary axis outside (eta_-, eta_+), the relevant failure mode
+    for damped (complex-shifted) arguments; InvalidParameters at a u that is
+    not finite, and GammaOverflowError where the value is not finite.
     """
     shape = _clock_shape("characteristic_fn", t, params.nu)
-    sigma, nu, theta = params.sigma, params.nu, params.theta
-    u_arr = np.asarray(u, dtype=complex)
-    base = 1.0 - 1j * theta * nu * u_arr + 0.5 * sigma**2 * nu * u_arr**2
-    if u_arr.ndim == 0:
-        _check_branch(complex(base), u)
-    else:
-        bad = (np.abs(base.imag) < 1e-14) & (base.real <= 0.0)
-        if np.any(bad):
-            _check_branch(complex(base[bad][0]), np.asarray(u)[bad][0])
-    result = base ** -shape
-    return complex(result) if u_arr.ndim == 0 else result
+    return _off_the_cuts("characteristic_fn", params, u, lambda u, log: np.exp(-shape * log))
 
 
 def rn_characteristic_fn(params: VgParams, u, t: float):
-    """Risk-neutral normalisation e^{i u t omega} Phi(u, t); equals 1 at u = -i."""
+    """Risk-neutral normalisation e^{i u t omega} Phi(u, t), taken as one exponential
+    with the cuts and errors of characteristic_fn; equals 1 at u = -i."""
+    shape = _clock_shape("rn_characteristic_fn", t, params.nu)
     omega = martingale_adjustment(params)
-    u_arr = np.asarray(u, dtype=complex)
-    result = np.exp(1j * u_arr * t * omega) * characteristic_fn(params, u_arr, t)
-    return complex(result) if u_arr.ndim == 0 else result
+    return _off_the_cuts(
+        "rn_characteristic_fn", params, u, lambda u, log: np.exp(1j * u * t * omega - shape * log)
+    )
 
 
-def _log_characteristic_fn(params: VgParams, xi, t: float):
-    """log Phi(xi, t) in factored form, for complex xi off the real axis.
-
-    The base of characteristic_fn factors as (1 - i nu mu_+ xi)(1 + i nu mu_- xi)
-    with mu_pm from gamma_decomposition, that is (sigma^2 nu / 2)(xi - i eta_+)(xi - i eta_-)
-    with eta_+ = 1/(nu mu_-) and eta_- = -1/(nu mu_+).  One principal log per
-    factor puts the cuts on the imaginary axis, up from i eta_+ and down from
-    i eta_-, so the result is analytic on every contour between them, where
-    the principal power of the unfactored base jumps.  On the real axis it
-    agrees with characteristic_fn to rounding.
-    """
-    gd = gamma_decomposition(params)
-    nu = params.nu
-    xi = np.asarray(xi, dtype=complex)
-    log_base = np.log(1.0 - 1j * nu * gd.mu_plus * xi) + np.log(1.0 + 1j * nu * gd.mu_minus * xi)
-    return -(t / nu) * log_base
-
-
-def levy_symbol(params: VgParams, u) -> complex:
+def levy_symbol(params: VgParams, u):
     """Characteristic exponent Psi(u) = (1/nu) log(1 - i theta nu u + sigma^2 nu u^2/2).
 
-    Satisfies exp(-t Psi(u)) = characteristic_fn(u, t) and
+    _log_base / nu, at complex scalars or arrays, with the cuts and errors of
+    characteristic_fn.  Satisfies exp(-t Psi(u)) = characteristic_fn(u, t) and
     Psi(-i) = martingale_adjustment.
     """
-    sigma, nu, theta = params.sigma, params.nu, params.theta
-    base = 1.0 - 1j * theta * nu * complex(u) + 0.5 * sigma**2 * nu * complex(u) ** 2
-    _check_branch(base, u)
-    return complex(np.log(base)) / nu
+    return _off_the_cuts("levy_symbol", params, u, lambda u, log: log / params.nu)
 
 
 def levy_measure_density(params: VgParams, x: float) -> float:

@@ -232,7 +232,6 @@ def mc_price(
         model._power_moment_base(params, market.power)
     derived = model.derive(params, market)
     tau = market.tau
-    discount = math.exp(-derived.rate_effective * tau)
     drift = (derived.rate_effective + derived.omega) * tau
     n_units = cfg.n_paths // 2 if cfg.antithetic else cfg.n_paths
     samples = np.empty(n_units)
@@ -247,10 +246,10 @@ def mc_price(
         for start, legs in zip(range(0, n_units, _CHUNK), prices):
             m = legs[0].size
             block = _terminal_payoff(payoff, legs[0], market, samples[start : start + m])
-            block *= discount
+            block *= derived.discount
             if cfg.antithetic:
                 down = _terminal_payoff(payoff, legs[1], market, np.empty(m))
-                down *= discount
+                down *= derived.discount
                 block += down
                 block *= 0.5
         return McEstimate._from_scratch(samples)

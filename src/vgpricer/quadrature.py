@@ -109,7 +109,7 @@ def gl_european(params: VgParams, market: MarketInputs, n: int) -> PriceResult:
     )
     value = market.spot * float(np.sum(growth * normal_cdf(d1) * gl.p_weights)) - (
         market.strike
-        * math.exp(-derived.rate_effective * tau)
+        * derived.discount
         * float(np.sum(normal_cdf(d2) * gl.p_weights))
     )
     warnings = [

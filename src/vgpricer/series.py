@@ -627,7 +627,7 @@ def cash_or_nothing(
     sits at the strike when the risk-neutral moneyness vanishes).
     """
     ctrl, params, derived, diagnostics = _setup("cash_or_nothing", params, market, ctrl)
-    discount = math.exp(-derived.rate_effective * market.tau)
+    discount = derived.discount
     if derived.branch == "atm":
         return _finalize(0.5 * discount, 0, 0.0, "atm", diagnostics)
     return _sym_series_price(
@@ -691,7 +691,7 @@ def log_call(
     """
     ctrl, params, derived, diagnostics = _setup("log_call", params, market, ctrl)
     k = derived.rn_moneyness
-    discount = math.exp(-derived.rate_effective * market.tau)
+    discount = derived.discount
     alpha = derived.alpha
     s_nu = derived.sigma_nu
     if derived.branch == "itm":
@@ -784,6 +784,5 @@ def asym_cash_or_nothing(
             " is not finite"
         )
     series = functools.partial(_asym_series, derived, market.tau, ctrl)
-    discount = math.exp(-derived.rate_effective * market.tau)
-    value, terms, tail = _otm_or_parity(derived.branch, series, lambda: discount)
+    value, terms, tail = _otm_or_parity(derived.branch, series, lambda: derived.discount)
     return _finalize(value, terms, tail, derived.branch, diagnostics)

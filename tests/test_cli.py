@@ -1067,12 +1067,16 @@ class TestOutputPlumbing:
             ('{"max_order": "30"}', "max_order"),
             ('{"power": null}', "power"),
             ('{"antithetic": "no"}', "antithetic"),
+            ('{"method": "bogus"}', 'config key method cannot take "bogus"'),
             ("[{}]", None),
             ("5", None),
             ('{"max_order": 30', None),
             (None, None),
         ],
-        ids=["string-int", "null-power", "string-switch", "list", "number", "malformed", "missing"],
+        ids=[
+            "string-int", "null-power", "string-switch", "not-a-choice", "list", "number",
+            "malformed", "missing",
+        ],
     )
     def test_bad_config_is_a_usage_error(self, capsys, tmp_path, text, key):
         """A config file must hold a JSON object whose values have their

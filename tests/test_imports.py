@@ -1,4 +1,5 @@
-"""No module of the package imports a name it never reads."""
+"""No module of the package imports a name it never reads, and the package
+reads every private module-level name it defines."""
 
 import ast
 from pathlib import Path
@@ -7,7 +8,8 @@ import pytest
 
 import vgpricer
 
-_MODULES = sorted(p for p in Path(vgpricer.__file__).parent.glob("*.py") if p.name != "__init__.py")
+_SOURCES = sorted(Path(vgpricer.__file__).parent.glob("*.py"))
+_MODULES = [p for p in _SOURCES if p.name != "__init__.py"]
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -43,3 +45,43 @@ def test_an_unused_import_is_found():
     source = "from __future__ import annotations\nimport math, os\nfrom . import a, b\n"
     source += "__all__ = ['b']\nprint(math.pi)\n"
     assert _unused_imports(source) == ["os (line 2)", "a (line 3)"]
+
+
+def _unread_private_names(sources: dict[str, str]) -> list[str]:
+    """The module-level _names (not __dunders__) that the sources define by def,
+    class or assignment and that none of them reads as a Name or an Attribute."""
+    defined, read = {}, set()
+    for file, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                names = []
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[name] = f"{file} line {node.lineno}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return [f"{name} ({where})" for name, where in defined.items() if name not in read]
+
+
+def test_every_private_name_is_read_in_the_package():
+    """Reads from the tests and the benchmark do not count: a private name
+    that only they reach is dead code."""
+    sources = {path.name: path.read_text(encoding="utf-8") for path in _SOURCES}
+    assert _unread_private_names(sources) == []
+
+
+def test_an_unread_private_name_is_found():
+    sources = {
+        "a.py": "_A = 1\n_B, (_C, __d__) = 2, (3, 4)\ndef _f():\n    return _B\nclass _K: pass\n",
+        "b.py": "from . import a\nprint(a._C, a._f())\n",
+    }
+    assert _unread_private_names(sources) == ["_A (a.py line 1)", "_K (a.py line 5)"]

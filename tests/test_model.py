@@ -7,6 +7,8 @@ import re
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import kv
 
@@ -492,6 +494,112 @@ class TestCharacteristicFunction:
             assert integral / math.pi == pytest.approx(
                 density(bench_params, float(x), t), abs=1e-6
             )
+
+
+def _principal_power(params, u, t):
+    """(1 - i theta nu u + sigma^2 nu u^2 / 2)^(-t/nu), the principal power of the
+    unfactored base: the reference the factored log must meet off the cuts."""
+    sigma, nu, theta = params.sigma, params.nu, params.theta
+    base = 1.0 - 1j * theta * nu * u + 0.5 * sigma**2 * nu * u**2
+    return base ** (-t / nu)
+
+
+@st.composite
+def _recipe(draw):
+    """sigma = 10^U[-2, 0.3], nu = 10^U[-3, 0.5], theta in [-0.5, 0.5] and
+    t = 10^U[-3, 0.5], with a point on the real axis and one in the strip, up to
+    0.9 of the way to a branch point."""
+    sigma = 10.0 ** draw(st.floats(-2.0, 0.3))
+    nu = 10.0 ** draw(st.floats(-3.0, 0.5))
+    theta = draw(st.floats(-0.5, 0.5))
+    assume(1.0 - theta * nu - 0.5 * sigma**2 * nu > 0.0)
+    params = VgParams(sigma, nu, theta)
+    t = 10.0 ** draw(st.floats(-3.0, 0.5))
+    x = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-2.0, 2.0))
+    reach = draw(st.floats(-0.9, 0.9))
+    eta_minus, eta_plus = model._branch_points(params)
+    y = reach * (eta_plus if reach > 0.0 else -eta_minus)
+    return params, t, x, complex(x, y)
+
+
+# the three public functions of a point u, each at t = 1 unless t is given
+_OF_U = {
+    "characteristic_fn": lambda params, u, t=1.0: characteristic_fn(params, u, t),
+    "rn_characteristic_fn": lambda params, u, t=1.0: rn_characteristic_fn(params, u, t),
+    "levy_symbol": levy_symbol,
+}
+
+
+class TestOneFormula:
+    """characteristic_fn, rn_characteristic_fn and levy_symbol take the factored
+    log of model._log_base, the one every Fourier price uses; its cuts lie on
+    the imaginary axis outside (eta_-, eta_+), from model._branch_points."""
+
+    @given(_recipe())
+    def test_the_factored_log_is_the_principal_power(self, case):
+        params, t, *points = case
+        for u in points:
+            try:
+                expected = _principal_power(params, u, t)
+            except OverflowError:
+                with pytest.raises(GammaOverflowError):
+                    characteristic_fn(params, u, t)
+                continue
+            assert characteristic_fn(params, u, t) == pytest.approx(expected, rel=1e-10, abs=1e-300)
+            assert cmath.exp(-t * levy_symbol(params, u)) == pytest.approx(
+                expected, rel=1e-10, abs=1e-300
+            )
+
+    @pytest.mark.parametrize("at", ["eta_plus", "above_eta_plus", "eta_minus"])
+    @pytest.mark.parametrize("name", ["characteristic_fn", "rn_characteristic_fn", "levy_symbol"])
+    def test_the_cuts_raise(self, name, at):
+        params = VgParams(sigma=0.2, nu=0.85, theta=0.1)
+        eta_minus, eta_plus = model._branch_points(params)
+        u = 1j * {"eta_plus": eta_plus, "above_eta_plus": eta_plus + 1.0, "eta_minus": eta_minus}[at]
+        message = f"characteristic function base lies on the branch cut at u = {u!r}"
+        for point in (u, np.array([0.0, 1.0, u])):
+            with pytest.raises(BranchCutError) as info:
+                _OF_U[name](params, point)
+            assert str(info.value) == message
+
+    @pytest.mark.parametrize("name", ["characteristic_fn", "rn_characteristic_fn", "levy_symbol"])
+    def test_off_the_cuts_every_point_is_evaluated(self, name):
+        """A point within rounding of the axis but off it, 1e-300 + i (eta_+ + 1),
+        raised BranchCutError when the cut was found by a tolerance on the base."""
+        params = VgParams(sigma=0.2, nu=0.85, theta=0.1)
+        eta_minus, eta_plus = model._branch_points(params)
+        strip = 1j * np.linspace(eta_minus, eta_plus, 101)[1:-1]
+        assert np.all(np.isfinite(_OF_U[name](params, strip)))
+        for u in (1e-300 + 1j * (eta_plus + 1.0), -1e-300 + 1j * (eta_minus - 1.0), 1e-16 + 9j):
+            assert cmath.isfinite(_OF_U[name](params, u))
+
+    def test_large_arguments_never_form_u_squared(self):
+        """u^2 of the unfactored base raised OverflowError in levy_symbol at
+        1e160 and wrote an overflow warning in characteristic_fn at 1e200."""
+        params = VgParams(sigma=0.2, nu=0.85)
+        expected = (2.0 * math.log(1e160) + math.log(0.5 * 0.2**2 * 0.85)) / 0.85
+        assert levy_symbol(params, 1e160) == pytest.approx(expected, rel=1e-15)
+        assert characteristic_fn(params, 1e200, 1.0) == 0j
+
+    @pytest.mark.parametrize("name", ["characteristic_fn", "rn_characteristic_fn"])
+    def test_an_overflowing_value_is_a_typed_error(self, name):
+        """Near i eta_+ at t = 170, |Phi| is about 1e520: it was returned as inf
+        with a RuntimeWarning."""
+        with pytest.raises(GammaOverflowError, match=f"{name} at u = 7.66j overflows"):
+            _OF_U[name](VgParams(sigma=0.2, nu=0.85), 7.66j, 170.0)
+
+    @pytest.mark.parametrize("u", [
+        complex(math.nan, 3.0), complex(math.nan, 0.0), complex(-math.inf, -3.0),
+        np.array([1.0, complex(0.0, math.inf)]),
+    ])
+    @pytest.mark.parametrize("name", ["characteristic_fn", "rn_characteristic_fn", "levy_symbol"])
+    def test_a_point_that_is_not_finite_is_refused(self, name, u):
+        """NaN+NaNj came back at nan + 3j and nan + 0j, and -inf - 3j wrote an
+        "invalid value" warning."""
+        bad = complex(np.asarray(u).ravel()[-1])
+        with pytest.raises(InvalidParameters) as info:
+            _OF_U[name](VgParams(sigma=0.2, nu=0.85), u)
+        assert str(info.value) == f"{name} requires a finite u, got u = {bad!r}"
 
 
 class TestLevyMeasure:

@@ -315,6 +315,12 @@ class TestDiagnostics:
         with pytest.raises(InvalidParameters):
             SeriesControl(alpha_policy="panic")
 
+    @pytest.mark.parametrize("tail_tol", [0.0, -1e-10, math.nan])
+    def test_a_tail_tol_that_is_not_positive_is_rejected(self, tail_tol):
+        with pytest.raises(InvalidParameters) as info:
+            SeriesControl(tail_tol=tail_tol)
+        assert str(info.value) == f"tail_tol must be positive, got {tail_tol!r}"
+
     @pytest.mark.parametrize("max_order", [25.0, 25.5, "25"])
     def test_a_max_order_that_is_not_an_integer_is_rejected(self, max_order):
         """25.0 was accepted and then failed in numpy with a raw TypeError."""
