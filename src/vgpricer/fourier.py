@@ -11,8 +11,10 @@ integral: the call price in log-strike is multiplied by e^{a k_L} to make it
 integrable, priced through the characteristic function of log S_T, and the
 damping removed afterwards.  For every theta the damping a is admitted when
 a > 0 and (1 + a) nu mu_+ < 1, that is while the damped line Im u = -(1 + a)
-stays above the branch point i eta_-, eta_- = -1/(nu mu_+), of Phi.  Each
-payoff only describes its integrand; _contour_integral builds and prices it.
+stays above the branch point i eta_-, eta_- = -1/(nu mu_+), of Phi: below
+a_max = -eta_- - 1.  Each payoff only describes its integrand;
+_contour_integral builds and prices it, and every branch point comes from
+model._branch_points.
 
 The default, u_max = inf, prices the untruncated integrals on a
 sinh-deformed contour xi(y) = i w1 + b sinh(i w + y) (Boyarchenko and
@@ -22,13 +24,14 @@ contour bends into the half-plane where e^{-i xi x1}, x1 = -k_rn, decays.
 Its apex sits at -i(1 + a) for an out-of-the-money call; elsewhere it is the
 point of least |integrand| on the imaginary axis (Lord and Kahl, "Optimal
 Fourier inversion in semi-analytical option pricing", 2007), no further than
-half-way to the nearest branch point of Phi.  Bending up over the pole at
-0 (and -i for the call) adds its residue: 1 for a digital, the forward
-intrinsic value for a call.  Phi is exp(-(tau/nu) model._log_base), whose
-branch cuts, beyond model._branch_points, point away from the contour.  The
-step halves until the change is below abs_tol, and that change, plus a
-rounding floor and a bound on any arm cut at _Y_LIMIT, is the
-truncation_estimate.
+half-way to the nearest branch point of Phi, or 1/2 from the pole where a
+Gamma rate rounds to 0 and that branch point lies at infinity.  Bending up
+over the pole at 0 (and -i for the call) adds its residue: 1 for a digital,
+the forward intrinsic value for a call.  Phi is exp(-(tau/nu)
+model._log_base), whose branch cuts, beyond model._branch_points, point away
+from the contour.  The step halves until the change is below abs_tol, and
+that change, plus a rounding floor and a bound on any arm cut at _Y_LIMIT,
+is the truncation_estimate.
 
 An explicit finite u_max keeps the integral from 0 to u_max: the contour
 price minus the tail past u_max, times the price's scale over pi.  Every
@@ -214,9 +217,10 @@ def _contour_integral(
     the apex given.  Unless it is given, the apex is where |F| is least on the
     imaginary axis (the choice of Lord and Kahl for the damping), searched on a
     geometric grid of _APEX_GRID points from half-way to the branch point down
-    to 1e-3 of that distance from the pole.  At long maturities the half-way
-    point would put |F| up to (4/3)^(tau/nu) on the contour, and the price
-    would cancel from there.
+    to 1e-3 of that distance from the pole, or from 1/2 where a Gamma rate
+    that rounds to 0 puts the branch point at infinity.  At long maturities
+    the half-way point would put |F| up to (4/3)^(tau/nu) on the contour, and
+    the price would cancel from there.
 
     b is the largest value for which the hyperbolas at angles between 0
     and 2w, the images of the strip |Im y| < pi/4, cross the axis between
@@ -240,8 +244,7 @@ def _contour_integral(
     The integral is (1/pi) int_0^inf Re F(u + i line) du plus the residue.  A
     finite u_max subtracts the part past u_max (_ray_tail, bent the same way)
     and adds its size, by which the price differs from the untruncated one,
-    and its last change to the truncation_estimate.  There a Gamma rate that
-    rounds to 0 may put the branch at infinity: the apex is then searched from 1/2.
+    and its last change to the truncation_estimate.
     """
     x1 = -derived.rn_moneyness
     log_norm = shift * derived.omega * tau
@@ -250,7 +253,7 @@ def _contour_integral(
         log_psi = -(tau / params.nu) * model._log_base(params, xi - 1j * shift)
         return np.exp(log_psi + log_norm - 1j * xi * x1) / denominator(xi)
 
-    eta_minus, eta_plus = _branch_points(params, cfg)
+    eta_minus, eta_plus = model._branch_points(params)
     heights = (eta_minus + shift, *poles, eta_plus + shift)
     if x1 < 0.0:
         toward, pole, branch, apex = 1.0, max(poles), heights[-1], None
@@ -340,18 +343,6 @@ def _result(
     )
 
 
-def _branch_points(params: VgParams, cfg: FourierConfig) -> tuple[float, float]:
-    """model._branch_points, but a rate that rounds to 0, which puts its branch point
-    at infinity, is refused by the untruncated price; a finite u_max prices it."""
-    gd = model.gamma_decomposition(params)
-    if math.isinf(cfg.u_max) and not (gd.mu_plus > 0.0 and gd.mu_minus > 0.0):
-        raise InvalidParameters(
-            f"Gamma rates mu_+ = {gd.mu_plus!r} and mu_- = {gd.mu_minus!r} must both be positive"
-            " for the contour; pass a finite u_max"
-        )
-    return model._branch_points(params)
-
-
 def _digital(shift: float, params, market, cfg) -> PriceResult:
     """scale P(X > x1), x1 = -k_rn, by the inversion (1/2pi) int e^{-i xi x1} Psi(xi)/(i xi) dxi,
     Psi(xi) = e^{shift omega tau} Phi(xi - i shift): the share measure's X for shift 1.
@@ -386,17 +377,10 @@ def lewis_cash_or_nothing(
 
 
 def a_max(params: VgParams) -> float:
-    """Square-integrability bound for the damping factor, symmetric model only.
-
-    a_max = sqrt(2/nu)/sigma - 1, which is 1/(nu mu_+) - 1 at theta = 0.
-    For every theta, carr_madan_european admits a > 0 with (1 + a) nu mu_+ < 1.
-    """
-    if params.theta != 0.0:
-        raise InvalidParameters(
-            "a_max is only available for the symmetric model (theta = 0); "
-            "for any theta a damping a is admissible when a > 0 and (1 + a) nu mu_+ < 1"
-        )
-    return math.sqrt(2.0 / params.nu) / params.sigma - 1.0
+    """Largest damping factor: -eta_- - 1 = 1/(nu mu_+) - 1, eta_- from model._branch_points,
+    for every theta; carr_madan_european admits a > 0 with (1 + a) nu mu_+ < 1, that is
+    below it.  inf where mu_+ rounds to 0, and every a is admitted."""
+    return -model._branch_points(params)[0] - 1.0
 
 
 def carr_madan_european(

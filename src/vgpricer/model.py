@@ -429,9 +429,16 @@ def mixture_density(params: VgParams, x: float, t: float) -> float:
 
 
 def _branch_points(params: VgParams) -> tuple[float, float]:
-    """(eta_-, eta_+) = (-1/(nu mu_+), 1/(nu mu_-)): Phi is analytic for eta_- < Im u < eta_+.
-    A rate that rounds to 0 puts its branch point at infinity."""
+    """(eta_-, eta_+) = (-1/(nu mu_+), 1/(nu mu_-)), the one rule for the VG law's tails:
+    Phi is analytic for eta_- < Im u < eta_+, the Fourier contour bends toward them,
+    a_max is -eta_- - 1 and the Levy density falls as e^{eta_- x} for x > 0 and
+    e^{eta_+ x} for x < 0.  A rate that rounds to 0 puts its branch point at
+    infinity; a rate that is not finite is InvalidParameters."""
     gd = gamma_decomposition(params)
+    if not (math.isfinite(gd.mu_plus) and math.isfinite(gd.mu_minus)):
+        raise InvalidParameters(
+            f"Gamma rates mu_+ = {gd.mu_plus!r} and mu_- = {gd.mu_minus!r} must both be finite"
+        )
     eta_minus = -1.0 / (params.nu * gd.mu_plus) if gd.mu_plus > 0.0 else -math.inf
     eta_plus = 1.0 / (params.nu * gd.mu_minus) if gd.mu_minus > 0.0 else math.inf
     return eta_minus, eta_plus
@@ -500,12 +507,15 @@ def levy_symbol(params: VgParams, u):
 
 
 def levy_measure_density(params: VgParams, x: float) -> float:
-    """Levy density e^{theta x / sigma^2} / (nu |x|) e^{-sqrt(theta^2/sigma^2 + 2/nu) |x| / sigma}."""
+    """Levy density e^{eta x} / (nu |x|), eta = eta_- for x > 0 and eta_+ for x < 0,
+    taken in logs; GammaOverflowError where it overflows."""
     if x == 0.0:
         raise InvalidParameters("Levy measure density is undefined at x = 0")
-    sigma, nu, theta = params.sigma, params.nu, params.theta
-    decay = math.sqrt(_pow(theta, 2) / sigma**2 + 2.0 / nu) / sigma
-    return math.exp(theta * x / sigma**2 - decay * abs(x)) / (nu * abs(x))
+    eta_minus, eta_plus = _branch_points(params)
+    log_density = (eta_minus if x > 0.0 else eta_plus) * x - math.log(params.nu) - math.log(abs(x))
+    if log_density > _LOG_MAX:
+        raise GammaOverflowError(f"levy_measure_density({x!r}) overflows double precision")
+    return math.exp(log_density)
 
 
 def gamma_decomposition(params: VgParams) -> GammaDecomposition:

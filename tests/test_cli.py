@@ -182,9 +182,7 @@ class TestPriceCommand:
     @pytest.mark.parametrize("argv", [
         # sigma^2 underflows to 0, and the drift ratio theta / sigma^2 divided by it
         ("--method", "all", "--sigma", "1e-170"),
-        # mu_- rounds to 0, which puts the contour's upper branch point at infinity
-        ("--method", "fourier", "--theta", "0.1", "--sigma", "1e-10"),
-    ], ids=["sigma-squared-underflows", "mu-minus-rounds-to-zero"])
+    ], ids=["sigma-squared-underflows"])
     def test_a_vanishing_scale_is_a_domain_error(self, capsys, argv):
         """These ended in a ZeroDivisionError traceback; they exit 2 with one
         InvalidParameters line."""
@@ -194,6 +192,23 @@ class TestPriceCommand:
         )
         (line,) = err.splitlines()
         assert (code, json.loads(line)["type"], out) == (2, "InvalidParameters", "")
+
+    @pytest.mark.parametrize("argv, value", [
+        # mu_- rounds to 0, which puts the contour's upper branch point at infinity
+        (("--spot", "100", "--strike", "100", "--tau", "1", "--nu", "0.3", "--theta", "0.1",
+          "--sigma", "1e-10", "--rate", "0"), 2.163647476751),
+        # mu_+ rounds to 0, the lower one
+        (_SIGMA_TINY[2:], 140.1975597926),
+    ], ids=["mu-minus-rounds-to-zero", "mu-plus-rounds-to-zero"])
+    def test_a_vanishing_gamma_rate_prices_on_the_contour(self, capsys, argv, value):
+        """The untruncated contour refused a Gamma rate that rounds to 0 and
+        asked for a finite u_max; it prices the sigma -> 0 limit, as the
+        truncated integral did."""
+        code, out, err = run_cli(capsys, "price", "--method", "fourier", "--payoff", "european",
+                                 *argv)
+        (record,) = [json.loads(line) for line in out.splitlines()]
+        assert (code, err) == (0, "")
+        assert record["value"] == pytest.approx(value, abs=1e-12 * value)
 
     def test_an_underflowing_martingale_adjustment_is_a_domain_error(self, capsys):
         """At theta = -1e6 every Gauss-Laguerre term of the martingale
@@ -305,10 +320,7 @@ class TestPriceCommand:
         (("price", "--method", "series", *_THETA_HUGE, "--payoff", "cash-or-nothing", "--tau",
           "0.7"), 2, _DRIFT_FACTOR_INF),
         (("density", "--sigma", "0.2", "--nu", "0.5", "--theta=-1e200", "--points", "3"), 0, None),
-        (("price", "--method", "fourier", *_SIGMA_TINY), 2, (
-            "InvalidParameters", "Gamma rates mu_+ = 0.0 and mu_- = 0.2 must both be positive"
-            " for the contour; pass a finite u_max",
-        )),
+        (("price", "--method", "fourier", *_SIGMA_TINY), 0, None),
         (("price", "--method", "mc", *_SIGMA_TINY), 0, None),
         (("price", "--method", "quadrature", *_SIGMA_TINY), 0, None),
         (("price", "--method", "all", *_SIGMA_TINY, "--payoff", "cash-or-nothing", "--tau",
@@ -1417,9 +1429,13 @@ _CONTRACT_REPROS = [
      " --tau 1e300 --paths 10"),
     ("density-x-max-inf", 1, "density --sigma 0.2 --nu 0.85 --x-min=-1 --x-max=inf --points 3"),
     ("density-x-min-nan", 1, "density --sigma 0.2 --nu 0.85 --x-min=nan --points 3"),
-    ("fourier-charfn-overflows", 3,
+    ("fourier-charfn-overflows", 2,
      "price --payoff asset-or-nothing --method fourier --sigma 1e10 --nu 1e-300 --spot 0.01"
      " --strike 0.01 --tau 0.2 --rate=0"),
+    *((f"fourier-{payoff}-gamma-rates-overflow", 2,
+       f"price --payoff {payoff} --method fourier --sigma 0.2 --nu 0.5 --theta=-1e200"
+       " --spot 100 --strike 100 --trigger-strike 90 --tau 1")
+      for payoff in ("cash-or-nothing", "asset-or-nothing", "gap")),
     ("converge-panel-sum-nan", 3,
      "converge --sigma 4000 --nu 1e-8 --theta=1e-300 --spot 1 --strike 4000 --tau 0.85"
      " --rate=1e-300 --u-max 1 --max-orders= --u-max-list 10,1e4 --reference fourier"),

@@ -1,6 +1,7 @@
 """Fourier-engine tests: reference Lewis columns, damping rules, stability."""
 
 import csv
+import itertools
 import math
 import tracemalloc
 from pathlib import Path
@@ -119,6 +120,33 @@ def _call_price(params: VgParams, market, u_max: float, a: float = 1.0) -> float
 
     scale = math.exp(-a * log_k - market.rate * tau + (a + 1.0) * m)
     return scale * _qawo_integral(psi, m - log_k, u_max) / math.pi
+
+
+def _sigma_to_zero_limit(params: VgParams, market) -> tuple[float, float, float]:
+    """(cash digital, asset digital, call) in the limit sigma -> 0, where X = theta G,
+    G ~ Gamma(tau/nu) with scale nu, and omega = ln(1 - theta nu)/nu.  The cash digital
+    is e^{-r tau} P(X > x1), x1 = ln(K/S) - (r + omega) tau, a regularized incomplete
+    Gamma function; the asset digital is e^{-r tau} S e^{(r + omega) tau}
+    (1 - theta nu)^(-tau/nu) times the same probability under the tilted scale
+    nu/(1 - theta nu); the call is the asset digital less K times the cash digital."""
+    theta, nu, tau, rate = params.theta, params.nu, market.tau, market.rate
+    shape = tau / nu
+    omega = math.log1p(-theta * nu) / nu
+    g = (math.log(market.strike / market.spot) - (rate + omega) * tau) / theta
+
+    def probability(scale):
+        """P(theta G > x1) for G ~ Gamma(shape) with this scale."""
+        if theta > 0.0:
+            return special.gammaincc(shape, max(g, 0.0) / scale)
+        return special.gammainc(shape, g / scale) if g > 0.0 else 0.0
+
+    discount = math.exp(-rate * tau)
+    cash = discount * probability(nu)
+    tilt = (1.0 - theta * nu) ** -shape
+    asset = discount * market.spot * math.exp((rate + omega) * tau) * tilt * probability(
+        nu / (1.0 - theta * nu)
+    )
+    return cash, asset, asset - market.strike * cash
 
 
 # the tables' ATM rows (k_rn = 0), S 4200 at one day and the negative cash digital
@@ -409,9 +437,18 @@ class TestCarrMadan:
         assert bound == pytest.approx(math.sqrt(2.0 / 0.85) / 0.2 - 1.0, rel=1e-14)
         assert bound == pytest.approx(6.6696, abs=1e-4)
 
-    def test_damping_bound_requires_symmetry(self):
-        with pytest.raises(InvalidParameters):
-            a_max(VgParams(sigma=0.2, nu=0.85, theta=0.1))
+    def test_damping_bound_is_the_edge_for_every_theta(self):
+        """At theta != 0 a_max is 1/(nu mu_+) - 1, the edge carr_madan_european
+        admits: inside by 1e-9 prices, outside by 1e-9 is refused (theta < 0 in
+        test_damping_outside_the_strip_rejected_for_drifted_model)."""
+        params = VgParams(sigma=0.2, nu=0.85, theta=0.1)
+        bound = a_max(params)
+        assert bound == 1.0 / (params.nu * model.gamma_decomposition(params).mu_plus) - 1.0
+        market = make_market(4200.0, 2.0)
+        inside = carr_madan_european(params, market, FourierConfig(damping_a=bound * (1 - 1e-9)))
+        assert math.isfinite(inside.value)
+        with pytest.raises(DampingOutOfRangeError):
+            carr_madan_european(params, market, FourierConfig(damping_a=bound * (1 + 1e-9)))
 
     def test_high_volatility_shrinks_damping_window(self):
         """Near the parameter-validity edge the admissible window vanishes.
@@ -579,10 +616,11 @@ class TestContour:
 
     def test_damping_outside_the_strip_rejected_for_drifted_model(self):
         """a is admitted while a > 0 and (1 + a) nu mu_+ < 1, that is below
-        1/(nu mu_+) - 1, which is a_max at theta = 0."""
+        a_max = 1/(nu mu_+) - 1."""
         params = VgParams(sigma=0.2, nu=0.85, theta=-0.1)
         market = make_market(4200.0, 2.0)
-        bound = 1.0 / (params.nu * model.gamma_decomposition(params).mu_plus) - 1.0
+        bound = a_max(params)
+        assert bound == 1.0 / (params.nu * model.gamma_decomposition(params).mu_plus) - 1.0
         for a in (0.0, -0.5, 20.0, bound * (1.0 + 1e-9)):
             with pytest.raises(DampingOutOfRangeError):
                 carr_madan_european(params, market, FourierConfig(damping_a=a))
@@ -602,12 +640,27 @@ class TestContour:
         assert result.value == pytest.approx(_call_price(params, market, 100.0), abs=1e-13)
         assert result.diagnostics["tolerance_met"] is True
 
-    @pytest.mark.parametrize("theta", [0.1, -0.1])
-    def test_a_vanishing_gamma_rate_is_a_typed_error_on_the_contour(self, theta):
-        params = VgParams(sigma=1e-10, nu=0.3, theta=theta)
-        market = MarketInputs(spot=100.0, strike=100.0, rate=0.0, tau=1.0)
-        with pytest.raises(InvalidParameters, match="finite u_max"):
-            carr_madan_european(params, market)
+    @pytest.mark.parametrize("sigma", [1e-10, 1e-150])
+    @pytest.mark.parametrize("theta", [0.1, -0.1, -0.2])
+    def test_a_vanishing_gamma_rate_prices_the_sigma_to_zero_limit(self, theta, sigma):
+        """At sigma 1e-10 or 1e-150 one Gamma rate rounds to 0 and its branch
+        point lies at infinity; the contour prices there, within its
+        truncation_estimate and 1e-12 max(|ref|, 1) of the exact sigma -> 0
+        limit, each of the three payoffs at two nu, five strikes and three tau."""
+        rates = model.gamma_decomposition(VgParams(sigma=sigma, nu=0.3, theta=theta))
+        assert min(rates.mu_plus, rates.mu_minus) == 0.0
+        missed = []
+        for nu, strike, tau in itertools.product((0.3, 0.5), (80, 95, 100, 105, 130),
+                                                 (0.02, 0.5, 3.0)):
+            params = VgParams(sigma=sigma, nu=nu, theta=theta)
+            market = MarketInputs(spot=100.0, strike=strike, rate=0.01, tau=tau)
+            limits = _sigma_to_zero_limit(params, market)
+            for result, ref in zip(_contour_prices(params, market), limits):
+                error = abs(result.value - ref)
+                if not (error <= result.truncation_estimate + 1e-12 * max(abs(ref), 1.0)
+                        and result.diagnostics["tolerance_met"]):
+                    missed.append((nu, strike, tau, result.value, ref))
+        assert missed == []
 
     def test_a_price_that_is_not_finite_raises_with_its_result(self):
         """At sigma 4e-154 |xi|^2 overflows on the contour and the call sums

@@ -7,17 +7,19 @@ import re
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, reject
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import kv
 
-from vgpricer import model, montecarlo, quadrature, specfun
+from vgpricer import fourier, model, montecarlo, quadrature, specfun
 from vgpricer.errors import (
     BranchCutError,
+    DampingOutOfRangeError,
     GammaOverflowError,
     InvalidParameters,
     NonConvergenceError,
+    VgError,
 )
 from vgpricer.model import (
     MarketInputs,
@@ -625,6 +627,72 @@ class TestLevyMeasure:
         with pytest.raises(InvalidParameters):
             levy_measure_density(bench_params, 0.0)
 
+    @pytest.mark.parametrize("sigma, nu, theta, x, expected", [
+        # inf - inf in the old exponent at a decay of 1e100 per unit
+        (1e-100, 0.5, 0.1, 1e300, 0.0),
+        # nu |x| underflows to 0: a ZeroDivisionError
+        (0.2, 1e-300, 0.0, 1e-300, GammaOverflowError),
+        # 1/(nu |x|) overflows at a subnormal x: inf without an error
+        (0.2, 0.85, 0.0, 1e-320, GammaOverflowError),
+    ], ids=["nan-exponent", "nu-x-underflows", "subnormal-x"])
+    def test_a_density_past_the_double_range(self, sigma, nu, theta, x, expected):
+        params = VgParams(sigma=sigma, nu=nu, theta=theta)
+        if expected is GammaOverflowError:
+            with pytest.raises(GammaOverflowError, match="overflows double precision"):
+                levy_measure_density(params, x)
+        else:
+            assert levy_measure_density(params, x) == expected
+
+
+@st.composite
+def _tails_draw(draw):
+    """sigma, nu, |theta| and |x| = 10^U[-330, 308], past the double range at
+    the low end and where its squares and products overflow at the high end;
+    theta 0 in a third of the draws.  A draw VgParams refuses is rejected."""
+    sigma, nu, theta, x = (10.0 ** draw(st.floats(-330.0, 308.0)) for _ in range(4))
+    theta *= draw(st.sampled_from([0.0, 1.0, -1.0]))
+    x *= draw(st.sampled_from([1.0, -1.0]))
+    try:
+        return VgParams(sigma=sigma, nu=nu, theta=theta), x
+    except InvalidParameters:
+        reject()
+
+
+class TestTailsProperty:
+    @given(_tails_draw())
+    def test_levy_density_and_damping_edge_follow_the_branch_points(self, draw):
+        """levy_measure_density is finite and >= 0 or a VgError, and exactly
+        symmetric at theta = 0; where a_max is finite, carr_madan_european
+        admits a_max (1 - 1e-9) and refuses a_max (1 + 1e-9).  The horizon is
+        nu, a clock shape of 1, so derive admits every draw."""
+        params, x = draw
+        try:
+            value = levy_measure_density(params, x)
+        except VgError:
+            pass
+        else:
+            assert 0.0 <= value < math.inf
+            if params.theta == 0.0:
+                assert levy_measure_density(params, -x) == value
+        try:
+            bound = fourier.a_max(params)
+        except VgError:
+            return
+        if not math.isfinite(bound):
+            return
+        market = MarketInputs(spot=100.0, strike=100.0, rate=0.0, tau=params.nu)
+        inside = fourier.FourierConfig(damping_a=bound * (1.0 - 1e-9))
+        try:
+            fourier.carr_madan_european(params, market, inside)
+        except DampingOutOfRangeError:
+            raise
+        except VgError:
+            pass
+        with pytest.raises(DampingOutOfRangeError):
+            fourier.carr_madan_european(
+                params, market, fourier.FourierConfig(damping_a=bound * (1.0 + 1e-9))
+            )
+
 
 class TestGammaDecomposition:
     def test_symmetric_split(self, bench_params):
@@ -639,3 +707,18 @@ class TestGammaDecomposition:
         assert decomp.mu_plus - decomp.mu_minus == pytest.approx(0.1, rel=1e-12)
         assert decomp.nu_plus / decomp.mu_plus**2 == pytest.approx(0.85, rel=1e-12)
         assert decomp.nu_minus / decomp.mu_minus**2 == pytest.approx(0.85, rel=1e-12)
+
+    @pytest.mark.parametrize("call", [
+        lambda params: characteristic_fn(params, 1.0, 1.0),
+        lambda params: levy_symbol(params, 1.0),
+        lambda params: levy_measure_density(params, 1.0),
+        fourier.a_max,
+    ], ids=["characteristic_fn", "levy_symbol", "levy_measure_density", "a_max"])
+    def test_a_rate_that_is_not_finite_is_refused(self, call):
+        """At theta = -1e300 theta^2 overflows and both rates are inf, which put
+        both branch points at 0: characteristic_fn raised a misleading
+        GammaOverflowError at u = 1."""
+        params = VgParams(sigma=0.85, nu=0.85, theta=-1e300)
+        with pytest.raises(InvalidParameters) as info:
+            call(params)
+        assert str(info.value) == "Gamma rates mu_+ = inf and mu_- = inf must both be finite"
