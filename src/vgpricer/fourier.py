@@ -12,9 +12,10 @@ integrable, priced through the characteristic function of log S_T, and the
 damping removed afterwards.  For every theta the damping a is admitted when
 a > 0 and (1 + a) nu mu_+ < 1, that is while the damped line Im u = -(1 + a)
 stays above the branch point i eta_-, eta_- = -1/(nu mu_+), of Phi: below
-a_max = -eta_- - 1.  Each payoff only describes its integrand;
-_contour_integral builds and prices it, and every branch point comes from
-model._branch_points.
+a_max = -eta_- - 1.  A damping the caller leaves unset is 1 where that admits
+it, and a_max / 2 where the strip is narrower.  Each payoff only describes
+its integrand; _contour_integral builds and prices it, and every branch point
+comes from model._branch_points.
 
 The default, u_max = inf, prices the untruncated integrals on a
 sinh-deformed contour xi(y) = i w1 + b sinh(i w + y) (Boyarchenko and
@@ -89,11 +90,12 @@ class FourierConfig:
 
     u_max = inf (the default) prices the untruncated integral on a deformed
     contour; a finite u_max subtracts the integral's tail past u_max, taken
-    on a vertical ray.
+    on a vertical ray.  damping_a = None (the default) lets carr_madan_european
+    take 1 where the strip admits it, and a_max / 2 where it is narrower.
     """
 
     u_max: float = math.inf
-    damping_a: float = 1.0
+    damping_a: Optional[float] = None
     abs_tol: float = 1e-9
 
     def __post_init__(self):
@@ -400,13 +402,17 @@ def carr_madan_european(
 
     For every theta the damping a is admitted when a > 0 and (1 + a) nu mu_+ < 1,
     while the damped line Im u = -(1 + a) stays above eta_- = -1/(nu mu_+); a
-    product, as mu_+ rounds to 0 at tiny sigma with theta < 0.
+    product, as mu_+ rounds to 0 at tiny sigma with theta < 0.  An unset a is 1
+    unless the strip is finite and refuses it, and then half-way to a_max.
     """
     cfg = cfg or FourierConfig()
-    a = cfg.damping_a
     derived = model.derive(params, market)
     tau = market.tau
-    reach = (1.0 + a) * params.nu * model.gamma_decomposition(params).mu_plus
+    mu_plus = model.gamma_decomposition(params).mu_plus
+    a = cfg.damping_a
+    if a is None:
+        a = 0.5 * a_max(params) if 1.0 <= 2.0 * params.nu * mu_plus < math.inf else 1.0
+    reach = (1.0 + a) * params.nu * mu_plus
     if not (a > 0.0 and reach < 1.0):
         raise DampingOutOfRangeError(
             f"damping factor a = {a!r} must be positive with (1 + a) nu mu_+ = {reach:.6g} below 1"

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import specfun
 from .errors import BranchCutError, GammaOverflowError, InvalidParameters, NonConvergenceError
+from .specfun import _LOG_MAX, _TINY
 
 __all__ = [
     "VgParams",
@@ -39,10 +40,6 @@ __all__ = [
     "levy_measure_density",
     "gamma_decomposition",
 ]
-
-_TINY = np.finfo(float).tiny
-_LOG_MAX = math.log(np.finfo(float).max)
-
 
 def _pow(x: float, p: float) -> float:
     """x**p for a positive result, or inf where it overflows: Python's float
@@ -271,6 +268,13 @@ def _clock_shape(name: str, t: float, nu: float) -> float:
     return shape
 
 
+def _off_the_line(name: str, x: float) -> bool:
+    """Whether a density at x is 0, that is, x = +-inf; InvalidParameters at a NaN x."""
+    if math.isnan(x):
+        raise InvalidParameters(f"{name} requires a real x, got {x!r}")
+    return math.isinf(x)
+
+
 def _power_moment_base(params: VgParams, q: float) -> float:
     """1 - theta nu q - sigma^2 nu q^2 / 2, the base of E[e^{q X(t)}] = base^(-t/nu);
     InvalidParameters unless it is positive, that is, unless E[S_T^q] exists."""
@@ -332,10 +336,13 @@ def density(params: VgParams, x: float, t: float) -> float:
              * K_{t/nu - 1/2}(sqrt(2 sigma^2/nu + theta^2) |x| / sigma^2)
 
     At x = 0 the Bessel small-argument limit is substituted analytically
-    (finite only for t/nu > 1/2).
+    (finite only for t/nu > 1/2).  Like every density here, it is 0 at
+    x = +-inf and InvalidParameters at a NaN x (_off_the_line).
     """
     sigma, nu, theta = params.sigma, params.nu, params.theta
     shape = _clock_shape("density", t, nu)
+    if _off_the_line("density", x):
+        return 0.0
     order = shape - 0.5
     a2 = 2.0 * sigma**2 / nu + _pow(theta, 2)
     # log a2 in logs where a2 is not a normal double (2 sigma^2/nu and theta^2 underflow)
@@ -374,11 +381,7 @@ def density(params: VgParams, x: float, t: float) -> float:
             log_density = log_front + order * (math.log(abs(x)) - 0.5 * log_a2) + log_bessel
         else:
             log_density = log_front + (0.5 * order) * math.log(x * x / a2) + log_bessel
-    if log_density > _LOG_MAX:
-        raise GammaOverflowError(f"density({x!r}, {t!r}) overflows double precision")
-    if math.isnan(log_density):  # terms past the double range that cancel
-        raise GammaOverflowError(f"density({x!r}, {t!r}) leaves double precision")
-    return math.exp(log_density)
+    return specfun._exp(log_density, f"density({x!r}, {t!r})")
 
 
 def mixture_density(params: VgParams, x: float, t: float) -> float:
@@ -394,10 +397,13 @@ def mixture_density(params: VgParams, x: float, t: float) -> float:
     """
     sigma, nu, theta = params.sigma, params.nu, params.theta
     shape = _clock_shape("mixture_density", t, nu)
+    if _off_the_line("mixture_density", x):
+        return 0.0
     if x == 0.0 and shape <= 0.5:
         raise InvalidParameters("mixture density diverges at x = 0 for t/nu <= 1/2")
     lg_shape, _ = specfun.log_gamma(shape)
     log_norm = -shape * math.log(nu) - lg_shape - 0.5 * math.log(2.0 * math.pi) - math.log(sigma)
+    what = f"mixture_density({x!r}, {t!r})"
 
     def integrand(y: float) -> float:  # quad takes interior nodes only: y > 0
         variance = 2.0 * sigma**2 * y
@@ -410,9 +416,7 @@ def mixture_density(params: VgParams, x: float, t: float) -> float:
             + (shape - 1.0) * math.log(y)
             - y / nu
         )
-        if log_val > _LOG_MAX:
-            raise GammaOverflowError(f"mixture_density({x!r}, {t!r}) overflows double precision")
-        return math.exp(log_val)
+        return specfun._exp(log_val, what)
 
     # imported here, not at module level: loading scipy.integrate costs a
     # one-shot CLI process about 0.2 s, and only this oracle needs it
@@ -509,13 +513,13 @@ def levy_symbol(params: VgParams, u):
 def levy_measure_density(params: VgParams, x: float) -> float:
     """Levy density e^{eta x} / (nu |x|), eta = eta_- for x > 0 and eta_+ for x < 0,
     taken in logs; GammaOverflowError where it overflows."""
+    if _off_the_line("levy_measure_density", x):
+        return 0.0
     if x == 0.0:
         raise InvalidParameters("Levy measure density is undefined at x = 0")
     eta_minus, eta_plus = _branch_points(params)
     log_density = (eta_minus if x > 0.0 else eta_plus) * x - math.log(params.nu) - math.log(abs(x))
-    if log_density > _LOG_MAX:
-        raise GammaOverflowError(f"levy_measure_density({x!r}) overflows double precision")
-    return math.exp(log_density)
+    return specfun._exp(log_density, f"levy_measure_density({x!r})")
 
 
 def gamma_decomposition(params: VgParams) -> GammaDecomposition:

@@ -54,6 +54,8 @@ def gl_density(params: VgParams, x: float, t: float, n: int) -> float:
     single Gaussian phi(x; theta nu, sigma sqrt(nu)).
     """
     gl = gl_weights(n, model._clock_shape("gl_density", t, params.nu))
+    if model._off_the_line("gl_density", x):
+        return 0.0
     u = gl.rule.nodes
     mean = params.theta * params.nu * u
     std = params.sigma * np.sqrt(params.nu * u)

@@ -28,9 +28,9 @@ pays only for the arithmetic in alpha, the moneyness and the volatility.
 _alpha_block memoises the alpha-dependent part of the double series and the
 drifted digital (the stacked log-Gamma coefficients and signs, the powers and
 divisors in alpha, and log Gamma(alpha + 1/2)) per (kind, max_order, alpha),
-bounded at 16 entries; the log call forms its own.  A block's signs carry
-each double-series term's (-1)^n1, so only a series whose n2
-power has a negative base (the ITM mirror, or theta < 0) multiplies them, by
+bounded at 16 entries; the log call takes the "asym" Gammas unmemoised.  A
+block's signs carry each double-series term's (-1)^n1, so only a series whose
+n2 power has a negative base (the ITM mirror, or theta < 0) multiplies them, by
 (-1)^n2.  Every series slices the grid and its block: the double series'
 three shapes (n2 from 0, from 1, and the n2 = 0 column) take their columns,
 and the collapsed ATM series, the k -> 0 limit of the double series, is row
@@ -207,7 +207,7 @@ class _Grid:
         self.sym_power = np.stack((self.n1, 2.0 * n1 + 1.0))
         # the drifted digital: its single series' Gamma((n + 1)/2 + alpha) (the
         # alpha-free log Gamma((n + 1)/2) is asym_lg1), then its double series'
-        # Gamma(-n1 + alpha) and Gamma(-n1 - alpha)
+        # Gamma(-n1 + alpha) and Gamma(-n1 - alpha); the log call reads them too
         self.asym = _args(
             (row, 1.0), (np.stack((-n1, -n1)), np.array([1.0, -1.0])[_PARTS]), half
         )
@@ -216,10 +216,6 @@ class _Grid:
         # the double series' minus and the (-1)^n1 of each of its terms
         self.asym_sign = -((-1.0) ** n1)
         self.m_1 = 2.0 * n1 + n + 1.0
-        self.log_call = _args(
-            (np.array([1.0]), 1.0), (np.stack((-n, -n))[:, None], np.array([1.0, -1.0])[_PARTS]),
-            half,
-        )
         # the sign of x^n for x < 0
         self.n_sign = (-1.0) ** n
         self.two_n = 2.0 * n
@@ -606,13 +602,10 @@ def implied_atmf_vol(
             raise InvalidParameters(f"{name} must be finite, got {value!r}")
     shape = model._clock_shape("implied_atmf_vol", tau, nu)
     (lg_num, lg_den), _ = specfun._log_gamma_signed([shape, 0.5 + shape])
-    log_ratio = float(lg_num) - float(lg_den)
-    if log_ratio < model._LOG_MAX:
-        vol = math.sqrt(2.0 * math.pi / nu) * math.exp(log_ratio) * observed_price / spot
-    else:  # the Gamma ratio overflows at a subnormal tau/nu: form the product in logs
-        log_vol = 0.5 * math.log(2.0 * math.pi / nu) + log_ratio
-        log_vol += math.log(observed_price) - math.log(spot)
-        vol = math.exp(log_vol) if log_vol < model._LOG_MAX else math.inf
+    # in logs: the Gamma ratio alone overflows at a subnormal tau/nu
+    log_vol = 0.5 * math.log(2.0 * math.pi / nu) + (float(lg_num) - float(lg_den))
+    log_vol += math.log(observed_price) - math.log(spot)
+    vol = math.exp(log_vol) if log_vol < model._LOG_MAX else math.inf
     if not 0.0 < vol < math.inf:
         raise InvalidParameters(f"the implied volatility {vol!r} leaves the double range")
     return vol
@@ -703,11 +696,13 @@ def log_call(
         (lg_shape, lg_num), _ = specfun._log_gamma_signed([0.5 + alpha, 0.5 + (alpha + 0.5)])
         value = discount / math.sqrt(math.pi) * math.exp(float(lg_num) - float(lg_shape)) * s_nu
         return _finalize(value, 1, 0.0, "atm", diagnostics)
-    # alpha > -1/2 makes the head's Gamma(1 + alpha) and Gamma(alpha + 1/2), and
-    # the factors 2 n + 2 alpha + 1 and + 2, positive
+    # the drifted digital's Gammas, unmemoised: Gamma(1 + alpha) is its row's n = 1, and its
+    # Gamma(-n1 +- alpha) column, as a row, the coefficients; alpha > -1/2 makes the head's
+    # Gammas, and the factors 2 n + 2 alpha + 1 and + 2, positive
     g = _grid(ctrl.max_order)
-    (lg_a1, _), (log_coef, sign_coef), (lg_shape, _) = _log_gammas(g.log_call, alpha)
-    lg_a1, lg_shape, sign_coef = lg_a1.item(), lg_shape.item(), g.n_sign * sign_coef
+    (lg_row, _), (log_coef, sign_coef), (lg_shape, _) = _log_gammas(g.asym, alpha)
+    lg_a1, lg_shape = lg_row[0, 0, 1].item(), lg_shape.item()
+    log_coef, sign_coef = log_coef.reshape(2, 1, -1), g.n_sign * sign_coef.reshape(2, 1, -1)
     shifted = g.two_n + alpha * _TWO_IN_PART_2
     shifted_2, shifted_1 = shifted + 2.0, shifted + 1.0
     log_pref = -derived.rate_effective * market.tau - 0.5 * math.log(math.pi) - lg_shape

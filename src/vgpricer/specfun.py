@@ -6,6 +6,7 @@ The handful of special functions the pricing engines need:
   poles at 0, -1, -2, ...  (``scipy.special.gammaln``/``gammasgn``, with the
   poles mapped to a fixed convention),
 * Gamma itself, with explicit overflow reporting,
+* the double range (_TINY, _LOG_MAX) and the one overflow rule, _exp,
 * the modified Bessel function of the second kind K_a(x) for real order
   (``scipy.special.kv``, with explicit overflow reporting), and its log: from
   ``kv``, from ``kve`` where ``kv`` underflows, and otherwise from log x alone,
@@ -70,8 +71,18 @@ def _log_gamma_signed(x) -> tuple[np.ndarray, np.ndarray]:
     return log_abs, sign
 
 
+def _exp(log_value: float, what: str) -> float:
+    """e^log_value, the one overflow rule: GammaOverflowError "<what> overflows double precision"
+    past _LOG_MAX, and "... leaves double precision" at NaN (terms past the range that cancel)."""
+    if not log_value <= _LOG_MAX:
+        fate = "leaves" if math.isnan(log_value) else "overflows"
+        raise GammaOverflowError(f"{what} {fate} double precision")
+    return math.exp(log_value)
+
+
 def _check_pole(x: float) -> None:
-    if x <= 0.5 and abs(x - round(x)) < _POLE_GUARD:
+    # -inf, where every double is an integer, is the limit of the poles
+    if x <= 0.5 and (x == -math.inf or abs(x - round(x)) < _POLE_GUARD):
         raise PoleError(f"gamma argument {x!r} is within {_POLE_GUARD} of a pole")
 
 
@@ -80,7 +91,7 @@ def log_gamma(x: float) -> tuple[float, float]:
 
     For x > 0 the sign is always +1; for negative non-integer x the sign
     alternates between the poles.  Raises :class:`PoleError` within 1e-12 of
-    a non-positive integer.
+    a non-positive integer or at -inf.
     """
     x = float(x)
     if math.isnan(x):
@@ -93,31 +104,31 @@ def log_gamma(x: float) -> tuple[float, float]:
 def gamma(x: float) -> float:
     """Sign-correct Gamma(x) = sign * exp(log_gamma(x)).
 
-    Overflow is reported as :class:`GammaOverflowError` instead of silently
-    returning ``inf``.
+    Overflow, past log(DBL_MAX), is reported as :class:`GammaOverflowError`
+    instead of silently returning ``inf``.
     """
     log_abs, sign = log_gamma(x)
-    if log_abs > 709.0:  # exp argument limit for float64
-        raise GammaOverflowError(f"gamma({x!r}) overflows double precision")
-    return sign * math.exp(log_abs)
+    return sign * _exp(log_abs, f"gamma({x!r})")
 
 
 def bessel_k(order: float, x: float) -> float:
     """Modified Bessel function of the second kind, real order.
 
-    Symmetric in the order.  Underflows to 0 for x beyond ~700; raises on
-    x <= 0, and :class:`GammaOverflowError` when the value overflows double
-    precision (small x at large order).
+    Symmetric in the order.  Underflows to 0 for x beyond ~700; raises
+    InvalidParameters at a NaN order or x <= 0, and GammaOverflowError when
+    the value overflows double precision (small x at large order).  Where
+    scipy's kv is not a finite double (it overflows, or is NaN past its
+    range), K is e^{_log_k}.
     """
     x = float(x)
+    if math.isnan(order):
+        raise InvalidParameters("bessel_k order is NaN")
     if not x > 0.0:
         raise InvalidParameters(f"bessel_k requires x > 0, got {x!r}")
     value = float(kv(order, x))
-    if math.isinf(value):
-        raise GammaOverflowError(
-            f"bessel_k({order!r}, {x!r}) overflows double precision"
-        )
-    return value
+    if value < math.inf:
+        return value
+    return _exp(_log_k(order, x, math.log(x)), f"bessel_k({order!r}, {x!r})")
 
 
 def _log_k(order: float, z: float, log_z: float) -> float:
@@ -148,11 +159,14 @@ def _log_bessel_k(order: float, log_z: float) -> float:
     log z >= -744, where small orders are flat out to t = ln(2/z).  Past
     _LOG_K_MAX_NODES nodes (log z below about -810), or past a search over
     2^53 nodes (orders beyond about 1e28), it raises GammaOverflowError.  A z
-    past the double range gives -inf: there v < z, so K_v(z) <= K_z(z) < e^{-z/2}.
+    past the double range gives -inf: there v < z, so K_v(z) <= K_z(z) < e^{-z/2};
+    an infinite order at any other z gives +inf.
     """
     v = abs(order)
     if not log_z < _LOG_MAX:
         return -math.inf
+    if v == math.inf:
+        return math.inf
     z = math.exp(log_z)
     h = _LOG_K_STEP * min(1.0, math.sqrt(600.0 / max(v, z, 1.0)))
 

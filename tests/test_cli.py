@@ -26,6 +26,8 @@ from vgpricer.errors import NonConvergenceError
 from vgpricer.model import MarketInputs, VgParams
 from vgpricer.reference import load_reference, printed_tolerance
 
+import domain
+
 _BASE_FLAGS = [
     "--spot", "4200", "--strike", "4000", "--rate", "0.01", "--tau", "2",
     "--sigma", "0.2", "--nu", "0.85",
@@ -121,6 +123,24 @@ class TestPriceCommand:
         values = [r["value"] for r in records]
         assert max(values) - min(values) < 4.0 * records[-1]["std_error"] + 0.05
         assert "ci" in records[-1]
+
+    def test_all_methods_price_where_the_strip_refuses_a_damping_of_one(self, capsys):
+        """At sigma 0.8, nu 1 (a_max 0.768) an unset --damping-a is a_max / 2, so
+        --method all exits 0 with four rows, not DampingOutOfRangeError alone.
+        The Fourier row is checked against vgbench.oracle; the series row there
+        is off by about 6e-6 with a tail of 4e-10 (ROADMAP item 1)."""
+        code, out, err = run_cli(
+            capsys, "price", "--payoff", "european", "--method", "all", "--spot", "100",
+            "--strike", "110", "--tau", "0.6", "--sigma", "0.8", "--nu", "1",
+        )
+        assert (code, err) == (0, "")
+        records = [json.loads(line) for line in out.splitlines()]
+        assert [r["method"] for r in records] == ["series", "fourier", "quadrature", "monte_carlo"]
+        fourier_row = records[1]
+        reference = domain.oracle_price(
+            "european", VgParams(0.8, 1.0), MarketInputs(spot=100.0, strike=110.0, rate=0.0, tau=0.6)
+        )
+        assert abs(fourier_row["value"] - reference) <= fourier_row["truncation_estimate"] + 1e-9
 
     def test_invalid_parameters_exit_code(self, capsys):
         code, out, err = run_cli(

@@ -38,6 +38,7 @@ from vgpricer.series import (
 )
 from vgpricer.tables import atm_spot, base_params
 
+import domain
 from conftest import make_market
 
 _TAUS = {"2": 2.0, "0.5": 0.5}
@@ -455,12 +456,26 @@ class TestCarrMadan:
 
         sigma^2 nu -> 2 pushes a_max to 0+ (the bound cannot go negative for
         a valid parameter triple, since validity requires sigma^2 nu < 2),
-        and the default damping a = 1 must be rejected.
+        and an explicit damping a = 1 must be rejected.
         """
         params = VgParams(sigma=1.2, nu=1.38)
         assert 0.0 < a_max(params) < 0.01
         with pytest.raises(DampingOutOfRangeError):
-            carr_madan_european(params, make_market(4200.0, 2.0))
+            carr_madan_european(params, make_market(4200.0, 2.0), FourierConfig(damping_a=1.0))
+
+    @pytest.mark.parametrize("sigma, nu, a", [(0.2, 0.85, 1.0), (0.8, 1.0, None), (1.0, 1.2, None)])
+    def test_an_unset_damping_lies_inside_the_strip(self, sigma, nu, a):
+        """With no damping set, a is 1 where the strip admits it and a_max / 2
+        where it is narrower, and the call prices within its estimate of the
+        oracle (the default config and an explicit a = 1 give the same bits)."""
+        params = VgParams(sigma=sigma, nu=nu)
+        market = MarketInputs(spot=100.0, strike=110.0, rate=0.0, tau=0.6)
+        result = carr_madan_european(params, market)
+        assert result.diagnostics["damping_a"] == (a or 0.5 * a_max(params))
+        if a is not None:
+            assert result.value == carr_madan_european(params, market, FourierConfig(damping_a=a)).value
+        reference = domain.oracle_price("european", params, market)
+        assert abs(result.value - reference) <= result.truncation_estimate + 1e-6 * reference
 
     def test_damping_out_of_range_rejected(self, bench_params):
         market = make_market(4200.0, 2.0)

@@ -19,6 +19,7 @@ from vgpricer.errors import (
     GammaOverflowError,
     InvalidParameters,
     NonConvergenceError,
+    PoleError,
     VgError,
 )
 from vgpricer.model import (
@@ -642,6 +643,73 @@ class TestLevyMeasure:
                 levy_measure_density(params, x)
         else:
             assert levy_measure_density(params, x) == expected
+
+
+_P = VgParams(sigma=0.2, nu=0.85)
+_NAN, _INF = math.nan, math.inf
+# every public special function and density, at (a, b): a is the point x (the
+# order for bessel_k) and b the horizon t (x for bessel_k)
+_PUBLIC = {
+    "log_gamma": lambda p, a, b: specfun.log_gamma(a),
+    "gamma": lambda p, a, b: specfun.gamma(a),
+    "bessel_k": lambda p, a, b: specfun.bessel_k(a, b),
+    "density": lambda p, a, b: density(p, a, b),
+    "mixture_density": lambda p, a, b: mixture_density(p, a, b),
+    "levy_measure_density": lambda p, a, b: levy_measure_density(p, a),
+    "gl_density": lambda p, a, b: quadrature.gl_density(p, a, b, 15),
+}
+
+
+class TestNonFiniteArguments:
+    @pytest.mark.parametrize("name, a, b, expected", [
+        ("log_gamma", -_INF, None, PoleError),
+        ("gamma", -_INF, None, PoleError),
+        ("bessel_k", _NAN, 1.0, InvalidParameters),
+        ("bessel_k", _INF, 1.0, GammaOverflowError),
+        ("bessel_k", 1e300, 1e-300, GammaOverflowError),
+        ("levy_measure_density", _NAN, None, InvalidParameters),
+        ("gl_density", _NAN, 1.0, InvalidParameters),
+        ("mixture_density", _NAN, 1.0, InvalidParameters),
+        ("density", _NAN, 1.0, InvalidParameters),
+        ("density", _INF, 1.0, 0.0),
+        ("density", -_INF, 1.0, 0.0),
+    ])
+    def test_a_typed_error_or_a_density_of_zero(self, name, a, b, expected):
+        """A NaN argument is InvalidParameters, every density is 0 at x = +-inf,
+        -inf is Gamma's limit of poles, and K past the double range overflows."""
+        if isinstance(expected, float):
+            assert _PUBLIC[name](_P, a, b) == expected
+        else:
+            with pytest.raises(expected):
+                _PUBLIC[name](_P, a, b)
+
+    @pytest.mark.parametrize("x", [_INF, -_INF])
+    @pytest.mark.parametrize("name", ["density", "mixture_density", "levy_measure_density",
+                                      "gl_density"])
+    def test_every_density_is_zero_off_the_line(self, name, x):
+        assert _PUBLIC[name](_P, x, 1.0) == 0.0
+
+    @given(
+        name=st.sampled_from(sorted(_PUBLIC)),
+        params=st.sampled_from([_P, VgParams(sigma=0.2, nu=0.85, theta=-0.1)]),
+        a=st.one_of(st.sampled_from([_NAN, _INF, -_INF, 0.0, 5e-324, -1e-300, 1e300]), st.floats()),
+        b=st.one_of(st.sampled_from([_NAN, _INF, -_INF, 5e-324, 1e-300, 1e300]), st.floats()),
+    )
+    def test_non_finite_and_extreme_arguments(self, name, params, a, b):
+        """Each call returns a number or raises a VgError, never another exception
+        and never NaN.  A density or K is finite and >= 0; log_gamma's log is
+        +inf only where ln Gamma itself overflows (x past about 2.5e305)."""
+        try:
+            value = _PUBLIC[name](params, a, b)
+        except VgError:
+            return
+        if name == "log_gamma":
+            log_abs, sign = value
+            assert sign in (1.0, -1.0) and not math.isnan(log_abs)
+            assert log_abs < math.inf or a > 2e305
+        else:
+            assert math.isfinite(value)
+            assert name == "gamma" or value >= 0.0
 
 
 @st.composite

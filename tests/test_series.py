@@ -36,6 +36,7 @@ from vgpricer.series import (
 )
 from vgpricer.tables import atm_spot, base_params
 
+import domain
 from conftest import make_market
 
 _TAUS = {"2": 2.0, "0.5": 0.5, "1/2": 0.5, "1/12": 1 / 12, "1/52": 1 / 52, "1/360": 1 / 360}
@@ -958,7 +959,8 @@ class TestGridMemo:
 
     def test_arrays_are_read_only(self):
         arrays = list(_memo_arrays(series._grid(25)))
-        assert len(arrays) >= 20
+        # the log call reads the drifted digital's recipe and holds none of its own
+        assert len(arrays) >= 19
         for kind in ("sym", "asym"):
             block = series._alpha_block(kind, 25, 0.3)
             assert block is series._alpha_block(kind, 25, 0.3)
@@ -992,11 +994,11 @@ class TestGridMemo:
         holds it and whatever its denominator does there (at alpha = 1.5 the
         double series' part 2 has poles over poles); the error is raised
         again, never stored.  The log call builds no block and takes its
-        Gammas from the grid's recipe directly."""
+        Gammas from the drifted digital's recipe directly."""
         for _ in range(2):
             with pytest.raises(DegenerateAlphaError, match="hit a Gamma pole"):
                 if kind == "log_call":
-                    series._log_gammas(series._grid(10).log_call, alpha)
+                    series._log_gammas(series._grid(10).asym, alpha)
                 else:
                     series._alpha_block(kind, 10, alpha)
         assert series._alpha_block.cache_info().currsize == 0
@@ -1013,22 +1015,35 @@ _draws = {
 }
 
 
+def _domain_contract(pricer, draw):
+    """_contract at a draw of the validated domain (tests/domain.py): its sigma, nu,
+    theta, tau and r, no dividend, and its k_rn as the target, or at the money
+    forward for european_atmf."""
+    params, market = draw
+    target = derive(params, market).rn_moneyness / (params.sigma * math.sqrt(market.tau))
+    return _contract(
+        pricer, params.sigma, params.nu, params.theta, market.tau, market.rate, 0.0,
+        None if pricer == "european_atmf" else target,
+    )
+
+
 class TestGridMemoProperty:
     @given(
         pricer=st.sampled_from(sorted(_GOLDEN_PRICERS)),
-        contract=st.fixed_dictionaries(_draws),
-        other=st.fixed_dictionaries(_draws),
+        contract=domain.contracts(drifted=True),
+        other=domain.contracts(drifted=True),
         max_order=st.integers(1, 60),
     )
     def test_cold_and_warm_prices_are_identical(self, pricer, contract, other, max_order):
         """A price is the same to the bit whether its shape is built fresh or
-        was built and used by unrelated prices first."""
+        was built and used by unrelated prices first; both contracts are
+        domain draws."""
         series._grid.cache_clear()
-        cold = _price_record(pricer, *_contract(pricer, **contract), max_order)
+        cold = _price_record(pricer, *_domain_contract(pricer, contract), max_order)
         for unrelated in _GOLDEN_PRICERS:
-            _price_record(unrelated, *_contract(unrelated, **other), max_order)
+            _price_record(unrelated, *_domain_contract(unrelated, other), max_order)
         assert series._grid.cache_info().hits > 0
-        assert _price_record(pricer, *_contract(pricer, **contract), max_order) == cold
+        assert _price_record(pricer, *_domain_contract(pricer, contract), max_order) == cold
 
 
 # alpha = tau/nu - 1/2 set within 1e-9 of k/2, which the nudge policy moves

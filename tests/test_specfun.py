@@ -150,6 +150,13 @@ class TestGamma:
         with pytest.raises(GammaOverflowError):
             gamma(200.0)
 
+    def test_the_double_range_ends_at_log_dbl_max(self):
+        """Gamma is a double up to ln Gamma(x) = ln(DBL_MAX), x about 171.624."""
+        assert gamma(171.5) == pytest.approx(9.483367566824795e307, rel=1e-12)
+        assert gamma(171.6) == pytest.approx(1.5858969096672565e308, rel=1e-12)
+        with pytest.raises(GammaOverflowError, match=r"gamma\(171.63\) overflows double precision"):
+            gamma(171.63)
+
 
 class TestBesselK:
     def test_half_integer_closed_form(self):
